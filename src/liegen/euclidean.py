@@ -218,9 +218,6 @@ class CylFunc:
         return f"CylFunc({list(self.terms)!r})"
 
 
-POLAR_OPS = ("lz", "raise", "lower")
-
-
 def apply_polar_op(op: str, f: CylFunc) -> CylFunc:
     """Algebraic action on the span: the rotation generator scales a term by
     its order; raising/lowering shift the order by one and flip the sign."""

@@ -60,11 +60,6 @@ class Matrix3:
         return cls([[one, zero, zero], [zero, one, zero], [zero, zero, one]])
 
     @classmethod
-    def zero(cls, exact: bool = True) -> "Matrix3":
-        z = 0 if exact else 0.0
-        return cls([[z] * 3] * 3)
-
-    @classmethod
     def unit(cls, i: int, j: int) -> "Matrix3":
         rows = [[0] * 3 for _ in range(3)]
         rows[i][j] = 1

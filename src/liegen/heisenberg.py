@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator
 
 from .numeric import (
     Polynomial,
@@ -38,8 +39,6 @@ DEFAULT_MAX_N = 64
 
 #: sqrt(2), the exact ratio between the scaled and normalized ladder operators
 SQRT2 = SqrtRational(1, 2)
-
-LADDER_KINDS = ("lower", "raise", "position", "derivative", "identity")
 
 
 # ---------------------------------------------------------------------------
@@ -131,16 +130,23 @@ def hermite_rodrigues(n: int, max_n: int = DEFAULT_MAX_N) -> Polynomial:
     return _rodrigues_cache[n]
 
 
-def hermite_recurrence(n: int) -> Polynomial:
-    """Independent oracle: H_0 = 1, H_1 = 2x, then the three-term recurrence
-    H_{n+1} = 2x H_n - 2n H_{n-1}."""
-    if n < 0:
+def hermite_recurrence_sequence(max_n: int) -> Iterator[Polynomial]:
+    """Independent oracle, H_0 .. H_max_n in one pass of the three-term
+    recurrence H_{n+1} = 2x H_n - 2n H_{n-1} from H_0 = 1 (and H_{-1} = 0).
+    Only the last two polynomials are held."""
+    if max_n < 0:
         raise ValueError("n must be non-negative")
-    h_prev, h = Polynomial.constant(1), 2 * X
-    if n == 0:
-        return h_prev
-    for k in range(1, n):
+    h_prev, h = Polynomial.zero(), Polynomial.constant(1)
+    yield h
+    for k in range(max_n):
         h_prev, h = h, 2 * X * h - 2 * k * h_prev
+        yield h
+
+
+def hermite_recurrence(n: int) -> Polynomial:
+    """H_n, the last term of :func:`hermite_recurrence_sequence`."""
+    for h in hermite_recurrence_sequence(n):
+        pass
     return h
 
 
@@ -224,19 +230,20 @@ class DiscreteMatrix:
         return self.entries[i][j]
 
     def __mul__(self, other: "DiscreteMatrix") -> "DiscreteMatrix":
+        # visit only products of two nonzero entries, k ascending per (i, j)
         n = self.dimension
         zero = SqrtRational(0)
+        other_rows = [[(j, b) for j, b in enumerate(row) if not b.is_zero]
+                      for row in other.entries]
         rows = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                acc = zero
-                for k in range(n):
-                    a, b = self.entries[i][k], other.entries[k][j]
-                    if not (a.is_zero or b.is_zero):
-                        acc = acc + a * b
-                row.append(acc)
-            rows.append(row)
+        for row in self.entries:
+            out = [zero] * n
+            for k, a in enumerate(row):
+                if a.is_zero:
+                    continue
+                for j, b in other_rows[k]:
+                    out[j] = out[j] + a * b
+            rows.append(out)
         return DiscreteMatrix(rows)
 
     def __add__(self, other: "DiscreteMatrix") -> "DiscreteMatrix":
@@ -310,10 +317,6 @@ def _position_squared_minus_d_squared(f: GaussianWeighted) -> GaussianWeighted:
     x2 = apply_word(("position", "position"), f)
     d2 = apply_word(("derivative", "derivative"), f)
     return x2 - d2
-
-
-HERMITE_IDENTITIES = ("ode_A2", "recursion_A3", "diffrel_A4",
-                      "anticommutator", "orthonormality")
 
 
 def verify_hermite_identity(which: str, n: int, max_n: int = DEFAULT_MAX_N):
@@ -422,24 +425,19 @@ def disentangle_check(order: int) -> PowerSeries:
     exp(t(x - D)) = exp(tx) exp(-t^2/2) exp(-tD) applied to the ground state.
 
     The left side is expanded by direct operator application (term k is
-    raise^k / k! on the bare Gaussian); the right side multiplies the two
+    raise^k / k! on the bare Gaussian, read from the hermite_rodrigues
+    cache that builds exactly that); the right side multiplies the two
     scalar/polynomial exponential series into the shifted Gaussian, whose
     own weight re-expands as w times exp(xt - t^2/2).  The difference must
     vanish identically through the requested order.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    gw_zero = GaussianWeighted(Polynomial.zero())
-
-    lhs_coeffs = []
-    state = GROUND_STATE
-    factorial = 1
-    for k in range(order + 1):
-        if k:
-            state = apply_ladder("raise", state)
-            factorial *= k
-        lhs_coeffs.append(Fraction(1, factorial) * state)
-    lhs = PowerSeries(lhs_coeffs, order, gw_zero)
+    lhs = PowerSeries(
+        [Fraction(1, math.factorial(k))
+         * GaussianWeighted(hermite_rodrigues(k, order))
+         for k in range(order + 1)],
+        order, GaussianWeighted(Polynomial.zero()))
 
     exp_tx = series_exp(PowerSeries.from_terms({1: X}, order, Polynomial.zero()))
     exp_t2 = series_exp(PowerSeries.from_terms(
@@ -450,7 +448,7 @@ def disentangle_check(order: int) -> PowerSeries:
     return lhs - rhs
 
 
-def hermite_genfunc_check(order: int, max_n: int = DEFAULT_MAX_N) -> PowerSeries:
+def hermite_genfunc_check(order: int) -> PowerSeries:
     """Residual series of exp(2xt - t^2) minus sum H_n(x) t^n / n! through
     the requested order; the Hermite side comes from the operational
     construction, the exponential side from series_exp."""
@@ -459,14 +457,8 @@ def hermite_genfunc_check(order: int, max_n: int = DEFAULT_MAX_N) -> PowerSeries
     exponent = PowerSeries.from_terms(
         {1: 2 * X, 2: Polynomial.constant(-1)}, order, Polynomial.zero())
     lhs = series_exp(exponent)
-
-    coeffs = []
-    state = GROUND_STATE
-    factorial = 1
-    for k in range(order + 1):
-        if k:
-            state = apply_ladder("raise", state)
-            factorial *= k
-        coeffs.append(Fraction(1, factorial) * state.poly)
-    rhs = PowerSeries(coeffs, order, Polynomial.zero())
+    rhs = PowerSeries(
+        [Fraction(1, math.factorial(k)) * hermite_rodrigues(k, order)
+         for k in range(order + 1)],
+        order, Polynomial.zero())
     return lhs - rhs

@@ -5,6 +5,12 @@ All values in this module are immutable after construction.  Rational
 coefficients are plain ``fractions.Fraction`` throughout, so every operation
 here is exact; the only floating point in the package lives in the numeric
 evaluators built on top.
+
+The public ``Polynomial`` constructor validates its input; arithmetic on
+polynomials, whose operands are already valid, builds its results through a
+trusted path that only normalizes.  Series products skip zero coefficients,
+and ``series_exp`` runs the exponential's ODE recurrence
+a_n = (1/n) sum_j j s_j a_{n-j} over the nonzero coefficients of s.
 """
 
 from __future__ import annotations
@@ -68,15 +74,27 @@ class Polynomial:
             coeff = _as_fraction(coeff)
             if coeff != 0:
                 cleaned[exps] = cleaned.get(exps, _ZERO) + coeff
-        cleaned = {e: c for e, c in cleaned.items() if c != 0}
-        # drop variables no term uses, so equal polynomials share one form
-        used = [i for i in range(len(variables))
-                if any(e[i] for e in cleaned)]
+        self._settle(variables, cleaned)
+
+    def _settle(self, variables: tuple, terms: dict) -> None:
+        """Store valid terms after dropping zero coefficients and unused
+        variables, so equal polynomials share one form."""
+        terms = {e: c for e, c in terms.items() if c}
+        used = [i for i in range(len(variables)) if any(e[i] for e in terms)]
         if len(used) != len(variables):
             variables = tuple(variables[i] for i in used)
-            cleaned = {tuple(e[i] for i in used): c for e, c in cleaned.items()}
+            terms = {tuple(e[i] for i in used): c for e, c in terms.items()}
         object.__setattr__(self, "variables", variables)
-        object.__setattr__(self, "terms", cleaned)
+        object.__setattr__(self, "terms", terms)
+
+    @classmethod
+    def _trusted(cls, variables: tuple, terms: dict) -> "Polynomial":
+        """Internal constructor for arithmetic results: ``variables`` is
+        already canonical and every key an exponent tuple aligned with it,
+        every coefficient a Fraction, so only the normalization runs."""
+        poly = object.__new__(cls)
+        poly._settle(variables, terms)
+        return poly
 
     def __setattr__(self, *a):  # pragma: no cover - immutability guard
         raise AttributeError("Polynomial is immutable")
@@ -126,7 +144,9 @@ class Polynomial:
         return self.terms.get((0,) * len(self.variables), _ZERO)
 
     def _embedded(self, variables: tuple) -> dict:
-        """Re-key terms onto a larger variable tuple."""
+        """Re-key terms onto a larger variable tuple (a copy either way)."""
+        if variables == self.variables:
+            return dict(self.terms)
         positions = [variables.index(v) for v in self.variables]
         out = {}
         for exps, coeff in self.terms.items():
@@ -138,10 +158,13 @@ class Polynomial:
 
     @staticmethod
     def _merge_vars(a: "Polynomial", b: "Polynomial") -> tuple:
+        if a.variables == b.variables:
+            return a.variables
         names = set(a.variables) | set(b.variables)
         return tuple(v for v in CANONICAL_VARS if v in names)
 
     # -- arithmetic --------------------------------------------------------
+    # Operands are valid polynomials, so results go through _trusted.
 
     def __add__(self, other) -> "Polynomial":
         if not isinstance(other, Polynomial):
@@ -150,13 +173,13 @@ class Polynomial:
         terms = self._embedded(variables)
         for exps, coeff in other._embedded(variables).items():
             terms[exps] = terms.get(exps, _ZERO) + coeff
-        return Polynomial(variables, terms)
+        return Polynomial._trusted(variables, terms)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(self.variables,
-                          {e: -c for e, c in self.terms.items()})
+        return Polynomial._trusted(self.variables,
+                                   {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other) -> "Polynomial":
         if not isinstance(other, Polynomial):
@@ -171,8 +194,8 @@ class Polynomial:
             if not isinstance(other, (int, Fraction)):
                 return NotImplemented
             other = _as_fraction(other)
-            return Polynomial(self.variables,
-                              {e: c * other for e, c in self.terms.items()})
+            return Polynomial._trusted(
+                self.variables, {e: c * other for e, c in self.terms.items()})
         variables = self._merge_vars(self, other)
         a = self._embedded(variables)
         b = other._embedded(variables)
@@ -181,7 +204,7 @@ class Polynomial:
             for eb, cb in b.items():
                 key = tuple(i + j for i, j in zip(ea, eb))
                 terms[key] = terms.get(key, _ZERO) + ca * cb
-        return Polynomial(variables, terms)
+        return Polynomial._trusted(variables, terms)
 
     __rmul__ = __mul__
 
@@ -209,7 +232,7 @@ class Polynomial:
                 continue
             key = exps[:i] + (exps[i] - 1,) + exps[i + 1:]
             terms[key] = terms.get(key, _ZERO) + coeff * exps[i]
-        return Polynomial(self.variables, terms)
+        return Polynomial._trusted(self.variables, terms)
 
     def eval(self, point: Mapping[str, Scalar]) -> Fraction:
         """Evaluate exactly; every variable of the polynomial must be given."""
@@ -482,14 +505,23 @@ class PowerSeries:
 
     def __mul__(self, other: "PowerSeries") -> "PowerSeries":
         k = self._common_order(other)
+        zero = self.coeffs[0] * other.zero
+        # only pairs of nonzero coefficients contribute
+        left = [(i, c) for i, c in enumerate(self.coeffs[:k + 1])
+                if not _coeff_is_zero(c)]
+        right = {j: c for j, c in enumerate(other.coeffs[:k + 1])
+                 if not _coeff_is_zero(c)}
         coeffs = []
         for n in range(k + 1):
             acc = None
-            for i in range(n + 1):
-                prod = self.coeffs[i] * other.coeffs[n - i]
-                acc = prod if acc is None else acc + prod
-            coeffs.append(acc)
-        zero = self.coeffs[0] * other.zero if k >= 0 else self.zero
+            for i, a in left:
+                if i > n:
+                    break
+                b = right.get(n - i)
+                if b is not None:
+                    prod = a * b
+                    acc = prod if acc is None else acc + prod
+            coeffs.append(zero if acc is None else acc)
         return PowerSeries(coeffs, k, zero)
 
     def __eq__(self, other) -> bool:
@@ -504,19 +536,32 @@ class PowerSeries:
 
 
 def series_exp(s: PowerSeries, order: int | None = None) -> PowerSeries:
-    """``exp(s)`` as a truncated series; ``s`` must have zero constant term."""
+    """``exp(s)`` as a truncated series; ``s`` must have zero constant term.
+
+    a = exp(s) solves a' = s' a, which on coefficients is the recurrence
+
+        a_0 = 1,    a_n = (1/n) * sum_{j=1..n} j s_j a_{n-j}
+
+    (Brent & Kung 1978; Knuth, TAOCP vol. 2, 4.7).  Only the nonzero s_j
+    take part, so the cost is O(order * nonzero terms of s) coefficient
+    products instead of O(order) full series products.
+    """
     if not _coeff_is_zero(s.coeffs[0]):
         raise ValueError("series_exp requires a zero constant term")
     k = s.order if order is None else min(order, s.order)
     one = Polynomial.constant(1) if isinstance(s.zero, Polynomial) else _ONE
-    result = PowerSeries.from_terms({0: one}, k, s.zero)
-    power = PowerSeries.from_terms({0: one}, k, s.zero)
-    factorial = 1
-    for j in range(1, k + 1):
-        power = power * s
-        factorial *= j
-        result = result + power.scale(Fraction(1, factorial))
-    return result
+    weighted = [(j, j * c) for j, c in enumerate(s.coeffs[:k + 1])
+                if j and not _coeff_is_zero(c)]
+    a = [one]
+    for n in range(1, k + 1):
+        acc = None
+        for j, js_j in weighted:
+            if j > n:
+                break
+            term = js_j * a[n - j]
+            acc = term if acc is None else acc + term
+        a.append(s.zero if acc is None else Fraction(1, n) * acc)
+    return PowerSeries(a, k, s.zero)
 
 
 def polynomial_at_series(p: Polynomial, s: PowerSeries) -> PowerSeries:

@@ -23,7 +23,7 @@ from . import euclidean as eu
 from . import groups as gr
 from . import heisenberg as hb
 from .errors import ConfigError
-from .numeric import Polynomial, X, Y, Z
+from .numeric import Polynomial, X, Y, Z, _coeff_is_zero
 
 SUITE_NAMES = ("groups", "hermite", "bessel", "contraction")
 
@@ -196,11 +196,12 @@ class SuiteReport:
         }
 
 
-def _exact_zero(residual) -> bool:
-    flag = getattr(residual, "is_zero", None)
-    if flag is not None:
-        return bool(flag)
-    return residual == 0
+def _worst(*values):
+    """Largest of the values, NaN if any is NaN: plain ``max`` keeps a
+    number over a NaN met later, so a NaN residual would pass its gate."""
+    if any(v != v for v in values):
+        return math.nan
+    return max(values)
 
 
 def _exact_magnitude(residual) -> float:
@@ -211,7 +212,7 @@ def _exact_magnitude(residual) -> float:
     if isinstance(residual, ct.VectorFieldOp):
         worst = 0.0
         for c in residual.coeffs.values():
-            worst = max(worst, _exact_magnitude(c))
+            worst = _worst(worst, _exact_magnitude(c))
         return worst
     try:
         return abs(float(residual))
@@ -225,11 +226,11 @@ class _Recorder:
         self.records: list[CheckRecord] = []
 
     def exact(self, check_id: str, residual, params: dict | None = None):
-        zero = _exact_zero(residual)
+        zero = _coeff_is_zero(residual)
         self.records.append(CheckRecord(
             check_id=check_id, params=params or {},
-            residual=0.0 if zero else max(_exact_magnitude(residual),
-                                          math.ulp(0.0)),
+            residual=0.0 if zero else _worst(_exact_magnitude(residual),
+                                             math.ulp(0.0)),
             exact=True, tolerance=None,
             status="pass" if zero else "fail"))
 
@@ -238,8 +239,9 @@ class _Recorder:
         identically zero (summing first could let nonzero members cancel)."""
         worst = 0.0
         for residual in residuals:
-            if not _exact_zero(residual):
-                worst = max(worst, _exact_magnitude(residual), math.ulp(0.0))
+            if not _coeff_is_zero(residual):
+                worst = _worst(worst, _exact_magnitude(residual),
+                               math.ulp(0.0))
         self.records.append(CheckRecord(
             check_id=check_id, params=params or {}, residual=worst,
             exact=True, tolerance=None,
@@ -309,7 +311,7 @@ def run_groups(config: SuiteConfig) -> SuiteReport:
             fd = gr.generators_at_identity(group, index)
             exact = gr.EXACT_GENERATORS[(group, index)]
             exact_float = gr.Matrix3([[float(e) for e in r] for r in exact.rows])
-            worst = max(worst, fd.max_abs_diff(exact_float))
+            worst = _worst(worst, fd.max_abs_diff(exact_float))
         rec.gated(f"{group}_generators_fd", worst, "groups/generator_fd",
                   {"step": gr.GENERATOR_FD_STEP})
 
@@ -326,7 +328,7 @@ def run_groups(config: SuiteConfig) -> SuiteReport:
 
     turned = gr.e2_apply(gr.E2Element(0.0, 0.0, math.pi / 2), (1.0, 0.0))
     rec.gated("e2_apply_rotation",
-              max(abs(turned[0] - 0.0), abs(turned[1] - 1.0)),
+              _worst(abs(turned[0] - 0.0), abs(turned[1] - 1.0)),
               "groups/e2_apply_rotation", {"theta": "pi/2"})
 
     return SuiteReport("groups", rec.records, config.echo(),
@@ -340,8 +342,8 @@ def run_hermite(config: SuiteConfig) -> SuiteReport:
 
     rec.exact_all(
         "rodrigues_vs_recurrence",
-        (hb.hermite_rodrigues(n, max_n) - hb.hermite_recurrence(n)
-         for n in range(max_n + 1)),
+        (hb.hermite_rodrigues(n, max_n) - h
+         for n, h in enumerate(hb.hermite_recurrence_sequence(max_n))),
         {"max_n": max_n})
 
     for which in ("ode_A2", "recursion_A3", "diffrel_A4"):
@@ -351,12 +353,15 @@ def run_hermite(config: SuiteConfig) -> SuiteReport:
              for n in range(max_n + 1)),
             {"max_n": max_n})
 
-    rec.exact_all(
-        "parity",
-        (hb.hermite_rodrigues(n, max_n).substitute({"x": -X})
-         - (-1) ** n * hb.hermite_rodrigues(n, max_n)
-         for n in range(max_n + 1)),
-        {"max_n": max_n})
+    def parity_residuals():
+        # H_n(-x) = (-1)^n H_n(x) says exactly that every exponent of H_n
+        # has the parity of n; the residual is the wrong-parity part
+        for n in range(max_n + 1):
+            h = hb.hermite_rodrigues(n, max_n)
+            yield Polynomial(h.variables,
+                             {e: c for e, c in h.terms.items()
+                              if sum(e) % 2 != n % 2})
+    rec.exact_all("parity", parity_residuals(), {"max_n": max_n})
 
     rec.exact("genfunc_A5", hb.hermite_genfunc_check(config.genfunc_order),
               {"order": config.genfunc_order})
@@ -431,9 +436,9 @@ def run_bessel(config: SuiteConfig) -> SuiteReport:
             for r in config.bessel_r_grid:
                 residual = eu.verify_bessel_identity(which, n, r, ev)
                 if which == "ode_A6" and r < 0.2:
-                    worst_small_r = max(worst_small_r, residual)
+                    worst_small_r = _worst(worst_small_r, residual)
                 else:
-                    worst = max(worst, residual)
+                    worst = _worst(worst, residual)
         params = {"orders": list(config.bessel_orders),
                   "r_grid": list(config.bessel_r_grid)}
         rec.gated(which, worst, "bessel/identity", params)
@@ -445,7 +450,8 @@ def run_bessel(config: SuiteConfig) -> SuiteReport:
     for op in ("raise", "lower"):
         for n in range(0, 6):
             for r in (0.2, 1.0, 4.0, 10.0):
-                worst = max(worst, eu.polar_numeric_crosscheck(op, n, r, 0.4, ev))
+                worst = _worst(worst,
+                               eu.polar_numeric_crosscheck(op, n, r, 0.4, ev))
     rec.gated("ladder_crosscheck_fd", worst, "bessel/ladder_crosscheck",
               {"orders": "0..5", "step": 1e-5})
 
@@ -468,7 +474,7 @@ def run_bessel(config: SuiteConfig) -> SuiteReport:
         for r in (1.0, 2.0, 5.0):
             for phi in (0.0, 0.7, math.pi / 3):
                 for t in (0.5, -0.25, 0.5j, -0.5j):
-                    worst = max(worst, eu.genfunc_a11_check(
+                    worst = _worst(worst, eu.genfunc_a11_check(
                         n, r, phi, t, config.genfunc_terms, wide))
     rec.gated("genfunc_A11", worst, "bessel/genfunc_A11",
               {"terms": config.genfunc_terms, "t": "[0.5, -0.25, 0.5j, -0.5j]"})
@@ -482,7 +488,7 @@ def run_bessel(config: SuiteConfig) -> SuiteReport:
     for n in (0, 5, 10, 20):
         for r in (0.1, 1.0, 5.0, 15.0, 30.0):
             a, b = ev.j(n, r), double.j(n, r)
-            worst = max(worst, abs(a - b) / max(abs(a), 1e-300))
+            worst = _worst(worst, abs(a - b) / max(abs(a), 1e-300))
     rec.gated("selfconsistency_double_terms", worst, "bessel/selfconsistency",
               {"max_terms": [200, 400]})
 
@@ -525,7 +531,7 @@ def run_contraction(config: SuiteConfig) -> SuiteReport:
         for a, b in zip(values, values[1:]):
             if a == 0:
                 continue
-            worst_band = max(worst_band, abs(float(b / a) - 0.5))
+            worst_band = _worst(worst_band, abs(float(b / a) - 0.5))
     rec.gated("contraction_rate_band", worst_band, "contraction/rate_band",
               {"R": list(config.contraction_R),
                "polynomials": sorted(rate_polys)})
@@ -537,7 +543,7 @@ def run_contraction(config: SuiteConfig) -> SuiteReport:
     ladder = ct.polar_ladder_limit(0, 1.0, 0.0,
                                    [float(R) for R in config.contraction_R], ev)
     values = [ladder[float(R)] for R in config.contraction_R]
-    worst_ratio = max(b / a for a, b in zip(values, values[1:]))
+    worst_ratio = _worst(*(b / a for a, b in zip(values, values[1:])))
     rec.gated("polar_ladder_rate", worst_ratio, "contraction/polar_ladder_rate",
               {"n": 0, "r": 1.0})
     monotone_worst = 0.0
@@ -545,40 +551,40 @@ def run_contraction(config: SuiteConfig) -> SuiteReport:
         res = ct.polar_ladder_limit(n, 2.0, 0.7,
                                     [float(R) for R in config.contraction_R], ev)
         seq = [res[float(R)] for R in config.contraction_R]
-        monotone_worst = max(monotone_worst,
-                             max(b / a for a, b in zip(seq, seq[1:])))
+        monotone_worst = _worst(monotone_worst,
+                                *(b / a for a, b in zip(seq, seq[1:])))
     rec.gated("polar_ladder_monotone", monotone_worst, "contraction/monotone",
               {"orders": [1, 2], "r": 2.0})
 
     worst = 0.0
     for x in (-0.9, -0.3, 0.0, 0.4, 0.99):
-        worst = max(worst,
-                    abs(ct.assoc_legendre(2, 0, x) - (3 * x * x - 1) / 2),
-                    abs(ct.assoc_legendre(2, 1, x)
-                        - 3 * x * math.sqrt(1 - x * x)))
+        worst = _worst(worst,
+                       abs(ct.assoc_legendre(2, 0, x) - (3 * x * x - 1) / 2),
+                       abs(ct.assoc_legendre(2, 1, x)
+                           - 3 * x * math.sqrt(1 - x * x)))
     rec.gated("legendre_closed_forms", worst,
               "contraction/legendre_closed_forms", {"degree": 2})
 
     worst_ratio = 0.0
     for r in (1.0, 2.0, 4.0):
         seq = [ct.legendre_ode_residual(l, 0, r, ev) for l in config.legendre_l]
-        worst_ratio = max(worst_ratio,
-                          max(b / a for a, b in zip(seq, seq[1:])))
+        worst_ratio = _worst(worst_ratio,
+                             *(b / a for a, b in zip(seq, seq[1:])))
     rec.gated("legendre_ode_rate_m0", worst_ratio,
               "contraction/legendre_ode_rate",
               {"l": list(config.legendre_l), "r": [1.0, 2.0, 4.0]})
     monotone_worst = 0.0
     for m in (1, 2, 3):
         seq = [ct.legendre_ode_residual(l, m, 2.0, ev) for l in config.legendre_l]
-        monotone_worst = max(monotone_worst,
-                             max(b / a for a, b in zip(seq, seq[1:])))
+        monotone_worst = _worst(monotone_worst,
+                                *(b / a for a, b in zip(seq, seq[1:])))
     rec.gated("legendre_ode_monotone", monotone_worst, "contraction/monotone",
               {"m": [1, 2, 3], "r": 2.0})
 
     worst = 0.0
     for m in range(4):
         for r in (0.5, 1.0, 2.0, 5.0, 8.0):
-            worst = max(worst, ct.bessel_operator_residual(m, r, ev))
+            worst = _worst(worst, ct.bessel_operator_residual(m, r, ev))
     rec.gated("bessel_operator_exact_form", worst, "contraction/bessel_operator",
               {"m": "0..3"})
 
@@ -589,7 +595,7 @@ def run_contraction(config: SuiteConfig) -> SuiteReport:
             errs = ct.mehler_heine_check(m, r, list(config.legendre_l), ev)
             seq = [errs[l] for l in config.legendre_l]
             gate = 0.02 * abs(ev.j(m, r).real) + 0.005
-            worst_margin = max(worst_margin, seq[-1] / gate)
+            worst_margin = _worst(worst_margin, seq[-1] / gate)
             # tail must be decreasing as well
             if any(b >= a for a, b in zip(seq, seq[1:])):
                 worst_margin = math.inf

@@ -16,10 +16,12 @@ from liegen.heisenberg import (
     apply_word,
     discrete_anticommutator,
     discrete_commutator,
+    DiscreteMatrix,
     discrete_matrix,
     disentangle_check,
     hermite_genfunc_check,
     hermite_recurrence,
+    hermite_recurrence_sequence,
     hermite_rodrigues,
     inner_product,
     mixed_basis,
@@ -100,6 +102,19 @@ def test_hermite_above_max_raises():
     with pytest.raises(ValueError, match="above configured maximum"):
         hermite_rodrigues(65)
     assert hermite_rodrigues(65, max_n=65) == hermite_recurrence(65)
+
+
+def test_recurrence_sequence_is_one_pass_of_the_recurrence():
+    seq = list(hermite_recurrence_sequence(12))
+    assert len(seq) == 13
+    assert seq[0] == 1 and seq[1] == 2 * X
+    for k in range(1, 12):
+        assert seq[k + 1] == 2 * X * seq[k] - 2 * k * seq[k - 1]
+    assert list(hermite_recurrence_sequence(0)) == [Polynomial.constant(1)]
+    with pytest.raises(ValueError):
+        next(hermite_recurrence_sequence(-1))
+    with pytest.raises(ValueError):
+        hermite_recurrence(-1)
 
 
 @pytest.mark.parametrize("n", range(0, 65, 4))
@@ -188,6 +203,23 @@ def test_discrete_anticommutator_diagonal():
                 assert anti[i, j].is_zero
 
 
+sqrt_entries = st.one_of(
+    st.just(SqrtRational(0)), st.just(SqrtRational(0)),
+    st.builds(SqrtRational, st.integers(min_value=-5, max_value=5),
+              st.sampled_from([1, 4, 9])))
+
+
+@given(data=st.data(), dim=st.integers(min_value=1, max_value=6))
+@settings(max_examples=40)
+def test_discrete_product_matches_dense_product(data, dim):
+    square = st.lists(st.lists(sqrt_entries, min_size=dim, max_size=dim),
+                      min_size=dim, max_size=dim)
+    a, b = DiscreteMatrix(data.draw(square)), DiscreteMatrix(data.draw(square))
+    dense = [[sum((a[i, k] * b[k, j] for k in range(dim)), SqrtRational(0))
+              for j in range(dim)] for i in range(dim)]
+    assert a * b == DiscreteMatrix(dense)
+
+
 def test_discrete_matrix_rejects_small_dimension():
     with pytest.raises(ValueError):
         discrete_matrix("lower", 1)
@@ -251,6 +283,11 @@ def test_genfunc_coefficients():
 
 def test_genfunc_through_order_64():
     assert hermite_genfunc_check(64).is_zero
+
+
+def test_genfunc_above_default_max_n():
+    # the Hermite side reads the Rodrigues cache up to the check's own order
+    assert hermite_genfunc_check(70).is_zero
 
 
 def test_checks_reject_zero_order():

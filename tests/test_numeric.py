@@ -1,5 +1,6 @@
 """Exact-arithmetic core: polynomials, sqrt scalars, series, moments."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -91,7 +92,105 @@ def test_product_rule(p, q):
         assert lhs == rhs
 
 
+# -- arithmetic results are in validated form ----------------------------------
+
+@st.composite
+def polynomials_in(draw, max_deg=4):
+    """Polynomials over a random subset of x, y, z, some terms cancelling."""
+    names = draw(st.lists(st.sampled_from(("x", "y", "z")), unique=True))
+    variables = tuple(v for v in ("x", "y", "z") if v in names)
+    terms = {}
+    for _ in range(draw(st.integers(min_value=0, max_value=5))):
+        exps = tuple(draw(st.integers(min_value=0, max_value=max_deg))
+                     for _ in variables)
+        terms[exps] = F(draw(coeffs), draw(st.integers(min_value=1, max_value=4)))
+    return Polynomial(variables, terms)
+
+
+def assert_validated(p):
+    again = Polynomial(p.variables, p.terms)
+    assert p.variables == again.variables
+    assert p.terms == again.terms
+    assert all(type(c) is Fraction for c in p.terms.values())
+
+
+@given(p=polynomials_in(), q=polynomials_in(),
+       k=st.sampled_from([0, 1, -3, F(2, 5)]))
+@settings(max_examples=80)
+def test_arithmetic_results_equal_their_validated_form(p, q, k):
+    for result in (p + q, p - q, q - p, -p, p * q, p * k, k * p, p + k,
+                   k - p, p - p, p * q - q * p):
+        assert_validated(result)
+    for var in ("x", "y", "z", "w"):
+        assert_validated(p.differentiate(var))
+
+
 # -- power series ------------------------------------------------------------
+
+def convolve(a, b, zero):
+    """Cauchy product of two coefficient lists of equal length."""
+    return [sum((a[i] * b[n - i] for i in range(n + 1)), zero)
+            for n in range(len(a))]
+
+
+def naive_exp(coeffs, one, zero):
+    """sum_j s^j / j! over coefficient lists, by repeated convolution."""
+    total = [one] + [zero] * (len(coeffs) - 1)
+    power = list(total)
+    for j in range(1, len(coeffs)):
+        power = convolve(power, coeffs, zero)
+        total = [t + F(1, math.factorial(j)) * p for t, p in zip(total, power)]
+    return total
+
+
+sparse_fractions = st.one_of(
+    st.just(F(0)),
+    st.builds(F, coeffs, st.integers(min_value=1, max_value=6)))
+sparse_polys = st.one_of(st.just(Polynomial.zero()), polynomials(max_deg=2))
+
+
+@given(data=st.data(), order=st.integers(min_value=0, max_value=12))
+@settings(max_examples=40, deadline=None)
+def test_series_exp_matches_naive_sum_fraction(data, order):
+    coeffs = [F(0)] + data.draw(
+        st.lists(sparse_fractions, min_size=order, max_size=order))
+    s = PowerSeries(coeffs, order)
+    assert list(series_exp(s).coeffs) == naive_exp(coeffs, F(1), F(0))
+
+
+@given(data=st.data(), order=st.integers(min_value=0, max_value=12))
+@settings(max_examples=15, deadline=None)
+def test_series_exp_matches_naive_sum_polynomial(data, order):
+    zero = Polynomial.zero()
+    # at most three nonzero coefficients keep the naive powers small
+    nonzero = data.draw(st.lists(st.integers(min_value=1, max_value=max(order, 1)),
+                                 max_size=3, unique=True))
+    coeffs = [zero] * (order + 1)
+    for j in nonzero:
+        if j <= order:
+            coeffs[j] = data.draw(sparse_polys)
+    s = PowerSeries(coeffs, order, zero)
+    expected = naive_exp(coeffs, Polynomial.constant(1), zero)
+    assert list(series_exp(s).coeffs) == expected
+
+
+def test_series_exp_truncates_to_requested_order():
+    s = PowerSeries.from_terms({1: F(1)}, 9)
+    e = series_exp(s, order=4)
+    assert e.order == 4
+    assert list(e.coeffs) == [F(1, math.factorial(k)) for k in range(5)]
+
+
+@given(data=st.data(), order=st.integers(min_value=0, max_value=8))
+@settings(max_examples=40)
+def test_series_product_matches_convolution(data, order):
+    a = data.draw(st.lists(sparse_fractions, min_size=order + 1,
+                           max_size=order + 1))
+    b = data.draw(st.lists(sparse_fractions, min_size=order + 1,
+                           max_size=order + 1))
+    product = PowerSeries(a, order) * PowerSeries(b, order)
+    assert list(product.coeffs) == convolve(a, b, F(0))
+
 
 def test_series_exp_of_zero_is_one():
     zero = PowerSeries.from_terms({}, 8, Polynomial.zero())
