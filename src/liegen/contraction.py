@@ -262,6 +262,8 @@ def polar_ladder_limit(n: int, r: float, phi: float,
 # ---------------------------------------------------------------------------
 
 MAX_LEGENDRE_DEGREE = 4096
+#: smallest degree legendre_ode_residual accepts
+MIN_LEGENDRE_ODE_DEGREE = 8
 
 
 def assoc_legendre(l: int, m: int, x: float) -> float:
@@ -318,8 +320,8 @@ def legendre_ode_residual(l: int, m: int, r: float,
     As l grows the operator collapses onto the Bessel operator and the
     normalized residual decays like 1/l.
     """
-    if l < 8:
-        raise EnvelopeError("degree below 8")
+    if l < MIN_LEGENDRE_ODE_DEGREE:
+        raise EnvelopeError(f"degree below {MIN_LEGENDRE_ODE_DEGREE}")
     if not 0.5 <= r <= 8:
         raise EnvelopeError("r outside [0.5, 8]")
     theta = r / l

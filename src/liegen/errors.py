@@ -2,7 +2,7 @@
 
 
 class EnvelopeError(ValueError):
-    """An argument is outside the range an evaluator is configured to accept."""
+    """An argument is outside the range a function accepts."""
 
 
 class BranchAmbiguityError(ValueError):

@@ -8,9 +8,9 @@ a statement the ascending series can check numerically.
 The evaluator sums the ascending series in exact rational arithmetic (the
 real and imaginary parts of a float argument are dyadic rationals) and
 rounds once at the end.  Naive float accumulation would lose ~10 digits to
-cancellation near the edge of the argument envelope; here the emitted value
-carries only the final rounding, so identity residuals sit at machine level
-across the whole envelope.
+cancellation near |z| = MAX_ABS_Z; here the emitted value carries only the
+final rounding, at any integer order, so identity residuals sit at machine
+level up to |z| = MAX_ABS_Z.
 """
 
 from __future__ import annotations
@@ -26,6 +26,16 @@ from .numeric import ensure_finite
 
 _FRAC_ZERO = Fraction(0)
 _FRAC_ONE = Fraction(1)
+
+#: the series stops once every new term is below this fraction of its sum
+REL_TOL = 1e-16
+#: largest |z| the evaluator accepts
+MAX_ABS_Z = 30.0
+
+#: the (n, r) envelope of verify_bessel_identity
+IDENTITY_MAX_ORDER = 10
+IDENTITY_MIN_R = 0.1
+IDENTITY_MAX_R = 20.0
 
 
 # ---------------------------------------------------------------------------
@@ -60,20 +70,18 @@ class BesselEval:
     """Ascending-series evaluator for integer-order Bessel functions.
 
     Terms are accumulated as exact complex rationals; the stopping rule is
-    the configured relative tolerance with at least ``n`` terms taken.
-    Negative orders are defined by the reflection J_{-n} = (-1)^n J_n.
+    the relative tolerance :data:`REL_TOL` with at least ``n`` terms taken,
+    and at most ``max_terms`` more.  Every integer order is accepted: exact
+    summation rounds once, whatever the order.  Negative orders are
+    defined by the reflection J_{-n} = (-1)^n J_n.
     First and second derivatives come from differentiating the series term
     by term, independent of the ladder identities they are used to check.
     """
 
-    def __init__(self, rel_tol: float = 1e-16, max_terms: int = 200,
-                 max_order: int = 20, max_abs_z: float = 30.0):
-        if rel_tol <= 0 or max_terms < 1:
-            raise ValueError("bad evaluator configuration")
-        self.rel_tol = rel_tol
+    def __init__(self, max_terms: int = 200):
+        if max_terms < 1:
+            raise ValueError("max_terms must be positive")
         self.max_terms = max_terms
-        self.max_order = max_order
-        self.max_abs_z = max_abs_z
         self._cache: dict = {}
 
     # -- public surface ----------------------------------------------------
@@ -85,12 +93,8 @@ class BesselEval:
     def derivatives(self, n: int, z: complex) -> tuple[complex, complex, complex]:
         """(J_n, J_n', J_n'') at z."""
         z = complex(z)
-        if abs(n) > self.max_order:
-            raise EnvelopeError(
-                f"order {n} outside configured envelope |n| <= {self.max_order}")
-        if abs(z) > self.max_abs_z:
-            raise EnvelopeError(
-                f"|z| = {abs(z):.3g} outside configured envelope <= {self.max_abs_z}")
+        if abs(z) > MAX_ABS_Z:
+            raise EnvelopeError(f"|z| = {abs(z):.3g} above {MAX_ABS_Z}")
         sign = 1
         if n < 0:
             n, sign = -n, (-1) ** n
@@ -113,7 +117,7 @@ class BesselEval:
                 pows.append(_c_mul(pows[-1], w))
             return pows[e]
 
-        tol2 = self.rel_tol * self.rel_tol
+        tol2 = REL_TOL * REL_TOL
 
         def small(term, total) -> bool:
             if term is None:
@@ -139,9 +143,9 @@ class BesselEval:
             if k + 1 >= max(n, 2) and small(t0, s0) and small(t1, s1) and small(t2, s2):
                 break
             k += 1
-            if k >= self.max_terms:
+            if k >= n + self.max_terms:
                 raise EnvelopeError(
-                    f"series for J_{n}({z}) did not converge in {self.max_terms} terms")
+                    f"series for J_{n}({z}) did not converge in {k} terms")
             coeff = -coeff / (k * (n + k))
 
         return (ensure_finite(_c_to_complex(s0)),
@@ -264,10 +268,11 @@ BESSEL_IDENTITIES = ("ode_A6", "recursion_A7", "diffrel_A8",
 def verify_bessel_identity(which: str, n: int, r: float,
                            evaluator: BesselEval | None = None) -> float:
     """Absolute residual of one cataloged Bessel identity at (n, r)."""
-    if not 0.1 <= r <= 20:
-        raise EnvelopeError("r outside [0.1, 20]")
-    if abs(n) > 10:
-        raise EnvelopeError("|n| above 10")
+    if not IDENTITY_MIN_R <= r <= IDENTITY_MAX_R:
+        raise EnvelopeError(
+            f"r outside [{IDENTITY_MIN_R}, {IDENTITY_MAX_R}]")
+    if abs(n) > IDENTITY_MAX_ORDER:
+        raise EnvelopeError(f"|n| above {IDENTITY_MAX_ORDER}")
     ev = evaluator or BesselEval()
     j, jp, jpp = ev.derivatives(n, r)
     j, jp, jpp = j.real, jp.real, jpp.real
@@ -334,7 +339,7 @@ def genfunc_a11_check(n: int, r: float, phi: float, t: complex,
     """
     t = complex(t)
     _genfunc_guards(r, t, terms)
-    ev = evaluator or BesselEval(max_order=abs(n) + terms)
+    ev = evaluator or BesselEval()
     radicand = r * r + 2 * t * r * cmath.exp(1j * phi)
     if radicand.real <= 0:
         raise BranchAmbiguityError(
@@ -355,7 +360,7 @@ def genfunc_a11_literal_diagnostic(n: int, r: float, phi: float, t: complex,
     """
     t = complex(t)
     _genfunc_guards(r, t, terms)
-    ev = evaluator or BesselEval(max_order=abs(n) + terms)
+    ev = evaluator or BesselEval()
     x = r * math.cos(phi)
     y = r * math.sin(phi)
     radicand = r * r + 2 * t * (1j * x - y)
@@ -386,7 +391,7 @@ def genfunc_a12_diagnostic(n: int, r: float, phi: float, t: float,
     """
     t = float(t)
     _genfunc_guards(r, t, terms)
-    ev = evaluator or BesselEval(max_order=abs(n) + terms)
+    ev = evaluator or BesselEval()
     radicand = 2 * r * phi * t + r * r
     if radicand <= 0:
         raise BranchAmbiguityError(f"radicand {radicand} not positive")

@@ -34,9 +34,6 @@ from .numeric import (
     series_exp,
 )
 
-#: largest n the exact Hermite suites accept unless told otherwise
-DEFAULT_MAX_N = 64
-
 #: sqrt(2), the exact ratio between the scaled and normalized ladder operators
 SQRT2 = SqrtRational(1, 2)
 
@@ -117,13 +114,12 @@ def apply_word(word, f: GaussianWeighted) -> GaussianWeighted:
 _rodrigues_cache = [Polynomial.constant(1)]
 
 
-def hermite_rodrigues(n: int, max_n: int = DEFAULT_MAX_N) -> Polynomial:
+def hermite_rodrigues(n: int) -> Polynomial:
     """H_n built operationally: the polynomial part of raise^n applied to the
-    bare Gaussian, i.e. exp(x^2/2) (x - d/dx)^n exp(-x^2/2)."""
+    bare Gaussian, i.e. exp(x^2/2) (x - d/dx)^n exp(-x^2/2), for every
+    n >= 0 (each H_k met on the way is cached)."""
     if n < 0:
         raise ValueError("n must be non-negative")
-    if n > max_n:
-        raise ValueError(f"n={n} above configured maximum {max_n}")
     while len(_rodrigues_cache) <= n:
         raised = apply_ladder("raise", GaussianWeighted(_rodrigues_cache[-1]))
         _rodrigues_cache.append(raised.poly)
@@ -169,9 +165,9 @@ class NormFactor:
             raise ValueError("norm square must be positive")
 
 
-def mixed_basis(n: int, max_n: int = DEFAULT_MAX_N) -> tuple[GaussianWeighted, NormFactor]:
+def mixed_basis(n: int) -> tuple[GaussianWeighted, NormFactor]:
     """The n-th basis function H_n(x) w and its normalization factor."""
-    h = hermite_rodrigues(n, max_n)
+    h = hermite_rodrigues(n)
     norm = NormFactor(Fraction(1, math.factorial(n) * 2 ** n))
     return GaussianWeighted(h), norm
 
@@ -190,7 +186,7 @@ def weighted_overlap(f: GaussianWeighted, g: GaussianWeighted) -> Fraction:
     return total
 
 
-def inner_product(n: int, m: int, max_n: int = DEFAULT_MAX_N) -> SqrtRational:
+def inner_product(n: int, m: int) -> SqrtRational:
     """Exact overlap of normalized basis functions n and m.
 
     The sqrt(pi) carried by the moment integral cancels against the two
@@ -198,8 +194,8 @@ def inner_product(n: int, m: int, max_n: int = DEFAULT_MAX_N) -> SqrtRational:
     divided by sqrt(n! m! 2^(n+m)); orthogonality makes that sum vanish for
     n != m, so the result is exactly delta_{nm}.
     """
-    fn, norm_n = mixed_basis(n, max_n)
-    fm, norm_m = mixed_basis(m, max_n)
+    fn, norm_n = mixed_basis(n)
+    fm, norm_m = mixed_basis(m)
     moment_sum = weighted_overlap(fn, fm)
     return SqrtRational(moment_sum) * SqrtRational(
         1, norm_n.squared_value * norm_m.squared_value)
@@ -319,24 +315,24 @@ def _position_squared_minus_d_squared(f: GaussianWeighted) -> GaussianWeighted:
     return x2 - d2
 
 
-def verify_hermite_identity(which: str, n: int, max_n: int = DEFAULT_MAX_N):
+def verify_hermite_identity(which: str, n: int):
     """Exact residual of one cataloged Hermite identity; identically zero on
     pass.  Residuals are polynomials except for ``orthonormality``, which
     returns an exact scalar.
     """
     if which == "ode_A2":
-        h = hermite_rodrigues(n, max_n)
+        h = hermite_rodrigues(n)
         hp = h.differentiate("x")
         return hp.differentiate("x") - 2 * X * hp + 2 * n * h
     if which == "recursion_A3":
         if n == 0:
-            return hermite_rodrigues(1, max_n) - 2 * X * hermite_rodrigues(0, max_n)
-        return (hermite_rodrigues(n + 1, max_n + 1)
-                - 2 * X * hermite_rodrigues(n, max_n)
-                + 2 * n * hermite_rodrigues(n - 1, max_n))
+            return hermite_rodrigues(1) - 2 * X * hermite_rodrigues(0)
+        return (hermite_rodrigues(n + 1)
+                - 2 * X * hermite_rodrigues(n)
+                + 2 * n * hermite_rodrigues(n - 1))
     if which == "diffrel_A4":
-        h = hermite_rodrigues(n, max_n)
-        lower_term = (2 * n * hermite_rodrigues(n - 1, max_n)
+        h = hermite_rodrigues(n)
+        lower_term = (2 * n * hermite_rodrigues(n - 1)
                       if n else Polynomial.zero())
         return h.differentiate("x") - lower_term
     if which == "anticommutator":
@@ -347,22 +343,22 @@ def verify_hermite_identity(which: str, n: int, max_n: int = DEFAULT_MAX_N):
             if not diff.is_zero:
                 return diff.poly
         # ... then the eigenvalue relation on the n-th basis function
-        basis, _ = mixed_basis(n, max_n)
+        basis, _ = mixed_basis(n)
         residual = _half_anticommutator(basis) - (2 * n + 1) * basis
         return residual.poly
     if which == "orthonormality":
         for m in range(n + 1):
             expected = 1 if m == n else 0
-            residual = inner_product(n, m, max_n) - expected
+            residual = inner_product(n, m) - expected
             if not residual.is_zero:
                 return residual
         return SqrtRational(0)
     raise ValueError(f"unknown identity {which!r}")
 
 
-def anticommutator_eigenvalue(n: int, max_n: int = DEFAULT_MAX_N) -> Fraction:
+def anticommutator_eigenvalue(n: int) -> Fraction:
     """Eigenvalue of (1/2){lower, raise} on the n-th basis function (2n+1)."""
-    basis, _ = mixed_basis(n, max_n)
+    basis, _ = mixed_basis(n)
     image = _half_anticommutator(basis)
     lead = basis.poly.coefficient({"x": basis.poly.degree_in("x")})
     image_lead = image.poly.coefficient({"x": basis.poly.degree_in("x")})
@@ -372,7 +368,7 @@ def anticommutator_eigenvalue(n: int, max_n: int = DEFAULT_MAX_N) -> Fraction:
     return eig
 
 
-def raising_consistency_residual(n: int, max_n: int = DEFAULT_MAX_N):
+def raising_consistency_residual(n: int):
     """Check that raising the n-th basis function lands exactly on the
     (n+1)-st after renormalization.
 
@@ -381,8 +377,8 @@ def raising_consistency_residual(n: int, max_n: int = DEFAULT_MAX_N):
     a_plus |n> = sqrt(n+1) |n+1> with a_plus = raise/sqrt(2).
     Returns (polynomial residual, rational norm residual).
     """
-    fn, norm_n = mixed_basis(n, max_n)
-    fnext, norm_next = mixed_basis(n + 1, max_n + 1)
+    fn, norm_n = mixed_basis(n)
+    fnext, norm_next = mixed_basis(n + 1)
     poly_residual = apply_ladder("raise", fn).poly - fnext.poly
     norm_residual = (norm_n.squared_value / 2
                      - (n + 1) * norm_next.squared_value)
@@ -435,7 +431,7 @@ def disentangle_check(order: int) -> PowerSeries:
         raise ValueError("order must be >= 1")
     lhs = PowerSeries(
         [Fraction(1, math.factorial(k))
-         * GaussianWeighted(hermite_rodrigues(k, order))
+         * GaussianWeighted(hermite_rodrigues(k))
          for k in range(order + 1)],
         order, GaussianWeighted(Polynomial.zero()))
 
@@ -458,7 +454,7 @@ def hermite_genfunc_check(order: int) -> PowerSeries:
         {1: 2 * X, 2: Polynomial.constant(-1)}, order, Polynomial.zero())
     lhs = series_exp(exponent)
     rhs = PowerSeries(
-        [Fraction(1, math.factorial(k)) * hermite_rodrigues(k, order)
+        [Fraction(1, math.factorial(k)) * hermite_rodrigues(k)
          for k in range(order + 1)],
         order, Polynomial.zero())
     return lhs - rhs

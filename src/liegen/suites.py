@@ -15,7 +15,7 @@ import io
 import json
 import math
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from fractions import Fraction
 
 from . import contraction as ct
@@ -74,12 +74,24 @@ class SuiteConfig:
     def __post_init__(self):
         if self.output_format not in ("json", "csv", "text"):
             raise ConfigError(f"unknown output format {self.output_format!r}")
-        for name in ("bessel_orders", "bessel_r_grid", "contraction_R",
-                     "legendre_l"):
-            if not getattr(self, name):
-                raise ConfigError(f"{name} must not be empty")
+        if not self.bessel_orders or not self.bessel_r_grid:
+            raise ConfigError("bessel_orders and bessel_r_grid must not be empty")
+        # the rate gates compare consecutive entries
+        if len(self.contraction_R) < 2 or len(self.legendre_l) < 2:
+            raise ConfigError("contraction_R and legendre_l need two entries")
+        if any(abs(n) > eu.IDENTITY_MAX_ORDER for n in self.bessel_orders):
+            raise ConfigError(
+                f"bessel_orders outside |n| <= {eu.IDENTITY_MAX_ORDER}")
+        if any(not eu.IDENTITY_MIN_R <= r <= eu.IDENTITY_MAX_R
+               for r in self.bessel_r_grid):
+            raise ConfigError(f"bessel_r_grid outside "
+                              f"[{eu.IDENTITY_MIN_R}, {eu.IDENTITY_MAX_R}]")
+        if any(not ct.MIN_LEGENDRE_ODE_DEGREE <= l <= ct.MAX_LEGENDRE_DEGREE
+               for l in self.legendre_l):
+            raise ConfigError(f"legendre_l outside [{ct.MIN_LEGENDRE_ODE_DEGREE}, "
+                              f"{ct.MAX_LEGENDRE_DEGREE}]")
         for key, value in self.tolerance_overrides.items():
-            if value <= 0:
+            if not value > 0:
                 raise ConfigError(f"tolerance for {key} must be positive")
 
     def tolerance(self, key: str) -> float:
@@ -97,18 +109,24 @@ class SuiteConfig:
         return out
 
 
-_INT_LIST_FIELDS = {"bessel_orders", "contraction_R", "legendre_l"}
-_FLOAT_LIST_FIELDS = {"bessel_r_grid"}
-_INT_FIELDS = {"seed", "group_samples", "hermite_max_n", "genfunc_order",
-               "disentangle_order", "orthonormality_max", "spectrum_max",
-               "discrete_dim", "genfunc_terms", "flow_steps"}
+#: default of every field a config file may set, which fixes how it parses
+_FILE_FIELDS = {f.name: f.default for f in fields(SuiteConfig)
+                if f.default is not MISSING}
 
 
-def _parse_number_list(text: str, cast):
+def _parse_field(key: str, raw: str):
+    """``raw`` as the type of the field's default: an int, a comma-separated
+    tuple of the type of its first entry, or the string itself."""
+    default = _FILE_FIELDS[key]
     try:
-        return tuple(cast(part.strip()) for part in text.split(",") if part.strip())
+        if isinstance(default, tuple):
+            return tuple(type(default[0])(part.strip())
+                         for part in raw.split(",") if part.strip())
+        if isinstance(default, int):
+            return int(raw)
     except ValueError as exc:
-        raise ConfigError(f"bad list value {text!r}") from exc
+        raise ConfigError(f"bad value {raw!r} for {key}") from exc
+    return raw
 
 
 def load_config(path: str) -> dict:
@@ -119,12 +137,12 @@ def load_config(path: str) -> dict:
     per-check overrides.
     """
     parser = configparser.ConfigParser()
+    parser.optionxform = str  # keep the case of field names (contraction_R)
     read = parser.read(path)
     if not read:
         raise ConfigError(f"config file {path!r} not found")
     overrides: dict = {}
     tolerances: dict = {}
-    valid = {f.name for f in fields(SuiteConfig)}
     for section in parser.sections():
         for key, raw in parser.items(section):
             if key.startswith("tolerance."):
@@ -134,19 +152,9 @@ def load_config(path: str) -> dict:
                 except ValueError as exc:
                     raise ConfigError(f"bad tolerance {raw!r}") from exc
                 continue
-            if key not in valid:
+            if key not in _FILE_FIELDS:
                 raise ConfigError(f"unknown config key {key!r} in [{section}]")
-            if key in _INT_LIST_FIELDS:
-                overrides[key] = _parse_number_list(raw, int)
-            elif key in _FLOAT_LIST_FIELDS:
-                overrides[key] = _parse_number_list(raw, float)
-            elif key in _INT_FIELDS:
-                try:
-                    overrides[key] = int(raw)
-                except ValueError as exc:
-                    raise ConfigError(f"bad integer {raw!r} for {key}") from exc
-            else:
-                overrides[key] = raw
+            overrides[key] = _parse_field(key, raw)
     if tolerances:
         overrides["tolerance_overrides"] = tolerances
     return overrides
@@ -197,11 +205,21 @@ class SuiteReport:
 
 
 def _worst(*values):
-    """Largest of the values, NaN if any is NaN: plain ``max`` keeps a
-    number over a NaN met later, so a NaN residual would pass its gate."""
+    """Largest of the values, NaN if any is NaN, inf if there are none:
+    plain ``max`` keeps a number over a NaN met later, so a NaN residual
+    would pass its gate, and a gate that saw nothing must not pass."""
     if any(v != v for v in values):
         return math.nan
-    return max(values)
+    return max(values, default=math.inf)
+
+
+def _ratios(sequences):
+    """Consecutive ratios b/a within each sequence, as floats.  A zero
+    denominator gives inf, so a sequence that vanishes fails its rate gate
+    instead of raising or being skipped."""
+    for seq in sequences:
+        for a, b in zip(seq, seq[1:]):
+            yield float(b / a) if a else math.inf
 
 
 def _exact_magnitude(residual) -> float:
@@ -210,10 +228,7 @@ def _exact_magnitude(residual) -> float:
             return 0.0
         return max(abs(float(c)) for c in residual.terms.values())
     if isinstance(residual, ct.VectorFieldOp):
-        worst = 0.0
-        for c in residual.coeffs.values():
-            worst = _worst(worst, _exact_magnitude(c))
-        return worst
+        return _worst(0.0, *map(_exact_magnitude, residual.coeffs.values()))
     try:
         return abs(float(residual))
     except (TypeError, OverflowError):
@@ -225,33 +240,25 @@ class _Recorder:
         self.config = config
         self.records: list[CheckRecord] = []
 
-    def exact(self, check_id: str, residual, params: dict | None = None):
-        zero = _coeff_is_zero(residual)
-        self.records.append(CheckRecord(
-            check_id=check_id, params=params or {},
-            residual=0.0 if zero else _worst(_exact_magnitude(residual),
-                                             math.ulp(0.0)),
-            exact=True, tolerance=None,
-            status="pass" if zero else "fail"))
-
-    def exact_all(self, check_id: str, residuals, params: dict | None = None):
-        """One record for a family of exact residuals; every member must be
-        identically zero (summing first could let nonzero members cancel)."""
-        worst = 0.0
-        for residual in residuals:
-            if not _coeff_is_zero(residual):
-                worst = _worst(worst, _exact_magnitude(residual),
-                               math.ulp(0.0))
+    def exact(self, check_id: str, residuals, params: dict | None = None):
+        """One record for a family of exact residuals, consumed one at a
+        time; every member must be identically zero (summing first could
+        let nonzero members cancel)."""
+        magnitudes = [_exact_magnitude(r) for r in residuals
+                      if not _coeff_is_zero(r)]
+        worst = _worst(*magnitudes, math.ulp(0.0)) if magnitudes else 0.0
         self.records.append(CheckRecord(
             check_id=check_id, params=params or {}, residual=worst,
             exact=True, tolerance=None,
             status="pass" if worst == 0.0 else "fail"))
 
-    def gated(self, check_id: str, residual: float, tol_key: str,
+    def gated(self, check_id: str, residuals, tol_key: str,
               params: dict | None = None):
+        """One record for the largest of a family of float residuals."""
+        residual = float(_worst(*residuals))
         tol = self.config.tolerance(tol_key)
         self.records.append(CheckRecord(
-            check_id=check_id, params=params or {}, residual=float(residual),
+            check_id=check_id, params=params or {}, residual=residual,
             exact=False, tolerance=tol,
             status="pass" if residual <= tol else "fail"))
 
@@ -276,59 +283,60 @@ def run_groups(config: SuiteConfig) -> SuiteReport:
             params = {"samples": config.group_samples, "axiom": axiom}
             if group == "h3":
                 rec.exact(f"h3_axiom_{axiom}",
-                          Fraction(0) if report.exact or residual == 0.0
-                          else Fraction(1), params)
+                          [Fraction(0) if report.exact or residual == 0.0
+                           else Fraction(1)], params)
             else:
-                rec.gated(f"e2_axiom_{axiom}", residual, "groups/e2_axioms",
+                rec.gated(f"e2_axiom_{axiom}", [residual], "groups/e2_axioms",
                           params)
 
     sample = gr.H3AlgebraElement(Fraction(1), Fraction(0), Fraction(1))
     rec.exact("h3_exp_closed_form",
-              Fraction(0) if gr.h3_exp(sample) == gr.H3Element(1, Fraction(1, 2), 1)
-              else Fraction(1), {"element": "(1,0,1)"})
+              [Fraction(0) if gr.h3_exp(sample) == gr.H3Element(1, Fraction(1, 2), 1)
+               else Fraction(1)], {"element": "(1,0,1)"})
     probe = gr.H3AlgebraElement(Fraction(3, 2), Fraction(-1, 7), Fraction(5))
     mat = probe.to_matrix()
     series = gr.Matrix3.identity() + mat + (mat * mat) * Fraction(1, 2)
-    rec.exact("h3_exp_matches_series", gr.h3_exp(probe).to_matrix() - series)
+    rec.exact("h3_exp_matches_series", [gr.h3_exp(probe).to_matrix() - series])
     rec.exact("h3_exp_log_roundtrip",
-              Fraction(0) if gr.h3_log(gr.h3_exp(probe)) == probe else Fraction(1))
-    rec.exact("h3_algebra_cube_zero", mat * mat * mat)
+              [Fraction(0) if gr.h3_log(gr.h3_exp(probe)) == probe
+               else Fraction(1)])
+    rec.exact("h3_algebra_cube_zero", [mat * mat * mat])
 
     comm = gr.commutator
-    rec.exact("h3_commutator_ab", comm(gr.H3_BASIS_A, gr.H3_BASIS_B))
-    rec.exact("h3_commutator_bc", comm(gr.H3_BASIS_B, gr.H3_BASIS_C))
+    rec.exact("h3_commutator_ab", [comm(gr.H3_BASIS_A, gr.H3_BASIS_B)])
+    rec.exact("h3_commutator_bc", [comm(gr.H3_BASIS_B, gr.H3_BASIS_C)])
     rec.exact("h3_commutator_ac_minus_b",
-              comm(gr.H3_BASIS_A, gr.H3_BASIS_C) - gr.H3_BASIS_B)
-    rec.exact("e2_commutator_xy", comm(gr.E2_BASIS_X, gr.E2_BASIS_Y))
+              [comm(gr.H3_BASIS_A, gr.H3_BASIS_C) - gr.H3_BASIS_B])
+    rec.exact("e2_commutator_xy", [comm(gr.E2_BASIS_X, gr.E2_BASIS_Y)])
     rec.exact("e2_commutator_rot_x_minus_y",
-              comm(gr.E2_BASIS_ROT, gr.E2_BASIS_X) - gr.E2_BASIS_Y)
+              [comm(gr.E2_BASIS_ROT, gr.E2_BASIS_X) - gr.E2_BASIS_Y])
     rec.exact("e2_commutator_y_rot_minus_x",
-              comm(gr.E2_BASIS_Y, gr.E2_BASIS_ROT) - gr.E2_BASIS_X)
+              [comm(gr.E2_BASIS_Y, gr.E2_BASIS_ROT) - gr.E2_BASIS_X])
 
-    for group in ("h3", "e2"):
-        worst = 0.0
+    def generator_fd_errors(group):
         for index in (1, 2, 3):
             fd = gr.generators_at_identity(group, index)
             exact = gr.EXACT_GENERATORS[(group, index)]
-            exact_float = gr.Matrix3([[float(e) for e in r] for r in exact.rows])
-            worst = _worst(worst, fd.max_abs_diff(exact_float))
-        rec.gated(f"{group}_generators_fd", worst, "groups/generator_fd",
-                  {"step": gr.GENERATOR_FD_STEP})
+            yield fd.max_abs_diff(
+                gr.Matrix3([[float(e) for e in r] for r in exact.rows]))
+    for group in ("h3", "e2"):
+        rec.gated(f"{group}_generators_fd", generator_fd_errors(group),
+                  "groups/generator_fd", {"step": gr.GENERATOR_FD_STEP})
 
     t = Fraction(5, 3)
     shift = gr.e2_exp_translation(t, "x") - gr.Matrix3.identity()
-    rec.exact("e2_translation_nilpotent", shift * shift, {"t": "5/3"})
+    rec.exact("e2_translation_nilpotent", [shift * shift], {"t": "5/3"})
     a = gr.e2_exp_translation(Fraction(3, 7), "x")
     b = gr.e2_exp_translation(Fraction(-2, 5), "y")
-    rec.exact("e2_translations_commute", a * b - b * a)
+    rec.exact("e2_translations_commute", [a * b - b * a])
     moved = gr.e2_exp_translation(t, "y").apply((Fraction(2), Fraction(3), Fraction(1)))
     rec.exact("e2_translation_shift_action",
-              Fraction(0) if moved == (Fraction(2), Fraction(3) + t, Fraction(1))
-              else Fraction(1))
+              [Fraction(0) if moved == (Fraction(2), Fraction(3) + t, Fraction(1))
+               else Fraction(1)])
 
     turned = gr.e2_apply(gr.E2Element(0.0, 0.0, math.pi / 2), (1.0, 0.0))
     rec.gated("e2_apply_rotation",
-              _worst(abs(turned[0] - 0.0), abs(turned[1] - 1.0)),
+              [abs(turned[0] - 0.0), abs(turned[1] - 1.0)],
               "groups/e2_apply_rotation", {"theta": "pi/2"})
 
     return SuiteReport("groups", rec.records, config.echo(),
@@ -340,41 +348,38 @@ def run_hermite(config: SuiteConfig) -> SuiteReport:
     started = time.perf_counter()
     max_n = config.hermite_max_n
 
-    rec.exact_all(
+    rec.exact(
         "rodrigues_vs_recurrence",
-        (hb.hermite_rodrigues(n, max_n) - h
+        (hb.hermite_rodrigues(n) - h
          for n, h in enumerate(hb.hermite_recurrence_sequence(max_n))),
         {"max_n": max_n})
 
     for which in ("ode_A2", "recursion_A3", "diffrel_A4"):
-        rec.exact_all(
-            which,
-            (hb.verify_hermite_identity(which, n, max_n)
-             for n in range(max_n + 1)),
-            {"max_n": max_n})
+        rec.exact(which, (hb.verify_hermite_identity(which, n)
+                          for n in range(max_n + 1)), {"max_n": max_n})
 
     def parity_residuals():
         # H_n(-x) = (-1)^n H_n(x) says exactly that every exponent of H_n
         # has the parity of n; the residual is the wrong-parity part
         for n in range(max_n + 1):
-            h = hb.hermite_rodrigues(n, max_n)
+            h = hb.hermite_rodrigues(n)
             yield Polynomial(h.variables,
                              {e: c for e, c in h.terms.items()
                               if sum(e) % 2 != n % 2})
-    rec.exact_all("parity", parity_residuals(), {"max_n": max_n})
+    rec.exact("parity", parity_residuals(), {"max_n": max_n})
 
-    rec.exact("genfunc_A5", hb.hermite_genfunc_check(config.genfunc_order),
+    rec.exact("genfunc_A5", [hb.hermite_genfunc_check(config.genfunc_order)],
               {"order": config.genfunc_order})
-    rec.exact("disentangle", hb.disentangle_check(config.disentangle_order),
+    rec.exact("disentangle", [hb.disentangle_check(config.disentangle_order)],
               {"order": config.disentangle_order})
 
-    rec.exact_all(
+    rec.exact(
         "orthonormality",
         (hb.verify_hermite_identity("orthonormality", n)
          for n in range(config.orthonormality_max + 1)),
         {"max_n": config.orthonormality_max})
 
-    rec.exact_all(
+    rec.exact(
         "anticommutator_spectrum",
         (hb.verify_hermite_identity("anticommutator", n)
          for n in range(config.spectrum_max + 1)),
@@ -386,39 +391,31 @@ def run_hermite(config: SuiteConfig) -> SuiteReport:
             comm = (hb.apply_word(("lower", "raise"), f)
                     - hb.apply_word(("raise", "lower"), f))
             yield (comm - 2 * f).poly
-    rec.exact_all("ladder_commutator_identity", ladder_residuals(),
-                  {"max_degree": 12})
+    rec.exact("ladder_commutator_identity", ladder_residuals(),
+              {"max_degree": 12})
 
     def raising_residuals():
         for n in range(config.orthonormality_max + 1):
-            poly_residual, norm_residual = hb.raising_consistency_residual(n)
-            yield poly_residual
-            yield norm_residual
-    rec.exact_all("raising_consistency", raising_residuals(),
-                  {"max_n": config.orthonormality_max})
+            yield from hb.raising_consistency_residual(n)
+    rec.exact("raising_consistency", raising_residuals(),
+              {"max_n": config.orthonormality_max})
 
     dim = config.discrete_dim
-    anti_matrix = hb.discrete_anticommutator(dim)
-    bad = Fraction(0)
-    for i in range(dim):
-        for j in range(dim):
-            entry = anti_matrix[i, j]
-            if i == j and i <= dim - 2:
-                bad += abs(entry.as_fraction() - (2 * i + 1))
-            elif i != j:
-                bad += abs(entry.coeff)
-    rec.exact("discrete_anticommutator_diagonal", bad, {"dimension": dim})
 
-    comm_matrix = hb.discrete_commutator(dim)
-    bad = Fraction(0)
-    for i in range(dim):
-        for j in range(dim):
-            entry = comm_matrix[i, j]
-            if i == j and i <= dim - 2:
-                bad += abs(entry.as_fraction() - 1)
-            elif i != j:
-                bad += abs(entry.coeff)
-    rec.exact("discrete_commutator_identity", bad, {"dimension": dim})
+    def discrete_residuals(matrix, diagonal):
+        # the truncation spoils the last diagonal entry, so it is not checked
+        for i, row in enumerate(matrix.entries):
+            for j, entry in enumerate(row):
+                if i != j:
+                    yield entry
+                elif i <= dim - 2:
+                    yield entry - diagonal(i)
+    rec.exact("discrete_anticommutator_diagonal",
+              discrete_residuals(hb.discrete_anticommutator(dim),
+                                 lambda i: 2 * i + 1), {"dimension": dim})
+    rec.exact("discrete_commutator_identity",
+              discrete_residuals(hb.discrete_commutator(dim), lambda i: 1),
+              {"dimension": dim})
 
     return SuiteReport("hermite", rec.records, config.echo(),
                        time.perf_counter() - started)
@@ -429,68 +426,60 @@ def run_bessel(config: SuiteConfig) -> SuiteReport:
     started = time.perf_counter()
     ev = eu.BesselEval()
 
-    for which in eu.BESSEL_IDENTITIES:
-        worst = 0.0
-        worst_small_r = 0.0
+    def identity_residuals(which, small_r):
+        # the ODE divides by r and r^2, so it is gated apart below r = 0.2
         for n in config.bessel_orders:
             for r in config.bessel_r_grid:
-                residual = eu.verify_bessel_identity(which, n, r, ev)
-                if which == "ode_A6" and r < 0.2:
-                    worst_small_r = _worst(worst_small_r, residual)
-                else:
-                    worst = _worst(worst, residual)
-        params = {"orders": list(config.bessel_orders),
-                  "r_grid": list(config.bessel_r_grid)}
-        rec.gated(which, worst, "bessel/identity", params)
-        if which == "ode_A6" and worst_small_r:
-            rec.gated("ode_A6_small_r", worst_small_r,
-                      "bessel/identity_ode_small_r", {"r": 0.1})
+                if (which == "ode_A6" and r < 0.2) == small_r:
+                    yield eu.verify_bessel_identity(which, n, r, ev)
+    params = {"orders": list(config.bessel_orders),
+              "r_grid": list(config.bessel_r_grid)}
+    for which in eu.BESSEL_IDENTITIES:
+        rec.gated(which, identity_residuals(which, False), "bessel/identity",
+                  params)
+    if any(r < 0.2 for r in config.bessel_r_grid):
+        rec.gated("ode_A6_small_r", identity_residuals("ode_A6", True),
+                  "bessel/identity_ode_small_r", {"r": 0.1})
 
-    worst = 0.0
-    for op in ("raise", "lower"):
-        for n in range(0, 6):
-            for r in (0.2, 1.0, 4.0, 10.0):
-                worst = _worst(worst,
-                               eu.polar_numeric_crosscheck(op, n, r, 0.4, ev))
-    rec.gated("ladder_crosscheck_fd", worst, "bessel/ladder_crosscheck",
-              {"orders": "0..5", "step": 1e-5})
+    rec.gated("ladder_crosscheck_fd",
+              (eu.polar_numeric_crosscheck(op, n, r, 0.4, ev)
+               for op in ("raise", "lower") for n in range(0, 6)
+               for r in (0.2, 1.0, 4.0, 10.0)),
+              "bessel/ladder_crosscheck", {"orders": "0..5", "step": 1e-5})
 
     f = eu.CylFunc([eu.CylTerm(0, 1.5), eu.CylTerm(4, -2j), eu.CylTerm(-1, 1.0)])
     round_trip_up = eu.apply_polar_op("raise", eu.apply_polar_op("lower", f))
     round_trip_down = eu.apply_polar_op("lower", eu.apply_polar_op("raise", f))
     rec.exact("ladder_roundtrip_identity",
-              Fraction(0) if round_trip_up == f and round_trip_down == f
-              else Fraction(1))
+              [Fraction(0) if round_trip_up == f and round_trip_down == f
+               else Fraction(1)])
 
     eigen = eu.apply_polar_op("lz", eu.CylFunc.basis(3, 2.0))
     rec.exact("lz_eigenvalue",
-              Fraction(0) if eigen == eu.CylFunc([eu.CylTerm(3, 6.0)])
-              else Fraction(1), {"order": 3})
+              [Fraction(0) if eigen == eu.CylFunc([eu.CylTerm(3, 6.0)])
+               else Fraction(1)], {"order": 3})
 
-    wide = eu.BesselEval(max_order=max(config.bessel_orders)
-                         + config.genfunc_terms + 5)
-    worst = 0.0
-    for n in (0, 1, 2):
-        for r in (1.0, 2.0, 5.0):
-            for phi in (0.0, 0.7, math.pi / 3):
-                for t in (0.5, -0.25, 0.5j, -0.5j):
-                    worst = _worst(worst, eu.genfunc_a11_check(
-                        n, r, phi, t, config.genfunc_terms, wide))
-    rec.gated("genfunc_A11", worst, "bessel/genfunc_A11",
+    rec.gated("genfunc_A11",
+              (eu.genfunc_a11_check(n, r, phi, t, config.genfunc_terms, ev)
+               for n in (0, 1, 2) for r in (1.0, 2.0, 5.0)
+               for phi in (0.0, 0.7, math.pi / 3)
+               for t in (0.5, -0.25, 0.5j, -0.5j)),
+              "bessel/genfunc_A11",
               {"terms": config.genfunc_terms, "t": "[0.5, -0.25, 0.5j, -0.5j]"})
 
     root = eu.find_j0_root(ev)
-    rec.gated("j0_root_bisection", abs(ev.j(0, root)), "bessel/j0_root",
+    rec.gated("j0_root_bisection", [abs(ev.j(0, root))], "bessel/j0_root",
               {"root": root})
 
     double = eu.BesselEval(max_terms=400)
-    worst = 0.0
-    for n in (0, 5, 10, 20):
-        for r in (0.1, 1.0, 5.0, 15.0, 30.0):
-            a, b = ev.j(n, r), double.j(n, r)
-            worst = _worst(worst, abs(a - b) / max(abs(a), 1e-300))
-    rec.gated("selfconsistency_double_terms", worst, "bessel/selfconsistency",
-              {"max_terms": [200, 400]})
+
+    def relative_differences():
+        for n in (0, 5, 10, 20):
+            for r in (0.1, 1.0, 5.0, 15.0, 30.0):
+                a, b = ev.j(n, r), double.j(n, r)
+                yield abs(a - b) / max(abs(a), 1e-300)
+    rec.gated("selfconsistency_double_terms", relative_differences(),
+              "bessel/selfconsistency", {"max_terms": [200, 400]})
 
     return SuiteReport("bessel", rec.records, config.echo(),
                        time.perf_counter() - started)
@@ -503,18 +492,17 @@ def run_contraction(config: SuiteConfig) -> SuiteReport:
 
     lx, ly, lz = (ct.angular_momentum_x(), ct.angular_momentum_y(),
                   ct.angular_momentum_z())
-    rec.exact("so3_commutator_xy", ct.vf_commutator(lx, ly) + lz)
-    rec.exact("so3_commutator_yz", ct.vf_commutator(ly, lz) + lx)
-    rec.exact("so3_commutator_zx", ct.vf_commutator(lz, lx) + ly)
+    rec.exact("so3_commutator_xy", [ct.vf_commutator(lx, ly) + lz])
+    rec.exact("so3_commutator_yz", [ct.vf_commutator(ly, lz) + lx])
+    rec.exact("so3_commutator_zx", [ct.vf_commutator(lz, lx) + ly])
 
     for R in (1, 10, 1000):
-        rec.exact_all(f"scaled_commutators_R{R}",
-                      ct.scaled_commutator_check(R).values(), {"R": R})
+        rec.exact(f"scaled_commutators_R{R}",
+                  ct.scaled_commutator_check(R).values(), {"R": R})
 
-    rec.exact_all("contracted_relations",
-                  ct.contracted_relations_check().values())
+    rec.exact("contracted_relations", ct.contracted_relations_check().values())
 
-    rec.exact_all(
+    rec.exact(
         "jacobi_identity",
         (ct.vf_commutator(a, ct.vf_commutator(b, c))
          + ct.vf_commutator(b, ct.vf_commutator(c, a))
@@ -524,84 +512,68 @@ def run_contraction(config: SuiteConfig) -> SuiteReport:
     R_list = [Fraction(R) for R in config.contraction_R]
     rate_polys = {"xxyyyz": X ** 2 * Y ** 3 * Z, "xyz": X * Y * Z,
                   "y5z": Y ** 5 * Z}
-    worst_band = 0.0
-    for name, poly in rate_polys.items():
+
+    def residual_sequence(poly):
         residuals = ct.contraction_residual(poly, R_list)
-        values = [residuals[R] for R in R_list]
-        for a, b in zip(values, values[1:]):
-            if a == 0:
-                continue
-            worst_band = _worst(worst_band, abs(float(b / a) - 0.5))
-    rec.gated("contraction_rate_band", worst_band, "contraction/rate_band",
+        return [residuals[R] for R in R_list]
+    rec.gated("contraction_rate_band",
+              (abs(q - 0.5) for q in
+               _ratios(map(residual_sequence, rate_polys.values()))),
+              "contraction/rate_band",
               {"R": list(config.contraction_R),
                "polynomials": sorted(rate_polys)})
 
     z_free = ct.contraction_residual(X ** 2 * Y, R_list)
-    rec.exact("contraction_z_free_zero", sum(z_free.values(), Fraction(0)),
+    rec.exact("contraction_z_free_zero", [sum(z_free.values(), Fraction(0))],
               {"polynomial": "x^2 y"})
 
-    ladder = ct.polar_ladder_limit(0, 1.0, 0.0,
-                                   [float(R) for R in config.contraction_R], ev)
-    values = [ladder[float(R)] for R in config.contraction_R]
-    worst_ratio = _worst(*(b / a for a, b in zip(values, values[1:])))
-    rec.gated("polar_ladder_rate", worst_ratio, "contraction/polar_ladder_rate",
-              {"n": 0, "r": 1.0})
-    monotone_worst = 0.0
-    for n in (1, 2):
-        res = ct.polar_ladder_limit(n, 2.0, 0.7,
-                                    [float(R) for R in config.contraction_R], ev)
-        seq = [res[float(R)] for R in config.contraction_R]
-        monotone_worst = _worst(monotone_worst,
-                                *(b / a for a, b in zip(seq, seq[1:])))
-    rec.gated("polar_ladder_monotone", monotone_worst, "contraction/monotone",
-              {"orders": [1, 2], "r": 2.0})
+    R_floats = [float(R) for R in config.contraction_R]
 
-    worst = 0.0
-    for x in (-0.9, -0.3, 0.0, 0.4, 0.99):
-        worst = _worst(worst,
-                       abs(ct.assoc_legendre(2, 0, x) - (3 * x * x - 1) / 2),
-                       abs(ct.assoc_legendre(2, 1, x)
-                           - 3 * x * math.sqrt(1 - x * x)))
-    rec.gated("legendre_closed_forms", worst,
+    def ladder_sequence(n, r, phi):
+        residuals = ct.polar_ladder_limit(n, r, phi, R_floats, ev)
+        return [residuals[R] for R in R_floats]
+    rec.gated("polar_ladder_rate", _ratios([ladder_sequence(0, 1.0, 0.0)]),
+              "contraction/polar_ladder_rate", {"n": 0, "r": 1.0})
+    rec.gated("polar_ladder_monotone",
+              _ratios(ladder_sequence(n, 2.0, 0.7) for n in (1, 2)),
+              "contraction/monotone", {"orders": [1, 2], "r": 2.0})
+
+    rec.gated("legendre_closed_forms",
+              (residual for x in (-0.9, -0.3, 0.0, 0.4, 0.99) for residual in (
+                  abs(ct.assoc_legendre(2, 0, x) - (3 * x * x - 1) / 2),
+                  abs(ct.assoc_legendre(2, 1, x)
+                      - 3 * x * math.sqrt(1 - x * x)))),
               "contraction/legendre_closed_forms", {"degree": 2})
 
-    worst_ratio = 0.0
-    for r in (1.0, 2.0, 4.0):
-        seq = [ct.legendre_ode_residual(l, 0, r, ev) for l in config.legendre_l]
-        worst_ratio = _worst(worst_ratio,
-                             *(b / a for a, b in zip(seq, seq[1:])))
-    rec.gated("legendre_ode_rate_m0", worst_ratio,
+    def legendre_sequence(m, r):
+        return [ct.legendre_ode_residual(l, m, r, ev) for l in config.legendre_l]
+    rec.gated("legendre_ode_rate_m0",
+              _ratios(legendre_sequence(0, r) for r in (1.0, 2.0, 4.0)),
               "contraction/legendre_ode_rate",
               {"l": list(config.legendre_l), "r": [1.0, 2.0, 4.0]})
-    monotone_worst = 0.0
-    for m in (1, 2, 3):
-        seq = [ct.legendre_ode_residual(l, m, 2.0, ev) for l in config.legendre_l]
-        monotone_worst = _worst(monotone_worst,
-                                *(b / a for a, b in zip(seq, seq[1:])))
-    rec.gated("legendre_ode_monotone", monotone_worst, "contraction/monotone",
-              {"m": [1, 2, 3], "r": 2.0})
+    rec.gated("legendre_ode_monotone",
+              _ratios(legendre_sequence(m, 2.0) for m in (1, 2, 3)),
+              "contraction/monotone", {"m": [1, 2, 3], "r": 2.0})
 
-    worst = 0.0
-    for m in range(4):
-        for r in (0.5, 1.0, 2.0, 5.0, 8.0):
-            worst = _worst(worst, ct.bessel_operator_residual(m, r, ev))
-    rec.gated("bessel_operator_exact_form", worst, "contraction/bessel_operator",
-              {"m": "0..3"})
+    rec.gated("bessel_operator_exact_form",
+              (ct.bessel_operator_residual(m, r, ev)
+               for m in range(4) for r in (0.5, 1.0, 2.0, 5.0, 8.0)),
+              "contraction/bessel_operator", {"m": "0..3"})
 
-    worst_margin = 0.0
-    l_final = max(config.legendre_l)
-    for m in range(4):
-        for r in (1.0, 2.0, 4.0):
-            errs = ct.mehler_heine_check(m, r, list(config.legendre_l), ev)
-            seq = [errs[l] for l in config.legendre_l]
-            gate = 0.02 * abs(ev.j(m, r).real) + 0.005
-            worst_margin = _worst(worst_margin, seq[-1] / gate)
-            # tail must be decreasing as well
-            if any(b >= a for a, b in zip(seq, seq[1:])):
-                worst_margin = math.inf
-    rec.gated("mehler_heine_margin", worst_margin,
+    def mehler_heine_margins():
+        for m in range(4):
+            for r in (1.0, 2.0, 4.0):
+                errs = ct.mehler_heine_check(m, r, list(config.legendre_l), ev)
+                seq = [errs[l] for l in config.legendre_l]
+                # the tail must be decreasing as well
+                if any(b >= a for a, b in zip(seq, seq[1:])):
+                    yield math.inf
+                else:
+                    yield seq[-1] / (0.02 * abs(ev.j(m, r).real) + 0.005)
+    rec.gated("mehler_heine_margin", mehler_heine_margins(),
               "contraction/mehler_heine_margin",
-              {"l_final": l_final, "m": "0..3", "r": [1.0, 2.0, 4.0]})
+              {"l_final": max(config.legendre_l), "m": "0..3",
+               "r": [1.0, 2.0, 4.0]})
 
     return SuiteReport("contraction", rec.records, config.echo(),
                        time.perf_counter() - started)
@@ -611,11 +583,11 @@ def run_diagnostics(config: SuiteConfig) -> SuiteReport:
     """Recorded-only block: residuals with no pass/fail semantics."""
     rec = _Recorder(config)
     started = time.perf_counter()
-    wide = eu.BesselEval(max_order=config.genfunc_terms + 10)
+    ev = eu.BesselEval()
 
     for n, r, phi, t in ((0, 2.0, 0.5, 0.2), (1, 3.0, 1.0, 0.1)):
         report = eu.genfunc_a12_diagnostic(n, r, phi, t,
-                                           config.genfunc_terms, wide)
+                                           config.genfunc_terms, ev)
         params = {"n": n, "r": r, "phi": phi, "t": t}
         rec.diagnostic(f"a12_catalog_form_n{n}",
                        report["residual_catalog_form"], params)
@@ -623,7 +595,7 @@ def run_diagnostics(config: SuiteConfig) -> SuiteReport:
                        report["residual_substituted_form"], params)
 
     literal = eu.genfunc_a11_literal_diagnostic(0, 2.0, 0.7, 0.3,
-                                                config.genfunc_terms, wide)
+                                                config.genfunc_terms, ev)
     rec.diagnostic("a11_literal_form", literal["residual_literal_form"],
                    {"n": 0, "r": 2.0, "phi": 0.7, "t": 0.3})
 

@@ -29,11 +29,6 @@ def ev():
     return BesselEval()
 
 
-@pytest.fixture(scope="module")
-def wide_ev():
-    return BesselEval(max_order=45)
-
-
 # -- series evaluator -----------------------------------------------------------
 
 def test_j0_at_zero(ev):
@@ -73,8 +68,11 @@ def test_derivative_series_satisfies_ode_independently(ev):
 
 
 def test_envelope_guards(ev):
-    with pytest.raises(EnvelopeError):
-        ev.j(21, 1.0)
+    # every order is accepted, max_terms and above too; A.7 holds there
+    for n, r in ((30, 1.0), (200, 30.0)):
+        j_down, j, j_up = (ev.j(k, r).real for k in (n - 1, n, n + 1))
+        assert j_down != 0
+        assert abs(2 * n / r * j - j_down - j_up) <= 1e-13 * abs(j_down)
     with pytest.raises(EnvelopeError):
         ev.j(0, 31.0)
 
@@ -178,47 +176,47 @@ def test_polar_crosscheck_singularity_cutoff(ev):
 
 # -- generating functions --------------------------------------------------------------
 
-def test_a11_zero_shift_is_exact(wide_ev):
-    assert genfunc_a11_check(1, 2.0, 0.5, 0.0, 30, wide_ev) < 1e-15
+def test_a11_zero_shift_is_exact(ev):
+    assert genfunc_a11_check(1, 2.0, 0.5, 0.0, 30, ev) < 1e-15
 
 
-def test_a11_examples(wide_ev):
-    assert genfunc_a11_check(0, 2.0, 0.7, 0.3, 30, wide_ev) < 1e-8
-    assert genfunc_a11_check(2, 1.0, 0.0, 0.1j, 30, wide_ev) < 1e-8
+def test_a11_examples(ev):
+    assert genfunc_a11_check(0, 2.0, 0.7, 0.3, 30, ev) < 1e-8
+    assert genfunc_a11_check(2, 1.0, 0.0, 0.1j, 30, ev) < 1e-8
 
 
-def test_a11_acceptance_grid(wide_ev):
+def test_a11_acceptance_grid(ev):
     for n in (0, 1, 2):
         for r in (1.0, 2.0, 5.0):
             for phi in (0.0, 0.7, math.pi / 3):
                 for t in (0.5, -0.25, 0.5j, -0.5j):
-                    assert genfunc_a11_check(n, r, phi, t, 30, wide_ev) < 1e-8
+                    assert genfunc_a11_check(n, r, phi, t, 30, ev) < 1e-8
 
 
-def test_a11_branch_guard(wide_ev):
+def test_a11_branch_guard(ev):
     with pytest.raises(BranchAmbiguityError):
-        genfunc_a11_check(0, 1.0, 0.0, -0.5, 30, wide_ev)
+        genfunc_a11_check(0, 1.0, 0.0, -0.5, 30, ev)
 
 
-def test_a11_envelope(wide_ev):
+def test_a11_envelope(ev):
     with pytest.raises(EnvelopeError):
-        genfunc_a11_check(0, 2.0, 0.0, 0.6, 30, wide_ev)
+        genfunc_a11_check(0, 2.0, 0.0, 0.6, 30, ev)
     with pytest.raises(EnvelopeError):
-        genfunc_a11_check(0, 0.3, 0.0, 0.1, 30, wide_ev)
+        genfunc_a11_check(0, 0.3, 0.0, 0.1, 30, ev)
     with pytest.raises(EnvelopeError):
-        genfunc_a11_check(0, 2.0, 0.0, 0.1, 20, wide_ev)
+        genfunc_a11_check(0, 2.0, 0.0, 0.1, 20, ev)
 
 
-def test_a11_literal_form_recorded_not_small(wide_ev):
-    report = genfunc_a11_literal_diagnostic(0, 2.0, 0.7, 0.3, 30, wide_ev)
+def test_a11_literal_form_recorded_not_small(ev):
+    report = genfunc_a11_literal_diagnostic(0, 2.0, 0.7, 0.3, 30, ev)
     # the loose rendering really is not an identity ...
     assert report["residual_literal_form"] > 1e-3
     # ... while the consistent one is
     assert report["residual_consistent_form"] < 1e-10
 
 
-def test_a12_diagnostic_reports_both_forms(wide_ev):
-    report = genfunc_a12_diagnostic(0, 2.0, 0.5, 0.2, 30, wide_ev)
+def test_a12_diagnostic_reports_both_forms(ev):
+    report = genfunc_a12_diagnostic(0, 2.0, 0.5, 0.2, 30, ev)
     assert set(report) == {"residual_catalog_form",
                            "residual_substituted_form", "smaller_form"}
     assert report["residual_catalog_form"] >= 0
@@ -226,8 +224,8 @@ def test_a12_diagnostic_reports_both_forms(wide_ev):
     assert report["smaller_form"] in ("catalog", "substituted")
 
 
-def test_a12_substituted_form_reduces_at_t_zero(wide_ev):
-    report = genfunc_a12_diagnostic(1, 3.0, 1.0, 0.0, 30, wide_ev)
+def test_a12_substituted_form_reduces_at_t_zero(ev):
+    report = genfunc_a12_diagnostic(1, 3.0, 1.0, 0.0, 30, ev)
     assert report["residual_substituted_form"] < 1e-12
 
 
