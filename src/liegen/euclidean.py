@@ -5,12 +5,14 @@ The mixed basis functions are J_n(r) e^{i n phi}; finite spans of them are
 closed under the ladder operators, which makes every identity in the catalog
 a statement the ascending series can check numerically.
 
-The evaluator sums the ascending series in exact rational arithmetic (the
-real and imaginary parts of a float argument are dyadic rationals) and
-rounds once at the end.  Naive float accumulation would lose ~10 digits to
-cancellation near |z| = MAX_ABS_Z; here the emitted value carries only the
-final rounding, at any integer order, so identity residuals sit at machine
-level up to |z| = MAX_ABS_Z.
+The evaluator sums the ascending series exactly, in plain integers.  The
+real and imaginary parts of a float argument are dyadic rationals, so every
+term is a Gaussian integer over one shared denominator, and each emitted
+value is one correctly rounded integer division at the end: no gcd is ever
+taken.  Naive float accumulation would lose ~10 digits to cancellation near
+|z| = MAX_ABS_Z; here the emitted value carries only the final rounding, at
+any integer order, so identity residuals sit at machine level up to
+|z| = MAX_ABS_Z.
 """
 
 from __future__ import annotations
@@ -18,14 +20,10 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable
 
 from .errors import BranchAmbiguityError, EnvelopeError
 from .numeric import ensure_finite
-
-_FRAC_ZERO = Fraction(0)
-_FRAC_ONE = Fraction(1)
 
 #: the series stops once every new term is below this fraction of its sum
 REL_TOL = 1e-16
@@ -39,27 +37,37 @@ IDENTITY_MAX_R = 20.0
 
 
 # ---------------------------------------------------------------------------
-# exact complex-rational helpers (internal)
+# stopping rule
 # ---------------------------------------------------------------------------
 
-def _c_add(a, b):
-    return (a[0] + b[0], a[1] + b[1])
+_TOL2 = REL_TOL * REL_TOL
+_TOL_BITS = math.log2(_TOL2) / 2     # log2 of the tolerance on |t| / |S|
 
 
-def _c_mul(a, b):
-    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+def _negligible(tr: int, ti: int, sr: int, si: int, d: int) -> bool:
+    """Whether the term t = (tr + i ti) / d is negligible against the partial
+    sum S = (sr + i si) / d: |t|^2 rounds to 0.0, or below REL_TOL^2 times
+    |S|^2, each square being rounded once to a float.
 
-
-def _c_scale(a, s):
-    return (a[0] * s, a[1] * s)
-
-
-def _c_abs2(a) -> float:
-    return float(a[0] * a[0] + a[1] * a[1])
-
-
-def _c_to_complex(a) -> complex:
-    return complex(float(a[0]), float(a[1]))
+    Bit lengths alone settle the rule away from its threshold.  For X != 0
+    with parts of at most bx bits, |X| / d lies in (2^{bx-bd-1},
+    2^{bx-bd+3/2}), so |t| / |S| is within 2^{3/2} of 2^{bt-bs}.  A margin
+    of 0.1 bit beyond that outweighs the roundings, and the bounds on
+    bt - bd and bs - bd keep the side that decides at 2^-960 or more, clear
+    of the subnormals.  Elsewhere the squares are taken exactly.
+    """
+    if tr == ti == 0:
+        return True
+    bd = d.bit_length()
+    bt = max(tr.bit_length(), ti.bit_length())
+    bs = max(sr.bit_length(), si.bit_length())
+    if bt - bs > _TOL_BITS + 1.6 and bt - bd >= -495:
+        return False
+    if bt - bs < _TOL_BITS - 1.6 and bs - bd >= -425:
+        return True
+    dd = d * d
+    t_mag = (tr * tr + ti * ti) / dd
+    return t_mag == 0.0 or t_mag < _TOL2 * ((sr * sr + si * si) / dd)
 
 
 # ---------------------------------------------------------------------------
@@ -69,9 +77,15 @@ def _c_to_complex(a) -> complex:
 class BesselEval:
     """Ascending-series evaluator for integer-order Bessel functions.
 
-    Terms are accumulated as exact complex rationals; the stopping rule is
-    the relative tolerance :data:`REL_TOL` with at least ``n`` terms taken,
-    and at most ``max_terms`` more.  Every integer order is accepted: exact
+    With z/2 = W / 2^q (W a Gaussian integer), term k of J_n, J_n' and
+    J_n'' has the integer numerators (-1)^k W^m, (-1)^k m 2^{q-1} W^{m-1}
+    and (-1)^k m(m-1) 2^{2q-2} W^{m-2} over D = 2^{qm} k! (n+k)!, where
+    m = n + 2k.  The three partial sums are kept as exact numerators over
+    that one D, which each step multiplies by 2^{2q} (k+1)(n+k+1), and each
+    is rounded once, by an integer division, when the sum stops.  The
+    stopping rule is the relative tolerance :data:`REL_TOL` on the rounded
+    squared magnitudes, with at least ``n`` terms taken, and at most
+    ``max_terms`` more.  Every integer order is accepted: exact
     summation rounds once, whatever the order.  Negative orders are
     defined by the reflection J_{-n} = (-1)^n J_n.
     First and second derivatives come from differentiating the series term
@@ -107,50 +121,59 @@ class BesselEval:
     # -- series core ---------------------------------------------------------
 
     def _series(self, n: int, z: complex) -> tuple[complex, complex, complex]:
-        w = (Fraction(z.real) / 2, Fraction(z.imag) / 2)
+        # z/2 = W / 2^q with W = a + ib a Gaussian integer and q >= 1
+        (ar, er), (ai, ei) = (z.real.as_integer_ratio(),
+                              z.imag.as_integer_ratio())
+        den = max(er, ei)               # both are powers of two
+        a, b = ar * (den // er), ai * (den // ei)
+        q = den.bit_length()
 
-        # powers of z/2, built incrementally and shared by the three sums
-        pows = [(_FRAC_ONE, _FRAC_ZERO)]
+        # p0, p1, p2 hold the signed powers (-1)^k W^{m-j}, j = 0, 1, 2, of
+        # term k's numerators over D (see the class docstring)
+        p0r, p0i = 1, 0
+        p1r = p1i = p2r = p2i = 0
+        for _ in range(n):
+            p2r, p2i, p1r, p1i = p1r, p1i, p0r, p0i
+            p0r, p0i = p0r * a - p0i * b, p0r * b + p0i * a
+        d = math.factorial(n) << (q * n)
 
-        def power(e: int):
-            while len(pows) <= e:
-                pows.append(_c_mul(pows[-1], w))
-            return pows[e]
-
-        tol2 = REL_TOL * REL_TOL
-
-        def small(term, total) -> bool:
-            if term is None:
-                return True
-            t_mag = _c_abs2(term)
-            return t_mag == 0.0 or t_mag < tol2 * _c_abs2(total)
-
-        s0 = s1 = s2 = (_FRAC_ZERO, _FRAC_ZERO)
-        # rational prefactor (-1)^k / (k! (n+k)!)
-        coeff = Fraction(1, math.factorial(n))
+        s0r = s0i = s1r = s1i = s2r = s2i = 0
         k = 0
         while True:
             m = n + 2 * k
-            t0 = _c_scale(power(m), coeff)
-            s0 = _c_add(s0, t0)
-            t1 = t2 = None
+            s0r += p0r
+            s0i += p0i
+            t1r = t1i = t2r = t2i = 0
             if m >= 1:
-                t1 = _c_scale(power(m - 1), coeff * Fraction(m, 2))
-                s1 = _c_add(s1, t1)
+                t1r, t1i = (m * p1r) << (q - 1), (m * p1i) << (q - 1)
+                s1r += t1r
+                s1i += t1i
             if m >= 2:
-                t2 = _c_scale(power(m - 2), coeff * Fraction(m * (m - 1), 4))
-                s2 = _c_add(s2, t2)
-            if k + 1 >= max(n, 2) and small(t0, s0) and small(t1, s1) and small(t2, s2):
+                c2, shift = m * (m - 1), 2 * q - 2
+                t2r, t2i = (c2 * p2r) << shift, (c2 * p2i) << shift
+                s2r += t2r
+                s2i += t2i
+            if (k + 1 >= max(n, 2) and _negligible(p0r, p0i, s0r, s0i, d)
+                    and _negligible(t1r, t1i, s1r, s1i, d)
+                    and _negligible(t2r, t2i, s2r, s2i, d)):
                 break
             k += 1
             if k >= n + self.max_terms:
                 raise EnvelopeError(
                     f"series for J_{n}({z}) did not converge in {k} terms")
-            coeff = -coeff / (k * (n + k))
+            # D gains the factor 2^{2q} k (n+k); the powers gain -W^2
+            c = k * (n + k)
+            d = (d * c) << (2 * q)
+            s0r, s0i = (s0r * c) << (2 * q), (s0i * c) << (2 * q)
+            s1r, s1i = (s1r * c) << (2 * q), (s1i * c) << (2 * q)
+            s2r, s2i = (s2r * c) << (2 * q), (s2i * c) << (2 * q)
+            p2r, p2i = -p0r, -p0i
+            p1r, p1i = p2r * a - p2i * b, p2r * b + p2i * a
+            p0r, p0i = p1r * a - p1i * b, p1r * b + p1i * a
 
-        return (ensure_finite(_c_to_complex(s0)),
-                ensure_finite(_c_to_complex(s1)),
-                ensure_finite(_c_to_complex(s2)))
+        return (ensure_finite(complex(s0r / d, s0i / d)),
+                ensure_finite(complex(s1r / d, s1i / d)),
+                ensure_finite(complex(s2r / d, s2i / d)))
 
 
 def find_j0_root(evaluator: BesselEval, lo: float = 2.0, hi: float = 3.0,
@@ -307,13 +330,18 @@ def _series_side(n: int, r: float, phi: float, t: complex, terms: int,
     return total
 
 
+#: fewest ladder-expansion terms the generating-function checks accept
+MIN_GENFUNC_TERMS = 30
+
+
 def _genfunc_guards(r: float, t: complex, terms: int):
     if abs(t) > 0.5:
         raise EnvelopeError("|t| above 0.5")
     if not 0.5 <= r <= 10:
         raise EnvelopeError("r outside [0.5, 10]")
-    if terms < 30:
-        raise EnvelopeError("truncation must keep at least 30 terms")
+    if terms < MIN_GENFUNC_TERMS:
+        raise EnvelopeError(
+            f"truncation must keep at least {MIN_GENFUNC_TERMS} terms")
 
 
 def genfunc_a11_check(n: int, r: float, phi: float, t: complex,
@@ -433,6 +461,10 @@ class FlowResult:
     integrator_error: float
 
 
+#: fewest integration steps flow_solve takes
+MIN_FLOW_STEPS = 1
+
+
 def flow_solve(r0: float, phi0: float, t_end: float,
                steps: int = 10_000) -> FlowResult:
     """Integrate dr/dt = e^{i phi}, dphi/dt = i e^{i phi} / r, dq/dt = 0 with
@@ -451,7 +483,7 @@ def flow_solve(r0: float, phi0: float, t_end: float,
         raise ValueError("r0 must be positive")
     if phi0 == 0:
         raise ValueError("phi0 must be nonzero")
-    if steps < 1:
+    if steps < MIN_FLOW_STEPS:
         raise ValueError("steps must be positive")
 
     def rhs(state):

@@ -360,13 +360,17 @@ def _random_e2(rng: random.Random) -> E2Element:
                      rng.uniform(0.0, TWO_PI))
 
 
+#: fewest pseudorandom elements an axiom suite draws
+MIN_AXIOM_SAMPLES = 1
+
+
 def axiom_suite(group: str, samples: int, seed: int) -> AxiomReport:
     """Check closure, associativity, identity and inverse on pseudorandom
     elements.  Residuals are max absolute entry differences between the two
     matrix sides; the Heisenberg residuals are exactly zero.
     """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
+    if samples < MIN_AXIOM_SAMPLES:
+        raise ValueError(f"samples must be >= {MIN_AXIOM_SAMPLES}")
     rng = random.Random(seed)
     if group == "h3":
         draw, compose, inverse, ident = (

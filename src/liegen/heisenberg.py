@@ -37,6 +37,13 @@ from .numeric import (
 #: sqrt(2), the exact ratio between the scaled and normalized ladder operators
 SQRT2 = SqrtRational(1, 2)
 
+#: lowest Hermite index
+MIN_HERMITE_N = 0
+#: lowest truncation order of the generating-function and disentangling checks
+MIN_SERIES_ORDER = 1
+#: smallest number-basis truncation of the discrete ladder matrices
+MIN_DISCRETE_DIM = 2
+
 
 # ---------------------------------------------------------------------------
 # the representation space
@@ -118,7 +125,7 @@ def hermite_rodrigues(n: int) -> Polynomial:
     """H_n built operationally: the polynomial part of raise^n applied to the
     bare Gaussian, i.e. exp(x^2/2) (x - d/dx)^n exp(-x^2/2), for every
     n >= 0 (each H_k met on the way is cached)."""
-    if n < 0:
+    if n < MIN_HERMITE_N:
         raise ValueError("n must be non-negative")
     while len(_rodrigues_cache) <= n:
         raised = apply_ladder("raise", GaussianWeighted(_rodrigues_cache[-1]))
@@ -130,7 +137,7 @@ def hermite_recurrence_sequence(max_n: int) -> Iterator[Polynomial]:
     """Independent oracle, H_0 .. H_max_n in one pass of the three-term
     recurrence H_{n+1} = 2x H_n - 2n H_{n-1} from H_0 = 1 (and H_{-1} = 0).
     Only the last two polynomials are held."""
-    if max_n < 0:
+    if max_n < MIN_HERMITE_N:
         raise ValueError("n must be non-negative")
     h_prev, h = Polynomial.zero(), Polynomial.constant(1)
     yield h
@@ -267,8 +274,8 @@ class DiscreteMatrix:
 def discrete_matrix(op: str, dimension: int) -> DiscreteMatrix:
     """Number-basis matrices: lowering has sqrt(n) on the superdiagonal
     (row n-1, column n), raising has sqrt(n+1) on the subdiagonal."""
-    if dimension < 2:
-        raise ValueError("dimension must be at least 2")
+    if dimension < MIN_DISCRETE_DIM:
+        raise ValueError(f"dimension must be at least {MIN_DISCRETE_DIM}")
     zero = SqrtRational(0)
     rows = [[zero] * dimension for _ in range(dimension)]
     if op == "lower":
@@ -427,8 +434,8 @@ def disentangle_check(order: int) -> PowerSeries:
     own weight re-expands as w times exp(xt - t^2/2).  The difference must
     vanish identically through the requested order.
     """
-    if order < 1:
-        raise ValueError("order must be >= 1")
+    if order < MIN_SERIES_ORDER:
+        raise ValueError(f"order must be >= {MIN_SERIES_ORDER}")
     lhs = PowerSeries(
         [Fraction(1, math.factorial(k))
          * GaussianWeighted(hermite_rodrigues(k))
@@ -448,8 +455,8 @@ def hermite_genfunc_check(order: int) -> PowerSeries:
     """Residual series of exp(2xt - t^2) minus sum H_n(x) t^n / n! through
     the requested order; the Hermite side comes from the operational
     construction, the exponential side from series_exp."""
-    if order < 1:
-        raise ValueError("order must be >= 1")
+    if order < MIN_SERIES_ORDER:
+        raise ValueError(f"order must be >= {MIN_SERIES_ORDER}")
     exponent = PowerSeries.from_terms(
         {1: 2 * X, 2: Polynomial.constant(-1)}, order, Polynomial.zero())
     lhs = series_exp(exponent)

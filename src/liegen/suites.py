@@ -93,6 +93,9 @@ class SuiteConfig:
         for key, value in self.tolerance_overrides.items():
             if not value > 0:
                 raise ConfigError(f"tolerance for {key} must be positive")
+        for name, low in _LOWER_BOUNDS.items():
+            if getattr(self, name) < low:
+                raise ConfigError(f"{name} below {low}")
 
     def tolerance(self, key: str) -> float:
         if key in self.tolerance_overrides:
@@ -107,6 +110,20 @@ class SuiteConfig:
                 value = list(value)
             out[f.name] = value
         return out
+
+
+#: the smallest value of each integer field, as the code it feeds requires
+_LOWER_BOUNDS = {
+    "group_samples": gr.MIN_AXIOM_SAMPLES,
+    "hermite_max_n": hb.MIN_HERMITE_N,
+    "genfunc_order": hb.MIN_SERIES_ORDER,
+    "disentangle_order": hb.MIN_SERIES_ORDER,
+    "orthonormality_max": hb.MIN_HERMITE_N,
+    "spectrum_max": hb.MIN_HERMITE_N,
+    "discrete_dim": hb.MIN_DISCRETE_DIM,
+    "genfunc_terms": eu.MIN_GENFUNC_TERMS,
+    "flow_steps": eu.MIN_FLOW_STEPS,
+}
 
 
 #: default of every field a config file may set, which fixes how it parses

@@ -220,6 +220,23 @@ def test_legendre_high_degree_stable():
     assert abs(value) < 1.0
 
 
+def test_legendre_matches_mpmath_legenp():
+    # mpmath's Ferrers function carries the Condon-Shortley phase (-1)^m,
+    # which assoc_legendre leaves out; legenp sums a hypergeometric series
+    # that is slowest at negative x, so there the reference is taken at |x|
+    # through the parity P_l^m(-x) = (-1)^{l+m} P_l^m(x)
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        for l in (8, 64, 256, 1024):
+            for m in range(6):
+                for x in (-0.9, 0.4, 0.99):
+                    parity = (-1) ** (l + m) if x < 0 else 1
+                    ref = (-1) ** m * parity * float(mpmath.legenp(l, m, abs(x)))
+                    got = assoc_legendre(l, m, x)
+                    assert abs(got - ref) <= 1e-11 * max(1.0, abs(ref)), \
+                        (l, m, x, got, ref)
+
+
 # -- Mehler-Heine limit ---------------------------------------------------------------
 
 def test_mehler_heine_near_zero_argument(ev):

@@ -148,6 +148,31 @@ def test_bad_config_raises_at_construction(bad):
         SuiteConfig(**bad)
 
 
+@pytest.mark.parametrize("bad", [
+    dict(group_samples=0),
+    dict(hermite_max_n=-1),
+    dict(genfunc_order=-1),
+    dict(disentangle_order=-1),
+    dict(orthonormality_max=-1),
+    dict(spectrum_max=-1),
+    dict(discrete_dim=1),
+    dict(genfunc_terms=eu.MIN_GENFUNC_TERMS - 1),
+    dict(flow_steps=0),
+], ids=lambda bad: next(iter(bad)))
+def test_integer_field_below_its_limit_raises_at_construction(bad):
+    with pytest.raises(ConfigError):
+        SuiteConfig(**bad)
+
+
+def test_integer_fields_at_their_limits_run():
+    # each lower bound is where the code it feeds still works
+    config = SuiteConfig(group_samples=1, hermite_max_n=0, genfunc_order=1,
+                         disentangle_order=1, orthonormality_max=0,
+                         spectrum_max=0, discrete_dim=2,
+                         genfunc_terms=eu.MIN_GENFUNC_TERMS, flow_steps=1)
+    assert len(run_suite("all", config)) == 5
+
+
 def test_ode_small_r_recorded_when_residual_is_zero(monkeypatch):
     real = eu.verify_bessel_identity
 
