@@ -12,7 +12,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import EnvelopeError
 from .euclidean import BesselEval
@@ -173,7 +173,8 @@ def contracted_relations_check() -> dict:
 # contraction rates on polynomial test functions
 # ---------------------------------------------------------------------------
 
-#: default sample points in the tangent patch, |x0|, |y0| <= 1
+#: the sample points of contraction_residual in the tangent patch,
+#: |x0|, |y0| <= 1
 DEFAULT_SAMPLE_POINTS = (
     (Fraction(1), Fraction(1, 2)),
     (Fraction(-1, 3), Fraction(1)),
@@ -183,10 +184,10 @@ DEFAULT_SAMPLE_POINTS = (
 
 
 def contraction_residual(f: Polynomial, R_list: Sequence[Scalar],
-                         sample_points: Iterable[tuple] = DEFAULT_SAMPLE_POINTS,
                          ) -> dict[Fraction, Fraction]:
-    """Max |((Lx/R + Py) f)| and |((Ly/R - Px) f)| over sample points
-    (x0, y0, R), per R; exact rational arithmetic throughout.
+    """Max |((Lx/R + Py) f)| and |((Ly/R - Px) f)| over the points
+    (x0, y0, R), (x0, y0) in :data:`DEFAULT_SAMPLE_POINTS`, per R; exact
+    rational arithmetic throughout.
 
     The operators contract onto -Py and Px, so on test functions whose
     z-degree stays at most 1 the residual decays as O(1/R); for z-free f it
@@ -194,7 +195,6 @@ def contraction_residual(f: Polynomial, R_list: Sequence[Scalar],
     """
     if f.degree() > 6:
         raise ValueError("test polynomial degree above 6")
-    points = list(sample_points)
     out: dict[Fraction, Fraction] = {}
     for R in R_list:
         R = _as_fraction(R)
@@ -202,7 +202,7 @@ def contraction_residual(f: Polynomial, R_list: Sequence[Scalar],
         first = (basis.lx() + translation_y()).apply(f)
         second = (basis.ly() - translation_x()).apply(f)
         worst = Fraction(0)
-        for x0, y0 in points:
+        for x0, y0 in DEFAULT_SAMPLE_POINTS:
             point = {"x": x0, "y": y0, "z": R}
             for op_image in (first, second):
                 worst = max(worst, abs(op_image.eval(point)))
@@ -216,29 +216,27 @@ def contraction_residual(f: Polynomial, R_list: Sequence[Scalar],
 
 def polar_ladder_limit(n: int, r: float, phi: float,
                        R_list: Sequence[float],
-                       evaluator: BesselEval | None = None,
-                       step: float = 1e-4) -> dict[float, float]:
+                       evaluator: BesselEval) -> dict[float, float]:
     """Residual between the rescaled spherical ladder operators
     e^{+-i phi}(d/dtheta +- i cot(theta) d/dphi)/R, evaluated by central
     finite differences on the pullback J_n(R tan(theta)) e^{i n phi} at
     theta = arctan(r/R), and the plane ladder action -+ J_{n+-1} e^{i(n+-1)phi}.
 
-    The theta step is step/R: the pullback varies on the theta scale 1/R,
-    so a fixed step would let the O(h^2) truncation grow as R^2 and bury
-    the O(r^2/R^2) geometric signal being measured.
+    The phi step is 1e-4 and the theta step 1e-4/R: the pullback varies on
+    the theta scale 1/R, so a fixed step would let the O(h^2) truncation
+    grow as R^2 and bury the O(r^2/R^2) geometric signal being measured.
     """
     if not 0.5 <= r <= 5:
         raise EnvelopeError("r outside [0.5, 5]")
-    ev = evaluator or BesselEval()
+    h_phi = 1e-4
     out: dict[float, float] = {}
     for R in R_list:
         R = float(R)
         theta0 = math.atan2(r, R)
-        h_theta = step / R
-        h_phi = step
+        h_theta = h_phi / R
 
         def pullback(theta: float, p: float) -> complex:
-            return ev.j(n, R * math.tan(theta)) * cmath.exp(1j * n * p)
+            return evaluator.j(n, R * math.tan(theta)) * cmath.exp(1j * n * p)
 
         d_theta = (pullback(theta0 + h_theta, phi)
                    - pullback(theta0 - h_theta, phi)) / (2 * h_theta)
@@ -251,7 +249,8 @@ def polar_ladder_limit(n: int, r: float, phi: float,
                          * (d_theta + sign * 1j * cot * d_phi) / R)
             # limit of L_{+-}/R is (+-)P_{+-}, whose ladder action is
             # -(+-) J_{n+-1} e^{i(n+-1)phi}
-            planar = -sign * ev.j(n + sign, r) * cmath.exp(1j * (n + sign) * phi)
+            planar = (-sign * evaluator.j(n + sign, r)
+                      * cmath.exp(1j * (n + sign) * phi))
             worst = max(worst, abs(spherical - planar))
         out[R] = worst
     return out
@@ -290,8 +289,7 @@ def assoc_legendre(l: int, m: int, x: float) -> float:
 
 
 def mehler_heine_check(m: int, r: float, l_list: Sequence[int],
-                       evaluator: BesselEval | None = None,
-                       ) -> dict[int, float]:
+                       evaluator: BesselEval) -> dict[int, float]:
     """|l^{-m} P_l^m(cos(r/l)) - J_m(r)| per degree l.
 
     The l^{-m} scaling matches the leading behavior of the P_m^m seed;
@@ -302,8 +300,7 @@ def mehler_heine_check(m: int, r: float, l_list: Sequence[int],
         raise EnvelopeError("r outside [0.5, 8]")
     if m > 5:
         raise EnvelopeError("order above 5")
-    ev = evaluator or BesselEval()
-    target = ev.j(m, r).real
+    target = evaluator.j(m, r).real
     out: dict[int, float] = {}
     for l in l_list:
         value = assoc_legendre(l, m, math.cos(r / l)) / float(l) ** m
@@ -312,7 +309,7 @@ def mehler_heine_check(m: int, r: float, l_list: Sequence[int],
 
 
 def legendre_ode_residual(l: int, m: int, r: float,
-                          evaluator: BesselEval | None = None) -> float:
+                          evaluator: BesselEval) -> float:
     """Apply the polar-angle form of the Legendre operator,
     (1/sin)d/dtheta sin d/dtheta + l(l+1) - m^2/sin^2, to theta -> J_m(l*theta)
     at theta = r/l, using termwise series derivatives, and divide by l^2.
@@ -327,19 +324,14 @@ def legendre_ode_residual(l: int, m: int, r: float,
     theta = r / l
     if theta >= math.pi / 4:
         raise EnvelopeError("theta = r/l not small")
-    ev = evaluator or BesselEval()
-    z = l * theta
-    j, jp, jpp = ev.derivatives(m, z)
-    j, jp, jpp = j.real, jp.real, jpp.real
+    j, jp, jpp = (v.real for v in evaluator.derivatives(m, l * theta))
     # (1/sin t) d/dt (sin t d/dt) g = g'' + cot(t) g' with g = J_m(l t)
     value = (l * l * jpp + l * jp / math.tan(theta)
              + (l * (l + 1) - m * m / math.sin(theta) ** 2) * j)
     return abs(value) / (l * l)
 
 
-def bessel_operator_residual(m: int, r: float,
-                             evaluator: BesselEval | None = None) -> float:
+def bessel_operator_residual(m: int, r: float, evaluator: BesselEval) -> float:
     """|[r d/dr r d/dr + r^2 - m^2] J_m(r)|, the exact limiting equation."""
-    ev = evaluator or BesselEval()
-    j, jp, jpp = ev.derivatives(m, r)
+    j, jp, jpp = evaluator.derivatives(m, r)
     return abs(r * r * jpp.real + r * jp.real + (r * r - m * m) * j.real)

@@ -105,18 +105,18 @@ class BesselEval:
         return self.derivatives(n, z)[0]
 
     def derivatives(self, n: int, z: complex) -> tuple[complex, complex, complex]:
-        """(J_n, J_n', J_n'') at z."""
+        """(J_n, J_n', J_n'') at z: the series values as summed, negated
+        only for odd negative n, so every signed zero is kept."""
         z = complex(z)
         if abs(z) > MAX_ABS_Z:
             raise EnvelopeError(f"|z| = {abs(z):.3g} above {MAX_ABS_Z}")
-        sign = 1
-        if n < 0:
-            n, sign = -n, (-1) ** n
-        key = (n, z)
+        key = (abs(n), z)
         if key not in self._cache:
-            self._cache[key] = self._series(n, z)
-        j0, j1, j2 = self._cache[key]
-        return (sign * j0, sign * j1, sign * j2)
+            self._cache[key] = self._series(*key)
+        values = self._cache[key]
+        if n < 0 and n % 2:
+            return tuple(-v for v in values)
+        return values
 
     # -- series core ---------------------------------------------------------
 
@@ -176,14 +176,15 @@ class BesselEval:
                 ensure_finite(complex(s2r / d, s2i / d)))
 
 
-def find_j0_root(evaluator: BesselEval, lo: float = 2.0, hi: float = 3.0,
-                 tol: float = 1e-13) -> float:
-    """Bisection root of J_0 on [lo, hi] using the same series it tests."""
+def find_j0_root(evaluator: BesselEval) -> float:
+    """Root of J_0 on the bracket [2, 3], by bisection to a width of 1e-13,
+    using the same series it tests."""
+    lo, hi = 2.0, 3.0
     f_lo = evaluator.j(0, lo).real
     f_hi = evaluator.j(0, hi).real
     if f_lo * f_hi > 0:
         raise ValueError("no sign change on the bracket")
-    while hi - lo > tol:
+    while hi - lo > 1e-13:
         mid = 0.5 * (lo + hi)
         f_mid = evaluator.j(0, mid).real
         if f_lo * f_mid <= 0:
@@ -258,8 +259,7 @@ def apply_polar_op(op: str, f: CylFunc) -> CylFunc:
 
 
 def polar_numeric_crosscheck(op: str, n: int, r: float, phi: float,
-                             evaluator: BesselEval | None = None,
-                             step: float = 1e-5) -> float:
+                             evaluator: BesselEval, step: float = 1e-5) -> float:
     """Difference between the ladder action computed algebraically and the
     same operator e^{+-i phi}(+-d/dr + (i/r) d/dphi) applied by central
     finite differences to J_n(r) e^{i n phi}."""
@@ -267,16 +267,15 @@ def polar_numeric_crosscheck(op: str, n: int, r: float, phi: float,
         raise ValueError("crosscheck applies to the raising/lowering operators")
     if r < 0.2:
         raise EnvelopeError("r below the coordinate-singularity cutoff 0.2")
-    ev = evaluator or BesselEval()
     sign = 1 if op == "raise" else -1
 
     def f(rr: float, pp: float) -> complex:
-        return ev.j(n, rr) * cmath.exp(1j * n * pp)
+        return evaluator.j(n, rr) * cmath.exp(1j * n * pp)
 
     df_dr = (f(r + step, phi) - f(r - step, phi)) / (2 * step)
     df_dphi = (f(r, phi + step) - f(r, phi - step)) / (2 * step)
     numeric = cmath.exp(sign * 1j * phi) * (sign * df_dr + 1j / r * df_dphi)
-    algebraic = apply_polar_op(op, CylFunc.basis(n)).evaluate(r, phi, ev)
+    algebraic = apply_polar_op(op, CylFunc.basis(n)).evaluate(r, phi, evaluator)
     return abs(numeric - algebraic)
 
 
@@ -289,18 +288,16 @@ BESSEL_IDENTITIES = ("ode_A6", "recursion_A7", "diffrel_A8",
 
 
 def verify_bessel_identity(which: str, n: int, r: float,
-                           evaluator: BesselEval | None = None) -> float:
+                           evaluator: BesselEval) -> float:
     """Absolute residual of one cataloged Bessel identity at (n, r)."""
     if not IDENTITY_MIN_R <= r <= IDENTITY_MAX_R:
         raise EnvelopeError(
             f"r outside [{IDENTITY_MIN_R}, {IDENTITY_MAX_R}]")
     if abs(n) > IDENTITY_MAX_ORDER:
         raise EnvelopeError(f"|n| above {IDENTITY_MAX_ORDER}")
-    ev = evaluator or BesselEval()
-    j, jp, jpp = ev.derivatives(n, r)
-    j, jp, jpp = j.real, jp.real, jpp.real
-    j_down = ev.j(n - 1, r).real
-    j_up = ev.j(n + 1, r).real
+    j, jp, jpp = (v.real for v in evaluator.derivatives(n, r))
+    j_down = evaluator.j(n - 1, r).real
+    j_up = evaluator.j(n + 1, r).real
     if which == "ode_A6":
         return abs(jpp + jp / r + (1 - n * n / (r * r)) * j)
     if which == "recursion_A7":
@@ -344,9 +341,8 @@ def _genfunc_guards(r: float, t: complex, terms: int):
             f"truncation must keep at least {MIN_GENFUNC_TERMS} terms")
 
 
-def genfunc_a11_check(n: int, r: float, phi: float, t: complex,
-                      terms: int = 30,
-                      evaluator: BesselEval | None = None) -> float:
+def genfunc_a11_check(n: int, r: float, phi: float, t: complex, terms: int,
+                      evaluator: BesselEval) -> float:
     """Residual of the raising-exponential generating identity (catalog A.11).
 
     The right side expands exp(t * raising) across the discrete basis, in
@@ -367,28 +363,24 @@ def genfunc_a11_check(n: int, r: float, phi: float, t: complex,
     """
     t = complex(t)
     _genfunc_guards(r, t, terms)
-    ev = evaluator or BesselEval()
     radicand = r * r + 2 * t * r * cmath.exp(1j * phi)
     if radicand.real <= 0:
         raise BranchAmbiguityError(
             f"radicand {radicand} leaves the right half-plane")
     u = cmath.sqrt(radicand)
-    lhs = cmath.exp(1j * n * phi) * (r / u) ** n * ev.j(n, u)
-    rhs = _series_side(n, r, phi, t, terms, ev)
+    lhs = cmath.exp(1j * n * phi) * (r / u) ** n * evaluator.j(n, u)
+    rhs = _series_side(n, r, phi, t, terms, evaluator)
     return abs(lhs - rhs)
 
 
 def genfunc_a11_literal_diagnostic(n: int, r: float, phi: float, t: complex,
-                                   terms: int = 30,
-                                   evaluator: BesselEval | None = None) -> dict:
-    """Recorded-only residuals for the loose rendering of catalog entry A.11,
+                                   terms: int, evaluator: BesselEval) -> float:
+    """Recorded-only residual of the loose rendering of catalog entry A.11,
     e^{i n phi} J_n(sqrt(r^2 + 2t(ix - y))) with x = r cos phi,
-    y = r sin phi, against the same ladder expansion; the consistent form's
-    residual is reported next to it for contrast.  Never gated.
+    y = r sin phi, against the same ladder expansion.  Never gated.
     """
     t = complex(t)
     _genfunc_guards(r, t, terms)
-    ev = evaluator or BesselEval()
     x = r * math.cos(phi)
     y = r * math.sin(phi)
     radicand = r * r + 2 * t * (1j * x - y)
@@ -396,17 +388,12 @@ def genfunc_a11_literal_diagnostic(n: int, r: float, phi: float, t: complex,
         raise BranchAmbiguityError(
             f"radicand {radicand} leaves the right half-plane")
     u = cmath.sqrt(radicand)
-    lhs = cmath.exp(1j * n * phi) * ev.j(n, u)
-    rhs = _series_side(n, r, phi, t, terms, ev)
-    return {
-        "residual_literal_form": abs(lhs - rhs),
-        "residual_consistent_form": genfunc_a11_check(n, r, phi, t, terms, ev),
-    }
+    lhs = cmath.exp(1j * n * phi) * evaluator.j(n, u)
+    return abs(lhs - _series_side(n, r, phi, t, terms, evaluator))
 
 
 def genfunc_a12_diagnostic(n: int, r: float, phi: float, t: float,
-                           terms: int = 30,
-                           evaluator: BesselEval | None = None) -> dict:
+                           terms: int, evaluator: BesselEval) -> dict:
     """Diagnostic for the scaled-shift identity (catalog entry A.12), which
     is reported but never gated.
 
@@ -419,22 +406,17 @@ def genfunc_a12_diagnostic(n: int, r: float, phi: float, t: float,
     """
     t = float(t)
     _genfunc_guards(r, t, terms)
-    ev = evaluator or BesselEval()
     radicand = 2 * r * phi * t + r * r
     if radicand <= 0:
         raise BranchAmbiguityError(f"radicand {radicand} not positive")
     scaled_r = math.sqrt(radicand)
     scaled_phi = r * phi / scaled_r
-    rhs = _series_side(n, r, phi, t, terms, ev)
-    catalog = math.exp(scaled_phi) * ev.j(n, scaled_r)
-    substituted = cmath.exp(1j * n * scaled_phi) * ev.j(n, scaled_r)
-    res_catalog = abs(catalog - rhs)
-    res_substituted = abs(substituted - rhs)
+    rhs = _series_side(n, r, phi, t, terms, evaluator)
+    catalog = math.exp(scaled_phi) * evaluator.j(n, scaled_r)
+    substituted = cmath.exp(1j * n * scaled_phi) * evaluator.j(n, scaled_r)
     return {
-        "residual_catalog_form": res_catalog,
-        "residual_substituted_form": res_substituted,
-        "smaller_form": ("substituted" if res_substituted < res_catalog
-                         else "catalog"),
+        "residual_catalog_form": abs(catalog - rhs),
+        "residual_substituted_form": abs(substituted - rhs),
     }
 
 
@@ -443,18 +425,7 @@ def genfunc_a12_diagnostic(n: int, r: float, phi: float, t: float,
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class FlowState:
-    t: float
-    r: complex
-    phi: complex
-    q: complex
-
-
-@dataclass(frozen=True)
 class FlowResult:
-    endpoint: FlowState
-    closed_form_r: float
-    closed_form_phi: float
     r_discrepancy: float
     phi_discrepancy: float
     q_drift: float
@@ -512,11 +483,7 @@ def flow_solve(r0: float, phi0: float, t_end: float,
     cf_phi = r0 * phi0 / cf_r
     true_r = cmath.sqrt(r0 * r0 + 2 * t_end * r0 * cmath.exp(1j * phi0))
     true_phi = phi0 + 1j * cmath.log(true_r / r0)
-    endpoint = FlowState(t=t_end, r=r, phi=phi, q=q)
     return FlowResult(
-        endpoint=endpoint,
-        closed_form_r=cf_r,
-        closed_form_phi=cf_phi,
         r_discrepancy=abs(r - cf_r),
         phi_discrepancy=abs(phi - cf_phi),
         q_drift=abs(q - 1.0),

@@ -144,18 +144,6 @@ class H3Element:
                         [0, 1, self.x3],
                         [0, 0, 1]])
 
-    @classmethod
-    def from_matrix(cls, m: Matrix3) -> "H3Element":
-        expected = Matrix3([[1, m[0, 1], m[0, 2]],
-                            [0, 1, m[1, 2]],
-                            [0, 0, 1]])
-        if m != expected:
-            raise ValueError("matrix is not upper unitriangular")
-        return cls(m[0, 1], m[0, 2], m[1, 2])
-
-    def parameters(self) -> tuple:
-        return (self.x1, self.x2, self.x3)
-
 
 def h3_compose(g: H3Element, h: H3Element) -> H3Element:
     """Composition in parameters: (x1+y1, y2 + x1*y3 + x2, x3+y3)."""
@@ -312,10 +300,10 @@ EXACT_GENERATORS = {
 }
 
 
-def generators_at_identity(group: str, param_index: int,
-                           step: float = GENERATOR_FD_STEP) -> Matrix3:
-    """Central-difference derivative of the parametrized matrix at the
-    identity; agrees with the exact basis matrices to O(step^2)."""
+def generators_at_identity(group: str, param_index: int) -> Matrix3:
+    """Central-difference derivative, at step :data:`GENERATOR_FD_STEP`, of
+    the parametrized matrix at the identity; agrees with the exact basis
+    matrices to O(step^2)."""
     if group == "h3":
         param_to_matrix = _h3_matrix_float
     elif group == "e2":
@@ -325,11 +313,11 @@ def generators_at_identity(group: str, param_index: int,
     if param_index not in (1, 2, 3):
         raise ValueError("param_index must be 1, 2 or 3")
     params = [0.0, 0.0, 0.0]
-    params[param_index - 1] = step
+    params[param_index - 1] = GENERATOR_FD_STEP
     plus = param_to_matrix(*params)
-    params[param_index - 1] = -step
+    params[param_index - 1] = -GENERATOR_FD_STEP
     minus = param_to_matrix(*params)
-    return (plus - minus) * (1.0 / (2.0 * step))
+    return (plus - minus) * (1.0 / (2.0 * GENERATOR_FD_STEP))
 
 
 # ---------------------------------------------------------------------------
@@ -343,10 +331,6 @@ class AxiomReport:
     seed: int
     max_residuals: dict
     exact: bool
-
-    @property
-    def max_residual(self) -> float:
-        return max(self.max_residuals.values())
 
 
 def _random_h3(rng: random.Random) -> H3Element:

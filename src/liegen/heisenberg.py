@@ -10,7 +10,7 @@ which map the space to itself with *rational* coefficients; each equals
 sqrt(2) times the conventionally normalized lowering/raising operator, so a
 factor (1/sqrt(2)) per application is owed whenever results are compared to
 the normalized convention.  Those factors are reconciled exactly through
-:class:`NormFactor` squares and :data:`SQRT2`, never as floats.
+the squared normalizations 1/(n! 2^n), never as floats.
 
 sqrt(pi) is likewise held symbolic: Gaussian moments are rational numbers in
 units of sqrt(pi), and the basis normalization squares to a rational in the
@@ -33,9 +33,6 @@ from .numeric import (
     gaussian_moment,
     series_exp,
 )
-
-#: sqrt(2), the exact ratio between the scaled and normalized ladder operators
-SQRT2 = SqrtRational(1, 2)
 
 #: lowest Hermite index
 MIN_HERMITE_N = 0
@@ -102,8 +99,6 @@ def apply_ladder(kind: str, f: GaussianWeighted) -> GaussianWeighted:
         return GaussianWeighted(X * p)
     if kind == "derivative":
         return GaussianWeighted(p.differentiate("x") - X * p)
-    if kind == "identity":
-        return f
     raise ValueError(f"unknown ladder operator {kind!r}")
 
 
@@ -157,26 +152,13 @@ def hermite_recurrence(n: int) -> Polynomial:
 # normalized basis functions and overlaps
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class NormFactor:
-    """Normalization 1/sqrt(n! 2^n sqrt(pi)), stored through its exact square.
-
-    ``squared_value`` is norm^2 * sqrt(pi) = 1/(n! 2^n); the sqrt(pi) unit
-    cancels against the one carried by Gaussian moments.
-    """
-
-    squared_value: Fraction
-
-    def __post_init__(self):
-        if self.squared_value <= 0:
-            raise ValueError("norm square must be positive")
-
-
-def mixed_basis(n: int) -> tuple[GaussianWeighted, NormFactor]:
-    """The n-th basis function H_n(x) w and its normalization factor."""
-    h = hermite_rodrigues(n)
-    norm = NormFactor(Fraction(1, math.factorial(n) * 2 ** n))
-    return GaussianWeighted(h), norm
+def mixed_basis(n: int) -> tuple[GaussianWeighted, Fraction]:
+    """The n-th basis function H_n(x) w and the square of its normalization
+    1/sqrt(n! 2^n sqrt(pi)), in units of 1/sqrt(pi): the Fraction
+    1/(n! 2^n), whose sqrt(pi) unit cancels against the one carried by
+    Gaussian moments."""
+    return (GaussianWeighted(hermite_rodrigues(n)),
+            Fraction(1, math.factorial(n) * 2 ** n))
 
 
 def weighted_overlap(f: GaussianWeighted, g: GaussianWeighted) -> Fraction:
@@ -204,8 +186,7 @@ def inner_product(n: int, m: int) -> SqrtRational:
     fn, norm_n = mixed_basis(n)
     fm, norm_m = mixed_basis(m)
     moment_sum = weighted_overlap(fn, fm)
-    return SqrtRational(moment_sum) * SqrtRational(
-        1, norm_n.squared_value * norm_m.squared_value)
+    return SqrtRational(moment_sum) * SqrtRational(1, norm_n * norm_m)
 
 
 # ---------------------------------------------------------------------------
@@ -284,9 +265,6 @@ def discrete_matrix(op: str, dimension: int) -> DiscreteMatrix:
     elif op == "raise":
         for n in range(dimension - 1):
             rows[n + 1][n] = SqrtRational(1, n + 1)
-    elif op == "identity":
-        for n in range(dimension):
-            rows[n][n] = SqrtRational(1)
     else:
         raise ValueError(f"unknown discrete operator {op!r}")
     return DiscreteMatrix(rows)
@@ -343,12 +321,12 @@ def verify_hermite_identity(which: str, n: int):
                       if n else Polynomial.zero())
         return h.differentiate("x") - lower_term
     if which == "anticommutator":
-        # operator identity on monomial-weighted inputs first ...
-        for k in range(0, 7):
-            mono = GaussianWeighted(X ** k)
-            diff = _half_anticommutator(mono) - _position_squared_minus_d_squared(mono)
-            if not diff.is_zero:
-                return diff.poly
+        # the operator identity on x^n w first (over n <= N this covers every
+        # degree the eigenvalue relations below reach) ...
+        mono = GaussianWeighted(X ** n)
+        diff = _half_anticommutator(mono) - _position_squared_minus_d_squared(mono)
+        if not diff.is_zero:
+            return diff.poly
         # ... then the eigenvalue relation on the n-th basis function
         basis, _ = mixed_basis(n)
         residual = _half_anticommutator(basis) - (2 * n + 1) * basis
@@ -363,18 +341,6 @@ def verify_hermite_identity(which: str, n: int):
     raise ValueError(f"unknown identity {which!r}")
 
 
-def anticommutator_eigenvalue(n: int) -> Fraction:
-    """Eigenvalue of (1/2){lower, raise} on the n-th basis function (2n+1)."""
-    basis, _ = mixed_basis(n)
-    image = _half_anticommutator(basis)
-    lead = basis.poly.coefficient({"x": basis.poly.degree_in("x")})
-    image_lead = image.poly.coefficient({"x": basis.poly.degree_in("x")})
-    eig = image_lead / lead
-    if not (image - eig * basis).is_zero:
-        raise ArithmeticError(f"basis function {n} is not an eigenfunction")
-    return eig
-
-
 def raising_consistency_residual(n: int):
     """Check that raising the n-th basis function lands exactly on the
     (n+1)-st after renormalization.
@@ -387,8 +353,7 @@ def raising_consistency_residual(n: int):
     fn, norm_n = mixed_basis(n)
     fnext, norm_next = mixed_basis(n + 1)
     poly_residual = apply_ladder("raise", fn).poly - fnext.poly
-    norm_residual = (norm_n.squared_value / 2
-                     - (n + 1) * norm_next.squared_value)
+    norm_residual = norm_n / 2 - (n + 1) * norm_next
     return poly_residual, norm_residual
 
 
@@ -396,31 +361,20 @@ def raising_consistency_residual(n: int):
 # shift operator and generating-function checks (exact series)
 # ---------------------------------------------------------------------------
 
-def shift_series(f, order: int) -> PowerSeries:
-    """Series for exp(-t d/dx) f: term k is (-1)^k f^(k) / k!.
-
-    For a polynomial f of degree d and order >= d this is exactly the
-    expansion of f(x - t) in powers of t.  Gaussian-weighted functions
-    stay in their space because d/dx does.
-    """
-    if isinstance(f, Polynomial):
-        derivative = lambda g: g.differentiate("x")
-        zero = Polynomial.zero()
-    elif isinstance(f, GaussianWeighted):
-        derivative = lambda g: apply_ladder("derivative", g)
-        zero = GaussianWeighted(Polynomial.zero())
-    else:
-        raise TypeError("shift_series expects a Polynomial or GaussianWeighted")
+def shift_series(f: GaussianWeighted, order: int) -> PowerSeries:
+    """Series for exp(-t d/dx) f, the expansion of f(x - t) in powers of t:
+    term k is (-1)^k f^(k) / k!, which stays in the Gaussian-weighted space
+    because d/dx does."""
     coeffs = []
     current = f
     factorial = 1
     for k in range(order + 1):
         if k:
-            current = derivative(current)
+            current = apply_ladder("derivative", current)
             factorial *= k
         sign = Fraction((-1) ** k, factorial)
         coeffs.append(sign * current)
-    return PowerSeries(coeffs, order, zero)
+    return PowerSeries(coeffs, order, GaussianWeighted(Polynomial.zero()))
 
 
 def disentangle_check(order: int) -> PowerSeries:

@@ -22,7 +22,7 @@ from typing import Iterable, Mapping, Union
 Scalar = Union[int, Fraction]
 
 #: Variable names a Polynomial may use, in canonical display/storage order.
-CANONICAL_VARS = ("x", "y", "z", "r", "w")
+CANONICAL_VARS = ("x", "y", "z")
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -139,9 +139,6 @@ class Polynomial:
             if e and v not in self.variables:
                 return _ZERO
         return self.terms.get(key, _ZERO)
-
-    def constant_term(self) -> Fraction:
-        return self.terms.get((0,) * len(self.variables), _ZERO)
 
     def _embedded(self, variables: tuple) -> dict:
         """Re-key terms onto a larger variable tuple (a copy either way)."""
@@ -427,11 +424,6 @@ class SqrtRational:
         return f"{self.coeff}*sqrt({self.radicand})"
 
 
-def sqrt_of(value: Scalar) -> SqrtRational:
-    """Exact square root of a non-negative rational."""
-    return SqrtRational(1, value)
-
-
 # ---------------------------------------------------------------------------
 # truncated power series
 # ---------------------------------------------------------------------------
@@ -500,9 +492,6 @@ class PowerSeries:
     def __neg__(self) -> "PowerSeries":
         return PowerSeries([(-1) * c for c in self.coeffs], self.order, self.zero)
 
-    def scale(self, scalar) -> "PowerSeries":
-        return PowerSeries([scalar * c for c in self.coeffs], self.order, self.zero)
-
     def __mul__(self, other: "PowerSeries") -> "PowerSeries":
         k = self._common_order(other)
         zero = self.coeffs[0] * other.zero
@@ -535,7 +524,7 @@ class PowerSeries:
         return " + ".join(parts) if parts else "0"
 
 
-def series_exp(s: PowerSeries, order: int | None = None) -> PowerSeries:
+def series_exp(s: PowerSeries) -> PowerSeries:
     """``exp(s)`` as a truncated series; ``s`` must have zero constant term.
 
     a = exp(s) solves a' = s' a, which on coefficients is the recurrence
@@ -548,12 +537,11 @@ def series_exp(s: PowerSeries, order: int | None = None) -> PowerSeries:
     """
     if not _coeff_is_zero(s.coeffs[0]):
         raise ValueError("series_exp requires a zero constant term")
-    k = s.order if order is None else min(order, s.order)
     one = Polynomial.constant(1) if isinstance(s.zero, Polynomial) else _ONE
-    weighted = [(j, j * c) for j, c in enumerate(s.coeffs[:k + 1])
+    weighted = [(j, j * c) for j, c in enumerate(s.coeffs)
                 if j and not _coeff_is_zero(c)]
     a = [one]
-    for n in range(1, k + 1):
+    for n in range(1, s.order + 1):
         acc = None
         for j, js_j in weighted:
             if j > n:
@@ -561,23 +549,7 @@ def series_exp(s: PowerSeries, order: int | None = None) -> PowerSeries:
             term = js_j * a[n - j]
             acc = term if acc is None else acc + term
         a.append(s.zero if acc is None else Fraction(1, n) * acc)
-    return PowerSeries(a, k, s.zero)
-
-
-def polynomial_at_series(p: Polynomial, s: PowerSeries) -> PowerSeries:
-    """Compose a univariate polynomial with a power series (Horner)."""
-    if any(v != "x" for v in p.variables):
-        raise ValueError("polynomial must be univariate in x")
-    deg = p.degree_in("x")
-    out = PowerSeries.from_terms(
-        {0: Polynomial.constant(p.coefficient({"x": deg}))}, s.order,
-        Polynomial.zero())
-    for k in range(deg - 1, -1, -1):
-        const = PowerSeries.from_terms(
-            {0: Polynomial.constant(p.coefficient({"x": k}))}, s.order,
-            Polynomial.zero())
-        out = out * s + const
-    return out
+    return PowerSeries(a, s.order, s.zero)
 
 
 # ---------------------------------------------------------------------------

@@ -79,6 +79,8 @@ class SuiteConfig:
         # the rate gates compare consecutive entries
         if len(self.contraction_R) < 2 or len(self.legendre_l) < 2:
             raise ConfigError("contraction_R and legendre_l need two entries")
+        if any(not R > 0 for R in self.contraction_R):
+            raise ConfigError("contraction_R entries must be positive")
         if any(abs(n) > eu.IDENTITY_MAX_ORDER for n in self.bessel_orders):
             raise ConfigError(
                 f"bessel_orders outside |n| <= {eu.IDENTITY_MAX_ORDER}")
@@ -91,6 +93,8 @@ class SuiteConfig:
             raise ConfigError(f"legendre_l outside [{ct.MIN_LEGENDRE_ODE_DEGREE}, "
                               f"{ct.MAX_LEGENDRE_DEGREE}]")
         for key, value in self.tolerance_overrides.items():
+            if key not in DEFAULT_TOLERANCES:
+                raise ConfigError(f"unknown tolerance key {key!r}")
             if not value > 0:
                 raise ConfigError(f"tolerance for {key} must be positive")
         for name, low in _LOWER_BOUNDS.items():
@@ -454,9 +458,11 @@ def run_bessel(config: SuiteConfig) -> SuiteReport:
     for which in eu.BESSEL_IDENTITIES:
         rec.gated(which, identity_residuals(which, False), "bessel/identity",
                   params)
-    if any(r < 0.2 for r in config.bessel_r_grid):
+    small_r = [r for r in config.bessel_r_grid if r < 0.2]
+    if small_r:
         rec.gated("ode_A6_small_r", identity_residuals("ode_A6", True),
-                  "bessel/identity_ode_small_r", {"r": 0.1})
+                  "bessel/identity_ode_small_r",
+                  {"r": small_r[0] if len(small_r) == 1 else small_r})
 
     rec.gated("ladder_crosscheck_fd",
               (eu.polar_numeric_crosscheck(op, n, r, 0.4, ev)
@@ -611,9 +617,9 @@ def run_diagnostics(config: SuiteConfig) -> SuiteReport:
         rec.diagnostic(f"a12_substituted_form_n{n}",
                        report["residual_substituted_form"], params)
 
-    literal = eu.genfunc_a11_literal_diagnostic(0, 2.0, 0.7, 0.3,
-                                                config.genfunc_terms, ev)
-    rec.diagnostic("a11_literal_form", literal["residual_literal_form"],
+    rec.diagnostic("a11_literal_form",
+                   eu.genfunc_a11_literal_diagnostic(0, 2.0, 0.7, 0.3,
+                                                     config.genfunc_terms, ev),
                    {"n": 0, "r": 2.0, "phi": 0.7, "t": 0.3})
 
     flow = eu.flow_solve(2.0, 0.5, 0.3, config.flow_steps)

@@ -199,6 +199,19 @@ def test_series_bit_identical_to_fraction_sum_edges(n, z, ev):
     assert _bits(ev._series(n, z)) == _bits(_fraction_series(n, z))
 
 
+def test_derivatives_keep_the_series_signed_zeros():
+    # derivatives() returns the series values unchanged, negated only for
+    # odd negative n, so an imaginary -0.0 stays -0.0
+    ev = BesselEval()
+    points = [(20, 1e-20j), (21, 1e-20j)] + _seeded_points()
+    for n, z in points:
+        z = complex(z)
+        series = ev._series(n, z)
+        assert _bits(ev.derivatives(n, z)) == _bits(series), (n, z)
+        reflected = tuple(-v for v in series) if n % 2 else series
+        assert _bits(ev.derivatives(-n, z)) == _bits(reflected), (-n, z)
+
+
 def test_square_underflow_points_are_nonzero(ev):
     for n, z in SQUARE_UNDERFLOW_POINTS:
         for value in ev.derivatives(n, z):
@@ -435,20 +448,18 @@ def test_a11_envelope(ev):
 
 
 def test_a11_literal_form_recorded_not_small(ev):
-    report = genfunc_a11_literal_diagnostic(0, 2.0, 0.7, 0.3, 30, ev)
     # the loose rendering really is not an identity ...
-    assert report["residual_literal_form"] > 1e-3
+    assert genfunc_a11_literal_diagnostic(0, 2.0, 0.7, 0.3, 30, ev) > 1e-3
     # ... while the consistent one is
-    assert report["residual_consistent_form"] < 1e-10
+    assert genfunc_a11_check(0, 2.0, 0.7, 0.3, 30, ev) < 1e-10
 
 
 def test_a12_diagnostic_reports_both_forms(ev):
     report = genfunc_a12_diagnostic(0, 2.0, 0.5, 0.2, 30, ev)
     assert set(report) == {"residual_catalog_form",
-                           "residual_substituted_form", "smaller_form"}
+                           "residual_substituted_form"}
     assert report["residual_catalog_form"] >= 0
     assert report["residual_substituted_form"] >= 0
-    assert report["smaller_form"] in ("catalog", "substituted")
 
 
 def test_a12_substituted_form_reduces_at_t_zero(ev):
@@ -459,10 +470,10 @@ def test_a12_substituted_form_reduces_at_t_zero(ev):
 # -- flow -------------------------------------------------------------------------
 
 def test_flow_zero_time():
+    # at t = 0 the endpoint is the start, where every form agrees
     result = flow_solve(2.0, 0.5, 0.0, steps=1)
-    assert result.endpoint.r == 2.0
-    assert result.endpoint.phi == 0.5
-    assert result.endpoint.q == 1.0
+    assert result.r_discrepancy == result.phi_discrepancy == 0.0
+    assert result.q_drift == result.integrator_error == 0.0
 
 
 def test_flow_q_constant_exactly():
@@ -480,7 +491,6 @@ def test_flow_discrepancy_recorded_without_gate():
     # the recorded comparison values exist and are finite; no assertion on size
     assert math.isfinite(result.r_discrepancy)
     assert math.isfinite(result.phi_discrepancy)
-    assert result.closed_form_r == math.sqrt(2 * 2.0 * 0.5 * 0.3 + 4.0)
 
 
 def test_flow_rejects_bad_inputs():

@@ -37,9 +37,8 @@ F = Fraction
 def test_h3_compose_matches_matrix_product_oracle():
     g, h = H3Element(1, 2, 3), H3Element(4, 5, 6)
     composed = h3_compose(g, h)
-    # independent oracle: multiply the 3x3 matrices and read parameters back
-    product = g.to_matrix() * h.to_matrix()
-    assert composed == H3Element.from_matrix(product)
+    # independent oracle: multiply the 3x3 matrices
+    assert composed.to_matrix() == g.to_matrix() * h.to_matrix()
     assert composed == H3Element(5, 13, 9)
 
 
@@ -186,13 +185,13 @@ def test_e2_rotation_generator_entries():
 def test_h3_axioms_exact():
     report = axiom_suite("h3", samples=100, seed=20260809)
     assert report.exact
-    assert report.max_residual == 0.0
+    assert max(report.max_residuals.values()) == 0.0
 
 
 def test_e2_axioms_within_tolerance():
     report = axiom_suite("e2", samples=100, seed=20260809)
     assert not report.exact
-    assert report.max_residual < 1e-12
+    assert max(report.max_residuals.values()) < 1e-12
     for axiom in ("closure", "associativity", "identity", "inverse"):
         assert report.max_residuals[axiom] < 1e-12
 

@@ -142,6 +142,9 @@ def test_vanishing_sequence_fails_rate_gates(monkeypatch, target, checks):
     dict(bessel_r_grid=(0.05, 1.0)),
     dict(bessel_r_grid=(1.0, 25.0)),
     dict(tolerance_overrides={"bessel/identity": math.nan}),
+    dict(contraction_R=(0, 8)),
+    dict(contraction_R=(-8, 16)),
+    dict(tolerance_overrides={"bessel/identiy": 1e-3}),
 ])
 def test_bad_config_raises_at_construction(bad):
     with pytest.raises(ConfigError):
@@ -185,6 +188,19 @@ def test_ode_small_r_recorded_when_residual_is_zero(monkeypatch):
     assert record.status == "pass" and record.residual == 0.0
 
 
+@pytest.mark.parametrize("grid, small_r", [
+    ((0.1, 1.0), 0.1),
+    ((0.15, 1.0), 0.15),
+    ((0.1, 0.15, 1.0), [0.1, 0.15]),
+])
+def test_ode_small_r_params_name_the_grid_radii(monkeypatch, grid, small_r):
+    monkeypatch.setattr(eu, "verify_bessel_identity",
+                        lambda which, n, r, ev: 0.0)
+    config = SuiteConfig(bessel_orders=(0,), bessel_r_grid=grid)
+    record = records_by_id(run_bessel(config))["ode_A6_small_r"]
+    assert record.params == {"r": small_r}
+
+
 def write_ini(tmp_path, text):
     path = tmp_path / "liegen.ini"
     path.write_text(text)
@@ -218,6 +234,7 @@ def test_load_config_tolerance_keys(tmp_path):
     "[hermite]\nhermite_max_n = ten\n",
     "[bessel]\nbessel_orders = 0, one\n",
     "[bessel]\ntolerance.bessel/identity = -1e-9\n",
+    "[bessel]\ntolerance.bessel/identiy = 1e-3\n",
 ])
 def test_load_config_rejects_bad_entries(tmp_path, text):
     with pytest.raises(ConfigError):
