@@ -12,6 +12,16 @@ factor (1/sqrt(2)) per application is owed whenever results are compared to
 the normalized convention.  Those factors are reconciled exactly through
 the squared normalizations 1/(n! 2^n), never as floats.
 
+Every check stays in the basis psi_n = H_n w on which the scaled operators
+act with integer coefficients,
+
+    raise psi_n = psi_{n+1}        lower psi_n = 2n psi_{n-1},
+
+so the number-basis matrices are integer matrices.  With
+S = diag(sqrt(n! 2^n)), S M S^-1 is sqrt(2) times the usual matrix with
+sqrt(n) entries, so [lower, raise] = 2 and {lower, raise} = 2(2n+1) here say
+exactly [a, a+] = 1 and {a, a+} = 2n+1 in the normalized basis.
+
 sqrt(pi) is likewise held symbolic: Gaussian moments are rational numbers in
 units of sqrt(pi), and the basis normalization squares to a rational in the
 same units, so every orthonormality statement reduces to exact rational
@@ -28,7 +38,6 @@ from typing import Iterator
 from .numeric import (
     Polynomial,
     PowerSeries,
-    SqrtRational,
     X,
     gaussian_moment,
     series_exp,
@@ -175,26 +184,13 @@ def weighted_overlap(f: GaussianWeighted, g: GaussianWeighted) -> Fraction:
     return total
 
 
-def inner_product(n: int, m: int) -> SqrtRational:
-    """Exact overlap of normalized basis functions n and m.
-
-    The sqrt(pi) carried by the moment integral cancels against the two
-    quarter powers in the normalizations, leaving the rational moment sum
-    divided by sqrt(n! m! 2^(n+m)); orthogonality makes that sum vanish for
-    n != m, so the result is exactly delta_{nm}.
-    """
-    fn, norm_n = mixed_basis(n)
-    fm, norm_m = mixed_basis(m)
-    moment_sum = weighted_overlap(fn, fm)
-    return SqrtRational(moment_sum) * SqrtRational(1, norm_n * norm_m)
-
-
 # ---------------------------------------------------------------------------
 # discrete (number-basis) matrices
 # ---------------------------------------------------------------------------
 
 class DiscreteMatrix:
-    """N x N truncation of a number-basis operator, entries exact SqrtRational."""
+    """N x N truncation of a number-basis operator in the psi_n basis, with
+    integer entries."""
 
     __slots__ = ("dimension", "entries")
 
@@ -216,14 +212,13 @@ class DiscreteMatrix:
     def __mul__(self, other: "DiscreteMatrix") -> "DiscreteMatrix":
         # visit only products of two nonzero entries, k ascending per (i, j)
         n = self.dimension
-        zero = SqrtRational(0)
-        other_rows = [[(j, b) for j, b in enumerate(row) if not b.is_zero]
+        other_rows = [[(j, b) for j, b in enumerate(row) if b]
                       for row in other.entries]
         rows = []
         for row in self.entries:
-            out = [zero] * n
+            out = [0] * n
             for k, a in enumerate(row):
-                if a.is_zero:
+                if not a:
                     continue
                 for j, b in other_rows[k]:
                     out[j] = out[j] + a * b
@@ -237,7 +232,7 @@ class DiscreteMatrix:
 
     def __sub__(self, other: "DiscreteMatrix") -> "DiscreteMatrix":
         return DiscreteMatrix(
-            [[a + (-1) * b for a, b in zip(ra, rb)]
+            [[a - b for a, b in zip(ra, rb)]
              for ra, rb in zip(self.entries, other.entries)])
 
     def __eq__(self, other) -> bool:
@@ -253,18 +248,21 @@ class DiscreteMatrix:
 
 
 def discrete_matrix(op: str, dimension: int) -> DiscreteMatrix:
-    """Number-basis matrices: lowering has sqrt(n) on the superdiagonal
-    (row n-1, column n), raising has sqrt(n+1) on the subdiagonal."""
+    """Number-basis matrices of the scaled operators on psi_0 .. psi_{N-1}:
+    lowering has 2n on the superdiagonal (row n-1, column n), raising has 1
+    on the subdiagonal (row n+1, column n).  Conjugated by
+    S = diag(sqrt(n! 2^n)) they are sqrt(2) times the normalized matrices,
+    sqrt(n) at (n-1, n) and sqrt(n+1) at (n+1, n) (see the module docstring).
+    """
     if dimension < MIN_DISCRETE_DIM:
         raise ValueError(f"dimension must be at least {MIN_DISCRETE_DIM}")
-    zero = SqrtRational(0)
-    rows = [[zero] * dimension for _ in range(dimension)]
+    rows = [[0] * dimension for _ in range(dimension)]
     if op == "lower":
         for n in range(1, dimension):
-            rows[n - 1][n] = SqrtRational(1, n)
+            rows[n - 1][n] = 2 * n
     elif op == "raise":
         for n in range(dimension - 1):
-            rows[n + 1][n] = SqrtRational(1, n + 1)
+            rows[n + 1][n] = 1
     else:
         raise ValueError(f"unknown discrete operator {op!r}")
     return DiscreteMatrix(rows)
@@ -303,7 +301,11 @@ def _position_squared_minus_d_squared(f: GaussianWeighted) -> GaussianWeighted:
 def verify_hermite_identity(which: str, n: int):
     """Exact residual of one cataloged Hermite identity; identically zero on
     pass.  Residuals are polynomials except for ``orthonormality``, which
-    returns an exact scalar.
+    returns a Fraction: the first nonzero norm_n * overlap(psi_n, psi_m)
+    - delta_nm over m <= n, with ``psi_n, norm_n = mixed_basis(n)``.
+    Because norm_n > 0, that vanishes exactly when the normalized overlap
+    overlap(psi_n, psi_m) * sqrt(norm_n * norm_m) equals delta_nm (for m != n
+    both say the overlap is 0, for m == n both say it is 1 / norm_n).
     """
     if which == "ode_A2":
         h = hermite_rodrigues(n)
@@ -332,12 +334,14 @@ def verify_hermite_identity(which: str, n: int):
         residual = _half_anticommutator(basis) - (2 * n + 1) * basis
         return residual.poly
     if which == "orthonormality":
+        fn, norm_n = mixed_basis(n)
         for m in range(n + 1):
+            fm, _ = mixed_basis(m)
             expected = 1 if m == n else 0
-            residual = inner_product(n, m) - expected
-            if not residual.is_zero:
+            residual = norm_n * weighted_overlap(fn, fm) - expected
+            if residual:
                 return residual
-        return SqrtRational(0)
+        return Fraction(0)
     raise ValueError(f"unknown identity {which!r}")
 
 

@@ -1,5 +1,5 @@
-"""Exact-arithmetic core: multivariate rational polynomials, square-root
-scalars, truncated formal power series, and Gaussian moments.
+"""Exact-arithmetic core: multivariate rational polynomials, truncated
+formal power series, and Gaussian moments.
 
 All values in this module are immutable after construction.  Rational
 coefficients are plain ``fractions.Fraction`` throughout, so every operation
@@ -294,134 +294,6 @@ class Polynomial:
 X = Polynomial.variable("x")
 Y = Polynomial.variable("y")
 Z = Polynomial.variable("z")
-
-
-# ---------------------------------------------------------------------------
-# square-root scalars
-# ---------------------------------------------------------------------------
-
-def square_free_split(n: int) -> tuple[int, int]:
-    """Write ``n = s**2 * f`` with f square-free; returns ``(s, f)``."""
-    if n < 0:
-        raise ValueError("negative radicand")
-    if n in (0, 1):
-        return 1, n
-    s, f, m = 1, 1, n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            s *= p ** (e // 2)
-            if e % 2:
-                f *= p
-        p += 1 if p == 2 else 2
-    # remainder is 1, a prime, or a product of two large primes; a perfect
-    # square remainder can only be the square of a single large prime
-    root = math.isqrt(m)
-    if root * root == m:
-        s *= root
-    else:
-        f *= m
-    return s, f
-
-
-class SqrtRational:
-    """Exact scalar of the form ``coeff * sqrt(radicand)``.
-
-    The radicand is normalized to a square-free non-negative integer, so
-    two values with equal radicands multiply back into the rationals and
-    may be added coefficient-wise.  Mixed-radicand sums are rejected rather
-    than approximated.
-    """
-
-    __slots__ = ("coeff", "radicand")
-
-    def __init__(self, coeff: Scalar, radicand: Scalar = 1):
-        coeff = _as_fraction(coeff)
-        radicand = _as_fraction(radicand)
-        if radicand < 0:
-            raise ValueError("negative radicand")
-        # sqrt(p/q) = sqrt(p*q)/q
-        if radicand.denominator != 1:
-            coeff /= radicand.denominator
-            radicand = Fraction(radicand.numerator * radicand.denominator)
-        s, f = square_free_split(radicand.numerator)
-        coeff *= s
-        radicand = Fraction(f)
-        if coeff == 0 or radicand == 0:
-            coeff, radicand = _ZERO, _ONE
-        object.__setattr__(self, "coeff", coeff)
-        object.__setattr__(self, "radicand", radicand)
-
-    def __setattr__(self, *a):  # pragma: no cover - immutability guard
-        raise AttributeError("SqrtRational is immutable")
-
-    @property
-    def is_zero(self) -> bool:
-        return self.coeff == 0
-
-    @property
-    def is_rational(self) -> bool:
-        return self.radicand == 1 or self.coeff == 0
-
-    def as_fraction(self) -> Fraction:
-        if not self.is_rational:
-            raise ValueError(f"{self!r} is irrational")
-        return self.coeff
-
-    def __mul__(self, other) -> "SqrtRational":
-        if isinstance(other, SqrtRational):
-            return SqrtRational(self.coeff * other.coeff,
-                                self.radicand * other.radicand)
-        return SqrtRational(self.coeff * _as_fraction(other), self.radicand)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "SqrtRational":
-        return SqrtRational(-self.coeff, self.radicand)
-
-    def __add__(self, other) -> "SqrtRational":
-        if not isinstance(other, SqrtRational):
-            other = SqrtRational(_as_fraction(other))
-        if self.is_zero:
-            return other
-        if other.is_zero:
-            return self
-        if self.radicand != other.radicand:
-            raise ValueError(
-                f"cannot add sqrt({self.radicand}) and sqrt({other.radicand}) terms exactly")
-        return SqrtRational(self.coeff + other.coeff, self.radicand)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if not isinstance(other, SqrtRational):
-            other = SqrtRational(_as_fraction(other))
-        return self + (-other)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = SqrtRational(other)
-        if not isinstance(other, SqrtRational):
-            return NotImplemented
-        return self.coeff == other.coeff and (
-            self.is_zero or self.radicand == other.radicand)
-
-    def __hash__(self):
-        return hash((self.coeff, self.radicand if self.coeff else _ONE))
-
-    def __float__(self) -> float:
-        return float(self.coeff) * math.sqrt(float(self.radicand))
-
-    def __repr__(self):
-        if self.is_rational:
-            return f"{self.coeff}"
-        if self.coeff == 1:
-            return f"sqrt({self.radicand})"
-        return f"{self.coeff}*sqrt({self.radicand})"
 
 
 # ---------------------------------------------------------------------------

@@ -25,8 +25,6 @@ from . import heisenberg as hb
 from .errors import ConfigError
 from .numeric import Polynomial, X, Y, Z, _coeff_is_zero
 
-SUITE_NAMES = ("groups", "hermite", "bessel", "contraction")
-
 #: tolerances pinned by the acceptance gates; per-check overrides go through
 #: SuiteConfig.tolerance_overrides
 DEFAULT_TOLERANCES = {
@@ -433,9 +431,9 @@ def run_hermite(config: SuiteConfig) -> SuiteReport:
                     yield entry - diagonal(i)
     rec.exact("discrete_anticommutator_diagonal",
               discrete_residuals(hb.discrete_anticommutator(dim),
-                                 lambda i: 2 * i + 1), {"dimension": dim})
+                                 lambda i: 2 * (2 * i + 1)), {"dimension": dim})
     rec.exact("discrete_commutator_identity",
-              discrete_residuals(hb.discrete_commutator(dim), lambda i: 1),
+              discrete_residuals(hb.discrete_commutator(dim), lambda i: 2),
               {"dimension": dim})
 
     return SuiteReport("hermite", rec.records, config.echo(),

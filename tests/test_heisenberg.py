@@ -20,14 +20,13 @@ from liegen.heisenberg import (
     hermite_recurrence,
     hermite_recurrence_sequence,
     hermite_rodrigues,
-    inner_product,
     mixed_basis,
     raising_consistency_residual,
     shift_series,
     verify_hermite_identity,
     weighted_overlap,
 )
-from liegen.numeric import Polynomial, SqrtRational, X
+from liegen.numeric import Polynomial, X
 
 
 # -- ladder action -------------------------------------------------------------
@@ -132,10 +131,15 @@ def test_anticommutator_eigenvalue_examples():
 
 
 def test_orthonormality_exact():
-    assert verify_hermite_identity("orthonormality", 5).is_zero
-    assert inner_product(5, 5).as_fraction() == 1
-    assert inner_product(1, 0).is_zero  # odd integrand
-    assert inner_product(4, 2).is_zero
+    assert verify_hermite_identity("orthonormality", 5) == 0
+    psi5, norm5 = mixed_basis(5)
+    assert weighted_overlap(psi5, psi5) == math.factorial(5) * 2 ** 5
+    assert norm5 * weighted_overlap(psi5, psi5) == 1
+    psi1, _ = mixed_basis(1)
+    assert weighted_overlap(psi1, GROUND_STATE) == 0  # odd integrand
+    psi4, _ = mixed_basis(4)
+    psi2, _ = mixed_basis(2)
+    assert weighted_overlap(psi4, psi2) == 0
 
 
 def test_ground_state_normalization():
@@ -162,45 +166,56 @@ def test_raising_consistency():
 
 def test_discrete_entries():
     lower = discrete_matrix("lower", 3)
-    assert lower[0, 1] == SqrtRational(1)      # sqrt(1)
-    assert lower[1, 2] == SqrtRational(1, 2)   # sqrt(2)
-    assert lower[0, 0].is_zero
+    assert lower[0, 1] == 2      # lower psi_1 = 2 psi_0
+    assert lower[1, 2] == 4      # lower psi_2 = 4 psi_1
+    assert lower[0, 0] == 0
+
+
+@pytest.mark.parametrize("op", ["lower", "raise"])
+def test_discrete_matrix_matches_the_differential_operators(op):
+    # entry (i, j) is the psi_i component of op(psi_j): its overlap with
+    # psi_i divided by overlap(psi_i, psi_i) = 1/norm_i
+    dim = 12
+    matrix = discrete_matrix(op, dim)
+    basis = [mixed_basis(n) for n in range(dim)]
+    for j, (psi_j, _) in enumerate(basis):
+        image = apply_ladder(op, psi_j)
+        for i, (psi_i, norm_i) in enumerate(basis):
+            assert matrix[i, j] == norm_i * weighted_overlap(psi_i, image)
 
 
 def test_discrete_commutator_truncation_edge():
     comm = discrete_commutator(8)
     for n in range(7):
-        assert comm[n, n].as_fraction() == 1
-    assert comm[7, 7].as_fraction() == -7
+        assert comm[n, n] == 2
+    assert comm[7, 7] == -14
     for i in range(8):
         for j in range(8):
             if i != j:
-                assert comm[i, j].is_zero
+                assert comm[i, j] == 0
 
 
 def test_discrete_anticommutator_diagonal():
     anti = discrete_anticommutator(40)
     for n in range(39):
-        assert anti[n, n].as_fraction() == 2 * n + 1
+        assert anti[n, n] == 2 * (2 * n + 1)
     for i in range(40):
         for j in range(40):
             if i != j:
-                assert anti[i, j].is_zero
+                assert anti[i, j] == 0
 
 
-sqrt_entries = st.one_of(
-    st.just(SqrtRational(0)), st.just(SqrtRational(0)),
-    st.builds(SqrtRational, st.integers(min_value=-5, max_value=5),
-              st.sampled_from([1, 4, 9])))
+int_entries = st.one_of(st.just(0), st.just(0),
+                        st.integers(min_value=-5, max_value=5))
 
 
 @given(data=st.data(), dim=st.integers(min_value=1, max_value=6))
 @settings(max_examples=40)
 def test_discrete_product_matches_dense_product(data, dim):
-    square = st.lists(st.lists(sqrt_entries, min_size=dim, max_size=dim),
+    square = st.lists(st.lists(int_entries, min_size=dim, max_size=dim),
                       min_size=dim, max_size=dim)
     a, b = DiscreteMatrix(data.draw(square)), DiscreteMatrix(data.draw(square))
-    dense = [[sum((a[i, k] * b[k, j] for k in range(dim)), SqrtRational(0))
+    dense = [[sum(a[i, k] * b[k, j] for k in range(dim))
               for j in range(dim)] for i in range(dim)]
     assert a * b == DiscreteMatrix(dense)
 

@@ -1,8 +1,9 @@
-"""Every import in a liegen module is used by that module.
+"""Every import in a liegen module is used by that module, and every public
+top-level name is read somewhere in the package or the benchmark.
 
 No linter ships with the project, and a deleted function can leave its
-imports behind; this reads each module's syntax tree with the standard
-``ast`` module instead.
+imports behind, or a deleted caller its callee; this reads each module's
+syntax tree with the standard ``ast`` module instead.
 """
 
 import ast
@@ -10,7 +11,13 @@ import pathlib
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "liegen"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "liegen"
+PERFBENCH = ROOT / "perfbench"
+
+#: public names kept for the planned ``liegen run`` command line (ROADMAP,
+#: open item 1), which is to be their first caller
+ORPHAN_ALLOWLIST = {"load_config", "EMITTERS"}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -39,3 +46,73 @@ def test_guard_finds_an_unused_import():
                          ids=lambda path: path.name)
 def test_module_reads_every_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+def _definitions(tree: ast.Module):
+    """(name, node) for each public name a module binds at top level."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target,
+                                                            ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        for name in names:
+            if not name.startswith("_"):
+                yield name, node
+
+
+def _reads(node: ast.AST) -> set[str]:
+    """Every name read as an identifier, an attribute or a string constant
+    (``perfbench/tracing.py`` names its patch targets as strings)."""
+    found = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            found.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            found.add(sub.attr)
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            found.add(sub.value)
+    return found
+
+
+def orphan_names(modules: dict[str, str], readers: dict[str, str]) -> list[str]:
+    """Public top-level names of ``modules`` that no code in ``modules`` or
+    ``readers`` references outside the name's own definition."""
+    trees = {path: ast.parse(source)
+             for path, source in {**modules, **readers}.items()}
+    reads = [(stmt, _reads(stmt)) for tree in trees.values()
+             for stmt in tree.body]
+    return sorted(
+        f"{name} ({path})" for path in modules
+        for name, node in _definitions(trees[path])
+        if not any(name in names for stmt, names in reads if stmt is not node))
+
+
+def test_guard_finds_an_orphan_name():
+    modules = {
+        "a.py": ("def used():\n    return helper()\n"
+                 "def helper():\n    return 1\n"
+                 "def recursive():\n    return recursive()\n"
+                 "class Named:\n    def m(self) -> 'Named':\n"
+                 "        return self\n"
+                 "CONST = 1\n_PRIVATE = 2\n"),
+    }
+    readers = {"b.py": "import a\na.used()\nspans = ('Named',)\n"}
+    assert orphan_names(modules, readers) == ["CONST (a.py)",
+                                              "recursive (a.py)"]
+    assert orphan_names(modules, {}) == ["CONST (a.py)", "Named (a.py)",
+                                         "recursive (a.py)", "used (a.py)"]
+
+
+def test_every_public_name_has_a_reader():
+    modules = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    readers = {f"perfbench/{path.name}": path.read_text()
+               for path in sorted(PERFBENCH.glob("*.py"))}
+    orphans = [o for o in orphan_names(modules, readers)
+               if o.split(" ")[0] not in ORPHAN_ALLOWLIST]
+    assert orphans == []

@@ -1,4 +1,4 @@
-"""Exact-arithmetic core: polynomials, sqrt scalars, series, moments."""
+"""Exact-arithmetic core: polynomials, series, moments."""
 
 import math
 from fractions import Fraction
@@ -10,11 +10,9 @@ from hypothesis import strategies as st
 from liegen.numeric import (
     Polynomial,
     PowerSeries,
-    SqrtRational,
     X,
     gaussian_moment,
     series_exp,
-    square_free_split,
 )
 
 F = Fraction
@@ -226,38 +224,6 @@ def test_series_operations_keep_smaller_order():
     b = PowerSeries.from_terms({1: F(1)}, 4)
     assert (a * b).order == 4
     assert (a + b).order == 4
-
-
-# -- sqrt scalars ------------------------------------------------------------
-
-def test_square_free_split_examples():
-    assert square_free_split(1) == (1, 1)
-    assert square_free_split(12) == (2, 3)
-    assert square_free_split(999983 ** 2) == (999983, 1)
-
-
-def test_sqrt_closure_equal_radicands():
-    a = SqrtRational(1, 18)          # 3 sqrt(2)
-    b = SqrtRational(1, F(1, 2))     # sqrt(2)/2
-    prod = a * b
-    assert prod.is_rational
-    assert prod.as_fraction() == 3
-
-
-@given(n=st.integers(min_value=1, max_value=10 ** 6))
-@settings(max_examples=50)
-def test_sqrt_square_recovers_integer(n):
-    sq = SqrtRational(1, n) * SqrtRational(1, n)
-    assert sq.as_fraction() == n
-
-
-def test_sqrt_addition_same_radicand():
-    assert SqrtRational(1, 2) + SqrtRational(1, 8) == SqrtRational(3, 2)
-
-
-def test_sqrt_addition_mixed_radicand_rejected():
-    with pytest.raises(ValueError, match="cannot add"):
-        SqrtRational(1, 2) + SqrtRational(1, 3)
 
 
 # -- Gaussian moments ---------------------------------------------------------

@@ -93,6 +93,46 @@ def test_wrong_parity_term_fails_parity_and_recurrence(monkeypatch):
     assert records["rodrigues_vs_recurrence"].status == "fail"
 
 
+def failed_ids(report):
+    return {r.check_id for r in report.records if r.status != "pass"}
+
+
+@pytest.mark.parametrize("entry, failing", [
+    # an offset in lower cancels from [lower, raise] on every row but the
+    # first, so the anticommutator is the record that must see it
+    (lambda n: 2 * n + 1, {"discrete_anticommutator_diagonal"}),
+    (lambda n: 4 * n, {"discrete_anticommutator_diagonal",
+                       "discrete_commutator_identity"}),
+])
+def test_wrong_lower_entry_fails_discrete_records(monkeypatch, entry, failing):
+    real = hb.discrete_matrix
+
+    def mutated(op, dimension):
+        matrix = real(op, dimension)
+        if op != "lower":
+            return matrix
+        return hb.DiscreteMatrix([[entry(j) if a else 0
+                                   for j, a in enumerate(row)]
+                                  for row in matrix.entries])
+
+    monkeypatch.setattr(hb, "discrete_matrix", mutated)
+    failed = failed_ids(run_hermite(SuiteConfig(**SMALL_HERMITE)))
+    assert failing <= failed <= {"discrete_anticommutator_diagonal",
+                                 "discrete_commutator_identity"}
+
+
+def test_wrong_norm_fails_orthonormality_and_raising(monkeypatch):
+    real = hb.mixed_basis
+
+    def mutated(n):
+        basis, norm = real(n)
+        return basis, Fraction(1, 1 / norm + 1)
+
+    monkeypatch.setattr(hb, "mixed_basis", mutated)
+    assert failed_ids(run_hermite(SuiteConfig(**SMALL_HERMITE))) == {
+        "orthonormality", "raising_consistency"}
+
+
 def test_small_hermite_config_passes():
     report = run_hermite(SuiteConfig(**SMALL_HERMITE))
     assert all(r.status == "pass" for r in report.records)
