@@ -412,8 +412,9 @@ def genfunc_a12_diagnostic(n: int, r: float, phi: float, t: float,
     scaled_r = math.sqrt(radicand)
     scaled_phi = r * phi / scaled_r
     rhs = _series_side(n, r, phi, t, terms, evaluator)
-    catalog = math.exp(scaled_phi) * evaluator.j(n, scaled_r)
-    substituted = cmath.exp(1j * n * scaled_phi) * evaluator.j(n, scaled_r)
+    j_n = evaluator.j(n, scaled_r)
+    catalog = math.exp(scaled_phi) * j_n
+    substituted = cmath.exp(1j * n * scaled_phi) * j_n
     return {
         "residual_catalog_form": abs(catalog - rhs),
         "residual_substituted_form": abs(substituted - rhs),

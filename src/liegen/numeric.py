@@ -1,10 +1,16 @@
 """Exact-arithmetic core: multivariate rational polynomials, truncated
 formal power series, and Gaussian moments.
 
-All values in this module are immutable after construction.  Rational
-coefficients are plain ``fractions.Fraction`` throughout, so every operation
-here is exact; the only floating point in the package lives in the numeric
-evaluators built on top.
+All values in this module are immutable after construction, and every
+operation here is exact; the only floating point in the package lives in the
+numeric evaluators built on top.
+
+A ``Polynomial`` stores integer numerators over one shared positive
+denominator that has no factor common to all of them, so its arithmetic runs
+on plain ints with one gcd per result instead of one per coefficient
+operation (Knuth, TAOCP vol. 2, 4.5.1 and 4.6.4).  Rational values leave the
+module as ``fractions.Fraction``: ``Polynomial.terms`` and
+``Polynomial.eval``, series coefficients and Gaussian moments.
 
 The public ``Polynomial`` constructor validates its input; arithmetic on
 polynomials, whose operands are already valid, builds its results through a
@@ -17,6 +23,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import add, getitem
+from types import MappingProxyType
 from typing import Iterable, Mapping, Union
 
 Scalar = Union[int, Fraction]
@@ -50,12 +58,22 @@ def ensure_finite(z: complex) -> complex:
 class Polynomial:
     """Multivariate polynomial with exact rational coefficients.
 
-    ``variables`` is an ordered subset of :data:`CANONICAL_VARS`; ``terms``
-    maps exponent tuples (aligned with ``variables``) to nonzero Fractions.
-    Instances are immutable; every operation returns a new polynomial.
+    ``variables`` is an ordered subset of :data:`CANONICAL_VARS`.  The
+    coefficients are stored as integer numerators over one shared
+    denominator: the monomial with exponent tuple ``e`` (aligned with
+    ``variables``) has the coefficient ``_nums[e] / _den``.  Every instance
+    is in one canonical form, so equal polynomials have equal storage:
+
+    * ``_den > 0`` and ``gcd(_den, *_nums.values()) == 1``;
+    * no numerator is zero (so the zero polynomial is ``{}`` over 1);
+    * every variable has a positive exponent in some term.
+
+    :attr:`terms` gives the coefficients as a read-only mapping from
+    exponent tuples to nonzero Fractions.  Instances are immutable; every
+    operation returns a new polynomial.
     """
 
-    __slots__ = ("variables", "terms")
+    __slots__ = ("variables", "_nums", "_den")
 
     def __init__(self, variables: Iterable[str], terms: Mapping[tuple, Scalar]):
         variables = tuple(variables)
@@ -74,26 +92,37 @@ class Polynomial:
             coeff = _as_fraction(coeff)
             if coeff != 0:
                 cleaned[exps] = cleaned.get(exps, _ZERO) + coeff
-        self._settle(variables, cleaned)
+        den = math.lcm(*(c.denominator for c in cleaned.values()))
+        self._settle(variables, {e: c.numerator * (den // c.denominator)
+                                 for e, c in cleaned.items()}, den)
 
-    def _settle(self, variables: tuple, terms: dict) -> None:
-        """Store valid terms after dropping zero coefficients and unused
-        variables, so equal polynomials share one form."""
-        terms = {e: c for e, c in terms.items() if c}
-        used = [i for i in range(len(variables)) if any(e[i] for e in terms)]
-        if len(used) != len(variables):
-            variables = tuple(variables[i] for i in used)
-            terms = {tuple(e[i] for i in used): c for e, c in terms.items()}
+    def _settle(self, variables: tuple, nums: dict, den: int) -> None:
+        """Store ``nums / den`` (``den > 0``) in canonical form: zero
+        numerators dropped, the common factor of ``den`` and the numerators
+        divided out, unused variables removed."""
+        if 0 in nums.values():
+            nums = {e: n for e, n in nums.items() if n}
+        g = math.gcd(den, *nums.values())
+        if g != 1:
+            den //= g
+            nums = {e: n // g for e, n in nums.items()}
+        used = list(map(any, zip(*nums)))
+        if len(used) != len(variables) or not all(used):
+            keep = [i for i, u in enumerate(used) if u]
+            variables = tuple(variables[i] for i in keep)
+            nums = {tuple(e[i] for i in keep): n for e, n in nums.items()}
         object.__setattr__(self, "variables", variables)
-        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "_nums", nums)
+        object.__setattr__(self, "_den", den)
 
     @classmethod
-    def _trusted(cls, variables: tuple, terms: dict) -> "Polynomial":
+    def _trusted(cls, variables: tuple, nums: dict, den: int) -> "Polynomial":
         """Internal constructor for arithmetic results: ``variables`` is
-        already canonical and every key an exponent tuple aligned with it,
-        every coefficient a Fraction, so only the normalization runs."""
+        already canonical, every key an exponent tuple aligned with it, every
+        numerator an int and ``den`` a positive int, so only the
+        normalization runs."""
         poly = object.__new__(cls)
-        poly._settle(variables, terms)
+        poly._settle(variables, nums, den)
         return poly
 
     def __setattr__(self, *a):  # pragma: no cover - immutability guard
@@ -103,12 +132,12 @@ class Polynomial:
 
     @classmethod
     def zero(cls) -> "Polynomial":
-        return cls((), {})
+        return cls._trusted((), {}, 1)
 
     @classmethod
     def constant(cls, value: Scalar) -> "Polynomial":
         value = _as_fraction(value)
-        return cls((), {(): value} if value else {})
+        return cls._trusted((), {(): value.numerator}, value.denominator)
 
     @classmethod
     def variable(cls, name: str) -> "Polynomial":
@@ -117,40 +146,33 @@ class Polynomial:
     # -- structure ---------------------------------------------------------
 
     @property
+    def terms(self) -> Mapping[tuple, Fraction]:
+        """Exponent tuple -> nonzero Fraction coefficient, built from the
+        integer numerators on each access."""
+        den = self._den
+        return MappingProxyType(
+            {e: Fraction(n, den) for e, n in self._nums.items()})
+
+    @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._nums
 
     def degree(self) -> int:
         """Total degree; zero polynomial reports -1."""
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
-
-    def degree_in(self, var: str) -> int:
-        if var not in self.variables or not self.terms:
-            return 0
-        i = self.variables.index(var)
-        return max(e[i] for e in self.terms)
-
-    def coefficient(self, exps: Mapping[str, int]) -> Fraction:
-        """Coefficient of the monomial with the given per-variable exponents."""
-        key = tuple(exps.get(v, 0) for v in self.variables)
-        for v, e in exps.items():
-            if e and v not in self.variables:
-                return _ZERO
-        return self.terms.get(key, _ZERO)
+        return max(map(sum, self._nums), default=-1)
 
     def _embedded(self, variables: tuple) -> dict:
-        """Re-key terms onto a larger variable tuple (a copy either way)."""
+        """The numerators re-keyed onto a larger variable tuple; the stored
+        dict itself when ``variables`` are the polynomial's own."""
         if variables == self.variables:
-            return dict(self.terms)
+            return self._nums
         positions = [variables.index(v) for v in self.variables]
         out = {}
-        for exps, coeff in self.terms.items():
+        for exps, n in self._nums.items():
             key = [0] * len(variables)
             for pos, e in zip(positions, exps):
                 key[pos] = e
-            out[tuple(key)] = coeff
+            out[tuple(key)] = n
         return out
 
     @staticmethod
@@ -163,45 +185,60 @@ class Polynomial:
     # -- arithmetic --------------------------------------------------------
     # Operands are valid polynomials, so results go through _trusted.
 
+    def _plus(self, other: "Polynomial", sign: int) -> "Polynomial":
+        """self + sign * other, both sides brought to the lcm of the two
+        denominators."""
+        if not other._nums:
+            return self
+        if not self._nums:
+            return other if sign == 1 else -other
+        variables = self._merge_vars(self, other)
+        da, db = self._den, other._den
+        den = math.lcm(da, db)
+        sa, sb = den // da, sign * (den // db)
+        mine = self._embedded(variables)
+        nums = dict(mine) if sa == 1 else {e: n * sa for e, n in mine.items()}
+        get = nums.get
+        for e, n in other._embedded(variables).items():
+            nums[e] = get(e, 0) + n * sb
+        return Polynomial._trusted(variables, nums, den)
+
     def __add__(self, other) -> "Polynomial":
         if not isinstance(other, Polynomial):
             other = Polynomial.constant(other)
-        variables = self._merge_vars(self, other)
-        terms = self._embedded(variables)
-        for exps, coeff in other._embedded(variables).items():
-            terms[exps] = terms.get(exps, _ZERO) + coeff
-        return Polynomial._trusted(variables, terms)
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial._trusted(self.variables,
-                                   {e: -c for e, c in self.terms.items()})
+        return Polynomial._trusted(
+            self.variables, {e: -n for e, n in self._nums.items()}, self._den)
 
     def __sub__(self, other) -> "Polynomial":
         if not isinstance(other, Polynomial):
             other = Polynomial.constant(other)
-        return self + (-other)
+        return self._plus(other, -1)
 
     def __rsub__(self, other) -> "Polynomial":
-        return Polynomial.constant(other) + (-self)
+        return Polynomial.constant(other)._plus(self, -1)
 
     def __mul__(self, other):
         if not isinstance(other, Polynomial):
             if not isinstance(other, (int, Fraction)):
                 return NotImplemented
-            other = _as_fraction(other)
+            p, q = other.numerator, other.denominator
             return Polynomial._trusted(
-                self.variables, {e: c * other for e, c in self.terms.items()})
+                self.variables, {e: n * p for e, n in self._nums.items()},
+                self._den * q)
         variables = self._merge_vars(self, other)
-        a = self._embedded(variables)
-        b = other._embedded(variables)
-        terms: dict = {}
-        for ea, ca in a.items():
-            for eb, cb in b.items():
-                key = tuple(i + j for i, j in zip(ea, eb))
-                terms[key] = terms.get(key, _ZERO) + ca * cb
-        return Polynomial._trusted(variables, terms)
+        b = other._embedded(variables).items()
+        nums: dict = {}
+        get = nums.get
+        for ea, na in self._embedded(variables).items():
+            for eb, nb in b:
+                key = tuple(map(add, ea, eb))
+                nums[key] = get(key, 0) + na * nb
+        return Polynomial._trusted(variables, nums, self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -223,28 +260,40 @@ class Polynomial:
         if var not in self.variables:
             return Polynomial.zero()
         i = self.variables.index(var)
-        terms = {}
-        for exps, coeff in self.terms.items():
-            if exps[i] == 0:
-                continue
-            key = exps[:i] + (exps[i] - 1,) + exps[i + 1:]
-            terms[key] = terms.get(key, _ZERO) + coeff * exps[i]
-        return Polynomial._trusted(self.variables, terms)
+        nums = {}
+        for exps, n in self._nums.items():
+            k = exps[i]
+            if k:
+                nums[exps[:i] + (k - 1,) + exps[i + 1:]] = n * k
+        return Polynomial._trusted(self.variables, nums, self._den)
 
     def eval(self, point: Mapping[str, Scalar]) -> Fraction:
-        """Evaluate exactly; every variable of the polynomial must be given."""
+        """Evaluate exactly; every variable of the polynomial must be given.
+
+        With the coordinate of variable i written p_i/q_i and D_i the degree
+        in that variable, the value is
+
+            sum_e num_e * prod_i p_i^e_i q_i^(D_i - e_i)
+            / (den * prod_i q_i^D_i),
+
+        so the sum runs in ints over one table of p_i^k q_i^(D_i - k) per
+        variable and only the result is a Fraction.
+        """
         missing = [v for v in self.variables if v not in point]
         if missing:
             raise ValueError(f"missing coordinate(s) {missing} in evaluation point")
-        values = [_as_fraction(point[v]) for v in self.variables]
-        total = _ZERO
-        for exps, coeff in self.terms.items():
-            term = coeff
-            for val, e in zip(values, exps):
-                if e:
-                    term *= val ** e
-            total += term
-        return total
+        den = self._den
+        tables = []
+        for v, column in zip(self.variables, zip(*self._nums)):
+            value = _as_fraction(point[v])
+            p, q = value.numerator, value.denominator
+            top = max(column)
+            tables.append([p ** k * q ** (top - k) for k in range(top + 1)])
+            den *= q ** top
+        total = 0
+        for exps, n in self._nums.items():
+            total += n * math.prod(map(getitem, tables, exps))
+        return Fraction(total, den)
 
     def substitute(self, mapping: Mapping[str, "Polynomial"]) -> "Polynomial":
         """Replace variables by polynomials (unlisted variables are kept)."""
@@ -265,17 +314,21 @@ class Polynomial:
             other = Polynomial.constant(other)
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return (self - other).is_zero
+        return (self._den == other._den and self.variables == other.variables
+                and self._nums == other._nums)
 
     def __hash__(self):
-        return hash((self.variables, tuple(sorted(self.terms.items()))))
+        if not self.variables:  # equals its scalar, so must hash alike
+            return hash(Fraction(self._nums.get((), 0), self._den))
+        return hash((self.variables, self._den, frozenset(self._nums.items())))
 
     def __repr__(self):
-        if not self.terms:
+        if not self._nums:
             return "0"
+        terms = self.terms
         parts = []
-        for exps in sorted(self.terms, key=lambda e: (sum(e), e), reverse=True):
-            coeff = self.terms[exps]
+        for exps in sorted(terms, key=lambda e: (sum(e), e), reverse=True):
+            coeff = terms[exps]
             factors = [f"{v}^{e}" if e > 1 else v
                        for v, e in zip(self.variables, exps) if e]
             body = "*".join(factors)

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liegen.numeric import (
+    CANONICAL_VARS,
     Polynomial,
     PowerSeries,
     X,
@@ -119,6 +120,219 @@ def test_arithmetic_results_equal_their_validated_form(p, q, k):
         assert_validated(result)
     for var in ("x", "y", "z", "w"):
         assert_validated(p.differentiate(var))
+
+
+# -- integer numerators over one denominator, against Fraction dicts ----------
+# The former Polynomial arithmetic, one Fraction per term, kept as an oracle:
+# a polynomial is (variables, {exponent tuple: nonzero Fraction}).
+
+def _fraction_settled(variables, terms):
+    terms = {e: c for e, c in terms.items() if c}
+    used = [i for i in range(len(variables)) if any(e[i] for e in terms)]
+    if len(used) != len(variables):
+        variables = tuple(variables[i] for i in used)
+        terms = {tuple(e[i] for i in used): c for e, c in terms.items()}
+    return variables, terms
+
+
+def _fraction_embedded(form, variables):
+    own, terms = form
+    positions = [variables.index(v) for v in own]
+    out = {}
+    for exps, coeff in terms.items():
+        key = [0] * len(variables)
+        for pos, e in zip(positions, exps):
+            key[pos] = e
+        out[tuple(key)] = coeff
+    return out
+
+
+def _fraction_merged(a, b):
+    return tuple(v for v in CANONICAL_VARS if v in a[0] or v in b[0])
+
+
+def _fraction_add(a, b, sign=1):
+    variables = _fraction_merged(a, b)
+    terms = _fraction_embedded(a, variables)
+    for exps, coeff in _fraction_embedded(b, variables).items():
+        terms[exps] = terms.get(exps, F(0)) + sign * coeff
+    return _fraction_settled(variables, terms)
+
+
+def _fraction_mul(a, b):
+    variables = _fraction_merged(a, b)
+    terms = {}
+    for ea, ca in _fraction_embedded(a, variables).items():
+        for eb, cb in _fraction_embedded(b, variables).items():
+            key = tuple(i + j for i, j in zip(ea, eb))
+            terms[key] = terms.get(key, F(0)) + ca * cb
+    return _fraction_settled(variables, terms)
+
+
+def _fraction_scale(a, k):
+    return _fraction_settled(a[0], {e: c * k for e, c in a[1].items()})
+
+
+def _fraction_differentiate(a, var):
+    variables, terms = a
+    if var not in variables:
+        return (), {}
+    i = variables.index(var)
+    out = {}
+    for exps, coeff in terms.items():
+        if exps[i]:
+            key = exps[:i] + (exps[i] - 1,) + exps[i + 1:]
+            out[key] = out.get(key, F(0)) + coeff * exps[i]
+    return _fraction_settled(variables, out)
+
+
+def _fraction_eval(a, point):
+    variables, terms = a
+    total = F(0)
+    for exps, coeff in terms.items():
+        term = coeff
+        for v, e in zip(variables, exps):
+            term *= F(point[v]) ** e
+        total += term
+    return total
+
+
+def fraction_form(p):
+    return p.variables, dict(p.terms)
+
+
+def assert_canonical(p):
+    """The stored form: ints over a positive denominator with no common
+    factor, no zero numerator, no unused or misordered variable."""
+    nums, den = p._nums, p._den
+    assert type(den) is int and den > 0
+    assert all(type(n) is int and n != 0 for n in nums.values())
+    assert math.gcd(den, *nums.values()) == 1
+    assert p.variables == tuple(v for v in CANONICAL_VARS if v in p.variables)
+    assert all(len(e) == len(p.variables) for e in nums)
+    assert all(any(e[i] for e in nums) for i in range(len(p.variables)))
+    assert all(type(c) is Fraction for c in p.terms.values())
+
+
+def assert_matches(result, oracle):
+    assert_canonical(result)
+    assert fraction_form(result) == oracle
+
+
+big_denominators = st.integers(min_value=1, max_value=10 ** 6)
+rationals = st.builds(F, st.integers(min_value=-10 ** 6, max_value=10 ** 6),
+                      big_denominators)
+
+
+@st.composite
+def polynomial_pairs(draw, max_deg=4):
+    """Two polynomials over random subsets of x, y, z; q may repeat some of
+    p's monomials with opposite or equal coefficients, so that p + q and
+    p - q cancel terms (and sometimes whole variables)."""
+    def draw_poly():
+        names = draw(st.lists(st.sampled_from(CANONICAL_VARS), unique=True))
+        variables = tuple(v for v in CANONICAL_VARS if v in names)
+        terms = {}
+        for _ in range(draw(st.integers(min_value=0, max_value=5))):
+            exps = tuple(draw(st.integers(min_value=0, max_value=max_deg))
+                         for _ in variables)
+            terms[exps] = draw(rationals)
+        return Polynomial(variables, terms)
+
+    p, q = draw_poly(), draw_poly()
+    if draw(st.booleans()):
+        shared = {e: c * draw(st.sampled_from([-1, 1])) for e, c in p.terms.items()
+                  if draw(st.booleans())}
+        q = q + Polynomial(p.variables, shared)
+    return p, q
+
+
+@given(pair=polynomial_pairs(), k=st.one_of(st.integers(-9, 9), rationals))
+@settings(max_examples=150, deadline=None)
+def test_arithmetic_matches_the_fraction_dict_oracle(pair, k):
+    p, q = pair
+    a, b = fraction_form(p), fraction_form(q)
+    assert_canonical(p)
+    assert_canonical(q)
+    assert_matches(p + q, _fraction_add(a, b))
+    assert_matches(p - q, _fraction_add(a, b, -1))
+    assert_matches(-p, _fraction_scale(a, -1))
+    assert_matches(p * q, _fraction_mul(a, b))
+    assert_matches(p * k, _fraction_scale(a, F(k)))
+    assert_matches(k * p, _fraction_scale(a, F(k)))
+    assert_matches(p + k, _fraction_add(a, ((), {(): F(k)})))
+    assert_matches(k - p, _fraction_add(((), {(): F(k)}), a, -1))
+    for var in CANONICAL_VARS:
+        assert_matches(p.differentiate(var), _fraction_differentiate(a, var))
+    assert_matches(p - p, ((), {}))
+
+
+coordinates = st.one_of(st.just(0), st.integers(min_value=-7, max_value=7),
+                        rationals)
+
+
+@given(pair=polynomial_pairs(max_deg=6), x=coordinates, y=coordinates,
+       z=coordinates)
+@settings(max_examples=150, deadline=None)
+def test_eval_matches_the_fraction_dict_oracle(pair, x, y, z):
+    point = {"x": x, "y": y, "z": z}
+    for p in (pair[0], pair[0] * pair[1]):
+        value = p.eval(point)
+        assert type(value) is Fraction
+        assert value == _fraction_eval(fraction_form(p), point)
+        for var in p.variables:
+            with pytest.raises(ValueError, match="missing coordinate"):
+                p.eval({v: c for v, c in point.items() if v != var})
+
+
+@pytest.mark.parametrize("point", [{}, {"x": 0}, {"x": F(-7, 10 ** 6)},
+                                   {"x": F(10 ** 6 + 1, 10 ** 6), "w": 5}])
+def test_eval_of_zero_and_constant_polynomials(point):
+    zero = Polynomial.zero()
+    assert type(zero.eval(point)) is Fraction and zero.eval(point) == 0
+    half = Polynomial.constant(F(-1, 2))
+    assert type(half.eval(point)) is Fraction and half.eval(point) == F(-1, 2)
+    assert (X - X + 3).eval(point) == 3
+
+
+def test_eval_at_large_denominators_and_zero():
+    p = (X + F(1, 3)) ** 5 * Polynomial.variable("y") - F(7, 10 ** 6)
+    x, y = F(-999_983, 10 ** 6), F(10 ** 6 - 1, 10 ** 6 + 3)
+    assert p.eval({"x": x, "y": y}) == (x + F(1, 3)) ** 5 * y - F(7, 10 ** 6)
+    assert p.eval({"x": 0, "y": 0}) == F(-7, 10 ** 6)
+    assert p.eval({"x": F(-1, 3), "y": 5}) == F(-7, 10 ** 6)
+
+
+def test_equal_polynomials_hash_alike_across_construction_paths():
+    y = Polynomial.variable("y")
+    cases = [
+        ((X + 1) * (X - 1), X ** 2 - 1),
+        (Polynomial.constant(F(2, 4)), F(1, 2)),
+        (Polynomial.constant(F(2, 4)), Polynomial((), {(): F(1, 2)})),
+        (Polynomial(("x", "y"), {(0, 0): F(1, 2)}), F(1, 2)),
+        ((X + y) * F(2, 6) - y / 3, X / 3),
+        ((X / 2) * 2, X),
+        (X / 6 + X / 3, X / 2),
+        (X * 0, 0),
+        (Polynomial.zero(), X - X),
+        (Polynomial(("x",), {(1,): 2, (0,): 0}), 2 * X),
+    ]
+    for p, q in cases:
+        assert p == q and q == p
+        assert hash(p) == hash(q)
+    assert len({Polynomial.constant(F(1, 2)), F(1, 2), X ** 2 - 1,
+                (X - 1) * (X + 1)}) == 2
+
+
+@given(pair=polynomial_pairs())
+@settings(max_examples=60, deadline=None)
+def test_equal_forms_from_different_paths(pair):
+    p, q = pair
+    rebuilt = Polynomial(p.variables, p.terms)
+    for other in (rebuilt, (p + q) - q, p * 1, (p * 6) / 6, -(-p)):
+        assert_canonical(other)
+        assert other == p and hash(other) == hash(p)
+    assert (p == q) == (fraction_form(p) == fraction_form(q))
 
 
 # -- power series ------------------------------------------------------------

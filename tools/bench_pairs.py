@@ -1,0 +1,187 @@
+"""Paired benchmark runs of two checkouts, written to a bench file.
+
+    python3 tools/bench_pairs.py --parent DIR --change DIR --workload W \
+        --seeds 2-11,12 --seconds 30 --out BENCH_N.json
+
+For every seed, each checkout's own ``perfbench/run.py --trace 0`` runs once
+in a subprocess, from the root of that checkout; which side runs first
+alternates from one seed to the next, so a drift in machine speed does not
+favour one side.  The end-to-end metrics of the last stdout line of every
+run are gathered into pairs.  Per metric the bench file holds every pair,
+each side's median and quartiles, and how many pairs the change wins (ties
+count for neither side), with the direction ("better": lower or higher)
+taken from the change's ``BENCHMARK.json``.  ``gain_rule_met`` applies the
+rule for claiming a gain: the change wins at least nine tenths of the pairs,
+and its median is better than the parent's by more than the distance
+between the parent's quartiles.
+
+The workload's entry replaces any entry for the same workload in ``--out``;
+entries for other workloads are kept, so one file can cover several
+workloads.  The exit status is 1 when any run reports failed operations or
+does not finish, 0 otherwise.  Nothing is imported from either checkout.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+
+#: a run that takes this many times its --seconds (plus a minute) is hung
+TIMEOUT_FACTOR = 4
+
+
+class RunError(RuntimeError):
+    pass
+
+
+def parse_seeds(text: str) -> list[int]:
+    """``"2-11,12"`` -> [2, 3, ..., 11, 12]."""
+    seeds = []
+    for part in text.split(","):
+        first, _, last = part.strip().partition("-")
+        seeds.extend(range(int(first), int(last or first) + 1))
+    if not seeds:
+        raise ValueError(f"no seeds in {text!r}")
+    return seeds
+
+
+def quartiles(values: list[float]) -> dict:
+    if len(values) == 1:
+        (v,) = values
+        return {"q1": v, "median": v, "q3": v}
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"q1": q1, "median": median, "q3": q3}
+
+
+def summarize(pairs: list[dict], better: str) -> dict:
+    """Summary of one metric.  ``pairs`` holds ``{"seed", "parent",
+    "change"}`` dicts; ``better`` is ``"lower"`` or ``"higher"``."""
+    if better not in ("lower", "higher"):
+        raise ValueError(f"unknown direction {better!r}")
+    sign = 1 if better == "lower" else -1
+    parent = quartiles([p["parent"] for p in pairs])
+    change = quartiles([p["change"] for p in pairs])
+    wins = sum(sign * (p["parent"] - p["change"]) > 0 for p in pairs)
+    losses = sum(sign * (p["change"] - p["parent"]) > 0 for p in pairs)
+    gain = sign * (parent["median"] - change["median"])
+    return {
+        "better": better,
+        "pairs": pairs,
+        "parent": parent,
+        "change": change,
+        "change_wins": wins,
+        "change_losses": losses,
+        "median_ratio": (change["median"] / parent["median"]
+                         if parent["median"] else None),
+        "parent_iqr": parent["q3"] - parent["q1"],
+        "gain_rule_met": (wins >= 0.9 * len(pairs)
+                          and gain > parent["q3"] - parent["q1"]),
+    }
+
+
+def run_side(root: str, workload: str, seed: int, seconds: int) -> dict:
+    """One ``perfbench/run.py --trace 0`` run of the checkout at ``root``:
+    its result line (``correct``, ``attempted``, ``failed``, ``metrics``)."""
+    command = [sys.executable, os.path.join("perfbench", "run.py"),
+               "--workload", workload, "--seed", str(seed),
+               "--seconds", str(seconds), "--trace", "0"]
+    try:
+        proc = subprocess.run(command, cwd=root, capture_output=True, text=True,
+                              timeout=TIMEOUT_FACTOR * seconds + 60)
+    except subprocess.TimeoutExpired as exc:
+        raise RunError(f"{root}: seed {seed} timed out") from exc
+    if proc.returncode != 0 or not proc.stdout.strip():
+        raise RunError(f"{root}: seed {seed} exited {proc.returncode}: "
+                       f"{proc.stderr.strip()[-2000:]}")
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def directions(root: str) -> dict:
+    with open(os.path.join(root, "BENCHMARK.json")) as fh:
+        spec = json.load(fh)
+    return {m["name"]: m["better"] for m in spec["end_to_end"]}
+
+
+def run_pairs(parent: str, change: str, workload: str, seeds: list[int],
+              seconds: int, run=run_side) -> tuple[dict, list[str]]:
+    """The workload's bench entry, and a message per failed run."""
+    results = {"parent": [], "change": []}
+    problems = []
+    for index, seed in enumerate(seeds):
+        order = ("parent", "change") if index % 2 == 0 else ("change", "parent")
+        for side in order:
+            root = parent if side == "parent" else change
+            try:
+                result = run(root, workload, seed, seconds)
+            except RunError as exc:
+                problems.append(f"{side}: {exc}")
+                result = None
+            else:
+                if result["failed"]:
+                    problems.append(f"{side}: seed {seed}: {result['failed']} "
+                                    f"of {result['attempted']} operations failed")
+            results[side].append(
+                {"seed": seed, "first": side == order[0], "result": result})
+    done = [i for i, seed in enumerate(seeds)
+            if results["parent"][i]["result"] and results["change"][i]["result"]]
+    better = directions(change)
+    metrics = {}
+    for name in better:
+        pairs = [{"seed": seeds[i],
+                  "parent": results["parent"][i]["result"]["metrics"][name]["value"],
+                  "change": results["change"][i]["result"]["metrics"][name]["value"],
+                  "first": "parent" if results["parent"][i]["first"] else "change"}
+                 for i in done]
+        if pairs:
+            metrics[name] = summarize(pairs, better[name])
+            metrics[name]["unit"] = (
+                results["change"][done[0]]["result"]["metrics"][name]["unit"])
+    failed = {side: sum(r["result"]["failed"] for r in runs if r["result"])
+              for side, runs in results.items()}
+    attempted = {side: sum(r["result"]["attempted"] for r in runs if r["result"])
+                 for side, runs in results.items()}
+    entry = {"seeds": seeds, "seconds": seconds, "pairs_run": len(done),
+             "failed": failed, "attempted": attempted, "metrics": metrics}
+    return entry, problems
+
+
+def main(argv=None, run=run_side) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", required=True, help="parent checkout root")
+    parser.add_argument("--change", required=True, help="changed checkout root")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seeds", required=True, type=parse_seeds,
+                        help="seed ranges, e.g. 2-11,12")
+    parser.add_argument("--seconds", required=True, type=int)
+    parser.add_argument("--out", required=True)
+    args = parser.parse_args(argv)
+
+    entry, problems = run_pairs(args.parent, args.change, args.workload,
+                                args.seeds, args.seconds, run)
+    bench = {}
+    if os.path.exists(args.out):
+        with open(args.out) as fh:
+            bench = json.load(fh)
+    bench["host"] = {"cpus": os.cpu_count(), "machine": platform.machine(),
+                     "python": platform.python_version()}
+    bench.setdefault("workloads", {})[args.workload] = entry
+    with open(args.out, "w") as fh:
+        json.dump(bench, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    for name, m in entry["metrics"].items():
+        print(f"{args.workload} {name}: parent {m['parent']['median']:.6g} "
+              f"change {m['change']['median']:.6g} {m['unit']}, change wins "
+              f"{m['change_wins']}/{len(m['pairs'])}, "
+              f"gain rule {'met' if m['gain_rule_met'] else 'not met'}")
+    for problem in problems:
+        print(f"FAILED: {problem}", file=sys.stderr)
+    return 1 if problems else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
