@@ -17,7 +17,8 @@ act with integer coefficients,
 
     raise psi_n = psi_{n+1}        lower psi_n = 2n psi_{n-1},
 
-so the number-basis matrices are integer matrices.  With
+so the number-basis matrices are integer matrices (``numeric.Matrix``
+with int entries, whose arithmetic then stays in the integers).  With
 S = diag(sqrt(n! 2^n)), S M S^-1 is sqrt(2) times the usual matrix with
 sqrt(n) entries, so [lower, raise] = 2 and {lower, raise} = 2(2n+1) here say
 exactly [a, a+] = 1 and {a, a+} = 2n+1 in the normalized basis.
@@ -26,6 +27,9 @@ sqrt(pi) is likewise held symbolic: Gaussian moments are rational numbers in
 units of sqrt(pi), and the basis normalization squares to a rational in the
 same units, so every orthonormality statement reduces to exact rational
 arithmetic.
+
+Exactness is enforced by construction: ``Polynomial`` rejects float
+coefficients, and the ladder matrices are built from ints only.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ from fractions import Fraction
 from typing import Iterator
 
 from .numeric import (
+    Matrix,
     Polynomial,
     PowerSeries,
     X,
@@ -188,66 +193,7 @@ def weighted_overlap(f: GaussianWeighted, g: GaussianWeighted) -> Fraction:
 # discrete (number-basis) matrices
 # ---------------------------------------------------------------------------
 
-class DiscreteMatrix:
-    """N x N truncation of a number-basis operator in the psi_n basis, with
-    integer entries."""
-
-    __slots__ = ("dimension", "entries")
-
-    def __init__(self, entries):
-        entries = tuple(tuple(e) for e in entries)
-        n = len(entries)
-        if any(len(r) != n for r in entries):
-            raise ValueError("matrix must be square")
-        object.__setattr__(self, "dimension", n)
-        object.__setattr__(self, "entries", entries)
-
-    def __setattr__(self, *a):  # pragma: no cover - immutability guard
-        raise AttributeError("DiscreteMatrix is immutable")
-
-    def __getitem__(self, idx):
-        i, j = idx
-        return self.entries[i][j]
-
-    def __mul__(self, other: "DiscreteMatrix") -> "DiscreteMatrix":
-        # visit only products of two nonzero entries, k ascending per (i, j)
-        n = self.dimension
-        other_rows = [[(j, b) for j, b in enumerate(row) if b]
-                      for row in other.entries]
-        rows = []
-        for row in self.entries:
-            out = [0] * n
-            for k, a in enumerate(row):
-                if not a:
-                    continue
-                for j, b in other_rows[k]:
-                    out[j] = out[j] + a * b
-            rows.append(out)
-        return DiscreteMatrix(rows)
-
-    def __add__(self, other: "DiscreteMatrix") -> "DiscreteMatrix":
-        return DiscreteMatrix(
-            [[a + b for a, b in zip(ra, rb)]
-             for ra, rb in zip(self.entries, other.entries)])
-
-    def __sub__(self, other: "DiscreteMatrix") -> "DiscreteMatrix":
-        return DiscreteMatrix(
-            [[a - b for a, b in zip(ra, rb)]
-             for ra, rb in zip(self.entries, other.entries)])
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, DiscreteMatrix):
-            return NotImplemented
-        return self.entries == other.entries
-
-    def __hash__(self):
-        return hash(self.entries)
-
-    def __repr__(self):
-        return f"DiscreteMatrix({self.dimension}x{self.dimension})"
-
-
-def discrete_matrix(op: str, dimension: int) -> DiscreteMatrix:
+def discrete_matrix(op: str, dimension: int) -> Matrix:
     """Number-basis matrices of the scaled operators on psi_0 .. psi_{N-1}:
     lowering has 2n on the superdiagonal (row n-1, column n), raising has 1
     on the subdiagonal (row n+1, column n).  Conjugated by
@@ -265,16 +211,16 @@ def discrete_matrix(op: str, dimension: int) -> DiscreteMatrix:
             rows[n + 1][n] = 1
     else:
         raise ValueError(f"unknown discrete operator {op!r}")
-    return DiscreteMatrix(rows)
+    return Matrix(rows)
 
 
-def discrete_commutator(dimension: int) -> DiscreteMatrix:
+def discrete_commutator(dimension: int) -> Matrix:
     a_minus = discrete_matrix("lower", dimension)
     a_plus = discrete_matrix("raise", dimension)
     return a_minus * a_plus - a_plus * a_minus
 
 
-def discrete_anticommutator(dimension: int) -> DiscreteMatrix:
+def discrete_anticommutator(dimension: int) -> Matrix:
     a_minus = discrete_matrix("lower", dimension)
     a_plus = discrete_matrix("raise", dimension)
     return a_minus * a_plus + a_plus * a_minus

@@ -1,9 +1,13 @@
-"""Exact-arithmetic core: multivariate rational polynomials, truncated
-formal power series, and Gaussian moments.
+"""Exact-arithmetic core: multivariate rational polynomials, square
+matrices, truncated formal power series, and Gaussian moments.
 
-All values in this module are immutable after construction, and every
-operation here is exact; the only floating point in the package lives in the
-numeric evaluators built on top.
+All values in this module are immutable after construction.  Polynomials,
+series and moments are exact.  A ``Matrix`` stores its entries as given:
+int and Fraction entries give exact arithmetic and float entries float
+arithmetic, so the same class holds the exact group and ladder matrices and
+the float matrices of E(2) and of finite differences.  Exactness is enforced
+where a value is made exact (``_as_fraction`` rejects floats) and where an
+exact residual is read (``suites._Recorder.exact``), not by the matrix.
 
 A ``Polynomial`` stores integer numerators over one shared positive
 denominator that has no factor common to all of them, so its arithmetic runs
@@ -42,6 +46,15 @@ def _as_fraction(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     raise TypeError(f"expected an exact scalar, got {type(value).__name__}")
+
+
+def _worst(*values):
+    """Largest of the values, NaN if any is NaN, inf if there are none:
+    plain ``max`` keeps a number over a NaN met later, so a NaN residual
+    would pass its gate, and a gate that saw nothing must not pass."""
+    if any(v != v for v in values):
+        return math.nan
+    return max(values, default=math.inf)
 
 
 def ensure_finite(z: complex) -> complex:
@@ -347,6 +360,79 @@ class Polynomial:
 X = Polynomial.variable("x")
 Y = Polynomial.variable("y")
 Z = Polynomial.variable("z")
+
+
+# ---------------------------------------------------------------------------
+# square matrices
+# ---------------------------------------------------------------------------
+
+class Matrix:
+    """Immutable square matrix with its entries stored as given.
+
+    ints and Fractions give exact arithmetic, floats give float arithmetic;
+    the only check is that the rows make a square.
+    """
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows: Iterable[Iterable]):
+        rows = tuple(map(tuple, rows))
+        if any(len(r) != len(rows) for r in rows):
+            raise ValueError("matrix must be square")
+        object.__setattr__(self, "rows", rows)
+
+    def __setattr__(self, *a):  # pragma: no cover - immutability guard
+        raise AttributeError("Matrix is immutable")
+
+    def __getitem__(self, idx: tuple):
+        i, j = idx
+        return self.rows[i][j]
+
+    def __add__(self, other: "Matrix") -> "Matrix":
+        return Matrix([[a + b for a, b in zip(ra, rb)]
+                       for ra, rb in zip(self.rows, other.rows)])
+
+    def __sub__(self, other: "Matrix") -> "Matrix":
+        return Matrix([[a - b for a, b in zip(ra, rb)]
+                       for ra, rb in zip(self.rows, other.rows)])
+
+    def __mul__(self, other) -> "Matrix":
+        if not isinstance(other, Matrix):
+            return Matrix([[e * other for e in r] for r in self.rows])
+        # visit only products of two nonzero entries, k ascending per (i, j)
+        other_rows = [[(j, b) for j, b in enumerate(row) if b]
+                      for row in other.rows]
+        rows = []
+        for row in self.rows:
+            out = [0] * len(row)
+            for k, a in enumerate(row):
+                if a:
+                    for j, b in other_rows[k]:
+                        out[j] = out[j] + a * b
+            rows.append(out)
+        return Matrix(rows)
+
+    def apply(self, vec) -> tuple:
+        return tuple(sum(a * v for a, v in zip(row, vec)) for row in self.rows)
+
+    def max_abs_diff(self, other: "Matrix"):
+        """max |a - b| over the entries, in the entries' own arithmetic (a
+        Fraction for exact matrices, never rounded to a float), NaN if any
+        difference is NaN."""
+        return _worst(*(abs(a - b) for ra, rb in zip(self.rows, other.rows)
+                        for a, b in zip(ra, rb)))
+
+    @property
+    def is_zero(self) -> bool:
+        return not any(e for r in self.rows for e in r)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Matrix):
+            return NotImplemented
+        return self.rows == other.rows
+
+    def __repr__(self):
+        return "Matrix(" + ", ".join(str(list(r)) for r in self.rows) + ")"
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ from liegen.heisenberg import (
     apply_word,
     discrete_anticommutator,
     discrete_commutator,
-    DiscreteMatrix,
     discrete_matrix,
     disentangle_check,
     hermite_genfunc_check,
@@ -26,7 +25,7 @@ from liegen.heisenberg import (
     verify_hermite_identity,
     weighted_overlap,
 )
-from liegen.numeric import Polynomial, X
+from liegen.numeric import Matrix, Polynomial, X
 
 
 # -- ladder action -------------------------------------------------------------
@@ -214,10 +213,10 @@ int_entries = st.one_of(st.just(0), st.just(0),
 def test_discrete_product_matches_dense_product(data, dim):
     square = st.lists(st.lists(int_entries, min_size=dim, max_size=dim),
                       min_size=dim, max_size=dim)
-    a, b = DiscreteMatrix(data.draw(square)), DiscreteMatrix(data.draw(square))
+    a, b = Matrix(data.draw(square)), Matrix(data.draw(square))
     dense = [[sum(a[i, k] * b[k, j] for k in range(dim))
               for j in range(dim)] for i in range(dim)]
-    assert a * b == DiscreteMatrix(dense)
+    assert a * b == Matrix(dense)
 
 
 def test_discrete_matrix_rejects_small_dimension():

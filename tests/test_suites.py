@@ -9,15 +9,17 @@ import pytest
 
 from liegen import contraction as ct
 from liegen import euclidean as eu
+from liegen import groups as gr
 from liegen import heisenberg as hb
 from liegen import suites
 from liegen.errors import ConfigError
-from liegen.numeric import X
+from liegen.numeric import Matrix, X, _worst
 from liegen.suites import (
     SuiteConfig,
     load_config,
     run_bessel,
     run_contraction,
+    run_groups,
     run_hermite,
     run_suite,
 )
@@ -41,11 +43,84 @@ def test_run_hermite_defaults_all_pass_exactly():
 @pytest.mark.parametrize("values", [(0.0, math.nan), (math.nan, 0.0),
                                     (1.0, math.nan, 2.0)])
 def test_worst_propagates_nan_in_any_position(values):
-    assert math.isnan(suites._worst(*values))
+    assert math.isnan(_worst(*values))
 
 
 def test_worst_is_max_without_nan():
-    assert suites._worst(0.0, 3.0, Fraction(1, 2)) == 3.0
+    assert _worst(0.0, 3.0, Fraction(1, 2)) == 3.0
+
+
+def test_nan_generator_entry_fails_fd_record(monkeypatch):
+    real = gr.generators_at_identity
+
+    def poisoned(group, index):
+        matrix = real(group, index)
+        if (group, index) != ("h3", 2):
+            return matrix
+        rows = [list(row) for row in matrix.rows]
+        rows[1][2] = math.nan
+        return Matrix(rows)
+
+    monkeypatch.setattr(gr, "generators_at_identity", poisoned)
+    records = records_by_id(run_groups(SuiteConfig(group_samples=1)))
+    assert records["h3_generators_fd"].status == "fail"
+    assert math.isnan(records["h3_generators_fd"].residual)
+    assert records["e2_generators_fd"].status == "pass"
+
+
+def test_exact_record_reads_a_matrix_residual():
+    rec = suites._Recorder(SuiteConfig())
+    third = Matrix([[0, 0, 0], [0, Fraction(-1, 3), 0], [0, 0, 0]])
+    rec.exact("third", [third])
+    rec.exact("zero", [third - third])
+    third_record, zero_record = rec.records
+    assert third_record.status == "fail"
+    assert third_record.residual == 1 / 3
+    assert zero_record.status == "pass" and zero_record.residual == 0.0
+
+
+@pytest.mark.parametrize("residual, magnitude", [
+    (0.0, math.ulp(0.0)),
+    (0.25, 0.25),
+    (Matrix([[0, 0], [0.0, 0]]), math.ulp(0.0)),
+    (Matrix([[Fraction(1, 4), 0], [0, 0.0]]), 0.25),
+], ids=["float-zero", "float", "matrix-float-zero", "matrix-float-entry"])
+def test_float_residual_fails_exact_record(residual, magnitude):
+    # a float zero says nothing exact, so it fails at the recorder's floor
+    rec = suites._Recorder(SuiteConfig())
+    rec.exact("inexact", [Fraction(0), residual])
+    (record,) = rec.records
+    assert record.status == "fail"
+    assert record.residual == magnitude
+
+
+def test_tiny_composition_error_fails_h3_closure(monkeypatch):
+    real = gr.h3_compose
+
+    def perturbed(g, h):
+        out = real(g, h)
+        return gr.H3Element(out.x1, out.x2 + Fraction(1, 10 ** 400), out.x3)
+
+    monkeypatch.setattr(gr, "h3_compose", perturbed)
+    record = records_by_id(run_groups(SuiteConfig(group_samples=3)))[
+        "h3_axiom_closure"]
+    # the error underflows a float, so the recorder's floor reports it
+    assert record.status == "fail"
+    assert record.residual == math.ulp(0.0)
+
+
+def test_perturbed_exponential_fails_closed_form(monkeypatch):
+    real = gr.h3_exp
+
+    def perturbed(m):
+        out = real(m)
+        return gr.H3Element(out.x1, out.x2 + Fraction(1, 8), out.x3)
+
+    monkeypatch.setattr(gr, "h3_exp", perturbed)
+    records = records_by_id(run_groups(SuiteConfig(group_samples=1)))
+    assert records["h3_exp_closed_form"].status == "fail"
+    assert records["h3_exp_closed_form"].residual == 0.125
+    assert records["h3_exp_log_roundtrip"].status == "fail"
 
 
 def test_nan_residual_fails_contraction_gate(monkeypatch):
@@ -111,9 +186,8 @@ def test_wrong_lower_entry_fails_discrete_records(monkeypatch, entry, failing):
         matrix = real(op, dimension)
         if op != "lower":
             return matrix
-        return hb.DiscreteMatrix([[entry(j) if a else 0
-                                   for j, a in enumerate(row)]
-                                  for row in matrix.entries])
+        return Matrix([[entry(j) if a else 0 for j, a in enumerate(row)]
+                       for row in matrix.rows])
 
     monkeypatch.setattr(hb, "discrete_matrix", mutated)
     failed = failed_ids(run_hermite(SuiteConfig(**SMALL_HERMITE)))
