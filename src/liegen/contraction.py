@@ -192,15 +192,22 @@ def contraction_residual(f: Polynomial, R_list: Sequence[Scalar],
     The operators contract onto -Py and Px, so on test functions whose
     z-degree stays at most 1 the residual decays as O(1/R); for z-free f it
     vanishes identically at z = R.
+
+    Both operators are affine in 1/R, (Lx/R + Py) f = (Lx f)/R + Py f and
+    (Ly/R - Px) f = (Ly f)/R - Px f, so the four images Lx f, Py f, Ly f and
+    Px f are built once and each R only scales and adds them.
     """
     if f.degree() > 6:
         raise ValueError("test polynomial degree above 6")
+    lx_f = angular_momentum_x().apply(f)
+    py_f = translation_y().apply(f)
+    ly_f = angular_momentum_y().apply(f)
+    px_f = translation_x().apply(f)
     out: dict[Fraction, Fraction] = {}
     for R in R_list:
-        R = _as_fraction(R)
-        basis = ScaledBasis(R)
-        first = (basis.lx() + translation_y()).apply(f)
-        second = (basis.ly() - translation_x()).apply(f)
+        R = ScaledBasis(R).R
+        first = lx_f / R + py_f
+        second = ly_f / R - px_f
         worst = Fraction(0)
         for x0, y0 in DEFAULT_SAMPLE_POINTS:
             point = {"x": x0, "y": y0, "z": R}

@@ -18,9 +18,19 @@ module as ``fractions.Fraction``: ``Polynomial.terms`` and
 
 The public ``Polynomial`` constructor validates its input; arithmetic on
 polynomials, whose operands are already valid, builds its results through a
-trusted path that only normalizes.  Series products skip zero coefficients,
-and ``series_exp`` runs the exponential's ODE recurrence
-a_n = (1/n) sum_j j s_j a_{n-j} over the nonzero coefficients of s.
+trusted path that only normalizes.  Sums, derivatives and scalar multiples
+can lose a variable (x + (-x) is 0), so their results are scanned for
+unused variables.  Products are not: Q[x, y, z] is an integral domain, so
+for nonzero a and b the leading forms in any variable v multiply to a
+nonzero form and deg_v(a*b) = deg_v(a) + deg_v(b); a product of nonzero
+polynomials uses every variable either factor uses, and a product with a
+zero factor is the zero polynomial.  Single coefficients of a product can
+still cancel, as in (x + 1)(x - 1), so zero numerators are still dropped
+and the common factor still divided out.
+
+Series products skip zero coefficients, and ``series_exp`` runs the
+exponential's ODE recurrence a_n = (1/n) sum_j j s_j a_{n-j} over the
+nonzero coefficients of s.
 """
 
 from __future__ import annotations
@@ -106,34 +116,52 @@ class Polynomial:
             if coeff != 0:
                 cleaned[exps] = cleaned.get(exps, _ZERO) + coeff
         den = math.lcm(*(c.denominator for c in cleaned.values()))
-        self._settle(variables, {e: c.numerator * (den // c.denominator)
-                                 for e, c in cleaned.items()}, den)
+        self._settle_unused(variables, {e: c.numerator * (den // c.denominator)
+                                        for e, c in cleaned.items()}, den)
 
     def _settle(self, variables: tuple, nums: dict, den: int) -> None:
         """Store ``nums / den`` (``den > 0``) in canonical form: zero
-        numerators dropped, the common factor of ``den`` and the numerators
-        divided out, unused variables removed."""
+        numerators dropped and the common factor of ``den`` and the
+        numerators divided out.  Every variable must have a positive
+        exponent in some nonzero term."""
         if 0 in nums.values():
             nums = {e: n for e, n in nums.items() if n}
         g = math.gcd(den, *nums.values())
         if g != 1:
             den //= g
             nums = {e: n // g for e, n in nums.items()}
+        object.__setattr__(self, "variables", variables)
+        object.__setattr__(self, "_nums", nums)
+        object.__setattr__(self, "_den", den)
+
+    def _settle_unused(self, variables: tuple, nums: dict, den: int) -> None:
+        """:meth:`_settle` for results that may leave a variable unused:
+        zero numerators dropped first, then every variable that no term
+        uses removed."""
+        if 0 in nums.values():
+            nums = {e: n for e, n in nums.items() if n}
         used = list(map(any, zip(*nums)))
         if len(used) != len(variables) or not all(used):
             keep = [i for i, u in enumerate(used) if u]
             variables = tuple(variables[i] for i in keep)
             nums = {tuple(e[i] for i in keep): n for e, n in nums.items()}
-        object.__setattr__(self, "variables", variables)
-        object.__setattr__(self, "_nums", nums)
-        object.__setattr__(self, "_den", den)
+        self._settle(variables, nums, den)
 
     @classmethod
     def _trusted(cls, variables: tuple, nums: dict, den: int) -> "Polynomial":
-        """Internal constructor for arithmetic results: ``variables`` is
-        already canonical, every key an exponent tuple aligned with it, every
-        numerator an int and ``den`` a positive int, so only the
-        normalization runs."""
+        """Internal constructor for sums, derivatives and scalar multiples:
+        ``variables`` is already canonical, every key an exponent tuple
+        aligned with it, every numerator an int and ``den`` a positive int,
+        so only the normalization and the unused-variable scan run."""
+        poly = object.__new__(cls)
+        poly._settle_unused(variables, nums, den)
+        return poly
+
+    @classmethod
+    def _product(cls, variables: tuple, nums: dict, den: int) -> "Polynomial":
+        """:meth:`_trusted` for the product of two nonzero polynomials over
+        their merged variables, which uses every one of them (see the
+        module docstring), so the scan is skipped."""
         poly = object.__new__(cls)
         poly._settle(variables, nums, den)
         return poly
@@ -145,7 +173,9 @@ class Polynomial:
 
     @classmethod
     def zero(cls) -> "Polynomial":
-        return cls._trusted((), {}, 1)
+        """The zero polynomial: one shared instance, as polynomials are
+        immutable."""
+        return _ZERO_POLY
 
     @classmethod
     def constant(cls, value: Scalar) -> "Polynomial":
@@ -196,7 +226,8 @@ class Polynomial:
         return tuple(v for v in CANONICAL_VARS if v in names)
 
     # -- arithmetic --------------------------------------------------------
-    # Operands are valid polynomials, so results go through _trusted.
+    # Operands are valid polynomials, so results go through _trusted, and
+    # products of nonzero polynomials through _product.
 
     def _plus(self, other: "Polynomial", sign: int) -> "Polynomial":
         """self + sign * other, both sides brought to the lcm of the two
@@ -243,6 +274,8 @@ class Polynomial:
             return Polynomial._trusted(
                 self.variables, {e: n * p for e, n in self._nums.items()},
                 self._den * q)
+        if not (self._nums and other._nums):
+            return _ZERO_POLY
         variables = self._merge_vars(self, other)
         b = other._embedded(variables).items()
         nums: dict = {}
@@ -251,7 +284,7 @@ class Polynomial:
             for eb, nb in b:
                 key = tuple(map(add, ea, eb))
                 nums[key] = get(key, 0) + na * nb
-        return Polynomial._trusted(variables, nums, self._den * other._den)
+        return Polynomial._product(variables, nums, self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -357,6 +390,7 @@ class Polynomial:
         return text.replace("+ -", "- ")
 
 
+_ZERO_POLY = Polynomial._trusted((), {}, 1)
 X = Polynomial.variable("x")
 Y = Polynomial.variable("y")
 Z = Polynomial.variable("z")

@@ -23,7 +23,8 @@ from . import euclidean as eu
 from . import groups as gr
 from . import heisenberg as hb
 from .errors import ConfigError
-from .numeric import Matrix, Polynomial, X, Y, Z, _coeff_is_zero, _worst
+from .numeric import (Matrix, Polynomial, PowerSeries, X, Y, Z, _coeff_is_zero,
+                      _worst)
 
 #: tolerances pinned by the acceptance gates; per-check overrides go through
 #: SuiteConfig.tolerance_overrides
@@ -243,12 +244,16 @@ def _inexact(residual) -> bool:
 def _exact_magnitude(residual) -> float:
     if isinstance(residual, Matrix):
         residual = _worst(*(abs(e) for row in residual.rows for e in row))
+    if isinstance(residual, hb.GaussianWeighted):
+        residual = residual.poly
     if isinstance(residual, Polynomial):
         if residual.is_zero:
             return 0.0
         return max(abs(float(c)) for c in residual.terms.values())
     if isinstance(residual, ct.VectorFieldOp):
         return _worst(0.0, *map(_exact_magnitude, residual.coeffs.values()))
+    if isinstance(residual, PowerSeries):
+        return _worst(0.0, *map(_exact_magnitude, residual.coeffs))
     try:
         return abs(float(residual))
     except (TypeError, OverflowError):

@@ -159,6 +159,46 @@ def test_contraction_residual_rejects_high_degree():
         contraction_residual(X ** 7, [8])
 
 
+def _direct_contraction_residual(f, R_list):
+    """The residual with both operators rebuilt at each R and applied to f."""
+    out = {}
+    for R in R_list:
+        basis = ScaledBasis(R)
+        first = (basis.lx() + translation_y()).apply(f)
+        second = (basis.ly() - translation_x()).apply(f)
+        out[basis.R] = max(abs(image.eval({"x": x0, "y": y0, "z": basis.R}))
+                           for x0, y0 in DEFAULT_SAMPLE_POINTS
+                           for image in (first, second))
+    return out
+
+
+def test_contraction_residual_matches_direct_form():
+    # the four images built once and scaled per R give the same Fractions
+    # as the operators rebuilt at each R
+    rng = random.Random(9)
+    R_list = [F(7, 3), F(1, 2), 1, 8, F(1000, 7), 1024]
+    polys = [X ** 2 * Y ** 3 * Z, Z ** 6, Polynomial.constant(3), X - Y]
+    for _ in range(40):
+        terms = {}
+        for _ in range(rng.randint(1, 6)):
+            c = rng.randint(0, 6)
+            a = rng.randint(0, 6 - c)
+            b = rng.randint(0, 6 - a - c)
+            terms[(a, b, c)] = F(rng.randint(-9, 9), rng.randint(1, 9))
+        polys.append(Polynomial(("x", "y", "z"), terms))
+    for f in polys:
+        res = contraction_residual(f, R_list)
+        assert res == _direct_contraction_residual(f, R_list)
+        assert list(res) == [F(R) for R in R_list]
+        assert all(type(v) is Fraction for v in res.values())
+
+
+@pytest.mark.parametrize("bad", [0, -1, F(-1, 3)])
+def test_contraction_residual_rejects_nonpositive_R(bad):
+    with pytest.raises(ValueError, match="positive"):
+        contraction_residual(X * Z, [8, bad, 16])
+
+
 def test_sample_points_in_patch():
     assert all(abs(x) <= 1 and abs(y) <= 1 for x, y in DEFAULT_SAMPLE_POINTS)
 

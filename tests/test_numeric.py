@@ -1,6 +1,7 @@
 """Exact-arithmetic core: polynomials, series, moments."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -333,6 +334,59 @@ def test_equal_forms_from_different_paths(pair):
         assert_canonical(other)
         assert other == p and hash(other) == hash(p)
     assert (p == q) == (fraction_form(p) == fraction_form(q))
+
+
+def _random_poly(rng, variables, max_deg=4):
+    terms = {tuple(rng.randint(0, max_deg) for _ in variables):
+             F(rng.randint(-9, 9), rng.randint(1, 6))
+             for _ in range(rng.randint(0, 5))}
+    return Polynomial(variables, terms)
+
+
+def _validated_product(p, q):
+    """p * q from the Fraction terms, on all of x, y, z, through the
+    validating constructor."""
+    def on_xyz(poly):
+        return {tuple(dict(zip(poly.variables, e)).get(v, 0)
+                      for v in CANONICAL_VARS): c
+                for e, c in poly.terms.items()}
+    terms = {}
+    for ea, ca in on_xyz(p).items():
+        for eb, cb in on_xyz(q).items():
+            key = tuple(a + b for a, b in zip(ea, eb))
+            terms[key] = terms.get(key, 0) + ca * cb
+    return Polynomial(CANONICAL_VARS, terms)
+
+
+def test_products_are_canonical_on_seeded_pairs():
+    # products skip the unused-variable scan, so they must already use every
+    # variable they list; constants and cancelling coefficients included
+    rng = random.Random(20261018)
+    subsets = [(), ("x",), ("y",), ("z",), ("x", "y"), ("x", "z"),
+               ("y", "z"), CANONICAL_VARS]
+    pairs = [(X + 1, X - 1), (Polynomial.constant(F(2, 3)), X - X + 3),
+             (X * Polynomial.variable("y") - 1, X * Polynomial.variable("y") + 1)]
+    pairs += [(_random_poly(rng, rng.choice(subsets)),
+               _random_poly(rng, rng.choice(subsets))) for _ in range(400)]
+    for p, q in pairs:
+        for product in (p * q, q * p):
+            assert_canonical(product)
+            expected = _validated_product(p, q)
+            assert product == expected
+            assert product.variables == expected.variables
+            assert product.terms == expected.terms
+    assert (X + 1) * (X - 1) == Polynomial(("x",), {(2,): 1, (0,): -1})
+
+
+@pytest.mark.parametrize("p", [X, Polynomial.constant(F(-5, 7)),
+                               (X + Polynomial.variable("z")) ** 3,
+                               Polynomial.zero()])
+def test_product_with_zero_is_the_zero_polynomial(p):
+    zero = Polynomial.zero()
+    for product in (p * zero, zero * p, p * 0, 0 * p, p * F(0)):
+        assert product == zero
+        assert product.variables == () and product.is_zero
+        assert_canonical(product)
 
 
 # -- power series ------------------------------------------------------------

@@ -13,7 +13,7 @@ from liegen import groups as gr
 from liegen import heisenberg as hb
 from liegen import suites
 from liegen.errors import ConfigError
-from liegen.numeric import Matrix, X, _worst
+from liegen.numeric import Matrix, Polynomial, PowerSeries, X, _worst
 from liegen.suites import (
     SuiteConfig,
     load_config,
@@ -73,6 +73,21 @@ def test_exact_record_reads_a_matrix_residual():
     third = Matrix([[0, 0, 0], [0, Fraction(-1, 3), 0], [0, 0, 0]])
     rec.exact("third", [third])
     rec.exact("zero", [third - third])
+    third_record, zero_record = rec.records
+    assert third_record.status == "fail"
+    assert third_record.residual == 1 / 3
+    assert zero_record.status == "pass" and zero_record.residual == 0.0
+
+
+@pytest.mark.parametrize("series", [
+    PowerSeries.from_terms({1: X / 3}, 2, Polynomial.zero()),
+    PowerSeries.from_terms({2: hb.GaussianWeighted(-X / 3)}, 3,
+                           hb.GaussianWeighted(Polynomial.zero())),
+], ids=["polynomial", "gaussian-weighted"])
+def test_exact_record_reads_a_series_residual(series):
+    rec = suites._Recorder(SuiteConfig())
+    rec.exact("third", [series])
+    rec.exact("zero", [series - series])
     third_record, zero_record = rec.records
     assert third_record.status == "fail"
     assert third_record.residual == 1 / 3
