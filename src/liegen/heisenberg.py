@@ -1,8 +1,10 @@
 """Differential-operator realization of the Heisenberg algebra on
 Gaussian-weighted polynomials, and the Hermite identities it generates.
 
-The representation space is spanned by functions p(x) * exp(-x^2/2) with
-polynomial p.  All ladder algebra is done with the scaled operators
+The representation space is spanned by functions p(x) w, w = exp(-x^2/2),
+with polynomial p.  The weight is a convention: every function here takes
+and returns the polynomial part p, a ``Polynomial`` in x.  All ladder
+algebra is done with the scaled operators
 
     lower = x + d/dx        raise = x - d/dx
 
@@ -35,7 +37,6 @@ coefficients, and the ladder matrices are built from ints only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
@@ -60,67 +61,26 @@ MIN_DISCRETE_DIM = 2
 # the representation space
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GaussianWeighted:
-    """A function p(x) * exp(-x^2/2), represented by its polynomial part."""
-
-    poly: Polynomial
-
-    def __init__(self, poly):
-        if not isinstance(poly, Polynomial):
-            poly = Polynomial.constant(poly)
-        if any(v != "x" for v in poly.variables):
-            raise ValueError("polynomial part must be univariate in x")
-        object.__setattr__(self, "poly", poly)
-
-    @property
-    def is_zero(self) -> bool:
-        return self.poly.is_zero
-
-    def __add__(self, other: "GaussianWeighted") -> "GaussianWeighted":
-        return GaussianWeighted(self.poly + other.poly)
-
-    def __sub__(self, other: "GaussianWeighted") -> "GaussianWeighted":
-        return GaussianWeighted(self.poly - other.poly)
-
-    def __mul__(self, scalar) -> "GaussianWeighted":
-        return GaussianWeighted(self.poly * scalar)
-
-    __rmul__ = __mul__
-
-    def __repr__(self):
-        return f"({self.poly!r})*w"
-
-
-GROUND_STATE = GaussianWeighted(Polynomial.constant(1))
-
-
-def apply_ladder(kind: str, f: GaussianWeighted) -> GaussianWeighted:
-    """Apply one primitive operator to p(x)*w, where w = exp(-x^2/2).
+def apply_ladder(kind: str, p: Polynomial) -> Polynomial:
+    """Apply one primitive operator to p(x)*w, where w = exp(-x^2/2), and
+    return the polynomial part of the image.
 
     The weight absorbs the derivative of its own exponent:
 
         lower:      (x + D)(p w) = p' w
         raise:      (x - D)(p w) = (2xp - p') w
+        position:   x (p w)      = (xp) w
         derivative: D(p w)       = (p' - xp) w
     """
-    p = f.poly
     if kind == "lower":
-        return GaussianWeighted(p.differentiate("x"))
+        return p.differentiate("x")
     if kind == "raise":
-        return GaussianWeighted(2 * X * p - p.differentiate("x"))
+        return 2 * X * p - p.differentiate("x")
     if kind == "position":
-        return GaussianWeighted(X * p)
+        return X * p
     if kind == "derivative":
-        return GaussianWeighted(p.differentiate("x") - X * p)
+        return p.differentiate("x") - X * p
     raise ValueError(f"unknown ladder operator {kind!r}")
-
-
-def apply_word(word, f: GaussianWeighted) -> GaussianWeighted:
-    """Apply a sequence of primitive operators, rightmost first."""
-    for kind in reversed(list(word)):
-        f = apply_ladder(kind, f)
-    return f
 
 
 # ---------------------------------------------------------------------------
@@ -137,8 +97,7 @@ def hermite_rodrigues(n: int) -> Polynomial:
     if n < MIN_HERMITE_N:
         raise ValueError("n must be non-negative")
     while len(_rodrigues_cache) <= n:
-        raised = apply_ladder("raise", GaussianWeighted(_rodrigues_cache[-1]))
-        _rodrigues_cache.append(raised.poly)
+        _rodrigues_cache.append(apply_ladder("raise", _rodrigues_cache[-1]))
     return _rodrigues_cache[n]
 
 
@@ -166,22 +125,21 @@ def hermite_recurrence(n: int) -> Polynomial:
 # normalized basis functions and overlaps
 # ---------------------------------------------------------------------------
 
-def mixed_basis(n: int) -> tuple[GaussianWeighted, Fraction]:
-    """The n-th basis function H_n(x) w and the square of its normalization
-    1/sqrt(n! 2^n sqrt(pi)), in units of 1/sqrt(pi): the Fraction
-    1/(n! 2^n), whose sqrt(pi) unit cancels against the one carried by
-    Gaussian moments."""
-    return (GaussianWeighted(hermite_rodrigues(n)),
-            Fraction(1, math.factorial(n) * 2 ** n))
+def mixed_basis(n: int) -> tuple[Polynomial, Fraction]:
+    """The n-th basis function H_n(x) w, as its polynomial part H_n, and the
+    square of its normalization 1/sqrt(n! 2^n sqrt(pi)), in units of
+    1/sqrt(pi): the Fraction 1/(n! 2^n), whose sqrt(pi) unit cancels against
+    the one carried by Gaussian moments."""
+    return hermite_rodrigues(n), Fraction(1, math.factorial(n) * 2 ** n)
 
 
-def weighted_overlap(f: GaussianWeighted, g: GaussianWeighted) -> Fraction:
-    """integral f*g dx over the real line, in units of sqrt(pi).
+def weighted_overlap(p: Polynomial, q: Polynomial) -> Fraction:
+    """integral (p w)(q w) dx over the real line, in units of sqrt(pi).
 
     The two Gaussian envelopes combine to exp(-x^2), so the integral is a
     rational combination of Gaussian moments.
     """
-    product = f.poly * g.poly
+    product = p * q
     total = Fraction(0)
     for exps, coeff in product.terms.items():
         k = exps[0] if exps else 0
@@ -230,17 +188,17 @@ def discrete_anticommutator(dimension: int) -> Matrix:
 # identity verification (exact)
 # ---------------------------------------------------------------------------
 
-def _half_anticommutator(f: GaussianWeighted) -> GaussianWeighted:
-    """(1/2){lower, raise} acting on f: equals the normalized anticommutator
+def _half_anticommutator(p: Polynomial) -> Polynomial:
+    """(1/2){lower, raise} acting on p: equals the normalized anticommutator
     because each scaled operator carries one factor of sqrt(2)."""
-    first = apply_word(("lower", "raise"), f)
-    second = apply_word(("raise", "lower"), f)
+    first = apply_ladder("lower", apply_ladder("raise", p))
+    second = apply_ladder("raise", apply_ladder("lower", p))
     return Fraction(1, 2) * (first + second)
 
 
-def _position_squared_minus_d_squared(f: GaussianWeighted) -> GaussianWeighted:
-    x2 = apply_word(("position", "position"), f)
-    d2 = apply_word(("derivative", "derivative"), f)
+def _position_squared_minus_d_squared(p: Polynomial) -> Polynomial:
+    x2 = apply_ladder("position", apply_ladder("position", p))
+    d2 = apply_ladder("derivative", apply_ladder("derivative", p))
     return x2 - d2
 
 
@@ -271,14 +229,13 @@ def verify_hermite_identity(which: str, n: int):
     if which == "anticommutator":
         # the operator identity on x^n w first (over n <= N this covers every
         # degree the eigenvalue relations below reach) ...
-        mono = GaussianWeighted(X ** n)
+        mono = X ** n
         diff = _half_anticommutator(mono) - _position_squared_minus_d_squared(mono)
         if not diff.is_zero:
-            return diff.poly
+            return diff
         # ... then the eigenvalue relation on the n-th basis function
         basis, _ = mixed_basis(n)
-        residual = _half_anticommutator(basis) - (2 * n + 1) * basis
-        return residual.poly
+        return _half_anticommutator(basis) - (2 * n + 1) * basis
     if which == "orthonormality":
         fn, norm_n = mixed_basis(n)
         for m in range(n + 1):
@@ -302,7 +259,7 @@ def raising_consistency_residual(n: int):
     """
     fn, norm_n = mixed_basis(n)
     fnext, norm_next = mixed_basis(n + 1)
-    poly_residual = apply_ladder("raise", fn).poly - fnext.poly
+    poly_residual = apply_ladder("raise", fn) - fnext
     norm_residual = norm_n / 2 - (n + 1) * norm_next
     return poly_residual, norm_residual
 
@@ -311,20 +268,28 @@ def raising_consistency_residual(n: int):
 # shift operator and generating-function checks (exact series)
 # ---------------------------------------------------------------------------
 
-def shift_series(f: GaussianWeighted, order: int) -> PowerSeries:
-    """Series for exp(-t d/dx) f, the expansion of f(x - t) in powers of t:
-    term k is (-1)^k f^(k) / k!, which stays in the Gaussian-weighted space
+def shift_series(p: Polynomial, order: int) -> PowerSeries:
+    """Series for exp(-t d/dx)(p w), the expansion of (p w)(x - t) in powers
+    of t: term k is (-1)^k D^k(p w) / k!, which stays in the weighted space
     because d/dx does."""
     coeffs = []
-    current = f
+    current = p
     factorial = 1
     for k in range(order + 1):
         if k:
             current = apply_ladder("derivative", current)
             factorial *= k
-        sign = Fraction((-1) ** k, factorial)
-        coeffs.append(sign * current)
-    return PowerSeries(coeffs, order, GaussianWeighted(Polynomial.zero()))
+        coeffs.append(Fraction((-1) ** k, factorial) * current)
+    return PowerSeries(coeffs, order)
+
+
+def _hermite_series(order: int) -> PowerSeries:
+    """sum H_k t^k / k! through t^order, with H_k from
+    :func:`hermite_rodrigues`."""
+    if order < MIN_SERIES_ORDER:
+        raise ValueError(f"order must be >= {MIN_SERIES_ORDER}")
+    return PowerSeries([Fraction(1, math.factorial(k)) * hermite_rodrigues(k)
+                        for k in range(order + 1)], order)
 
 
 def disentangle_check(order: int) -> PowerSeries:
@@ -338,34 +303,19 @@ def disentangle_check(order: int) -> PowerSeries:
     own weight re-expands as w times exp(xt - t^2/2).  The difference must
     vanish identically through the requested order.
     """
-    if order < MIN_SERIES_ORDER:
-        raise ValueError(f"order must be >= {MIN_SERIES_ORDER}")
-    lhs = PowerSeries(
-        [Fraction(1, math.factorial(k))
-         * GaussianWeighted(hermite_rodrigues(k))
-         for k in range(order + 1)],
-        order, GaussianWeighted(Polynomial.zero()))
-
-    exp_tx = series_exp(PowerSeries.from_terms({1: X}, order, Polynomial.zero()))
+    lhs = _hermite_series(order)
+    exp_tx = series_exp(PowerSeries.from_terms({1: X}, order))
     exp_t2 = series_exp(PowerSeries.from_terms(
-        {2: Polynomial.constant(Fraction(-1, 2))}, order, Polynomial.zero()))
-    shifted_ground = shift_series(GROUND_STATE, order)
-    rhs = (exp_tx * exp_t2) * shifted_ground
-
-    return lhs - rhs
+        {2: Polynomial.constant(Fraction(-1, 2))}, order))
+    shifted_ground = shift_series(Polynomial.constant(1), order)
+    return lhs - (exp_tx * exp_t2) * shifted_ground
 
 
 def hermite_genfunc_check(order: int) -> PowerSeries:
     """Residual series of exp(2xt - t^2) minus sum H_n(x) t^n / n! through
     the requested order; the Hermite side comes from the operational
     construction, the exponential side from series_exp."""
-    if order < MIN_SERIES_ORDER:
-        raise ValueError(f"order must be >= {MIN_SERIES_ORDER}")
+    rhs = _hermite_series(order)
     exponent = PowerSeries.from_terms(
-        {1: 2 * X, 2: Polynomial.constant(-1)}, order, Polynomial.zero())
-    lhs = series_exp(exponent)
-    rhs = PowerSeries(
-        [Fraction(1, math.factorial(k)) * hermite_rodrigues(k)
-         for k in range(order + 1)],
-        order, Polynomial.zero())
-    return lhs - rhs
+        {1: 2 * X, 2: Polynomial.constant(-1)}, order)
+    return series_exp(exponent) - rhs

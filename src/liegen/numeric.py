@@ -1,5 +1,6 @@
 """Exact-arithmetic core: multivariate rational polynomials, square
-matrices, truncated formal power series, and Gaussian moments.
+matrices, truncated formal power series with polynomial coefficients, and
+Gaussian moments.
 
 All values in this module are immutable after construction.  Polynomials,
 series and moments are exact.  A ``Matrix`` stores its entries as given:
@@ -28,6 +29,8 @@ zero factor is the zero polynomial.  Single coefficients of a product can
 still cancel, as in (x + 1)(x - 1), so zero numerators are still dropped
 and the common factor still divided out.
 
+A ``PowerSeries`` has ``Polynomial`` coefficients only (a rational series
+has constant ones), so its arithmetic is the polynomial arithmetic above.
 Series products skip zero coefficients, and ``series_exp`` runs the
 exponential's ODE recurrence a_n = (1/n) sum_j j s_j a_{n-j} over the
 nonzero coefficients of s.
@@ -473,90 +476,67 @@ class Matrix:
 # truncated power series
 # ---------------------------------------------------------------------------
 
-def _coeff_is_zero(c) -> bool:
-    flag = getattr(c, "is_zero", None)
-    if flag is not None:
-        return bool(flag)
-    return c == 0
-
-
 class PowerSeries:
-    """Formal power series in ``t`` truncated at an explicit order.
-
-    Coefficients may live in any exact ring with ``+``, ``*`` and scalar
-    multiplication by Fractions (Fraction, Polynomial, or the Gaussian
-    envelope functions of :mod:`liegen.heisenberg`).  Operations never
-    silently extend the truncation order: combining series keeps the
-    smaller order.
+    """Formal power series in ``t`` with ``Polynomial`` coefficients,
+    truncated at an explicit order.  Operations never silently extend the
+    truncation order: combining series keeps the smaller order.
     """
 
-    __slots__ = ("order", "coeffs", "zero")
+    __slots__ = ("order", "coeffs")
 
-    def __init__(self, coeffs, order: int, zero=_ZERO):
+    def __init__(self, coeffs, order: int):
         if order < 0:
             raise ValueError("truncation order must be non-negative")
         coeffs = list(coeffs)
         if len(coeffs) > order + 1:
             raise ValueError("more coefficients than the truncation order allows")
-        coeffs += [zero] * (order + 1 - len(coeffs))
+        coeffs += [_ZERO_POLY] * (order + 1 - len(coeffs))
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "coeffs", tuple(coeffs))
-        object.__setattr__(self, "zero", zero)
 
     def __setattr__(self, *a):  # pragma: no cover - immutability guard
         raise AttributeError("PowerSeries is immutable")
 
     @classmethod
-    def from_terms(cls, terms: Mapping[int, object], order: int, zero=_ZERO):
-        coeffs = [zero] * (order + 1)
+    def from_terms(cls, terms: Mapping[int, Polynomial], order: int):
+        coeffs = [_ZERO_POLY] * (order + 1)
         for k, c in terms.items():
             if k <= order:
                 coeffs[k] = c
-        return cls(coeffs, order, zero)
-
-    def coefficient(self, k: int):
-        return self.coeffs[k]
+        return cls(coeffs, order)
 
     @property
     def is_zero(self) -> bool:
-        return all(_coeff_is_zero(c) for c in self.coeffs)
-
-    def _common_order(self, other: "PowerSeries") -> int:
-        return min(self.order, other.order)
+        return all(c.is_zero for c in self.coeffs)
 
     def __add__(self, other: "PowerSeries") -> "PowerSeries":
-        k = self._common_order(other)
+        k = min(self.order, other.order)
         coeffs = [self.coeffs[i] + other.coeffs[i] for i in range(k + 1)]
-        return PowerSeries(coeffs, k, self.zero)
+        return PowerSeries(coeffs, k)
 
     def __sub__(self, other: "PowerSeries") -> "PowerSeries":
-        k = self._common_order(other)
-        coeffs = [self.coeffs[i] + (-1) * other.coeffs[i] for i in range(k + 1)]
-        return PowerSeries(coeffs, k, self.zero)
-
-    def __neg__(self) -> "PowerSeries":
-        return PowerSeries([(-1) * c for c in self.coeffs], self.order, self.zero)
+        k = min(self.order, other.order)
+        coeffs = [self.coeffs[i] - other.coeffs[i] for i in range(k + 1)]
+        return PowerSeries(coeffs, k)
 
     def __mul__(self, other: "PowerSeries") -> "PowerSeries":
-        k = self._common_order(other)
-        zero = self.coeffs[0] * other.zero
+        k = min(self.order, other.order)
         # only pairs of nonzero coefficients contribute
         left = [(i, c) for i, c in enumerate(self.coeffs[:k + 1])
-                if not _coeff_is_zero(c)]
+                if not c.is_zero]
         right = {j: c for j, c in enumerate(other.coeffs[:k + 1])
-                 if not _coeff_is_zero(c)}
+                 if not c.is_zero}
         coeffs = []
         for n in range(k + 1):
-            acc = None
+            acc = _ZERO_POLY
             for i, a in left:
                 if i > n:
                     break
                 b = right.get(n - i)
                 if b is not None:
-                    prod = a * b
-                    acc = prod if acc is None else acc + prod
-            coeffs.append(zero if acc is None else acc)
-        return PowerSeries(coeffs, k, zero)
+                    acc = acc + a * b
+            coeffs.append(acc)
+        return PowerSeries(coeffs, k)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PowerSeries):
@@ -565,7 +545,7 @@ class PowerSeries:
 
     def __repr__(self):
         parts = [f"({c!r})*t^{k}" for k, c in enumerate(self.coeffs)
-                 if not _coeff_is_zero(c)]
+                 if not c.is_zero]
         return " + ".join(parts) if parts else "0"
 
 
@@ -580,21 +560,19 @@ def series_exp(s: PowerSeries) -> PowerSeries:
     take part, so the cost is O(order * nonzero terms of s) coefficient
     products instead of O(order) full series products.
     """
-    if not _coeff_is_zero(s.coeffs[0]):
+    if not s.coeffs[0].is_zero:
         raise ValueError("series_exp requires a zero constant term")
-    one = Polynomial.constant(1) if isinstance(s.zero, Polynomial) else _ONE
     weighted = [(j, j * c) for j, c in enumerate(s.coeffs)
-                if j and not _coeff_is_zero(c)]
-    a = [one]
+                if j and not c.is_zero]
+    a = [Polynomial.constant(1)]
     for n in range(1, s.order + 1):
-        acc = None
+        acc = _ZERO_POLY
         for j, js_j in weighted:
             if j > n:
                 break
-            term = js_j * a[n - j]
-            acc = term if acc is None else acc + term
-        a.append(s.zero if acc is None else Fraction(1, n) * acc)
-    return PowerSeries(a, s.order, s.zero)
+            acc = acc + js_j * a[n - j]
+        a.append(Fraction(1, n) * acc)
+    return PowerSeries(a, s.order)
 
 
 # ---------------------------------------------------------------------------

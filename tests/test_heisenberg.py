@@ -1,4 +1,7 @@
-"""Ladder algebra on Gaussian-weighted polynomials and the Hermite identities."""
+"""Ladder algebra on Gaussian-weighted polynomials and the Hermite identities.
+
+A function p(x) exp(-x^2/2) is passed to every operator as its polynomial
+part p, so the bare Gaussian is ``Polynomial.constant(1)``."""
 
 import math
 
@@ -7,10 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liegen.heisenberg import (
-    GROUND_STATE,
-    GaussianWeighted,
     apply_ladder,
-    apply_word,
     discrete_anticommutator,
     discrete_commutator,
     discrete_matrix,
@@ -31,35 +31,34 @@ from liegen.numeric import Matrix, Polynomial, X
 # -- ladder action -------------------------------------------------------------
 
 def test_lower_annihilates_ground_state():
-    assert apply_ladder("lower", GROUND_STATE).is_zero
+    assert apply_ladder("lower", Polynomial.constant(1)).is_zero
 
 
 def test_raise_on_ground_state_symbolic_oracle():
     # oracle: (x - d/dx) e^{-x^2/2} = x e^{-x^2/2} + x e^{-x^2/2} = 2x w
-    assert apply_ladder("raise", GROUND_STATE) == GaussianWeighted(2 * X)
+    assert apply_ladder("raise", Polynomial.constant(1)) == 2 * X
 
 
-@pytest.mark.parametrize("k", range(7))
-def test_ladder_commutator_on_monomials(k):
-    # raise lower - lower raise = -2 on p*w, i.e. [lower_norm, raise_norm] = 1
-    # once each operator gives back its 1/sqrt(2)
-    f = GaussianWeighted(X ** k)
-    diff = apply_word(("raise", "lower"), f) - apply_word(("lower", "raise"), f)
-    assert diff == (-2) * f
+def lower_raise(p):
+    return apply_ladder("lower", apply_ladder("raise", p))
+
+
+def raise_lower(p):
+    return apply_ladder("raise", apply_ladder("lower", p))
 
 
 @pytest.mark.parametrize("k", range(13))
 def test_representation_relations_on_monomials(k):
-    f = GaussianWeighted(X ** k)
-    # [lower, raise] = 2 * identity in scaled form
-    comm = apply_word(("lower", "raise"), f) - apply_word(("raise", "lower"), f)
-    assert comm == 2 * f
+    # [lower, raise] = 2 * identity in scaled form on x^k w, that is
+    # [lower_norm, raise_norm] = 1 once each operator gives back its 1/sqrt(2)
+    f = X ** k
+    assert lower_raise(f) - raise_lower(f) == 2 * f
 
 
 def test_position_and_derivative_combinations():
     # lower = position + derivative-with-weight relation:
     # (x + D)(p w) = p' w must equal position+derivative applied jointly
-    f = GaussianWeighted(X ** 3 - 2 * X)
+    f = X ** 3 - 2 * X
     combo = apply_ladder("position", f) + apply_ladder("derivative", f)
     assert combo == apply_ladder("lower", f)
     combo = apply_ladder("position", f) - apply_ladder("derivative", f)
@@ -122,9 +121,8 @@ def test_diffrel_n1_hand_value():
 def test_anticommutator_eigenvalue_examples():
     # (1/2){lower, raise} H_n w = (2n + 1) H_n w, by direct application
     for n, eigenvalue in ((0, 1), (3, 7)):
-        basis = GaussianWeighted(hermite_recurrence(n))
-        anti = (apply_word(("lower", "raise"), basis)
-                + apply_word(("raise", "lower"), basis))
+        basis = hermite_recurrence(n)
+        anti = lower_raise(basis) + raise_lower(basis)
         assert anti == 2 * eigenvalue * basis
     assert verify_hermite_identity("anticommutator", 3).is_zero
 
@@ -135,7 +133,7 @@ def test_orthonormality_exact():
     assert weighted_overlap(psi5, psi5) == math.factorial(5) * 2 ** 5
     assert norm5 * weighted_overlap(psi5, psi5) == 1
     psi1, _ = mixed_basis(1)
-    assert weighted_overlap(psi1, GROUND_STATE) == 0  # odd integrand
+    assert weighted_overlap(psi1, Polynomial.constant(1)) == 0  # odd integrand
     psi4, _ = mixed_basis(4)
     psi2, _ = mixed_basis(2)
     assert weighted_overlap(psi4, psi2) == 0
@@ -143,7 +141,8 @@ def test_orthonormality_exact():
 
 def test_ground_state_normalization():
     # the bare Gaussian integrates to sqrt(pi): moment coefficient 1
-    assert weighted_overlap(GROUND_STATE, GROUND_STATE) == 1
+    ground = Polynomial.constant(1)
+    assert weighted_overlap(ground, ground) == 1
     _, norm = mixed_basis(0)
     assert norm == 1
 
@@ -229,10 +228,10 @@ def test_discrete_matrix_rejects_small_dimension():
 def test_shift_of_ground_state_hand_oracle():
     # w(x - t) = w exp(xt - t^2/2): through t^3 the coefficients are
     # 1, x, (x^2 - 1)/2 and (x^3 - 3x)/6, each times w
-    s = shift_series(GROUND_STATE, 3)
+    s = shift_series(Polynomial.constant(1), 3)
     expected = [Polynomial.constant(1), X, (X ** 2 - 1) / 2,
                 (X ** 3 - 3 * X) / 6]
-    assert [c.poly for c in s.coeffs] == expected
+    assert list(s.coeffs) == expected
 
 
 # -- generating function and disentangling ----------------------------------------
@@ -241,10 +240,8 @@ def test_disentangle_low_orders_by_hand():
     residual = disentangle_check(2)
     assert residual.is_zero
     # spot-check the left side really carries H_k/k! * w
-    lhs0 = GROUND_STATE
-    lhs1 = apply_ladder("raise", GROUND_STATE)
-    assert lhs0.poly == Polynomial.constant(1)
-    assert lhs1.poly == 2 * X
+    lhs1 = apply_ladder("raise", Polynomial.constant(1))
+    assert lhs1 == 2 * X
 
 
 def test_disentangle_through_order_32():

@@ -1,5 +1,6 @@
-"""Every import in a liegen module is used by that module, and every public
-top-level name is read somewhere in the package or the benchmark.
+"""Every import in a liegen module is used by that module, and every
+top-level name, public or private, is read somewhere in the package or the
+benchmark.
 
 No linter ships with the project, and a deleted function can leave its
 imports behind, or a deleted caller its callee; this reads each module's
@@ -49,7 +50,9 @@ def test_module_reads_every_import(path):
 
 
 def _definitions(tree: ast.Module):
-    """(name, node) for each public name a module binds at top level."""
+    """(name, node) for each name a module binds at top level, public or
+    private; dunder names such as ``__version__`` are module metadata and
+    are left out."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                              ast.ClassDef)):
@@ -62,7 +65,7 @@ def _definitions(tree: ast.Module):
         else:
             continue
         for name in names:
-            if not name.startswith("_"):
+            if not (name.startswith("__") and name.endswith("__")):
                 yield name, node
 
 
@@ -81,7 +84,7 @@ def _reads(node: ast.AST) -> set[str]:
 
 
 def orphan_names(modules: dict[str, str], readers: dict[str, str]) -> list[str]:
-    """Public top-level names of ``modules`` that no code in ``modules`` or
+    """Top-level names of ``modules`` that no code in ``modules`` or
     ``readers`` references outside the name's own definition."""
     trees = {path: ast.parse(source)
              for path, source in {**modules, **readers}.items()}
@@ -100,19 +103,32 @@ def test_guard_finds_an_orphan_name():
                  "def recursive():\n    return recursive()\n"
                  "class Named:\n    def m(self) -> 'Named':\n"
                  "        return self\n"
-                 "CONST = 1\n_PRIVATE = 2\n"),
+                 "CONST = 1\n_PRIVATE = 2\n_READ = 3\n__version__ = '1'\n"
+                 "def _helper():\n    return _READ\n"),
     }
     readers = {"b.py": "import a\na.used()\nspans = ('Named',)\n"}
-    assert orphan_names(modules, readers) == ["CONST (a.py)",
+    assert orphan_names(modules, readers) == ["CONST (a.py)", "_PRIVATE (a.py)",
+                                              "_helper (a.py)",
                                               "recursive (a.py)"]
     assert orphan_names(modules, {}) == ["CONST (a.py)", "Named (a.py)",
+                                         "_PRIVATE (a.py)", "_helper (a.py)",
                                          "recursive (a.py)", "used (a.py)"]
 
 
-def test_every_public_name_has_a_reader():
+def product_orphans() -> list[str]:
+    """Orphan top-level names of the package, with the package and the
+    benchmark as readers, less the allowlist."""
     modules = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
     readers = {f"perfbench/{path.name}": path.read_text()
                for path in sorted(PERFBENCH.glob("*.py"))}
-    orphans = [o for o in orphan_names(modules, readers)
-               if o.split(" ")[0] not in ORPHAN_ALLOWLIST]
-    assert orphans == []
+    return [o for o in orphan_names(modules, readers)
+            if o.split(" ")[0] not in ORPHAN_ALLOWLIST]
+
+
+def test_every_public_name_has_a_reader():
+    assert [o for o in product_orphans() if not o.startswith("_")] == []
+
+
+def test_every_private_name_has_a_reader():
+    # a deleted caller must not leave its private helper behind
+    assert [o for o in product_orphans() if o.startswith("_")] == []

@@ -13,7 +13,7 @@ from liegen import groups as gr
 from liegen import heisenberg as hb
 from liegen import suites
 from liegen.errors import ConfigError
-from liegen.numeric import Matrix, Polynomial, PowerSeries, X, _worst
+from liegen.numeric import Matrix, PowerSeries, X, _worst
 from liegen.suites import (
     SuiteConfig,
     load_config,
@@ -80,10 +80,8 @@ def test_exact_record_reads_a_matrix_residual():
 
 
 @pytest.mark.parametrize("series", [
-    PowerSeries.from_terms({1: X / 3}, 2, Polynomial.zero()),
-    PowerSeries.from_terms({2: hb.GaussianWeighted(-X / 3)}, 3,
-                           hb.GaussianWeighted(Polynomial.zero())),
-], ids=["polynomial", "gaussian-weighted"])
+    PowerSeries.from_terms({1: X / 3}, 2),
+], ids=["polynomial"])
 def test_exact_record_reads_a_series_residual(series):
     rec = suites._Recorder(SuiteConfig())
     rec.exact("third", [series])
@@ -168,6 +166,53 @@ def test_nan_residual_fails_bessel_identity(monkeypatch):
     assert all(r.status == "pass" for r in others)
 
 
+SMALL_BESSEL = dict(bessel_orders=(0, 1), bessel_r_grid=(0.5, 1.0, 2.0))
+
+
+def test_doubled_raise_records_the_coefficient_gap(monkeypatch):
+    # a wrong coefficient records its size, not a flag of 1: both round
+    # trips give 2f, whose largest gap to f is |2(-2j) - (-2j)| = 2
+    real = eu.apply_polar_op
+
+    def mutated(op, f):
+        out = real(op, f)
+        if op != "raise":
+            return out
+        return eu.CylFunc(eu.CylTerm(t.order, 2 * t.coeff) for t in out.terms)
+
+    monkeypatch.setattr(eu, "apply_polar_op", mutated)
+    records = records_by_id(run_bessel(SuiteConfig(**SMALL_BESSEL)))
+    assert records["ladder_roundtrip_identity"].status == "fail"
+    assert records["ladder_roundtrip_identity"].residual == 2.0
+    assert records["lz_eigenvalue"].status == "pass"
+
+
+@pytest.mark.parametrize("coeff, residual", [
+    (lambda t: (t.order + 1) * t.coeff, 2.0),  # 8.0 against 6.0
+    (lambda t: complex(math.inf, 0.0), math.inf),
+    (lambda t: complex(math.nan, 0.0), math.nan),
+], ids=["order-plus-one", "inf", "nan"])
+def test_wrong_lz_records_the_coefficient_gap(monkeypatch, coeff, residual):
+    # a non-finite coefficient reaches the record as a float instead of
+    # raising in the conversion to an exact Fraction
+    real = eu.apply_polar_op
+
+    def mutated(op, f):
+        if op != "lz":
+            return real(op, f)
+        return eu.CylFunc(eu.CylTerm(t.order, coeff(t)) for t in f.terms)
+
+    monkeypatch.setattr(eu, "apply_polar_op", mutated)
+    records = records_by_id(run_bessel(SuiteConfig(**SMALL_BESSEL)))
+    record = records["lz_eigenvalue"]
+    assert record.status == "fail"
+    if math.isnan(residual):
+        assert math.isnan(record.residual)
+    else:
+        assert record.residual == residual
+    assert records["ladder_roundtrip_identity"].status == "pass"
+
+
 def test_wrong_parity_term_fails_parity_and_recurrence(monkeypatch):
     real = hb.hermite_rodrigues
     bump = Fraction(3, 2) * X ** 2  # even exponent in the odd H_5
@@ -181,6 +226,10 @@ def test_wrong_parity_term_fails_parity_and_recurrence(monkeypatch):
     assert records["parity"].status == "fail"
     assert records["parity"].residual == 1.5
     assert records["rodrigues_vs_recurrence"].status == "fail"
+    # both series checks read sum H_k t^k / k!, so the bump shows in t^5
+    for series_check in ("genfunc_A5", "disentangle"):
+        assert records[series_check].status == "fail"
+        assert records[series_check].residual == 1.5 / math.factorial(5)
 
 
 def failed_ids(report):
