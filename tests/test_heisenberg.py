@@ -47,10 +47,17 @@ def raise_lower(p):
     return apply_ladder("raise", apply_ladder("lower", p))
 
 
+@pytest.mark.parametrize("k", range(7))
+def test_ladder_commutator_on_monomials(k):
+    # raise lower - lower raise = -2 on p*w, i.e. [lower_norm, raise_norm] = 1
+    # once each operator gives back its 1/sqrt(2)
+    f = X ** k
+    assert raise_lower(f) - lower_raise(f) == (-2) * f
+
+
 @pytest.mark.parametrize("k", range(13))
 def test_representation_relations_on_monomials(k):
-    # [lower, raise] = 2 * identity in scaled form on x^k w, that is
-    # [lower_norm, raise_norm] = 1 once each operator gives back its 1/sqrt(2)
+    # [lower, raise] = 2 * identity in scaled form on x^k w
     f = X ** k
     assert lower_raise(f) - raise_lower(f) == 2 * f
 
