@@ -16,9 +16,8 @@ from typing import Sequence
 
 from .errors import EnvelopeError
 from .euclidean import BesselEval
-from .numeric import Polynomial, Scalar, X, Y, Z, _as_fraction
-
-_VARS = ("x", "y", "z")
+from .numeric import (CANONICAL_VARS, Polynomial, Scalar, X, Y, Z,
+                      _as_fraction)
 
 
 # ---------------------------------------------------------------------------
@@ -36,7 +35,7 @@ class VectorFieldOp:
 
     def __init__(self, c_x=None, c_y=None, c_z=None):
         coeffs = {}
-        for var, c in zip(_VARS, (c_x, c_y, c_z)):
+        for var, c in zip(CANONICAL_VARS, (c_x, c_y, c_z)):
             if c is None:
                 c = Polynomial.zero()
             elif not isinstance(c, Polynomial):
@@ -49,7 +48,7 @@ class VectorFieldOp:
 
     def apply(self, f: Polynomial) -> Polynomial:
         out = Polynomial.zero()
-        for var in _VARS:
+        for var in CANONICAL_VARS:
             c = self.coeffs[var]
             if not c.is_zero:
                 out = out + c * f.differentiate(var)
@@ -60,14 +59,17 @@ class VectorFieldOp:
         return all(c.is_zero for c in self.coeffs.values())
 
     def __add__(self, other: "VectorFieldOp") -> "VectorFieldOp":
-        return VectorFieldOp(*(self.coeffs[v] + other.coeffs[v] for v in _VARS))
+        return VectorFieldOp(*(self.coeffs[v] + other.coeffs[v]
+                               for v in CANONICAL_VARS))
 
     def __sub__(self, other: "VectorFieldOp") -> "VectorFieldOp":
-        return VectorFieldOp(*(self.coeffs[v] - other.coeffs[v] for v in _VARS))
+        return VectorFieldOp(*(self.coeffs[v] - other.coeffs[v]
+                               for v in CANONICAL_VARS))
 
     def __mul__(self, scalar) -> "VectorFieldOp":
         scalar = _as_fraction(scalar)
-        return VectorFieldOp(*(self.coeffs[v] * scalar for v in _VARS))
+        return VectorFieldOp(*(self.coeffs[v] * scalar
+                               for v in CANONICAL_VARS))
 
     __rmul__ = __mul__
 
@@ -80,21 +82,21 @@ class VectorFieldOp:
     def __eq__(self, other) -> bool:
         if not isinstance(other, VectorFieldOp):
             return NotImplemented
-        return all(self.coeffs[v] == other.coeffs[v] for v in _VARS)
+        return all(self.coeffs[v] == other.coeffs[v] for v in CANONICAL_VARS)
 
     def __hash__(self):
-        return hash(tuple(self.coeffs[v] for v in _VARS))
+        return hash(tuple(self.coeffs[v] for v in CANONICAL_VARS))
 
     def __repr__(self):
         parts = [f"({self.coeffs[v]!r}) d/d{v}"
-                 for v in _VARS if not self.coeffs[v].is_zero]
+                 for v in CANONICAL_VARS if not self.coeffs[v].is_zero]
         return " + ".join(parts) if parts else "0"
 
 
 def vf_commutator(a: VectorFieldOp, b: VectorFieldOp) -> VectorFieldOp:
     """[a, b] computed on the coefficient polynomials; exact."""
     return VectorFieldOp(
-        *(a.apply(b.coeffs[v]) - b.apply(a.coeffs[v]) for v in _VARS))
+        *(a.apply(b.coeffs[v]) - b.apply(a.coeffs[v]) for v in CANONICAL_VARS))
 
 
 # rotation generators about the three axes, and the plane translations

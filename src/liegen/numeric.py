@@ -17,17 +17,16 @@ operation (Knuth, TAOCP vol. 2, 4.5.1 and 4.6.4).  Rational values leave the
 module as ``fractions.Fraction``: ``Polynomial.terms`` and
 ``Polynomial.eval``, series coefficients and Gaussian moments.
 
-The public ``Polynomial`` constructor validates its input; arithmetic on
-polynomials, whose operands are already valid, builds its results through a
-trusted path that only normalizes.  Sums, derivatives and scalar multiples
-can lose a variable (x + (-x) is 0), so their results are scanned for
-unused variables.  Products are not: Q[x, y, z] is an integral domain, so
-for nonzero a and b the leading forms in any variable v multiply to a
-nonzero form and deg_v(a*b) = deg_v(a) + deg_v(b); a product of nonzero
-polynomials uses every variable either factor uses, and a product with a
-zero factor is the zero polynomial.  Single coefficients of a product can
-still cancel, as in (x + 1)(x - 1), so zero numerators are still dropped
-and the common factor still divided out.
+Every polynomial ``liegen`` builds lives in one ring, Q[x, y, z], so a
+``Polynomial`` has one storage form: its numerators are keyed by exponent
+triples (a, b, c) for x^a y^b z^c, whichever variables it uses.  Sums and
+products then need no alignment of variable lists: a product adds the
+exponent triples termwise.  The public constructor validates its input and
+embeds it into triples; arithmetic on polynomials, whose operands are
+already valid, builds its results through one internal constructor that
+only drops zero numerators and divides out the common factor.  The
+variables a polynomial uses are read off its terms when asked for, so no
+result is scanned for them.
 
 A ``PowerSeries`` has ``Polynomial`` coefficients only (a rational series
 has constant ones), so its arithmetic is the polynomial arithmetic above.
@@ -40,7 +39,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import add, getitem
+from operator import getitem
 from types import MappingProxyType
 from typing import Iterable, Mapping, Union
 
@@ -48,6 +47,8 @@ Scalar = Union[int, Fraction]
 
 #: Variable names a Polynomial may use, in canonical display/storage order.
 CANONICAL_VARS = ("x", "y", "z")
+#: The exponent triple of the constant monomial.
+_CONSTANT = (0, 0, 0)
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -82,24 +83,24 @@ def ensure_finite(z: complex) -> complex:
 # ---------------------------------------------------------------------------
 
 class Polynomial:
-    """Multivariate polynomial with exact rational coefficients.
+    """Polynomial in x, y, z with exact rational coefficients.
 
-    ``variables`` is an ordered subset of :data:`CANONICAL_VARS`.  The
-    coefficients are stored as integer numerators over one shared
-    denominator: the monomial with exponent tuple ``e`` (aligned with
-    ``variables``) has the coefficient ``_nums[e] / _den``.  Every instance
-    is in one canonical form, so equal polynomials have equal storage:
+    Every instance is stored over all of :data:`CANONICAL_VARS`: the
+    monomial x^a y^b z^c has the coefficient ``_nums[(a, b, c)] / _den``.
+    The storage is in one canonical form, so equal polynomials have equal
+    storage:
 
     * ``_den > 0`` and ``gcd(_den, *_nums.values()) == 1``;
-    * no numerator is zero (so the zero polynomial is ``{}`` over 1);
-    * every variable has a positive exponent in some term.
+    * no numerator is zero (so the zero polynomial is ``{}`` over 1).
 
-    :attr:`terms` gives the coefficients as a read-only mapping from
-    exponent tuples to nonzero Fractions.  Instances are immutable; every
-    operation returns a new polynomial.
+    :attr:`variables` lists the variables some term uses, in canonical
+    order, and :attr:`terms` gives the coefficients as a read-only mapping
+    from exponent tuples aligned with :attr:`variables` to nonzero
+    Fractions.  Instances are immutable; every operation returns a new
+    polynomial.
     """
 
-    __slots__ = ("variables", "_nums", "_den")
+    __slots__ = ("_nums", "_den")
 
     def __init__(self, variables: Iterable[str], terms: Mapping[tuple, Scalar]):
         variables = tuple(variables)
@@ -108,6 +109,7 @@ class Polynomial:
                 raise ValueError(f"unknown variable {name!r}")
         if list(variables) != sorted(variables, key=CANONICAL_VARS.index):
             raise ValueError("variables must be in canonical order")
+        positions = [CANONICAL_VARS.index(v) for v in variables]
         cleaned = {}
         for exps, coeff in terms.items():
             exps = tuple(exps)
@@ -117,56 +119,35 @@ class Polynomial:
                 raise ValueError("exponents must be non-negative integers")
             coeff = _as_fraction(coeff)
             if coeff != 0:
-                cleaned[exps] = cleaned.get(exps, _ZERO) + coeff
+                key = [0] * len(CANONICAL_VARS)
+                for pos, e in zip(positions, exps):
+                    key[pos] = e
+                key = tuple(key)
+                cleaned[key] = cleaned.get(key, _ZERO) + coeff
         den = math.lcm(*(c.denominator for c in cleaned.values()))
-        self._settle_unused(variables, {e: c.numerator * (den // c.denominator)
-                                        for e, c in cleaned.items()}, den)
+        self._settle({e: c.numerator * (den // c.denominator)
+                      for e, c in cleaned.items()}, den)
 
-    def _settle(self, variables: tuple, nums: dict, den: int) -> None:
+    def _settle(self, nums: dict, den: int) -> None:
         """Store ``nums / den`` (``den > 0``) in canonical form: zero
         numerators dropped and the common factor of ``den`` and the
-        numerators divided out.  Every variable must have a positive
-        exponent in some nonzero term."""
+        numerators divided out."""
         if 0 in nums.values():
             nums = {e: n for e, n in nums.items() if n}
         g = math.gcd(den, *nums.values())
         if g != 1:
             den //= g
             nums = {e: n // g for e, n in nums.items()}
-        object.__setattr__(self, "variables", variables)
         object.__setattr__(self, "_nums", nums)
         object.__setattr__(self, "_den", den)
 
-    def _settle_unused(self, variables: tuple, nums: dict, den: int) -> None:
-        """:meth:`_settle` for results that may leave a variable unused:
-        zero numerators dropped first, then every variable that no term
-        uses removed."""
-        if 0 in nums.values():
-            nums = {e: n for e, n in nums.items() if n}
-        used = list(map(any, zip(*nums)))
-        if len(used) != len(variables) or not all(used):
-            keep = [i for i, u in enumerate(used) if u]
-            variables = tuple(variables[i] for i in keep)
-            nums = {tuple(e[i] for i in keep): n for e, n in nums.items()}
-        self._settle(variables, nums, den)
-
     @classmethod
-    def _trusted(cls, variables: tuple, nums: dict, den: int) -> "Polynomial":
-        """Internal constructor for sums, derivatives and scalar multiples:
-        ``variables`` is already canonical, every key an exponent tuple
-        aligned with it, every numerator an int and ``den`` a positive int,
-        so only the normalization and the unused-variable scan run."""
+    def _make(cls, nums: dict, den: int) -> "Polynomial":
+        """Internal constructor for arithmetic results: every key is an
+        exponent triple, every numerator an int and ``den`` a positive int,
+        so only the normalization runs."""
         poly = object.__new__(cls)
-        poly._settle_unused(variables, nums, den)
-        return poly
-
-    @classmethod
-    def _product(cls, variables: tuple, nums: dict, den: int) -> "Polynomial":
-        """:meth:`_trusted` for the product of two nonzero polynomials over
-        their merged variables, which uses every one of them (see the
-        module docstring), so the scan is skipped."""
-        poly = object.__new__(cls)
-        poly._settle(variables, nums, den)
+        poly._settle(nums, den)
         return poly
 
     def __setattr__(self, *a):  # pragma: no cover - immutability guard
@@ -183,7 +164,7 @@ class Polynomial:
     @classmethod
     def constant(cls, value: Scalar) -> "Polynomial":
         value = _as_fraction(value)
-        return cls._trusted((), {(): value.numerator}, value.denominator)
+        return cls._make({_CONSTANT: value.numerator}, value.denominator)
 
     @classmethod
     def variable(cls, name: str) -> "Polynomial":
@@ -191,13 +172,24 @@ class Polynomial:
 
     # -- structure ---------------------------------------------------------
 
+    def _used(self) -> list:
+        """Positions in :data:`CANONICAL_VARS` of the variables some term
+        uses."""
+        return [i for i, column in enumerate(zip(*self._nums)) if any(column)]
+
+    @property
+    def variables(self) -> tuple:
+        """The variables some term uses, in canonical order."""
+        return tuple(CANONICAL_VARS[i] for i in self._used())
+
     @property
     def terms(self) -> Mapping[tuple, Fraction]:
-        """Exponent tuple -> nonzero Fraction coefficient, built from the
-        integer numerators on each access."""
-        den = self._den
+        """Exponent tuple aligned with :attr:`variables` -> nonzero Fraction
+        coefficient, built from the integer numerators on each access."""
+        den, used = self._den, self._used()
         return MappingProxyType(
-            {e: Fraction(n, den) for e, n in self._nums.items()})
+            {tuple(e[i] for i in used): Fraction(n, den)
+             for e, n in self._nums.items()})
 
     @property
     def is_zero(self) -> bool:
@@ -207,30 +199,8 @@ class Polynomial:
         """Total degree; zero polynomial reports -1."""
         return max(map(sum, self._nums), default=-1)
 
-    def _embedded(self, variables: tuple) -> dict:
-        """The numerators re-keyed onto a larger variable tuple; the stored
-        dict itself when ``variables`` are the polynomial's own."""
-        if variables == self.variables:
-            return self._nums
-        positions = [variables.index(v) for v in self.variables]
-        out = {}
-        for exps, n in self._nums.items():
-            key = [0] * len(variables)
-            for pos, e in zip(positions, exps):
-                key[pos] = e
-            out[tuple(key)] = n
-        return out
-
-    @staticmethod
-    def _merge_vars(a: "Polynomial", b: "Polynomial") -> tuple:
-        if a.variables == b.variables:
-            return a.variables
-        names = set(a.variables) | set(b.variables)
-        return tuple(v for v in CANONICAL_VARS if v in names)
-
     # -- arithmetic --------------------------------------------------------
-    # Operands are valid polynomials, so results go through _trusted, and
-    # products of nonzero polynomials through _product.
+    # Operands are valid polynomials, so results go through _make.
 
     def _plus(self, other: "Polynomial", sign: int) -> "Polynomial":
         """self + sign * other, both sides brought to the lcm of the two
@@ -239,16 +209,15 @@ class Polynomial:
             return self
         if not self._nums:
             return other if sign == 1 else -other
-        variables = self._merge_vars(self, other)
         da, db = self._den, other._den
         den = math.lcm(da, db)
         sa, sb = den // da, sign * (den // db)
-        mine = self._embedded(variables)
+        mine = self._nums
         nums = dict(mine) if sa == 1 else {e: n * sa for e, n in mine.items()}
         get = nums.get
-        for e, n in other._embedded(variables).items():
+        for e, n in other._nums.items():
             nums[e] = get(e, 0) + n * sb
-        return Polynomial._trusted(variables, nums, den)
+        return Polynomial._make(nums, den)
 
     def __add__(self, other) -> "Polynomial":
         if not isinstance(other, Polynomial):
@@ -258,8 +227,8 @@ class Polynomial:
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial._trusted(
-            self.variables, {e: -n for e, n in self._nums.items()}, self._den)
+        return Polynomial._make(
+            {e: -n for e, n in self._nums.items()}, self._den)
 
     def __sub__(self, other) -> "Polynomial":
         if not isinstance(other, Polynomial):
@@ -274,20 +243,16 @@ class Polynomial:
             if not isinstance(other, (int, Fraction)):
                 return NotImplemented
             p, q = other.numerator, other.denominator
-            return Polynomial._trusted(
-                self.variables, {e: n * p for e, n in self._nums.items()},
-                self._den * q)
-        if not (self._nums and other._nums):
-            return _ZERO_POLY
-        variables = self._merge_vars(self, other)
-        b = other._embedded(variables).items()
+            return Polynomial._make(
+                {e: n * p for e, n in self._nums.items()}, self._den * q)
+        b = other._nums.items()
         nums: dict = {}
         get = nums.get
-        for ea, na in self._embedded(variables).items():
-            for eb, nb in b:
-                key = tuple(map(add, ea, eb))
+        for (a0, a1, a2), na in self._nums.items():
+            for (b0, b1, b2), nb in b:
+                key = (a0 + b0, a1 + b1, a2 + b2)
                 nums[key] = get(key, 0) + na * nb
-        return Polynomial._product(variables, nums, self._den * other._den)
+        return Polynomial._make(nums, self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -306,15 +271,15 @@ class Polynomial:
     # -- calculus and evaluation -------------------------------------------
 
     def differentiate(self, var: str) -> "Polynomial":
-        if var not in self.variables:
+        if var not in CANONICAL_VARS:
             return Polynomial.zero()
-        i = self.variables.index(var)
+        i = CANONICAL_VARS.index(var)
         nums = {}
         for exps, n in self._nums.items():
             k = exps[i]
             if k:
                 nums[exps[:i] + (k - 1,) + exps[i + 1:]] = n * k
-        return Polynomial._trusted(self.variables, nums, self._den)
+        return Polynomial._make(nums, self._den)
 
     def eval(self, point: Mapping[str, Scalar]) -> Fraction:
         """Evaluate exactly; every variable of the polynomial must be given.
@@ -326,17 +291,18 @@ class Polynomial:
             / (den * prod_i q_i^D_i),
 
         so the sum runs in ints over one table of p_i^k q_i^(D_i - k) per
-        variable and only the result is a Fraction.
+        variable and only the result is a Fraction.  A variable no term
+        uses has D_i = 0 and the table (1,), so its coordinate is not read.
         """
         missing = [v for v in self.variables if v not in point]
         if missing:
             raise ValueError(f"missing coordinate(s) {missing} in evaluation point")
         den = self._den
         tables = []
-        for v, column in zip(self.variables, zip(*self._nums)):
-            value = _as_fraction(point[v])
-            p, q = value.numerator, value.denominator
+        for v, column in zip(CANONICAL_VARS, zip(*self._nums)):
             top = max(column)
+            value = _as_fraction(point[v]) if top else _ZERO
+            p, q = value.numerator, value.denominator
             tables.append([p ** k * q ** (top - k) for k in range(top + 1)])
             den *= q ** top
         total = 0
@@ -363,13 +329,13 @@ class Polynomial:
             other = Polynomial.constant(other)
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return (self._den == other._den and self.variables == other.variables
-                and self._nums == other._nums)
+        return self._den == other._den and self._nums == other._nums
 
     def __hash__(self):
-        if not self.variables:  # equals its scalar, so must hash alike
-            return hash(Fraction(self._nums.get((), 0), self._den))
-        return hash((self.variables, self._den, frozenset(self._nums.items())))
+        # a constant equals its scalar, so must hash alike
+        if self._nums.keys() <= {_CONSTANT}:
+            return hash(Fraction(self._nums.get(_CONSTANT, 0), self._den))
+        return hash((self._den, frozenset(self._nums.items())))
 
     def __repr__(self):
         if not self._nums:
@@ -393,7 +359,7 @@ class Polynomial:
         return text.replace("+ -", "- ")
 
 
-_ZERO_POLY = Polynomial._trusted((), {}, 1)
+_ZERO_POLY = Polynomial._make({}, 1)
 X = Polynomial.variable("x")
 Y = Polynomial.variable("y")
 Z = Polynomial.variable("z")

@@ -244,9 +244,7 @@ def _exact_magnitude(residual) -> float:
     if isinstance(residual, Matrix):
         residual = _worst(*(abs(e) for row in residual.rows for e in row))
     if isinstance(residual, Polynomial):
-        if residual.is_zero:
-            return 0.0
-        return max(abs(float(c)) for c in residual.terms.values())
+        return _worst(0.0, *map(_exact_magnitude, residual.terms.values()))
     if isinstance(residual, ct.VectorFieldOp):
         return _worst(0.0, *map(_exact_magnitude, residual.coeffs.values()))
     if isinstance(residual, PowerSeries):

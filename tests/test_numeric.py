@@ -204,15 +204,21 @@ def fraction_form(p):
 
 def assert_canonical(p):
     """The stored form: ints over a positive denominator with no common
-    factor, no zero numerator, no unused or misordered variable."""
+    factor and no zero numerator, keyed by exponent triples; ``variables``
+    lists exactly the used variables, in canonical order."""
     nums, den = p._nums, p._den
     assert type(den) is int and den > 0
     assert all(type(n) is int and n != 0 for n in nums.values())
     assert math.gcd(den, *nums.values()) == 1
+    assert all(len(e) == len(CANONICAL_VARS) for e in nums)
     assert p.variables == tuple(v for v in CANONICAL_VARS if v in p.variables)
-    assert all(len(e) == len(p.variables) for e in nums)
-    assert all(any(e[i] for e in nums) for i in range(len(p.variables)))
-    assert all(type(c) is Fraction for c in p.terms.values())
+    terms = p.terms
+    assert len(terms) == len(nums)
+    assert all(len(e) == len(p.variables) for e in terms)
+    assert all(any(e[i] for e in terms) for i in range(len(p.variables)))
+    # the projection onto .variables drops only zero exponents
+    assert sum(map(sum, terms)) == sum(map(sum, nums))
+    assert all(type(c) is Fraction for c in terms.values())
 
 
 def assert_matches(result, oracle):
@@ -317,10 +323,17 @@ def test_equal_polynomials_hash_alike_across_construction_paths():
         (X * 0, 0),
         (Polynomial.zero(), X - X),
         (Polynomial(("x",), {(1,): 2, (0,): 0}), 2 * X),
+        # results that stop using a variable
+        (X * y - X * y + X, X),
+        ((X * y).differentiate("y"), X),
+        (Polynomial(("x", "y", "z"), {(0, 0, 0): F(1, 2)}), F(1, 2)),
     ]
     for p, q in cases:
         assert p == q and q == p
         assert hash(p) == hash(q)
+        q = q if isinstance(q, Polynomial) else Polynomial.constant(q)
+        assert p.variables == q.variables
+        assert p.terms == q.terms
     assert len({Polynomial.constant(F(1, 2)), F(1, 2), X ** 2 - 1,
                 (X - 1) * (X + 1)}) == 2
 
@@ -359,8 +372,8 @@ def _validated_product(p, q):
 
 
 def test_products_are_canonical_on_seeded_pairs():
-    # products skip the unused-variable scan, so they must already use every
-    # variable they list; constants and cancelling coefficients included
+    # products add exponent triples termwise and list only the variables
+    # their terms use; constants and cancelling coefficients included
     rng = random.Random(20261018)
     subsets = [(), ("x",), ("y",), ("z",), ("x", "y"), ("x", "z"),
                ("y", "z"), CANONICAL_VARS]

@@ -13,7 +13,7 @@ from liegen import groups as gr
 from liegen import heisenberg as hb
 from liegen import suites
 from liegen.errors import ConfigError
-from liegen.numeric import Matrix, PowerSeries, X, _worst
+from liegen.numeric import Matrix, Polynomial, PowerSeries, X, _worst
 from liegen.suites import (
     SuiteConfig,
     load_config,
@@ -90,6 +90,23 @@ def test_exact_record_reads_a_series_residual(series):
     assert third_record.status == "fail"
     assert third_record.residual == 1 / 3
     assert zero_record.status == "pass" and zero_record.residual == 0.0
+
+
+_HUGE = Polynomial.constant(10 ** 400) * X
+
+
+@pytest.mark.parametrize("residual", [
+    _HUGE,
+    PowerSeries.from_terms({1: _HUGE}, 2),
+    ct.VectorFieldOp(_HUGE),
+], ids=["polynomial", "series", "vector-field"])
+def test_exact_record_of_a_coefficient_past_the_float_range_is_inf(residual):
+    # a scalar of this size records inf; a coefficient of one must not raise
+    rec = suites._Recorder(SuiteConfig())
+    rec.exact("huge", [residual])
+    (record,) = rec.records
+    assert record.status == "fail"
+    assert record.residual == math.inf
 
 
 @pytest.mark.parametrize("residual, magnitude", [
