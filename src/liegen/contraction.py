@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -17,7 +18,7 @@ from typing import Sequence
 from .errors import EnvelopeError
 from .euclidean import BesselEval
 from .numeric import (CANONICAL_VARS, Polynomial, Scalar, X, Y, Z,
-                      _as_fraction)
+                      _as_fraction, _scaled_powers)
 
 
 # ---------------------------------------------------------------------------
@@ -26,6 +27,11 @@ from .numeric import (CANONICAL_VARS, Polynomial, Scalar, X, Y, Z,
 
 class VectorFieldOp:
     """c_x d/dx + c_y d/dy + c_z d/dz with polynomial coefficients.
+
+    ``coeffs`` maps each of :data:`CANONICAL_VARS`, in that order, to its
+    coefficient.  :meth:`apply` is :meth:`Polynomial.lie_derivative`, one
+    pass in ints over f and the three coefficients with a single
+    normalization, so applying a field builds no intermediate polynomial.
 
     Closed under the commutator: for first-order operators the second-order
     parts cancel, leaving coefficients A(b_i) - B(a_i).
@@ -47,12 +53,7 @@ class VectorFieldOp:
         raise AttributeError("VectorFieldOp is immutable")
 
     def apply(self, f: Polynomial) -> Polynomial:
-        out = Polynomial.zero()
-        for var in CANONICAL_VARS:
-            c = self.coeffs[var]
-            if not c.is_zero:
-                out = out + c * f.differentiate(var)
-        return out
+        return f.lie_derivative(self.coeffs.values())
 
     @property
     def is_zero(self) -> bool:
@@ -195,27 +196,38 @@ def contraction_residual(f: Polynomial, R_list: Sequence[Scalar],
     z-degree stays at most 1 the residual decays as O(1/R); for z-free f it
     vanishes identically at z = R.
 
-    Both operators are affine in 1/R, (Lx/R + Py) f = (Lx f)/R + Py f and
-    (Ly/R - Px) f = (Ly f)/R - Px f, so the four images Lx f, Py f, Ly f and
-    Px f are built once and each R only scales and adds them.
+    Both operators are affine in 1/R, and the points lie on z = R, so there
+
+        (Lx/R + Py) f = (Lx f + z Py f) / R,
+        (Ly/R - Px) f = (Ly f - z Px f) / R.
+
+    The two numerators are built once per f and restricted to the line
+    (x0, y0, z) of each sample point once (:meth:`Polynomial.z_line`), which
+    leaves eight univariate polynomials in z, each as int numerators over
+    one denominator.  Each R = r/s is then a grid column: one table
+    r^k s^(D - k) serves all eight lines, the candidates are compared by
+    integer cross-multiplication, and the maximum, divided by R, is the one
+    Fraction built for that R.
     """
     if f.degree() > 6:
         raise ValueError("test polynomial degree above 6")
-    lx_f = angular_momentum_x().apply(f)
-    py_f = translation_y().apply(f)
-    ly_f = angular_momentum_y().apply(f)
-    px_f = translation_x().apply(f)
+    R_list = [ScaledBasis(R).R for R in R_list]
+    first = angular_momentum_x().apply(f) + Z * translation_y().apply(f)
+    second = angular_momentum_y().apply(f) - Z * translation_x().apply(f)
+    lines = [image.z_line(x0, y0) for x0, y0 in DEFAULT_SAMPLE_POINTS
+             for image in (first, second)]
+    top = max(len(nums) for nums, _ in lines) - 1
     out: dict[Fraction, Fraction] = {}
     for R in R_list:
-        R = ScaledBasis(R).R
-        first = lx_f / R + py_f
-        second = ly_f / R - px_f
-        worst = Fraction(0)
-        for x0, y0 in DEFAULT_SAMPLE_POINTS:
-            point = {"x": x0, "y": y0, "z": R}
-            for op_image in (first, second):
-                worst = max(worst, abs(op_image.eval(point)))
-        out[R] = worst
+        # the value of a line at z = R is sum(nums * powers) / (den * s_top)
+        powers, s_top = _scaled_powers(R, top)
+        worst, worst_den = 0, 1
+        for nums, den in lines:
+            value = abs(sum(map(operator.mul, nums, powers)))
+            if value * worst_den > worst * den:
+                worst, worst_den = value, den
+        out[R] = Fraction(worst * R.denominator,
+                          worst_den * s_top * R.numerator)
     return out
 
 

@@ -15,7 +15,14 @@ denominator that has no factor common to all of them, so its arithmetic runs
 on plain ints with one gcd per result instead of one per coefficient
 operation (Knuth, TAOCP vol. 2, 4.5.1 and 4.6.4).  Rational values leave the
 module as ``fractions.Fraction``: ``Polynomial.terms`` and
-``Polynomial.eval``, series coefficients and Gaussian moments.
+``Polynomial.eval``, series coefficients and Gaussian moments.  The one
+exception is ``Polynomial.z_line``, which hands out ints: the restriction of
+a polynomial to the line (x0, y0, z), as the numerators of its coefficients
+in z over one denominator.  ``eval`` is that restriction evaluated at z, and
+a caller that evaluates one line at many z (``contraction_residual``) reuses
+it without building a Fraction per point.  Applying a vector field,
+``Polynomial.lie_derivative``, is likewise one pass in ints with one
+normalization, not a sum of products of partial derivatives.
 
 Every polynomial ``liegen`` builds lives in one ring, Q[x, y, z], so a
 ``Polynomial`` has one storage form: its numerators are keyed by exponent
@@ -38,8 +45,8 @@ nonzero coefficients of s.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
-from operator import getitem
 from types import MappingProxyType
 from typing import Iterable, Mapping, Union
 
@@ -49,6 +56,8 @@ Scalar = Union[int, Fraction]
 CANONICAL_VARS = ("x", "y", "z")
 #: The exponent triple of the constant monomial.
 _CONSTANT = (0, 0, 0)
+#: The exponent triple of x, y and z: what d/dv takes off a monomial.
+_UNIT = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -69,6 +78,17 @@ def _worst(*values):
     if any(v != v for v in values):
         return math.nan
     return max(values, default=math.inf)
+
+
+def _scaled_powers(value, top: int) -> tuple[list, int]:
+    """([p^k q^(top - k) for k = 0..top], q^top) for value = p/q: the powers
+    of value up to ``top`` over their common denominator q^top.  ``value``
+    is not read when ``top`` is 0."""
+    if not top:
+        return [1], 1
+    value = _as_fraction(value)
+    p, q = value.numerator, value.denominator
+    return [p ** k * q ** (top - k) for k in range(top + 1)], q ** top
 
 
 def ensure_finite(z: complex) -> complex:
@@ -281,34 +301,78 @@ class Polynomial:
                 nums[exps[:i] + (k - 1,) + exps[i + 1:]] = n * k
         return Polynomial._make(nums, self._den)
 
+    def lie_derivative(self, field: Iterable["Polynomial"]) -> "Polynomial":
+        """sum_v c_v * df/dv for the coefficients ``field`` = (c_x, c_y,
+        c_z), the action of the vector field c_x d/dx + c_y d/dy + c_z d/dz.
+
+        With c_v = (sum m_e x^e) / d_v and L the lcm of the d_v, each
+        product is brought to the denominator L * den by the cofactor
+        L / d_v, so the whole sum runs in ints into one dict and one
+        ``_make`` normalizes it: no intermediate polynomial is built.
+        """
+        mine = self._nums.items()
+        parts = [(axis, c) for axis, c in enumerate(field) if c._nums]
+        if not mine or not parts:
+            return _ZERO_POLY
+        lcm = math.lcm(*(c._den for _, c in parts))
+        nums: dict = {}
+        get = nums.get
+        for axis, c in parts:
+            # d/dv lowers the exponent on this axis by one
+            u0, u1, u2 = _UNIT[axis]
+            scale = lcm // c._den
+            coeff = [(e, m * scale) for e, m in c._nums.items()]
+            for exps, n in mine:
+                k = exps[axis]
+                if not k:
+                    continue
+                a0, a1, a2 = exps
+                a0, a1, a2, nk = a0 - u0, a1 - u1, a2 - u2, n * k
+                for (b0, b1, b2), m in coeff:
+                    key = (a0 + b0, a1 + b1, a2 + b2)
+                    nums[key] = get(key, 0) + nk * m
+        return Polynomial._make(nums, self._den * lcm)
+
+    def z_line(self, x0: Scalar, y0: Scalar) -> tuple[list, int]:
+        """The restriction to the line (x0, y0, z) as ``(nums, den)``: the
+        coefficient of z^c there is ``nums[c] / den``, for c from 0 to the
+        degree in z (``nums`` is ``[0]`` for the zero polynomial).
+
+        With x0 = p/q, y0 = r/s and D_x, D_y the degrees in x and y,
+
+            nums[c] = sum_{a, b} num_(a, b, c) p^a q^(D_x - a) r^b s^(D_y - b),
+            den = _den * q^D_x * s^D_y,
+
+        one pass over the terms in ints, with no gcd.  A coordinate whose
+        variable no term uses is never read.
+        """
+        if not self._nums:
+            return [0], 1
+        top_x, top_y, top_z = map(max, zip(*self._nums))
+        den = self._den
+        x_pows, q = _scaled_powers(x0, top_x)
+        den *= q
+        y_pows, q = _scaled_powers(y0, top_y)
+        den *= q
+        line = [0] * (top_z + 1)
+        for (a, b, c), n in self._nums.items():
+            line[c] += n * x_pows[a] * y_pows[b]
+        return line, den
+
     def eval(self, point: Mapping[str, Scalar]) -> Fraction:
         """Evaluate exactly; every variable of the polynomial must be given.
 
-        With the coordinate of variable i written p_i/q_i and D_i the degree
-        in that variable, the value is
-
-            sum_e num_e * prod_i p_i^e_i q_i^(D_i - e_i)
-            / (den * prod_i q_i^D_i),
-
-        so the sum runs in ints over one table of p_i^k q_i^(D_i - k) per
-        variable and only the result is a Fraction.  A variable no term
-        uses has D_i = 0 and the table (1,), so its coordinate is not read.
+        The polynomial is restricted to the line (x, y, z) by
+        :meth:`z_line` and that univariate polynomial is evaluated at z in
+        ints, so only the result is a Fraction.  A variable no term uses is
+        not read.
         """
         missing = [v for v in self.variables if v not in point]
         if missing:
             raise ValueError(f"missing coordinate(s) {missing} in evaluation point")
-        den = self._den
-        tables = []
-        for v, column in zip(CANONICAL_VARS, zip(*self._nums)):
-            top = max(column)
-            value = _as_fraction(point[v]) if top else _ZERO
-            p, q = value.numerator, value.denominator
-            tables.append([p ** k * q ** (top - k) for k in range(top + 1)])
-            den *= q ** top
-        total = 0
-        for exps, n in self._nums.items():
-            total += n * math.prod(map(getitem, tables, exps))
-        return Fraction(total, den)
+        line, den = self.z_line(point.get("x"), point.get("y"))
+        z_pows, q = _scaled_powers(point.get("z"), len(line) - 1)
+        return Fraction(sum(map(operator.mul, line, z_pows)), den * q)
 
     def substitute(self, mapping: Mapping[str, "Polynomial"]) -> "Polynomial":
         """Replace variables by polynomials (unlisted variables are kept)."""

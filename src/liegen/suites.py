@@ -74,11 +74,18 @@ class SuiteConfig:
             raise ConfigError(f"unknown output format {self.output_format!r}")
         if not self.bessel_orders or not self.bessel_r_grid:
             raise ConfigError("bessel_orders and bessel_r_grid must not be empty")
-        # the rate gates compare consecutive entries
+        # the rate gates compare the ratio of each pair of consecutive
+        # entries with 1/2: there must be a pair, and each entry must be
+        # twice the one before it
         if len(self.contraction_R) < 2 or len(self.legendre_l) < 2:
             raise ConfigError("contraction_R and legendre_l need two entries")
         if any(not R > 0 for R in self.contraction_R):
             raise ConfigError("contraction_R entries must be positive")
+        for name in ("contraction_R", "legendre_l"):
+            values = getattr(self, name)
+            if any(b != 2 * a for a, b in zip(values, values[1:])):
+                raise ConfigError(
+                    f"each {name} entry must be twice the one before it")
         if any(abs(n) > eu.IDENTITY_MAX_ORDER for n in self.bessel_orders):
             raise ConfigError(
                 f"bessel_orders outside |n| <= {eu.IDENTITY_MAX_ORDER}")

@@ -278,18 +278,84 @@ coordinates = st.one_of(st.just(0), st.integers(min_value=-7, max_value=7),
                         rationals)
 
 
+def _fraction_z_line(a, x0, y0):
+    """Coefficients of z^0..z^D, D the degree in z, on the line (x0, y0, z)."""
+    variables, terms = a
+    line = {}
+    for exps, coeff in terms.items():
+        e = dict(zip(variables, exps))
+        c = e.get("z", 0)
+        value = coeff * F(x0) ** e.get("x", 0) * F(y0) ** e.get("y", 0)
+        line[c] = line.get(c, F(0)) + value
+    return [line.get(c, F(0)) for c in range(max(line, default=0) + 1)]
+
+
 @given(pair=polynomial_pairs(max_deg=6), x=coordinates, y=coordinates,
-       z=coordinates)
+       z=coordinates, k=rationals)
 @settings(max_examples=150, deadline=None)
-def test_eval_matches_the_fraction_dict_oracle(pair, x, y, z):
+def test_eval_matches_the_fraction_dict_oracle(pair, x, y, z, k):
     point = {"x": x, "y": y, "z": z}
-    for p in (pair[0], pair[0] * pair[1]):
+    for p in (pair[0], pair[0] * pair[1], Polynomial.zero(),
+              Polynomial.constant(k)):
         value = p.eval(point)
         assert type(value) is Fraction
         assert value == _fraction_eval(fraction_form(p), point)
+        nums, den = p.z_line(x, y)
+        assert all(type(n) is int for n in nums)
+        assert type(den) is int and den > 0
+        assert [F(n, den) for n in nums] == _fraction_z_line(
+            fraction_form(p), x, y)
         for var in p.variables:
             with pytest.raises(ValueError, match="missing coordinate"):
                 p.eval({v: c for v, c in point.items() if v != var})
+
+
+@given(p=polynomials_in(max_deg=5), x=coordinates, y=coordinates,
+       z=coordinates)
+@settings(max_examples=100, deadline=None)
+def test_coordinates_of_unused_variables_are_not_read(p, x, y, z):
+    # object() supports no arithmetic, so reading it would raise
+    given_point = {"x": x, "y": y, "z": z}
+    point = {v: c if v in p.variables else object()
+             for v, c in given_point.items()}
+    assert p.eval(point) == _fraction_eval(fraction_form(p), given_point)
+    nums, den = p.z_line(point["x"], point["y"])
+    assert [F(n, den) for n in nums] == _fraction_z_line(
+        fraction_form(p), x, y)
+
+
+@st.composite
+def vector_fields(draw):
+    """(f, (c_x, c_y, c_z)): coefficients that may be zero, carry distinct
+    denominators and, half the time, make c_x f_x + c_y f_y cancel term by
+    term (c_x = g f_y, c_y = -g f_x)."""
+    f = draw(polynomials_in())
+    coeffs = [draw(st.one_of(st.just(Polynomial.zero()),
+                             polynomials_in(max_deg=2)))
+              for _ in CANONICAL_VARS]
+    dens = draw(st.permutations([1, 6, 10 ** 6 + 3]))
+    coeffs = [c * F(1, d) for c, d in zip(coeffs, dens)]
+    if draw(st.booleans()):
+        g = coeffs[0]
+        coeffs[0] = g * f.differentiate("y")
+        coeffs[1] = -g * f.differentiate("x")
+    return f, coeffs
+
+
+@given(data=vector_fields())
+@settings(max_examples=150, deadline=None)
+def test_lie_derivative_matches_the_sum_of_partial_derivatives(data):
+    f, coeffs = data
+    result = f.lie_derivative(coeffs)
+    form = fraction_form(f)
+    oracle = ((), {})
+    for c, var in zip(coeffs, CANONICAL_VARS):
+        partial = _fraction_differentiate(form, var)
+        oracle = _fraction_add(oracle, _fraction_mul(fraction_form(c), partial))
+    assert_matches(result, oracle)
+    assert result == sum((c * f.differentiate(var)
+                          for c, var in zip(coeffs, CANONICAL_VARS)),
+                         Polynomial.zero())
 
 
 @pytest.mark.parametrize("point", [{}, {"x": 0}, {"x": F(-7, 10 ** 6)},

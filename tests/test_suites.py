@@ -340,10 +340,23 @@ def test_vanishing_sequence_fails_rate_gates(monkeypatch, target, checks):
     dict(contraction_R=(0, 8)),
     dict(contraction_R=(-8, 16)),
     dict(tolerance_overrides={"bessel/identiy": 1e-3}),
+    # the rate gates compare each ratio of consecutive entries with 1/2
+    dict(contraction_R=(8, 8)),
+    dict(contraction_R=(8, 24)),
+    dict(contraction_R=(16, 8)),
+    dict(legendre_l=(64, 64)),
+    dict(legendre_l=(128, 64)),
 ])
 def test_bad_config_raises_at_construction(bad):
     with pytest.raises(ConfigError):
         SuiteConfig(**bad)
+
+
+def test_doubling_schedules_build():
+    # the default config and the benchmark's tiny report config
+    assert SuiteConfig().contraction_R[-1] == 1024
+    SuiteConfig(contraction_R=(8, 16, 32), legendre_l=(64, 128, 256))
+    SuiteConfig(contraction_R=(Fraction(1, 2), 1, 2), legendre_l=(8, 16))
 
 
 @pytest.mark.parametrize("bad", [
