@@ -343,7 +343,7 @@ def vector_fields(draw):
 
 
 @given(data=vector_fields())
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=100, deadline=None)
 def test_lie_derivative_matches_the_sum_of_partial_derivatives(data):
     f, coeffs = data
     result = f.lie_derivative(coeffs)
