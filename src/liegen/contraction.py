@@ -11,7 +11,6 @@ from __future__ import annotations
 import cmath
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -28,10 +27,11 @@ from .numeric import (CANONICAL_VARS, Polynomial, Scalar, X, Y, Z,
 class VectorFieldOp:
     """c_x d/dx + c_y d/dy + c_z d/dz with polynomial coefficients.
 
-    ``coeffs`` maps each of :data:`CANONICAL_VARS`, in that order, to its
-    coefficient.  :meth:`apply` is :meth:`Polynomial.lie_derivative`, one
-    pass in ints over f and the three coefficients with a single
-    normalization, so applying a field builds no intermediate polynomial.
+    ``coeffs`` is the tuple (c_x, c_y, c_z), in :data:`CANONICAL_VARS`
+    order, which is the order in which :meth:`Polynomial.lie_derivative`
+    reads its axes.  :meth:`apply` passes it straight there: one pass in
+    ints over f and the three coefficients with a single normalization, so
+    applying a field builds no intermediate polynomial.
 
     Closed under the commutator: for first-order operators the second-order
     parts cancel, leaving coefficients A(b_i) - B(a_i).
@@ -40,42 +40,29 @@ class VectorFieldOp:
     __slots__ = ("coeffs",)
 
     def __init__(self, c_x=None, c_y=None, c_z=None):
-        coeffs = {}
-        for var, c in zip(CANONICAL_VARS, (c_x, c_y, c_z)):
-            if c is None:
-                c = Polynomial.zero()
-            elif not isinstance(c, Polynomial):
-                c = Polynomial.constant(c)
-            coeffs[var] = c
-        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "coeffs", tuple(
+            c if isinstance(c, Polynomial)
+            else Polynomial.constant(0 if c is None else c)
+            for c in (c_x, c_y, c_z)))
 
     def __setattr__(self, *a):  # pragma: no cover - immutability guard
         raise AttributeError("VectorFieldOp is immutable")
 
     def apply(self, f: Polynomial) -> Polynomial:
-        return f.lie_derivative(self.coeffs.values())
+        return f.lie_derivative(self.coeffs)
 
     @property
     def is_zero(self) -> bool:
-        return all(c.is_zero for c in self.coeffs.values())
+        return all(c.is_zero for c in self.coeffs)
 
     def __add__(self, other: "VectorFieldOp") -> "VectorFieldOp":
-        return VectorFieldOp(*(self.coeffs[v] + other.coeffs[v]
-                               for v in CANONICAL_VARS))
+        return VectorFieldOp(*map(operator.add, self.coeffs, other.coeffs))
 
     def __sub__(self, other: "VectorFieldOp") -> "VectorFieldOp":
-        return VectorFieldOp(*(self.coeffs[v] - other.coeffs[v]
-                               for v in CANONICAL_VARS))
+        return VectorFieldOp(*map(operator.sub, self.coeffs, other.coeffs))
 
     def __mul__(self, scalar) -> "VectorFieldOp":
-        scalar = _as_fraction(scalar)
-        return VectorFieldOp(*(self.coeffs[v] * scalar
-                               for v in CANONICAL_VARS))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, scalar) -> "VectorFieldOp":
-        return self * (Fraction(1) / _as_fraction(scalar))
+        return VectorFieldOp(*(c * scalar for c in self.coeffs))
 
     def __neg__(self) -> "VectorFieldOp":
         return self * -1
@@ -83,92 +70,58 @@ class VectorFieldOp:
     def __eq__(self, other) -> bool:
         if not isinstance(other, VectorFieldOp):
             return NotImplemented
-        return all(self.coeffs[v] == other.coeffs[v] for v in CANONICAL_VARS)
-
-    def __hash__(self):
-        return hash(tuple(self.coeffs[v] for v in CANONICAL_VARS))
+        return self.coeffs == other.coeffs
 
     def __repr__(self):
-        parts = [f"({self.coeffs[v]!r}) d/d{v}"
-                 for v in CANONICAL_VARS if not self.coeffs[v].is_zero]
+        parts = [f"({c!r}) d/d{v}"
+                 for v, c in zip(CANONICAL_VARS, self.coeffs) if not c.is_zero]
         return " + ".join(parts) if parts else "0"
 
 
 def vf_commutator(a: VectorFieldOp, b: VectorFieldOp) -> VectorFieldOp:
     """[a, b] computed on the coefficient polynomials; exact."""
-    return VectorFieldOp(
-        *(a.apply(b.coeffs[v]) - b.apply(a.coeffs[v]) for v in CANONICAL_VARS))
+    return VectorFieldOp(*(a.apply(b_v) - b.apply(a_v)
+                           for a_v, b_v in zip(a.coeffs, b.coeffs)))
 
 
-# rotation generators about the three axes, and the plane translations
-def angular_momentum_x() -> VectorFieldOp:
-    return VectorFieldOp(c_y=-Z, c_z=Y)
+#: rotation generators about the three axes, and the plane translations
+LX = VectorFieldOp(c_y=-Z, c_z=Y)
+LY = VectorFieldOp(c_x=Z, c_z=-X)
+LZ = VectorFieldOp(c_x=-Y, c_y=X)
+PX = VectorFieldOp(c_x=1)
+PY = VectorFieldOp(c_y=1)
 
 
-def angular_momentum_y() -> VectorFieldOp:
-    return VectorFieldOp(c_x=Z, c_z=-X)
-
-
-def angular_momentum_z() -> VectorFieldOp:
-    return VectorFieldOp(c_x=-Y, c_y=X)
-
-
-def translation_x() -> VectorFieldOp:
-    return VectorFieldOp(c_x=1)
-
-
-def translation_y() -> VectorFieldOp:
-    return VectorFieldOp(c_y=1)
-
-
-@dataclass(frozen=True)
-class ScaledBasis:
-    """Rotation generators rescaled by 1/R in the two tilting directions;
-    invertible for every finite positive R."""
-
-    R: Fraction
-
-    def __init__(self, R: Scalar):
-        R = _as_fraction(R)
-        if R <= 0:
-            raise ValueError("scale parameter must be positive")
-        object.__setattr__(self, "R", R)
-
-    def lx(self) -> VectorFieldOp:
-        return angular_momentum_x() / self.R
-
-    def ly(self) -> VectorFieldOp:
-        return angular_momentum_y() / self.R
-
-    def lz(self) -> VectorFieldOp:
-        return angular_momentum_z()
+def _positive(R: Scalar) -> Fraction:
+    """R as a Fraction; the scaled generators need R > 0."""
+    R = _as_fraction(R)
+    if R <= 0:
+        raise ValueError("scale parameter must be positive")
+    return R
 
 
 def scaled_commutator_check(R: Scalar) -> dict:
-    """Exact residuals of the scaled-basis bracket relations
+    """Exact residuals of the bracket relations of the rotation generators
+    rescaled by 1/R in the two tilting directions, Lx' = Lx/R, Ly' = Ly/R
+    and Lz' = Lz:
     [Lx', Ly'] = -Lz'/R^2, [Ly', Lz'] = -Lx', [Lz', Lx'] = -Ly'."""
-    basis = ScaledBasis(R)
-    lx, ly, lz = basis.lx(), basis.ly(), basis.lz()
-    inv_r2 = Fraction(1) / (basis.R * basis.R)
-    residuals = {
-        "xy": vf_commutator(lx, ly) + lz * inv_r2,
-        "yz": vf_commutator(ly, lz) + lx,
-        "zx": vf_commutator(lz, lx) + ly,
+    inv_r = 1 / _positive(R)
+    lx, ly = LX * inv_r, LY * inv_r
+    return {
+        "xy": vf_commutator(lx, ly) + LZ * (inv_r * inv_r),
+        "yz": vf_commutator(ly, LZ) + lx,
+        "zx": vf_commutator(LZ, lx) + ly,
     }
-    return {name: op for name, op in residuals.items()}
 
 
 def contracted_relations_check() -> dict:
     """The limiting operators (-d/dy, d/dx, Lz) obey the planar-Euclidean
     bracket table exactly: residual operators of
     [-Py, Px] = 0, [Px, Lz] = Py, [Lz, -Py] = -Px."""
-    neg_py = -translation_y()
-    px = translation_x()
-    lz = angular_momentum_z()
     return {
-        "translation_translation": vf_commutator(neg_py, px),
-        "px_lz": vf_commutator(px, lz) - translation_y(),
-        "lz_negpy": vf_commutator(lz, neg_py) + px,
+        "translation_translation": vf_commutator(-PY, PX),
+        "px_lz": vf_commutator(PX, LZ) - PY,
+        "lz_negpy": vf_commutator(LZ, -PY) + PX,
     }
 
 
@@ -211,9 +164,9 @@ def contraction_residual(f: Polynomial, R_list: Sequence[Scalar],
     """
     if f.degree() > 6:
         raise ValueError("test polynomial degree above 6")
-    R_list = [ScaledBasis(R).R for R in R_list]
-    first = angular_momentum_x().apply(f) + Z * translation_y().apply(f)
-    second = angular_momentum_y().apply(f) - Z * translation_x().apply(f)
+    R_list = [_positive(R) for R in R_list]
+    first = LX.apply(f) + Z * PY.apply(f)
+    second = LY.apply(f) - Z * PX.apply(f)
     lines = [image.z_line(x0, y0) for x0, y0 in DEFAULT_SAMPLE_POINTS
              for image in (first, second)]
     top = max(len(nums) for nums, _ in lines) - 1

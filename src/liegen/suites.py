@@ -15,6 +15,7 @@ import io
 import json
 import math
 import time
+from collections import Counter
 from dataclasses import MISSING, dataclass, field, fields
 from fractions import Fraction
 
@@ -74,6 +75,13 @@ class SuiteConfig:
             raise ConfigError(f"unknown output format {self.output_format!r}")
         if not self.bessel_orders or not self.bessel_r_grid:
             raise ConfigError("bessel_orders and bessel_r_grid must not be empty")
+        # range() takes these: a float would raise inside a suite, not here
+        for f in fields(self):
+            if type(f.default) is int and not isinstance(getattr(self, f.name), int):
+                raise ConfigError(f"{f.name} must be an int")
+        for name in ("legendre_l", "bessel_orders"):
+            if not all(isinstance(v, int) for v in getattr(self, name)):
+                raise ConfigError(f"{name} entries must be ints")
         # the rate gates compare the ratio of each pair of consecutive
         # entries with 1/2: there must be a pair, and each entry must be
         # twice the one before it
@@ -240,11 +248,13 @@ def _ratios(sequences):
 
 
 def _inexact(residual) -> bool:
-    """A float residual, or a matrix with a float entry, cannot show an
-    identity to hold exactly, so its exact record fails whatever its value."""
+    """A float or complex residual, or a matrix with such an entry, cannot
+    show an identity to hold exactly, so its exact record fails whatever
+    its value."""
     if isinstance(residual, Matrix):
-        return any(isinstance(e, float) for row in residual.rows for e in row)
-    return isinstance(residual, float)
+        return any(isinstance(e, (float, complex))
+                   for row in residual.rows for e in row)
+    return isinstance(residual, (float, complex))
 
 
 def _exact_magnitude(residual) -> float:
@@ -252,12 +262,10 @@ def _exact_magnitude(residual) -> float:
         residual = _worst(*(abs(e) for row in residual.rows for e in row))
     if isinstance(residual, Polynomial):
         return _worst(0.0, *map(_exact_magnitude, residual.terms.values()))
-    if isinstance(residual, ct.VectorFieldOp):
-        return _worst(0.0, *map(_exact_magnitude, residual.coeffs.values()))
-    if isinstance(residual, PowerSeries):
+    if isinstance(residual, (ct.VectorFieldOp, PowerSeries)):
         return _worst(0.0, *map(_exact_magnitude, residual.coeffs))
     try:
-        return abs(float(residual))
+        return float(abs(residual))
     except (TypeError, OverflowError):
         return math.inf
 
@@ -540,11 +548,9 @@ def run_contraction(config: SuiteConfig) -> SuiteReport:
     started = time.perf_counter()
     ev = eu.BesselEval()
 
-    lx, ly, lz = (ct.angular_momentum_x(), ct.angular_momentum_y(),
-                  ct.angular_momentum_z())
-    rec.exact("so3_commutator_xy", [ct.vf_commutator(lx, ly) + lz])
-    rec.exact("so3_commutator_yz", [ct.vf_commutator(ly, lz) + lx])
-    rec.exact("so3_commutator_zx", [ct.vf_commutator(lz, lx) + ly])
+    rec.exact("so3_commutator_xy", [ct.vf_commutator(ct.LX, ct.LY) + ct.LZ])
+    rec.exact("so3_commutator_yz", [ct.vf_commutator(ct.LY, ct.LZ) + ct.LX])
+    rec.exact("so3_commutator_zx", [ct.vf_commutator(ct.LZ, ct.LX) + ct.LY])
 
     for R in (1, 10, 1000):
         rec.exact(f"scaled_commutators_R{R}",
@@ -557,7 +563,8 @@ def run_contraction(config: SuiteConfig) -> SuiteReport:
         (ct.vf_commutator(a, ct.vf_commutator(b, c))
          + ct.vf_commutator(b, ct.vf_commutator(c, a))
          + ct.vf_commutator(c, ct.vf_commutator(a, b))
-         for a, b, c in ((lx, ly, lz), (lx, lz, ly), (ly, lz, lx))))
+         for a, b, c in ((ct.LX, ct.LY, ct.LZ), (ct.LX, ct.LZ, ct.LY),
+                         (ct.LY, ct.LZ, ct.LX))))
 
     R_list = [Fraction(R) for R in config.contraction_R]
     rate_polys = {"xxyyyz": X ** 2 * Y ** 3 * Z, "xyz": X * Y * Z,
@@ -719,21 +726,19 @@ def emit_text(reports: list[SuiteReport]) -> str:
     for report in reports:
         lines.append(f"== suite {report.suite} ==")
         for record in sorted(report.records, key=lambda r: r.check_id):
-            if record.status == "diagnostic":
-                lines.append(f"DIAG  {record.check_id}: residual={record.residual:.6e}")
-            elif record.exact:
+            if record.exact:
                 label = "exact zero" if record.residual == 0.0 else \
                     f"NONZERO ~{record.residual:.3e}"
-                lines.append(f"{record.status.upper():4}  {record.check_id}: {label}")
             else:
-                lines.append(
-                    f"{record.status.upper():4}  {record.check_id}: "
-                    f"residual={record.residual:.6e} tol={record.tolerance:.1e}")
-        counts = {"pass": 0, "fail": 0, "diagnostic": 0}
-        for record in report.records:
-            counts[record.status] += 1
+                label = f"residual={record.residual:.6e}"
+                if record.tolerance is not None:
+                    label += f" tol={record.tolerance:.1e}"
+            status = "DIAG" if record.status == "diagnostic" else record.status.upper()
+            lines.append(f"{status:4}  {record.check_id}: {label}")
+        counts = Counter(record.status for record in report.records)
+        errors = f", {counts['error']} error" if counts["error"] else ""
         lines.append(f"-- {counts['pass']} passed, {counts['fail']} failed, "
-                     f"{counts['diagnostic']} diagnostic")
+                     f"{counts['diagnostic']} diagnostic{errors}")
     return "\n".join(lines) + "\n"
 
 

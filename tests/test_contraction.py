@@ -1,4 +1,4 @@
-"""so(3) vector fields, scaled-basis contraction, Legendre-to-Bessel limit."""
+"""so(3) vector fields, scaled-generator contraction, Legendre-to-Bessel limit."""
 
 import math
 import random
@@ -8,10 +8,11 @@ import pytest
 
 from liegen.contraction import (
     DEFAULT_SAMPLE_POINTS,
-    ScaledBasis,
-    angular_momentum_x,
-    angular_momentum_y,
-    angular_momentum_z,
+    LX,
+    LY,
+    LZ,
+    PX,
+    PY,
     assoc_legendre,
     bessel_operator_residual,
     contracted_relations_check,
@@ -20,8 +21,6 @@ from liegen.contraction import (
     mehler_heine_check,
     polar_ladder_limit,
     scaled_commutator_check,
-    translation_x,
-    translation_y,
     vf_commutator,
     VectorFieldOp,
 )
@@ -43,27 +42,33 @@ def ev():
 # -- commutator algebra -----------------------------------------------------------
 
 def test_rotation_commutators():
-    lx, ly, lz = angular_momentum_x(), angular_momentum_y(), angular_momentum_z()
-    assert (vf_commutator(lx, ly) + lz).is_zero
-    assert (vf_commutator(ly, lz) + lx).is_zero
-    assert (vf_commutator(lz, lx) + ly).is_zero
+    assert (vf_commutator(LX, LY) + LZ).is_zero
+    assert (vf_commutator(LY, LZ) + LX).is_zero
+    assert (vf_commutator(LZ, LX) + LY).is_zero
+
+
+def test_coefficients_are_a_triple_in_canonical_order():
+    zero, one = Polynomial.zero(), Polynomial.constant(1)
+    assert LX.coeffs == (zero, -Z, Y)
+    assert PX.coeffs == (one, zero, zero)
+    assert PY.coeffs == (zero, one, zero)
+    assert VectorFieldOp().coeffs == (zero, zero, zero)
+    assert PY.apply(X * Y ** 2 * Z) == 2 * X * Y * Z
 
 
 def test_commutator_antisymmetry():
-    lx = angular_momentum_x()
-    assert vf_commutator(lx, lx).is_zero
+    assert vf_commutator(LX, LX).is_zero
 
 
 def test_commutator_matches_action_on_monomials():
-    lx, ly = angular_momentum_x(), angular_momentum_y()
-    comm = vf_commutator(lx, ly)
+    comm = vf_commutator(LX, LY)
     for ex in range(3):
         for ey in range(3):
             for ez in range(3):
                 if ex + ey + ez > 6:
                     continue
                 mono = X ** ex * Y ** ey * Z ** ez
-                direct = lx.apply(ly.apply(mono)) - ly.apply(lx.apply(mono))
+                direct = LX.apply(LY.apply(mono)) - LY.apply(LX.apply(mono))
                 assert comm.apply(mono) == direct
 
 
@@ -79,7 +84,7 @@ def _random_op(rng):
 
 def test_jacobi_identity():
     rng = random.Random(99)
-    ops = [angular_momentum_x(), angular_momentum_y(), angular_momentum_z()]
+    ops = [LX, LY, LZ]
     ops += [_random_op(rng) for _ in range(4)]
     for a in ops[:3]:
         for b in ops:
@@ -98,15 +103,19 @@ def test_scaled_commutators_exact(R):
         assert residual.is_zero
 
 
-def test_scaled_basis_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        ScaledBasis(0)
+def test_scaled_commutators_reject_nonpositive_R():
+    with pytest.raises(ValueError, match="positive"):
+        scaled_commutator_check(0)
+    with pytest.raises(ValueError, match="positive"):
+        contraction_residual(X * Z, [8, 0])
 
 
 def test_unscaled_case_reduces_to_rotation_relations():
-    basis = ScaledBasis(1)
-    assert basis.lx() == angular_momentum_x()
-    assert (vf_commutator(basis.lx(), basis.ly()) + basis.lz()).is_zero
+    # at R = 1 the scaled relations are the so(3) relations themselves
+    so3 = {"xy": vf_commutator(LX, LY) + LZ, "yz": vf_commutator(LY, LZ) + LX,
+           "zx": vf_commutator(LZ, LX) + LY}
+    assert scaled_commutator_check(1) == so3
+    assert LX * 1 == LX
 
 
 def test_contracted_relations_exact():
@@ -116,14 +125,14 @@ def test_contracted_relations_exact():
 
 def test_contracted_relations_on_plane_monomials():
     # action-level check of the limiting bracket table on degree <= 6 monomials
-    neg_py, px, lz = -translation_y(), translation_x(), angular_momentum_z()
+    neg_py = -PY
     for ex in range(4):
         for ey in range(4):
             mono = X ** ex * Y ** ey
-            comm = (neg_py.apply(px.apply(mono)) - px.apply(neg_py.apply(mono)))
+            comm = (neg_py.apply(PX.apply(mono)) - PX.apply(neg_py.apply(mono)))
             assert comm.is_zero
-            got = px.apply(lz.apply(mono)) - lz.apply(px.apply(mono))
-            assert got == translation_y().apply(mono)
+            got = PX.apply(LZ.apply(mono)) - LZ.apply(PX.apply(mono))
+            assert got == PY.apply(mono)
 
 
 # -- contraction residuals ---------------------------------------------------------
@@ -163,8 +172,8 @@ def _apply_term_by_term(op, f):
     """sum_v c_v * df/dv through differentiate, * and +, not through
     ``VectorFieldOp.apply``."""
     out = Polynomial.zero()
-    for var in ("x", "y", "z"):
-        out = out + op.coeffs[var] * f.differentiate(var)
+    for var, c in zip(("x", "y", "z"), op.coeffs):
+        out = out + c * f.differentiate(var)
     return out
 
 
@@ -182,12 +191,11 @@ def _direct_contraction_residual(f, R_list):
     """The residual with both operators rebuilt at each R, applied to f and
     evaluated at each point, independently of the kernels under test."""
     out = {}
-    for R in R_list:
-        basis = ScaledBasis(R)
-        first = _apply_term_by_term(basis.lx() + translation_y(), f)
-        second = _apply_term_by_term(basis.ly() - translation_x(), f)
-        out[basis.R] = max(
-            abs(_eval_term_by_term(image, {"x": x0, "y": y0, "z": basis.R}))
+    for R in map(F, R_list):
+        first = _apply_term_by_term(LX * (1 / R) + PY, f)
+        second = _apply_term_by_term(LY * (1 / R) - PX, f)
+        out[R] = max(
+            abs(_eval_term_by_term(image, {"x": x0, "y": y0, "z": R}))
             for x0, y0 in DEFAULT_SAMPLE_POINTS for image in (first, second))
     return out
 

@@ -1,8 +1,11 @@
 """Suite runner: the hermite block, NaN-propagating aggregates, gates that
-must fail when the checked values are wrong or vanish, config validation
-and config-file parsing."""
+must fail when the checked values are wrong or vanish, config validation,
+config-file parsing and the emitters."""
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -15,7 +18,10 @@ from liegen import suites
 from liegen.errors import ConfigError
 from liegen.numeric import Matrix, Polynomial, PowerSeries, X, _worst
 from liegen.suites import (
+    CheckRecord,
     SuiteConfig,
+    SuiteReport,
+    emit_text,
     load_config,
     run_bessel,
     run_contraction,
@@ -114,7 +120,10 @@ def test_exact_record_of_a_coefficient_past_the_float_range_is_inf(residual):
     (0.25, 0.25),
     (Matrix([[0, 0], [0.0, 0]]), math.ulp(0.0)),
     (Matrix([[Fraction(1, 4), 0], [0, 0.0]]), 0.25),
-], ids=["float-zero", "float", "matrix-float-zero", "matrix-float-entry"])
+    (0j, math.ulp(0.0)),
+    (Matrix([[0, 0j], [0, 0]]), math.ulp(0.0)),
+], ids=["float-zero", "float", "matrix-float-zero", "matrix-float-entry",
+        "complex-zero", "matrix-complex-zero"])
 def test_float_residual_fails_exact_record(residual, magnitude):
     # a float zero says nothing exact, so it fails at the recorder's floor
     rec = suites._Recorder(SuiteConfig())
@@ -346,6 +355,12 @@ def test_vanishing_sequence_fails_rate_gates(monkeypatch, target, checks):
     dict(contraction_R=(16, 8)),
     dict(legendre_l=(64, 64)),
     dict(legendre_l=(128, 64)),
+    # counts, orders and degrees feed range(), which rejects floats
+    dict(legendre_l=(64.0, 128.0, 256.0)),
+    dict(hermite_max_n=8.0),
+    dict(discrete_dim=6.0),
+    dict(group_samples=2.0),
+    dict(bessel_orders=(0.5, 1)),
 ])
 def test_bad_config_raises_at_construction(bad):
     with pytest.raises(ConfigError):
@@ -452,3 +467,37 @@ def test_load_config_rejects_bad_entries(tmp_path, text):
 def test_run_suite_rejects_unknown_name():
     with pytest.raises(ConfigError):
         run_suite("nope", SuiteConfig())
+
+
+def test_emit_text_counts_an_error_record():
+    records = [
+        CheckRecord("a_ok", {}, 0.0, True, None, "pass"),
+        CheckRecord("b_raised", {"exception": "TypeError"}, math.nan, False,
+                    None, "error"),
+    ]
+    text = emit_text([SuiteReport("groups", records, {})])
+    assert text == ("== suite groups ==\n"
+                    "PASS  a_ok: exact zero\n"
+                    "ERROR  b_raised: residual=nan\n"
+                    "-- 1 passed, 0 failed, 0 diagnostic, 1 error\n")
+
+
+_EMIT_DEFAULT_REPORT = """\
+import sys
+from liegen.suites import SuiteConfig, emit_csv, emit_json, run_suite
+reports = run_suite("all", SuiteConfig())
+sys.stdout.write(emit_json(reports) + emit_csv(reports))
+"""
+
+
+def test_default_report_bytes_do_not_depend_on_the_hash_seed():
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    runs = [subprocess.Popen(
+        [sys.executable, "-c", _EMIT_DEFAULT_REPORT], stdout=subprocess.PIPE,
+        env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src})
+        for seed in ("0", "12345")]
+    outputs = [run.communicate(timeout=60)[0] for run in runs]
+    assert [run.returncode for run in runs] == [0, 0]
+    assert outputs[0] == outputs[1]
+    assert outputs[0].count(b"\n") > 75
