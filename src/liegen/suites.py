@@ -14,6 +14,7 @@ import csv
 import io
 import json
 import math
+import numbers
 import time
 from collections import Counter
 from dataclasses import MISSING, dataclass, field, fields
@@ -77,18 +78,19 @@ class SuiteConfig:
             raise ConfigError("bessel_orders and bessel_r_grid must not be empty")
         # range() takes these: a float would raise inside a suite, not here
         for f in fields(self):
-            if type(f.default) is int and not isinstance(getattr(self, f.name), int):
+            if type(f.default) is int and not _is_number(getattr(self, f.name), int):
                 raise ConfigError(f"{f.name} must be an int")
         for name in ("legendre_l", "bessel_orders"):
-            if not all(isinstance(v, int) for v in getattr(self, name)):
+            if not all(_is_number(v, int) for v in getattr(self, name)):
                 raise ConfigError(f"{name} entries must be ints")
         # the rate gates compare the ratio of each pair of consecutive
         # entries with 1/2: there must be a pair, and each entry must be
         # twice the one before it
         if len(self.contraction_R) < 2 or len(self.legendre_l) < 2:
             raise ConfigError("contraction_R and legendre_l need two entries")
-        if any(not R > 0 for R in self.contraction_R):
-            raise ConfigError("contraction_R entries must be positive")
+        if any(not (_is_number(R, numbers.Real) and R > 0)
+               for R in self.contraction_R):
+            raise ConfigError("contraction_R entries must be positive numbers")
         for name in ("contraction_R", "legendre_l"):
             values = getattr(self, name)
             if any(b != 2 * a for a, b in zip(values, values[1:])):
@@ -97,9 +99,10 @@ class SuiteConfig:
         if any(abs(n) > eu.IDENTITY_MAX_ORDER for n in self.bessel_orders):
             raise ConfigError(
                 f"bessel_orders outside |n| <= {eu.IDENTITY_MAX_ORDER}")
-        if any(not eu.IDENTITY_MIN_R <= r <= eu.IDENTITY_MAX_R
+        if any(not (_is_number(r, numbers.Real)
+                    and eu.IDENTITY_MIN_R <= r <= eu.IDENTITY_MAX_R)
                for r in self.bessel_r_grid):
-            raise ConfigError(f"bessel_r_grid outside "
+            raise ConfigError(f"bessel_r_grid entries must be numbers in "
                               f"[{eu.IDENTITY_MIN_R}, {eu.IDENTITY_MAX_R}]")
         if any(not ct.MIN_LEGENDRE_ODE_DEGREE <= l <= ct.MAX_LEGENDRE_DEGREE
                for l in self.legendre_l):
@@ -108,8 +111,8 @@ class SuiteConfig:
         for key, value in self.tolerance_overrides.items():
             if key not in DEFAULT_TOLERANCES:
                 raise ConfigError(f"unknown tolerance key {key!r}")
-            if not value > 0:
-                raise ConfigError(f"tolerance for {key} must be positive")
+            if not (_is_number(value, numbers.Real) and value > 0):
+                raise ConfigError(f"tolerance for {key} must be a positive number")
         for name, low in _LOWER_BOUNDS.items():
             if getattr(self, name) < low:
                 raise ConfigError(f"{name} below {low}")
@@ -127,6 +130,11 @@ class SuiteConfig:
                 value = list(value)
             out[f.name] = value
         return out
+
+
+def _is_number(value, kind) -> bool:
+    """Whether ``value`` is an instance of ``kind`` other than a bool."""
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 #: the smallest value of each integer field, as the code it feeds requires

@@ -224,6 +224,94 @@ def test_large_order_at_tiny_argument_is_finite(n, z):
         assert math.isfinite(value.real) and math.isfinite(value.imag)
 
 
+@pytest.mark.parametrize("z", [math.nan, complex(1.0, math.nan)])
+def test_nan_argument_is_outside_the_envelope(z):
+    with pytest.raises(EnvelopeError):
+        BesselEval().derivatives(0, z)
+
+
+# -- the fixed-point sum against the exact one ------------------------------------
+
+def _fixed_point_cases():
+    """2,200 seeded points, n 0..40, by tenths of the |z| range: real z of
+    either sign over |z| < 30 and complex z over |z| < 10, as in the
+    benchmark, plus pure imaginaries over |z| < 30 and integer-valued z."""
+    rng = random.Random(14)
+    points = []
+    for i in range(550):
+        band = (i % 10 + rng.random()) / 10
+        sign = rng.choice((1, -1))
+        points += [
+            (rng.randint(0, 40), complex(sign * 30 * band)),
+            (rng.randint(0, 40), cmath.rect(10 * band, rng.uniform(-math.pi, math.pi))),
+            (rng.randint(0, 40), complex(0.0, sign * 30 * band)),
+            (rng.randint(0, 40), complex(round(sign * 30 * band))),
+        ]
+    return points
+
+
+def test_fixed_point_sum_bit_identical_to_exact_sum():
+    ev = BesselEval()
+    decided = 0
+    for n, z in _fixed_point_cases():
+        fast = ev._series_fixed(n, z)
+        if fast is not None:
+            decided += 1
+            assert _bits(fast) == _bits(ev._series_exact(n, z)), (n, z)
+    assert decided >= 2000
+
+
+def test_fixed_point_sum_decides_nearly_every_seeded_point():
+    # a fast path that always defers would pass every identity test
+    ev = BesselEval()
+    points = _seeded_points()
+    decided = sum(ev._series_fixed(n, complex(z)) is not None for n, z in points)
+    assert decided >= 0.95 * len(points)
+
+
+#: the sum stops at its first test, k = n - 1, and one more term would
+#: change a rounding
+FIRST_TEST_STOP_POINTS = [(11, -0.7998587851420256 - 2.2890525760877782j),
+                          (11, 0.7095479135000315 + 2.0072196524213743j),
+                          (10, 1.4042620001320865 + 0.8203099940272283j)]
+
+
+@pytest.mark.parametrize("n, z", FIRST_TEST_STOP_POINTS)
+def test_both_sums_take_the_first_stop_test(n, z):
+    ev = BesselEval()
+    expected = _bits(_fraction_series(n, z))
+    assert _bits(ev._series_fixed(n, z)) == expected
+    assert _bits(ev._series_exact(n, z)) == expected
+
+
+@pytest.mark.parametrize("n, z", [(0, 0j), (5, 0j)] + SQUARE_UNDERFLOW_POINTS
+                         + SLOW_ORACLE_POINTS)
+def test_fixed_point_sum_defers_at_zero_and_near_underflow(n, z):
+    ev = BesselEval()
+    z = complex(z)
+    assert ev._series_fixed(n, z) is None
+    if (n, z) not in SLOW_ORACLE_POINTS:
+        assert _bits(ev._series(n, z)) == _bits(_fraction_series(n, z))
+
+
+def test_fixed_point_sum_defers_at_the_j0_root():
+    # J_0 is ~1e-17 there: its error interval straddles a rounding boundary
+    ev = BesselEval()
+    root = complex(find_j0_root(ev))
+    assert ev._series_fixed(0, root) is None
+    assert _bits(ev._series(0, root)) == _bits(_fraction_series(0, root))
+
+
+@pytest.mark.parametrize("n, r, max_terms, terms", [
+    (0, 1.0, 1, 1), (5, 1.0, 1, 6), (3, 20.0, 1, 4), (10, 30.0, 5, 15),
+    (0, 30.0, 20, 20)])
+def test_max_terms_limit_raises_where_it_did(n, r, max_terms, terms):
+    # the fixed-point sum defers at the limit; the exact sum raises
+    message = rf"J_{n}\(\({r:g}\+0j\)\) did not converge in {terms} terms"
+    with pytest.raises(EnvelopeError, match=message):
+        BesselEval(max_terms=max_terms).derivatives(n, r)
+
+
 def _float_rule(tr, ti, sr, si, d):
     t_mag = (tr * tr + ti * ti) / (d * d)
     tol2 = REL_TOL * REL_TOL

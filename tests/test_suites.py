@@ -361,6 +361,14 @@ def test_vanishing_sequence_fails_rate_gates(monkeypatch, target, checks):
     dict(discrete_dim=6.0),
     dict(group_samples=2.0),
     dict(bessel_orders=(0.5, 1)),
+    # the range checks compare these with numbers: a string raised TypeError
+    dict(bessel_r_grid=("1.0",)),
+    dict(contraction_R=("8", "16")),
+    dict(tolerance_overrides={"bessel/identity": "1e-9"}),
+    # a bool is an int to isinstance, but not a count, order or radius
+    dict(seed=True),
+    dict(bessel_orders=(False, 1)),
+    dict(bessel_r_grid=(True,)),
 ])
 def test_bad_config_raises_at_construction(bad):
     with pytest.raises(ConfigError):
