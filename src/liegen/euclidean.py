@@ -3,7 +3,11 @@ cylindrical functions, with a self-contained Bessel evaluator.
 
 The mixed basis functions are J_n(r) e^{i n phi}; finite spans of them are
 closed under the ladder operators, which makes every identity in the catalog
-a statement the ascending series can check numerically.
+a statement the ascending series can check numerically.  A span
+(``CylFunc``) holds Gaussian-rational coefficients and the ladder
+coefficients are the integers +-1 and n, so the ladder action on a span is
+exact: its identities are checked as exact zeros, and floats enter only when
+a span is evaluated.
 
 The evaluator returns the ascending series as if summed exactly: each
 emitted value is the exact partial sum, correctly rounded, with the
@@ -14,13 +18,14 @@ Ziv's strategy: where the bounds settle every stop test and leave each
 output's error interval inside one float's rounding cell, the exact partial
 sum rounds to that same float, so the answer is the exact one.  Otherwise,
 at z = 0, at leading terms near underflow or where a value sits on a
-rounding boundary, the series is summed exactly in plain integers: the
-parts of a float argument are dyadic rationals, so every term is a Gaussian
-integer over one shared denominator, and each value is one correctly
-rounded integer division.  Naive float accumulation would lose ~10 digits
-to cancellation near |z| = MAX_ABS_Z; here the emitted value carries only
-the final rounding, at any integer order, so identity residuals sit at
-machine level up to |z| = MAX_ABS_Z.
+rounding boundary (in the default report only J_0 within a few ulp of its
+root), the series is summed exactly in plain integers: the parts of a float
+argument are dyadic rationals, so every term is a Gaussian integer over one
+shared denominator, and each value is one correctly rounded integer
+division.  Naive float accumulation would lose ~10 digits to cancellation
+near |z| = MAX_ABS_Z; here the emitted value carries only the final
+rounding, at any integer order, so identity residuals sit at machine level
+up to |z| = MAX_ABS_Z.
 """
 
 from __future__ import annotations
@@ -28,10 +33,11 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from types import MappingProxyType
+from typing import Mapping
 
 from .errors import BranchAmbiguityError, EnvelopeError
-from .numeric import ensure_finite
+from .numeric import Scalar, _as_fraction, ensure_finite
 
 #: the series stops once every new term is below this fraction of its sum
 REL_TOL = 1e-16
@@ -49,30 +55,12 @@ IDENTITY_MAX_R = 20.0
 # ---------------------------------------------------------------------------
 
 _TOL2 = REL_TOL * REL_TOL
-_TOL_BITS = math.log2(_TOL2) / 2     # log2 of the tolerance on |t| / |S|
 
 
 def _negligible(tr: int, ti: int, sr: int, si: int, d: int) -> bool:
     """Whether the term t = (tr + i ti) / d is negligible against the partial
     sum S = (sr + i si) / d: |t|^2 rounds to 0.0, or below REL_TOL^2 times
-    |S|^2, each square being rounded once to a float.
-
-    Bit lengths alone settle the rule away from its threshold.  For X != 0
-    with parts of at most bx bits, |X| / d lies in (2^{bx-bd-1},
-    2^{bx-bd+3/2}), so |t| / |S| is within 2^{3/2} of 2^{bt-bs}.  A margin
-    of 0.1 bit beyond that outweighs the roundings, and the bounds on
-    bt - bd and bs - bd keep the side that decides at 2^-960 or more, clear
-    of the subnormals.  Elsewhere the squares are taken exactly.
-    """
-    if tr == ti == 0:
-        return True
-    bd = d.bit_length()
-    bt = max(tr.bit_length(), ti.bit_length())
-    bs = max(sr.bit_length(), si.bit_length())
-    if bt - bs > _TOL_BITS + 1.6 and bt - bd >= -495:
-        return False
-    if bt - bs < _TOL_BITS - 1.6 and bs - bd >= -425:
-        return True
+    |S|^2, each square being rounded once to a float."""
     dd = d * d
     t_mag = (tr * tr + ti * ti) / dd
     return t_mag == 0.0 or t_mag < _TOL2 * ((sr * sr + si * si) / dd)
@@ -372,63 +360,68 @@ def find_j0_root(evaluator: BesselEval) -> float:
 # cylindrical functions and ladder action
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CylTerm:
-    """coeff * e^{i n phi} * J_n(r)."""
-
-    order: int
-    coeff: complex
-
-
 class CylFunc:
-    """Finite span of mixed basis functions, closed under the polar operators."""
+    """Finite span of mixed basis functions c_n e^{i n phi} J_n(r), closed
+    under the polar operators.
 
-    __slots__ = ("terms",)
+    ``coeffs`` maps each order n to its coefficient c_n as a Gaussian
+    rational (re, im), both parts Fractions; zero coefficients are dropped,
+    so equal spans have equal ``coeffs``; the mapping is read-only.  The
+    ladder coefficients are the integers +-1 and n, so the action on a
+    span, and the difference of two spans, are exact.  Floats are rejected,
+    as in ``Polynomial``.
+    """
 
-    def __init__(self, terms: Iterable[CylTerm]):
-        merged: dict[int, complex] = {}
-        for term in terms:
-            merged[term.order] = merged.get(term.order, 0j) + complex(term.coeff)
-        cleaned = tuple(CylTerm(n, c) for n, c in sorted(merged.items())
-                        if c != 0)
-        object.__setattr__(self, "terms", cleaned)
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs: Mapping[int, tuple[Scalar, Scalar]]):
+        cleaned = {}
+        for n, (re, im) in sorted(coeffs.items()):
+            re, im = _as_fraction(re), _as_fraction(im)
+            if re or im:
+                cleaned[n] = (re, im)
+        object.__setattr__(self, "coeffs", MappingProxyType(cleaned))
 
     def __setattr__(self, *a):  # pragma: no cover - immutability guard
         raise AttributeError("CylFunc is immutable")
 
     @classmethod
-    def basis(cls, order: int, coeff: complex = 1.0) -> "CylFunc":
-        return cls([CylTerm(order, coeff)])
+    def basis(cls, order: int, coeff: Scalar = 1) -> "CylFunc":
+        """coeff e^{i order phi} J_order(r), for a real coefficient."""
+        return cls({order: (coeff, 0)})
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
+    def __sub__(self, other: "CylFunc") -> "CylFunc":
+        out = dict(self.coeffs)
+        for n, (re, im) in other.coeffs.items():
+            a, b = out.get(n, (0, 0))
+            out[n] = (a - re, b - im)
+        return CylFunc(out)
 
     def evaluate(self, r: float, phi: float, evaluator: BesselEval) -> complex:
         total = 0j
-        for term in self.terms:
-            total += (term.coeff * evaluator.j(term.order, r)
-                      * cmath.exp(1j * term.order * phi))
+        for n, (re, im) in self.coeffs.items():
+            total += (complex(re, im) * evaluator.j(n, r)
+                      * cmath.exp(1j * n * phi))
         return total
 
     def __eq__(self, other):
         if not isinstance(other, CylFunc):
             return NotImplemented
-        return self.terms == other.terms
+        return self.coeffs == other.coeffs
 
     def __repr__(self):
-        return f"CylFunc({list(self.terms)!r})"
+        return f"CylFunc({dict(self.coeffs)!r})"
 
 
 def apply_polar_op(op: str, f: CylFunc) -> CylFunc:
     """Algebraic action on the span: the rotation generator scales a term by
     its order; raising/lowering shift the order by one and flip the sign."""
     if op == "lz":
-        return CylFunc(CylTerm(t.order, t.order * t.coeff) for t in f.terms)
-    if op == "raise":
-        return CylFunc(CylTerm(t.order + 1, -t.coeff) for t in f.terms)
-    if op == "lower":
-        return CylFunc(CylTerm(t.order - 1, -t.coeff) for t in f.terms)
+        return CylFunc({n: (n * re, n * im) for n, (re, im) in f.coeffs.items()})
+    if op in ("raise", "lower"):
+        shift = 1 if op == "raise" else -1
+        return CylFunc({n + shift: (-re, -im)
+                        for n, (re, im) in f.coeffs.items()})
     raise ValueError(f"unknown polar operator {op!r}")
 
 

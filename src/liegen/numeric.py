@@ -14,13 +14,12 @@ A ``Polynomial`` stores integer numerators over one shared positive
 denominator that has no factor common to all of them, so its arithmetic runs
 on plain ints with one gcd per result instead of one per coefficient
 operation (Knuth, TAOCP vol. 2, 4.5.1 and 4.6.4).  Rational values leave the
-module as ``fractions.Fraction``: ``Polynomial.terms`` and
-``Polynomial.eval``, series coefficients and Gaussian moments.  The one
-exception is ``Polynomial.z_line``, which hands out ints: the restriction of
-a polynomial to the line (x0, y0, z), as the numerators of its coefficients
-in z over one denominator.  ``eval`` is that restriction evaluated at z, and
-a caller that evaluates one line at many z (``contraction_residual``) reuses
-it without building a Fraction per point.  Applying a vector field,
+module as ``fractions.Fraction``: ``Polynomial.terms``, series coefficients
+and Gaussian moments.  The one exception is ``Polynomial.z_line``, which
+hands out ints: the restriction of a polynomial to the line (x0, y0, z), as
+the numerators of its coefficients in z over one denominator, so a caller
+that evaluates one line at many z (``contraction_residual``) builds no
+Fraction per point.  Applying a vector field,
 ``Polynomial.lie_derivative``, is likewise one pass in ints with one
 normalization, not a sum of products of partial derivatives.
 
@@ -45,7 +44,6 @@ nonzero coefficients of s.
 from __future__ import annotations
 
 import math
-import operator
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Iterable, Mapping, Union
@@ -359,21 +357,6 @@ class Polynomial:
             line[c] += n * x_pows[a] * y_pows[b]
         return line, den
 
-    def eval(self, point: Mapping[str, Scalar]) -> Fraction:
-        """Evaluate exactly; every variable of the polynomial must be given.
-
-        The polynomial is restricted to the line (x, y, z) by
-        :meth:`z_line` and that univariate polynomial is evaluated at z in
-        ints, so only the result is a Fraction.  A variable no term uses is
-        not read.
-        """
-        missing = [v for v in self.variables if v not in point]
-        if missing:
-            raise ValueError(f"missing coordinate(s) {missing} in evaluation point")
-        line, den = self.z_line(point.get("x"), point.get("y"))
-        z_pows, q = _scaled_powers(point.get("z"), len(line) - 1)
-        return Fraction(sum(map(operator.mul, line, z_pows)), den * q)
-
     def substitute(self, mapping: Mapping[str, "Polynomial"]) -> "Polynomial":
         """Replace variables by polynomials (unlisted variables are kept)."""
         out = Polynomial.zero()
@@ -488,10 +471,6 @@ class Matrix:
         difference is NaN."""
         return _worst(*(abs(a - b) for ra, rb in zip(self.rows, other.rows)
                         for a, b in zip(ra, rb)))
-
-    @property
-    def is_zero(self) -> bool:
-        return not any(e for r in self.rows for e in r)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Matrix):

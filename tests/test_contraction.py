@@ -178,7 +178,7 @@ def _apply_term_by_term(op, f):
 
 
 def _eval_term_by_term(p, point):
-    """One Fraction per term, not through ``Polynomial.eval``."""
+    """One Fraction per term, not through ``Polynomial.z_line``."""
     total = F(0)
     for exps, coeff in p.terms.items():
         for var, e in zip(p.variables, exps):

@@ -11,10 +11,8 @@ from liegen.errors import BranchAmbiguityError, EnvelopeError
 from liegen.euclidean import (
     BESSEL_IDENTITIES,
     REL_TOL,
-    _negligible,
     BesselEval,
     CylFunc,
-    CylTerm,
     apply_polar_op,
     find_j0_root,
     flow_solve,
@@ -312,76 +310,6 @@ def test_max_terms_limit_raises_where_it_did(n, r, max_terms, terms):
         BesselEval(max_terms=max_terms).derivatives(n, r)
 
 
-def _float_rule(tr, ti, sr, si, d):
-    t_mag = (tr * tr + ti * ti) / (d * d)
-    tol2 = REL_TOL * REL_TOL
-    return t_mag == 0.0 or t_mag < tol2 * ((sr * sr + si * si) / (d * d))
-
-
-def _gaussian(rng, bits):
-    """A Gaussian integer whose larger part has exactly ``bits`` bits, with
-    the smallest or the largest modulus that allows, or at random."""
-    if bits == 0:
-        return 0, 0
-    low, high = 1 << (bits - 1), (1 << bits) - 1
-    shape = rng.randrange(3)
-    if shape == 0:
-        parts = (low, 0)
-    elif shape == 1:
-        parts = (high, high)
-    else:
-        parts = (rng.randrange(low, high + 1), rng.randrange(high + 1))
-    parts = tuple(p * rng.choice((1, -1)) for p in parts)
-    return parts if rng.random() < 0.5 else parts[::-1]
-
-
-def test_negligible_matches_float_rule_near_its_edges():
-    # the bit-length shortcut decides only where the bounds settle the rule:
-    # at the relative threshold (bt - bs near -53) and near underflow
-    # (bt - bd near -495, bs - bd near -425) it must agree with, or defer to,
-    # the float rule on every case
-    rng = random.Random(11)
-    for _ in range(20_000):
-        bd = rng.randint(1, 1200)
-        d = rng.randrange(1 << (bd - 1), 1 << bd)
-        bs = max(0, bd + rng.choice((rng.randint(-570, -400),
-                                     rng.randint(-20, 20))))
-        bt = max(0, bs + rng.choice((rng.randint(-60, -46),
-                                     rng.randint(-10, 10))))
-        if rng.random() < 0.2:
-            bt = max(0, bd + rng.randint(-570, -470))
-        tr, ti = _gaussian(rng, bt)
-        sr, si = _gaussian(rng, bs)
-        assert _negligible(tr, ti, sr, si, d) == _float_rule(tr, ti, sr, si, d), \
-            (tr, ti, sr, si, d)
-
-
-def test_negligible_matches_float_rule_at_extreme_shapes():
-    # where the rule itself underflows, the largest |t| over the smallest
-    # |S| that their bit lengths allow (or the reverse) is where a shortcut
-    # too bold would show; d's mantissa shifts the two squares across the
-    # subnormal grid
-    def gaussian(bits, largest):
-        # the smallest or the largest modulus with parts of ``bits`` bits
-        if largest:
-            return (1 << bits) - 1, -((1 << bits) - 1)
-        return 1 << (bits - 1), 0
-
-    for g in range(0, 256, 32):
-        d = (1 << 1000) + (g << 992)
-        pairs = ([(bs, bs + gap) for bs in range(-500, -409)
-                  for gap in range(-58, -53)]
-                 + [(bt - gap, bt) for bt in range(-550, -469)
-                    for gap in range(-52, -47)])
-        for bs_off, bt_off in pairs:
-            for t_largest in (False, True):
-                for s_largest in (False, True):
-                    tr, ti = gaussian(1001 + bt_off, t_largest)
-                    sr, si = gaussian(1001 + bs_off, s_largest)
-                    assert (_negligible(tr, ti, sr, si, d)
-                            == _float_rule(tr, ti, sr, si, d)), (g, bs_off, bt_off)
-
-
 # -- independent oracles (test-only dependencies) -------------------------------------
 
 ORACLE_TOL = 1e-13
@@ -450,26 +378,64 @@ def test_identity_envelope(ev):
 # -- polar ladder algebra -----------------------------------------------------------
 
 def test_lz_eigenvalue():
-    assert apply_polar_op("lz", CylFunc.basis(0)).is_zero
-    f = apply_polar_op("lz", CylFunc.basis(3, 2.0))
-    assert f == CylFunc([CylTerm(3, 6.0)])
+    assert apply_polar_op("lz", CylFunc.basis(0)).coeffs == {}
+    f = apply_polar_op("lz", CylFunc.basis(3, 2))
+    assert f == CylFunc({3: (6, 0)})
+    assert f.coeffs == {3: (Fraction(6), Fraction(0))}
 
 
 def test_raise_action():
-    assert apply_polar_op("raise", CylFunc.basis(2)) == CylFunc([CylTerm(3, -1.0)])
+    assert apply_polar_op("raise", CylFunc.basis(2)) == CylFunc({3: (-1, 0)})
 
 
 def test_raise_lower_eigenvalue_one():
-    f = CylFunc([CylTerm(0, 1.5), CylTerm(4, -2j)])
+    f = CylFunc({0: (Fraction(3, 2), 0), 4: (0, -2)})
     assert apply_polar_op("raise", apply_polar_op("lower", f)) == f
     assert apply_polar_op("lower", apply_polar_op("raise", f)) == f
 
 
 def test_ladder_order_independence():
-    f = CylFunc([CylTerm(-2, 1.0), CylTerm(1, 0.5j)])
+    f = CylFunc({-2: (1, 0), 1: (0, Fraction(1, 2))})
     one_way = apply_polar_op("raise", apply_polar_op("lower", f))
     other_way = apply_polar_op("lower", apply_polar_op("raise", f))
     assert one_way == other_way == f
+
+
+def test_span_difference_is_exact_and_drops_zeros():
+    f = CylFunc({0: (Fraction(3, 2), 0), 4: (0, -2)})
+    g = CylFunc({0: (Fraction(1, 2), Fraction(1, 3)), 4: (0, -2), 7: (1, 0)})
+    assert (f - g).coeffs == {0: (Fraction(1), Fraction(-1, 3)),
+                              7: (Fraction(-1), Fraction(0))}
+    assert (f - f).coeffs == {}
+    assert CylFunc({2: (0, 0)}).coeffs == {}
+
+
+def test_span_coefficients_are_read_only():
+    f = CylFunc({0: (Fraction(3, 2), 0)})
+    with pytest.raises(TypeError):
+        f.coeffs[0] = (1.5, 0)
+    with pytest.raises(TypeError):
+        f.coeffs[1] = (0, 0)
+    assert f == CylFunc.basis(0, Fraction(3, 2))
+
+
+@pytest.mark.parametrize("coeff", [(1.5, 0), (0, -2.0), (math.inf, 0),
+                                   (math.nan, 0), (1j, 0)],
+                         ids=["float", "float-imaginary", "inf", "nan",
+                              "complex"])
+def test_span_rejects_an_inexact_coefficient(coeff):
+    with pytest.raises(TypeError, match="exact scalar"):
+        CylFunc({3: coeff})
+    with pytest.raises(TypeError, match="exact scalar"):
+        CylFunc.basis(3, coeff[0] or coeff[1])
+
+
+def test_span_evaluates_each_coefficient_as_a_complex(ev):
+    f = CylFunc({0: (Fraction(3, 2), 0), 4: (0, -2), -1: (1, 0)})
+    r, phi = 2.0, 0.4
+    expected = (1.5 * ev.j(0, r) - 2j * ev.j(4, r) * cmath.exp(4j * phi)
+                + ev.j(-1, r) * cmath.exp(-1j * phi))
+    assert abs(f.evaluate(r, phi, ev) - expected) <= 1e-15
 
 
 @pytest.mark.parametrize("op,n,r,phi", [

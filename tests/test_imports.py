@@ -1,6 +1,6 @@
 """Every import in a liegen module is used by that module, and every
-top-level name, public or private, is read somewhere in the package or the
-benchmark.
+top-level name, public or private, and every method and property of a
+class is read somewhere in the package or the benchmark.
 
 No linter ships with the project, and a deleted function can leave its
 imports behind, or a deleted caller its callee; this reads each module's
@@ -115,13 +115,67 @@ def test_guard_finds_an_orphan_name():
                                          "recursive (a.py)", "used (a.py)"]
 
 
-def product_orphans() -> list[str]:
-    """Orphan top-level names of the package, with the package and the
-    benchmark as readers, less the allowlist."""
+def _methods(tree: ast.Module):
+    """(class name, method name, node) for each method and property of a
+    module's top-level classes; dunder methods are called by Python itself
+    and are left out."""
+    for cls in tree.body:
+        if isinstance(cls, ast.ClassDef):
+            for node in cls.body:
+                if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not (node.name.startswith("__")
+                                 and node.name.endswith("__"))):
+                    yield cls.name, node.name, node
+
+
+def orphan_methods(modules: dict[str, str],
+                   readers: dict[str, str]) -> list[str]:
+    """Methods and properties of the classes of ``modules`` whose name no
+    code in ``modules`` or ``readers`` reads outside the method itself.  A
+    class body counts statement by statement, so a method may be read by
+    another method of its own class."""
+    trees = {path: ast.parse(source)
+             for path, source in {**modules, **readers}.items()}
+    units = [stmt for tree in trees.values() for top in tree.body
+             for stmt in (top.body if isinstance(top, ast.ClassDef) else [top])]
+    reads = [(unit, _reads(unit)) for unit in units]
+    return sorted(
+        f"{cls}.{name} ({path})" for path in modules
+        for cls, name, node in _methods(trees[path])
+        if not any(name in names for unit, names in reads if unit is not node))
+
+
+def test_guard_finds_an_orphan_method():
+    modules = {
+        "a.py": ("class A:\n"
+                 "    def __init__(self):\n        self.x = self._helper()\n"
+                 "    def _helper(self):\n        return 1\n"
+                 "    def used(self):\n        return 2\n"
+                 "    def recursive(self):\n        return self.recursive()\n"
+                 "    @property\n    def flag(self):\n        return True\n"
+                 "    def named(self):\n        return 3\n"
+                 "def helper():\n    return A().used()\n"),
+    }
+    readers = {"b.py": "hooks = ('named',)\n"}
+    assert orphan_methods(modules, readers) == ["A.flag (a.py)",
+                                                "A.recursive (a.py)"]
+    assert orphan_methods({"a.py": modules["a.py"].replace(
+        "A().used()", "1")}, {}) == ["A.flag (a.py)", "A.named (a.py)",
+                                     "A.recursive (a.py)", "A.used (a.py)"]
+
+
+def _product_sources() -> tuple[dict[str, str], dict[str, str]]:
+    """The package's modules, and the benchmark's as further readers."""
     modules = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
     readers = {f"perfbench/{path.name}": path.read_text()
                for path in sorted(PERFBENCH.glob("*.py"))}
-    return [o for o in orphan_names(modules, readers)
+    return modules, readers
+
+
+def product_orphans() -> list[str]:
+    """Orphan top-level names of the package, with the package and the
+    benchmark as readers, less the allowlist."""
+    return [o for o in orphan_names(*_product_sources())
             if o.split(" ")[0] not in ORPHAN_ALLOWLIST]
 
 
@@ -132,3 +186,7 @@ def test_every_public_name_has_a_reader():
 def test_every_private_name_has_a_reader():
     # a deleted caller must not leave its private helper behind
     assert [o for o in product_orphans() if o.startswith("_")] == []
+
+
+def test_every_method_has_a_reader():
+    assert orphan_methods(*_product_sources()) == []

@@ -133,6 +133,28 @@ def test_float_residual_fails_exact_record(residual, magnitude):
     assert record.residual == magnitude
 
 
+@pytest.mark.parametrize("residual", [object(), "0", None,
+                                      Matrix([[0, object()], [0, 0]])],
+                         ids=["object", "string", "none", "matrix-entry"])
+def test_residual_of_an_unknown_type_records_inf(residual):
+    rec = suites._Recorder(SuiteConfig())
+    rec.exact("unknown", [Fraction(0), residual])
+    (record,) = rec.records
+    assert record.status == "fail"
+    assert record.residual == math.inf
+
+
+def test_exact_record_reads_a_span_residual():
+    rec = suites._Recorder(SuiteConfig())
+    f = eu.CylFunc({0: (Fraction(3, 2), Fraction(-1, 3)), 2: (0, 1)})
+    rec.exact("span", [f - eu.CylFunc.basis(0, 1)])
+    rec.exact("zero", [f - f])
+    span_record, zero_record = rec.records
+    assert span_record.status == "fail"
+    assert span_record.residual == 1.0      # the imaginary part at order 2
+    assert zero_record.status == "pass" and zero_record.residual == 0.0
+
+
 def test_tiny_composition_error_fails_h3_closure(monkeypatch):
     real = gr.h3_compose
 
@@ -197,14 +219,15 @@ SMALL_BESSEL = dict(bessel_orders=(0, 1), bessel_r_grid=(0.5, 1.0, 2.0))
 
 def test_doubled_raise_records_the_coefficient_gap(monkeypatch):
     # a wrong coefficient records its size, not a flag of 1: both round
-    # trips give 2f, whose largest gap to f is |2(-2j) - (-2j)| = 2
+    # trips give 2f, whose largest gap to f is |2(-2i) - (-2i)| = 2
     real = eu.apply_polar_op
 
     def mutated(op, f):
         out = real(op, f)
         if op != "raise":
             return out
-        return eu.CylFunc(eu.CylTerm(t.order, 2 * t.coeff) for t in out.terms)
+        return eu.CylFunc({n: (2 * re, 2 * im)
+                           for n, (re, im) in out.coeffs.items()})
 
     monkeypatch.setattr(eu, "apply_polar_op", mutated)
     records = records_by_id(run_bessel(SuiteConfig(**SMALL_BESSEL)))
@@ -214,28 +237,24 @@ def test_doubled_raise_records_the_coefficient_gap(monkeypatch):
 
 
 @pytest.mark.parametrize("coeff, residual", [
-    (lambda t: (t.order + 1) * t.coeff, 2.0),  # 8.0 against 6.0
-    (lambda t: complex(math.inf, 0.0), math.inf),
-    (lambda t: complex(math.nan, 0.0), math.nan),
-], ids=["order-plus-one", "inf", "nan"])
+    (lambda n, c: (n + 1) * c, 2.0),  # 8 against 6
+], ids=["order-plus-one"])
 def test_wrong_lz_records_the_coefficient_gap(monkeypatch, coeff, residual):
-    # a non-finite coefficient reaches the record as a float instead of
-    # raising in the conversion to an exact Fraction
+    # a float coefficient cannot be built (see test_euclidean), so a wrong
+    # eigenvalue reaches the record as an exact gap
     real = eu.apply_polar_op
 
     def mutated(op, f):
         if op != "lz":
             return real(op, f)
-        return eu.CylFunc(eu.CylTerm(t.order, coeff(t)) for t in f.terms)
+        return eu.CylFunc({n: (coeff(n, re), coeff(n, im))
+                           for n, (re, im) in f.coeffs.items()})
 
     monkeypatch.setattr(eu, "apply_polar_op", mutated)
     records = records_by_id(run_bessel(SuiteConfig(**SMALL_BESSEL)))
     record = records["lz_eigenvalue"]
     assert record.status == "fail"
-    if math.isnan(residual):
-        assert math.isnan(record.residual)
-    else:
-        assert record.residual == residual
+    assert record.residual == residual
     assert records["ladder_roundtrip_identity"].status == "pass"
 
 
