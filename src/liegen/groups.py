@@ -1,17 +1,17 @@
 """Closed-form 3x3 matrix realizations of the Heisenberg group and the
 Euclidean group of the plane.
 
-The Heisenberg side is exact: group parameters are rational and composition,
-inversion, exponential and logarithm are closed-form polynomial maps.  The
-Euclidean side stores the rotation angle as a float (cos/sin of a rational is
-irrational, so nothing exact is on offer there) and all of its checks are
-tolerance-based at 1e-12.
+Both groups are exact: their parameters are rational, and composition,
+inversion, exponential and logarithm are closed-form rational maps.  E(2)
+rotates by the rational points of the unit circle, which are dense in SO(2),
+so its axioms are checked exactly on a dense set.  The only float code left
+is the central finite differences of :func:`generators_at_identity`.
 
-Both sides use :class:`numeric.Matrix`, which computes in whatever its
-entries are.  Exactness is enforced by the element types: ``H3Element`` and
-``H3AlgebraElement`` turn their parameters into Fractions and reject floats,
-so every Heisenberg matrix is exact; the suites' exact records reject a
-residual with a float entry.
+Both groups use :class:`numeric.Matrix`, which computes in whatever its
+entries are.  Exactness is enforced by the element types: ``H3Element``,
+``H3AlgebraElement`` and ``E2Element`` turn their parameters into exact
+rationals and reject floats, so every group matrix is exact; the suites'
+exact records reject a residual with a float entry.
 """
 
 from __future__ import annotations
@@ -22,8 +22,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .numeric import Matrix, Scalar, _as_fraction, _worst
-
-TWO_PI = 2.0 * math.pi
 
 #: central-difference step used when differentiating parametrized matrices
 GENERATOR_FD_STEP = 1e-5
@@ -120,60 +118,61 @@ def h3_log(g: H3Element) -> H3AlgebraElement:
 # Euclidean group E2
 # ---------------------------------------------------------------------------
 
-def _wrap_angle(theta: float) -> float:
-    theta = math.fmod(theta, TWO_PI)
-    if theta < 0:
-        theta += TWO_PI
-    return theta
-
-
 @dataclass(frozen=True)
 class E2Element:
-    """Rotation by theta followed by translation by (x, y).
+    """Rotation by u = (c + i*s)/den, |u| = 1, followed by translation by
+    (x, y)/den, for integers x, y, c, s and den > 0.
 
-    theta is normalized into [0, 2*pi) on construction; composition wraps.
+    The numerators ``num`` = (x, y, c, s) and ``den`` are stored in lowest
+    terms, so equal elements have equal fields and composition is integer
+    arithmetic with one gcd.  The rotations are the rational points of the
+    unit circle, ((1 - t^2) + 2t*i)/(1 + t^2) for rational t (Cayley), which
+    are dense in SO(2).
     """
 
-    x: float
-    y: float
-    theta: float
+    num: tuple
+    den: int
 
-    def __init__(self, x: float, y: float, theta: float):
-        object.__setattr__(self, "x", float(x))
-        object.__setattr__(self, "y", float(y))
-        object.__setattr__(self, "theta", _wrap_angle(float(theta)))
+    def __init__(self, x: int, y: int, c: int, s: int, den: int = 1):
+        num = (x, y, c, s)
+        if not all(type(n) is int for n in (*num, den)):
+            raise TypeError("E2Element takes integer numerators")
+        if den <= 0 or c * c + s * s != den * den:
+            raise ValueError("need den > 0 and c^2 + s^2 = den^2")
+        common = math.gcd(den, *num)
+        object.__setattr__(self, "num", tuple(n // common for n in num))
+        object.__setattr__(self, "den", den // common)
 
     @classmethod
     def identity(cls) -> "E2Element":
-        return cls(0.0, 0.0, 0.0)
+        return cls(0, 0, 1, 0)
 
     def to_matrix(self) -> Matrix:
-        c, s = math.cos(self.theta), math.sin(self.theta)
-        return Matrix([[c, -s, self.x],
-                       [s, c, self.y],
-                       [0.0, 0.0, 1.0]])
+        x, y, c, s = (Fraction(n, self.den) for n in self.num)
+        return Matrix([[c, -s, x],
+                       [s, c, y],
+                       [0, 0, 1]])
 
 
 def e2_compose(g: E2Element, h: E2Element) -> E2Element:
-    c, s = math.cos(g.theta), math.sin(g.theta)
-    return E2Element(g.x + c * h.x - s * h.y,
-                     g.y + s * h.x + c * h.y,
-                     g.theta + h.theta)
+    """(a1, u1)(a2, u2) = (a1 + u1*a2, u1*u2) for a = x + i*y, over d1*d2."""
+    (x1, y1, c1, s1), d1 = g.num, g.den
+    (x2, y2, c2, s2), d2 = h.num, h.den
+    return E2Element(x1 * d2 + c1 * x2 - s1 * y2, y1 * d2 + s1 * x2 + c1 * y2,
+                     c1 * c2 - s1 * s2, s1 * c2 + c1 * s2, d1 * d2)
 
 
 def e2_inverse(g: E2Element) -> E2Element:
-    """Rotate back, then undo the (back-rotated) translation."""
-    c, s = math.cos(-g.theta), math.sin(-g.theta)
-    return E2Element(-(c * g.x - s * g.y),
-                     -(s * g.x + c * g.y),
-                     -g.theta)
+    """(a, u)^-1 = (-conj(u)*a, conj(u)), over the squared denominator."""
+    (x, y, c, s), d = g.num, g.den
+    return E2Element(-(c * x + s * y), s * x - c * y, c * d, -s * d, d * d)
 
 
 def e2_apply(g: E2Element, point: tuple) -> tuple:
-    """Act on a plane point: rotate by theta, then translate by (x, y)."""
+    """Act on a rational plane point: rotate by u, then translate by (x, y)."""
     a, b = point
-    c, s = math.cos(g.theta), math.sin(g.theta)
-    return (a * c - b * s + g.x, a * s + b * c + g.y)
+    (x, y, c, s), d = g.num, g.den
+    return (Fraction(a * c - b * s + x, d), Fraction(a * s + b * c + y, d))
 
 
 #: algebra basis for E2: two translation generators and one rotation generator
@@ -249,8 +248,13 @@ def _random_h3(rng: random.Random) -> H3Element:
 
 
 def _random_e2(rng: random.Random) -> E2Element:
-    return E2Element(rng.uniform(-5.0, 5.0), rng.uniform(-5.0, 5.0),
-                     rng.uniform(0.0, TWO_PI))
+    """x, y in [-5, 5] over m(q^2 + p^2), m <= 12, and Cayley's rotation of
+    t = p/q: u = ((q^2 - p^2) + 2pq*i)/(q^2 + p^2)."""
+    p, q, m = rng.randint(-60, 60), rng.randint(1, 12), rng.randint(1, 12)
+    den = m * (q * q + p * p)
+    return E2Element(rng.randint(-5 * den, 5 * den),
+                     rng.randint(-5 * den, 5 * den),
+                     m * (q * q - p * p), 2 * m * p * q, den)
 
 
 #: fewest pseudorandom elements an axiom suite draws
@@ -259,9 +263,10 @@ MIN_AXIOM_SAMPLES = 1
 
 def axiom_suite(group: str, samples: int, seed: int) -> dict:
     """Check closure, associativity, identity and inverse on pseudorandom
-    elements.  Returns, per axiom, the largest absolute entry difference
-    between the two matrix sides, in the entries' own arithmetic: exact
-    (Fraction or int) and zero for the Heisenberg group, a float for E2.
+    elements, exactly.  Closure compares the matrix of the composed element
+    with the matrix product; the other axioms compare the two elements.
+    Returns, per axiom, the largest exact gap between the two sides' matrix
+    entries (for the elements, their parameters): 0 when all are equal.
     """
     if samples < MIN_AXIOM_SAMPLES:
         raise ValueError(f"samples must be >= {MIN_AXIOM_SAMPLES}")
@@ -277,20 +282,21 @@ def axiom_suite(group: str, samples: int, seed: int) -> dict:
 
     diffs = {"closure": [], "associativity": [], "identity": [], "inverse": []}
 
-    def diff(axiom: str, m1: Matrix, m2: Matrix):
-        diffs[axiom].append(m1.max_abs_diff(m2))
+    def diff(axiom: str, a, b):
+        # stored parameters are canonical: equal elements are equal fields
+        diffs[axiom].append(
+            0 if a == b else a.to_matrix().max_abs_diff(b.to_matrix()))
 
-    eye = ident.to_matrix()
     for _ in range(samples):
         g, h, k = draw(rng), draw(rng), draw(rng)
+        gh = compose(g, h)
         # closure: parameter-space composition matches the matrix product
         # (and therefore stays in the matrix group)
-        diff("closure", compose(g, h).to_matrix(),
-             g.to_matrix() * h.to_matrix())
-        diff("associativity", compose(compose(g, h), k).to_matrix(),
-             compose(g, compose(h, k)).to_matrix())
-        diff("identity", compose(g, ident).to_matrix(), g.to_matrix())
-        diff("identity", compose(ident, g).to_matrix(), g.to_matrix())
-        diff("inverse", compose(g, inverse(g)).to_matrix(), eye)
-        diff("inverse", compose(inverse(g), g).to_matrix(), eye)
+        diffs["closure"].append(
+            gh.to_matrix().max_abs_diff(g.to_matrix() * h.to_matrix()))
+        diff("associativity", compose(gh, k), compose(g, compose(h, k)))
+        diff("identity", compose(g, ident), g)
+        diff("identity", compose(ident, g), g)
+        diff("inverse", compose(g, inverse(g)), ident)
+        diff("inverse", compose(inverse(g), g), ident)
     return {axiom: _worst(*values) for axiom, values in diffs.items()}

@@ -6,7 +6,7 @@ All values in this module are immutable after construction.  Polynomials,
 series and moments are exact.  A ``Matrix`` stores its entries as given:
 int and Fraction entries give exact arithmetic and float entries float
 arithmetic, so the same class holds the exact group and ladder matrices and
-the float matrices of E(2) and of finite differences.  Exactness is enforced
+the float matrices of finite differences.  Exactness is enforced
 where a value is made exact (``_as_fraction`` rejects floats) and where an
 exact residual is read (``suites._Recorder.exact``), not by the matrix.
 

@@ -18,6 +18,7 @@ from liegen.groups import (
     H3AlgebraElement,
     H3Element,
     IDENTITY,
+    _e2_matrix_float,
     axiom_suite,
     commutator,
     e2_apply,
@@ -96,37 +97,86 @@ def test_h3_basis_commutators():
 
 # -- E2 ----------------------------------------------------------------------
 
+def cayley(x, y, t):
+    """The element (x, y, u), u = ((1 - t^2) + 2t i)/(1 + t^2), over the
+    least common denominator of its parameters."""
+    t = F(t)
+    params = (F(x), F(y), (1 - t * t) / (1 + t * t), 2 * t / (1 + t * t))
+    den = math.lcm(*(v.denominator for v in params))
+    return E2Element(*(int(v * den) for v in params), den)
+
+
+QUARTER_TURN = cayley(0, 0, 1)
+
+
 def test_e2_apply_pure_translation():
-    g = E2Element(1.0, 2.0, 0.0)
-    assert e2_apply(g, (0.0, 0.0)) == (1.0, 2.0)
+    g = E2Element(3, -2, 3, 0, 3)
+    assert e2_apply(g, (0, 0)) == (1, F(-2, 3))
 
 
 def test_e2_apply_quarter_turn_rotation_oracle():
-    g = E2Element(0.0, 0.0, math.pi / 2)
-    # oracle: multiply the rotation matrix into the vector directly
-    c, s = math.cos(math.pi / 2), math.sin(math.pi / 2)
-    expected = (1.0 * c - 0.0 * s, 1.0 * s + 0.0 * c)
-    got = e2_apply(g, (1.0, 0.0))
-    assert abs(got[0] - expected[0]) < 1e-15
-    assert abs(got[0] - 0.0) < 1e-12 and abs(got[1] - 1.0) < 1e-12
+    # t = 1 is u = i: the rotation by pi/2 sends (1, 0) to (0, 1)
+    assert QUARTER_TURN == E2Element(0, 0, 0, 1)
+    assert e2_apply(QUARTER_TURN, (1, 0)) == (0, 1)
+    assert e2_apply(QUARTER_TURN, (F(2, 5), 3)) == (-3, F(2, 5))
+    half_turn = e2_compose(QUARTER_TURN, QUARTER_TURN)
+    assert half_turn == E2Element(0, 0, -1, 0)
+    assert e2_compose(half_turn, half_turn) == E2Element.identity()
 
 
 def test_e2_apply_matches_homogeneous_matrix_product():
-    g = E2Element(0.3, -1.2, 2.1)
-    a, b = 0.7, -0.4
-    matrix_result = g.to_matrix().apply((a, b, 1.0))
-    direct = e2_apply(g, (a, b))
-    assert abs(matrix_result[0] - direct[0]) < 1e-15
-    assert abs(matrix_result[1] - direct[1]) < 1e-15
-    assert matrix_result[2] == 1.0
+    g = cayley(F(3, 10), F(-6, 5), F(2, 7))
+    a, b = F(7, 10), F(-2, 5)
+    matrix_result = g.to_matrix().apply((a, b, 1))
+    assert matrix_result == (*e2_apply(g, (a, b)), 1)
+    assert all(isinstance(v, (int, F)) for v in matrix_result)
 
 
-def test_e2_theta_normalization_and_wrap():
-    g = E2Element(0.0, 0.0, -math.pi / 2)
-    assert 0.0 <= g.theta < 2 * math.pi
-    h = e2_compose(E2Element(0, 0, 5.0), E2Element(0, 0, 2.0))
-    assert 0.0 <= h.theta < 2 * math.pi
-    assert abs(h.theta - (7.0 - 2 * math.pi)) < 1e-12
+def test_e2_apply_rejects_a_float_point():
+    with pytest.raises(TypeError):
+        e2_apply(QUARTER_TURN, (1.0, 0))
+
+
+@pytest.mark.parametrize("args", [
+    (0.5, 0, 1, 0), (0, 0, 0.6, 0.8), (0, 0, 1.0, 0), (0, 0, 1, 0.0),
+    (0, 0, 1, 0, 1.0), (0, 0, F(1), 0), (0, 0, True, 0),
+], ids=["float-x", "float-c-s", "float-one", "float-zero", "float-den",
+        "fraction", "bool"])
+def test_e2_rejects_non_integer_numerators(args):
+    with pytest.raises(TypeError):
+        E2Element(*args)
+
+
+@pytest.mark.parametrize("args", [
+    (0, 0, 1, 1), (0, 0, 0, 0), (0, 0, 3, 4, 6), (0, 0, 1, 0, 0),
+    (0, 0, -1, 0, -1),
+], ids=["off-circle", "zero", "inside", "zero-den", "negative-den"])
+def test_e2_rejects_a_rotation_off_the_unit_circle(args):
+    with pytest.raises(ValueError, match="den > 0"):
+        E2Element(*args)
+
+
+def test_e2_equal_elements_over_different_denominators_have_equal_storage():
+    # stored in lowest terms whatever denominator they were built over
+    assert E2Element(6, 4, 6, -8, 10) == E2Element(3, 2, 3, -4, 5)
+    assert E2Element(6, 4, 6, -8, 10).num == (3, 2, 3, -4)
+    assert E2Element(6, 4, 6, -8, 10).den == 5
+    assert hash(E2Element(2, 0, 2, 0, 2)) == hash(E2Element(1, 0, 1, 0))
+    # products run over d1*d2 and the inverse over d^2; one gcd reduces them
+    g = cayley(F(1, 2), F(-7, 3), F(1, 2))
+    h = cayley(F(5, 4), 2, F(-3, 8))
+    assert e2_compose(g, e2_inverse(g)) == E2Element.identity()
+    assert e2_compose(e2_inverse(g), g).den == 1
+    back = e2_compose(e2_compose(g, h), e2_inverse(h))
+    assert (back.num, back.den) == (g.num, g.den)
+    shift = E2Element(1, 0, 2, 0, 2)
+    assert e2_compose(shift, shift) == E2Element(1, 0, 1, 0)
+
+
+def test_e2_inverse_matches_matrix_oracle():
+    g = cayley(F(-3, 2), F(5, 9), F(7, 4))
+    assert g.to_matrix() * e2_inverse(g).to_matrix() == IDENTITY
+    assert e2_inverse(e2_inverse(g)) == g
 
 
 def test_e2_translation_exponential():
@@ -197,9 +247,10 @@ def test_h3_axioms_exact():
 
 def test_e2_axioms_within_tolerance():
     residuals = axiom_suite("e2", samples=100, seed=20260809)
-    for axiom in ("closure", "associativity", "identity", "inverse"):
-        assert isinstance(residuals[axiom], float)
-        assert residuals[axiom] < 1e-12
+    assert sorted(residuals) == ["associativity", "closure", "identity",
+                                 "inverse"]
+    for value in residuals.values():
+        assert isinstance(value, (int, Fraction)) and value == 0
 
 
 def test_axiom_suite_rejects_bad_input():
@@ -236,16 +287,32 @@ def test_max_abs_diff_propagates_nan_anywhere(position):
     assert math.isnan(Matrix(rows).max_abs_diff(IDENTITY))
 
 
+def rationals():
+    return st.fractions(min_value=-5, max_value=5, max_denominator=12)
+
+
 def e2_elements():
-    finite = st.floats(min_value=-5.0, max_value=5.0)
-    return st.builds(E2Element, finite, finite,
-                     st.floats(min_value=0.0, max_value=2 * math.pi))
+    return st.builds(cayley, rationals(), rationals(), rationals())
 
 
-@given(g=e2_elements(), h=e2_elements())
+@given(g=e2_elements(), h=e2_elements(), k=e2_elements())
 @settings(max_examples=60)
-def test_sparse_product_matches_dense_on_e2_matrices(g, h):
-    a, b = g.to_matrix(), h.to_matrix()
+def test_e2_composition_matches_matrix_product_exactly(g, h, k):
+    assert e2_compose(g, h).to_matrix() == g.to_matrix() * h.to_matrix()
+    assert (e2_compose(e2_compose(g, h), k)
+            == e2_compose(g, e2_compose(h, k)))
+    assert e2_compose(g, e2_inverse(g)) == E2Element.identity()
+
+
+def float_params():
+    finite = st.floats(min_value=-5.0, max_value=5.0)
+    return st.tuples(finite, finite, st.floats(min_value=0.0, max_value=7.0))
+
+
+@given(p=float_params(), q=float_params())
+@settings(max_examples=60)
+def test_sparse_product_matches_dense_on_e2_matrices(p, q):
+    a, b = _e2_matrix_float(*p), _e2_matrix_float(*q)
     dense = [[sum(a[i, k] * b[k, j] for k in range(3)) for j in range(3)]
              for i in range(3)]
     product = a * b

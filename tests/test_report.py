@@ -16,10 +16,21 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKER = os.path.join(ROOT, "perfbench", "worker.py")
 
 
+def fingerprint(reports):
+    return hashlib.sha256(emit_json(reports).encode()).hexdigest()[:16]
+
+
 def test_default_report_fingerprint():
     reports = run_suite("all", SuiteConfig())
-    digest = hashlib.sha256(emit_json(reports).encode()).hexdigest()
-    assert digest[:16] == "57f52758e30480bc"
+    assert fingerprint(reports) == "9e7f1a93ddbcdc29"
+    # each block alone, so a change to one shows which block moved
+    assert {r.suite: fingerprint([r]) for r in reports} == {
+        "groups": "0c2fd2c50fa20aec",
+        "hermite": "703848add5aae041",
+        "bessel": "ae273b5361d6122b",
+        "contraction": "ed6010d810e71413",
+        "diagnostics": "71b3aceb03755686",
+    }
     assert [r.suite for r in reports] == [
         "groups", "hermite", "bessel", "contraction", "diagnostics"]
     statuses = Counter(rec.status for r in reports for rec in r.records)

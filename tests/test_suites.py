@@ -367,6 +367,8 @@ def test_vanishing_sequence_fails_rate_gates(monkeypatch, target, checks):
     dict(tolerance_overrides={"bessel/identity": math.nan}),
     dict(contraction_R=(0, 8)),
     dict(contraction_R=(-8, 16)),
+    # inf doubles to itself, and Fraction(inf) raised inside the suite
+    dict(contraction_R=(math.inf, math.inf)),
     dict(tolerance_overrides={"bessel/identiy": 1e-3}),
     # the rate gates compare each ratio of consecutive entries with 1/2
     dict(contraction_R=(8, 8)),
@@ -388,6 +390,16 @@ def test_vanishing_sequence_fails_rate_gates(monkeypatch, target, checks):
     dict(seed=True),
     dict(bessel_orders=(False, 1)),
     dict(bessel_r_grid=(True,)),
+    # a container field of the wrong type raised AttributeError or TypeError
+    dict(tolerance_overrides=[("bessel/identity", 1e-9)]),
+    dict(tolerance_overrides=None),
+    dict(bessel_orders=5),
+    dict(bessel_r_grid=1.0),
+    dict(contraction_R=8),
+    dict(legendre_l=64),
+    # E(2) is exact: its axioms and the quarter turn have no tolerance
+    dict(tolerance_overrides={"groups/e2_axioms": 1e-12}),
+    dict(tolerance_overrides={"groups/e2_apply_rotation": 1e-12}),
 ])
 def test_bad_config_raises_at_construction(bad):
     with pytest.raises(ConfigError):
