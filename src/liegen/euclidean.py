@@ -9,23 +9,15 @@ coefficients are the integers +-1 and n, so the ladder action on a span is
 exact: its identities are checked as exact zeros, and floats enter only when
 a span is evaluated.
 
-The evaluator returns the ascending series as if summed exactly: each
-emitted value is the exact partial sum, correctly rounded, with the
-stopping index the float rule picks on the exact terms.  It gets there by a
-short fixed-point sum (~100-150 bits, growing with |z| for the
-cancellation) that carries a proven integer bound on its error, as in
-Ziv's strategy: where the bounds settle every stop test and leave each
-output's error interval inside one float's rounding cell, the exact partial
-sum rounds to that same float, so the answer is the exact one.  Otherwise,
-at z = 0, at leading terms near underflow or where a value sits on a
-rounding boundary (in the default report only J_0 within a few ulp of its
-root), the series is summed exactly in plain integers: the parts of a float
-argument are dyadic rationals, so every term is a Gaussian integer over one
-shared denominator, and each value is one correctly rounded integer
-division.  Naive float accumulation would lose ~10 digits to cancellation
-near |z| = MAX_ABS_Z; here the emitted value carries only the final
-rounding, at any integer order, so identity residuals sit at machine level
-up to |z| = MAX_ABS_Z.
+The evaluator returns J_n, J_n' and J_n'' with every real and imaginary
+part correctly rounded, at any integer order and up to |z| = MAX_ABS_Z,
+where naive float accumulation would lose ~10 digits to cancellation.  It
+sums the ascending series in fixed point with proven integer bounds on the
+error and on the tail, and sums again with twice the bits where a bound
+cannot settle a rounding (Ziv's strategy).  That ends: a part that is zero
+on the whole real or imaginary axis is summed exactly, and every other part
+is, for z != 0, a nonzero transcendental number (Siegel 1929), so it is
+neither a float nor a rounding boundary.
 """
 
 from __future__ import annotations
@@ -37,10 +29,8 @@ from types import MappingProxyType
 from typing import Mapping
 
 from .errors import BranchAmbiguityError, EnvelopeError
-from .numeric import Scalar, _as_fraction, ensure_finite
+from .numeric import Scalar, _as_fraction
 
-#: the series stops once every new term is below this fraction of its sum
-REL_TOL = 1e-16
 #: largest |z| the evaluator accepts
 MAX_ABS_Z = 30.0
 
@@ -51,39 +41,17 @@ IDENTITY_MAX_R = 20.0
 
 
 # ---------------------------------------------------------------------------
-# stopping rule
+# Bessel evaluator
 # ---------------------------------------------------------------------------
 
-_TOL2 = REL_TOL * REL_TOL
-
-
-def _negligible(tr: int, ti: int, sr: int, si: int, d: int) -> bool:
-    """Whether the term t = (tr + i ti) / d is negligible against the partial
-    sum S = (sr + i si) / d: |t|^2 rounds to 0.0, or below REL_TOL^2 times
-    |S|^2, each square being rounded once to a float."""
-    dd = d * d
-    t_mag = (tr * tr + ti * ti) / dd
-    return t_mag == 0.0 or t_mag < _TOL2 * ((sr * sr + si * si) / dd)
-
-
-# ---------------------------------------------------------------------------
-# fixed-point bounds
-# ---------------------------------------------------------------------------
-
-#: bits of the fixed-point sum beyond a float's 53 and the cancellation
+#: bits of the first pass beyond a float's 53 and the cancellation
 _GUARD_BITS = 48
-#: relative distance from the stopping threshold that the bounds must keep,
-#: far above the three roundings of the float rule
-_STOP_MARGIN = 2.0 ** -40
-_TOL2_ABOVE = _TOL2 * (1 + _STOP_MARGIN)
-_TOL2_BELOW = _TOL2 * (1 - _STOP_MARGIN)
-#: factors that widen a bound by more than the few roundings of the float
-#: operations that compute it
-_UP = 1 + 2.0 ** -48
-_DOWN = 1 - 2.0 ** -48
-#: log2 of the smallest term or sum whose stop test the bounds decide: the
-#: squares, and REL_TOL^2 times them, are then normal floats
-_MIN_LOG2 = -440
+#: a pass stops at a term whose bound is below this many units
+_TAIL_UNITS = 1 << 32
+#: (J_n, J_n', J_n'') at z = 0 for the orders where one is nonzero
+_AT_ZERO = {0: (1 + 0j, 0j, -0.5 + 0j),
+            1: (0j, 0.5 + 0j, 0j), -1: (0j, -0.5 + 0j, 0j),
+            2: (0j, 0j, 0.25 + 0j), -2: (0j, 0j, 0.25 + 0j)}
 
 
 def _dyadic(z: complex) -> tuple[int, int, int]:
@@ -92,25 +60,6 @@ def _dyadic(z: complex) -> tuple[int, int, int]:
     (ar, er), (ai, ei) = z.real.as_integer_ratio(), z.imag.as_integer_ratio()
     den = max(er, ei)
     return ar * (den // er), ai * (den // ei), den.bit_length()
-
-
-def _negligible_bound(t: float, t_err: int, sr: int, si: int, s_err: int,
-                      floor: float) -> bool | None:
-    """The float rule of :func:`_negligible` for a term of modulus t and a
-    sum sr + i si, known to within t_err and s_err, all in one unit: True
-    or False where the bounds decide it, None where they do not.  Both
-    outcomes are decided only for magnitudes of at least ``floor``, the
-    unit's value of 2^_MIN_LOG2."""
-    s = math.hypot(sr, si)
-    t_lo = t * _DOWN - t_err * _UP
-    s_hi = (s + s_err) * _UP
-    if t_lo >= floor and t_lo * t_lo > _TOL2_ABOVE * (s_hi * s_hi):
-        return False
-    t_hi = (t + t_err) * _UP
-    s_lo = s * _DOWN - s_err * _UP
-    if s_lo >= floor and t_hi * t_hi < _TOL2_BELOW * (s_lo * s_lo):
-        return True
-    return None
 
 
 def _rounded(vr: int, vi: int, sr: int, si: int, er: int, ei: int,
@@ -128,36 +77,103 @@ def _rounded(vr: int, vi: int, sr: int, si: int, er: int, ei: int,
     return complex(*parts)
 
 
-# ---------------------------------------------------------------------------
-# Bessel evaluator
-# ---------------------------------------------------------------------------
+def _pass(n: int, z: complex,
+          frac: int) -> tuple[complex, complex, complex] | None:
+    """(J_n, J_n', J_n'') at z != 0 from one pass with ``frac`` fractional
+    bits, or None where its bounds cannot settle a rounding.
+
+    With w = z/2 = W / 2^q, tau_k = prod_{j<=k} (-w^2) / (j (n+j)) and
+    m = n + 2k, term k of J_n, J_n' and J_n'' is w^n / n! * tau_k times 1,
+    m/z and m(m-1)/z^2.  So one Gaussian integer X_k ~ 2^frac tau_k,
+    floored at each step, feeds the sums of X_k, m X_k and m(m-1) X_k, and
+    err_k >= |X_k - 2^frac tau_k| grows by the step's factor and the floor's
+    2.  When W^2 is real, so are every X_k and its error, which keeps the
+    zeros of real and imaginary z exact.  The pass stops at the first k with
+    t = |Re X_k| + |Im X_k| + err_k < _TAIL_UNITS and 2 |W|^2 (m+2)(m+1) <=
+    k (n+k) m(m-1) 2^{2q}: both sides only grow apart with k, so from there
+    each weighted term is at most half the one before, and each sum's tail
+    is at most t times term k's weight.  As the weights grow with k, the
+    error of each sum is at most its weight at k times sum_k err_k + t.
+    """
+    sign = -1 if n < 0 and n % 2 else 1       # J_{-n} = (-1)^n J_n
+    n = abs(n)
+    a, b, q = _dyadic(z)
+    norm = a * a + b * b                              # |W|^2
+    w2r, w2i = a * a - b * b, 2 * a * b               # W^2
+    shift = 2 * q
+    xr, xi = 1 << frac, 0
+    s0r, s1r, s2r = xr, n * xr, n * (n - 1) * xr
+    s0i = s1i = s2i = 0
+    err = errs = k = 0
+    while True:
+        k += 1
+        # tau gains the factor -W^2 / (k (n+k) 2^{2q}); both floors
+        # round toward -inf, so they compose into one
+        c = k * (n + k)
+        xr, xi = ((-(xr * w2r - xi * w2i) >> shift) // c,
+                  (-(xr * w2i + xi * w2r) >> shift) // c)
+        err = 2 - ((-(err * norm) >> shift) // c)
+        errs += err
+        m = n + 2 * k
+        mm = m * (m - 1)
+        s0r += xr
+        s0i += xi
+        s1r += m * xr
+        s1i += m * xi
+        s2r += mm * xr
+        s2i += mm * xi
+        t = abs(xr) + abs(xi) + err
+        if (t < _TAIL_UNITS
+                and 2 * norm * (m + 2) * (m + 1) <= (c * mm) << shift):
+            errs += t
+            break
+
+    # the prefactors over 2^{qn+frac} n!: W^n for J_n, and each
+    # derivative one more factor 2^{q-1} conj(W) / |W|^2 = 1/z
+    vr, vi = sign, 0
+    for _ in range(n):
+        vr, vi = vr * a - vi * b, vr * b + vi * a
+    d = math.factorial(n) << (q * n + frac)
+    values = []
+    for sr, si, es in ((s0r, s0i, errs), (s1r, s1i, m * errs),
+                       (s2r, s2i, mm * errs)):
+        value = _rounded(vr, vi, sr, si, es, es if w2i else 0, d)
+        if value is None:
+            return None
+        values.append(value)
+        vr, vi = (vr * a + vi * b) << (q - 1), (vi * a - vr * b) << (q - 1)
+        d *= norm
+    return tuple(values)
+
+
+def _series(n: int, z: complex,
+            widen: int = 1) -> tuple[complex, complex, complex]:
+    """(J_n, J_n', J_n'') at z, each part correctly rounded.  The first
+    pass has ``widen`` times 53 + _GUARD_BITS + |z| log2(e) fractional bits,
+    the last term for the cancellation (sum_k |tau_k| <= e^|z|); a pass that
+    cannot settle a rounding is followed by one with twice the bits."""
+    if not z:
+        return _AT_ZERO.get(n, (0j, 0j, 0j))
+    frac = widen * (53 + _GUARD_BITS + math.ceil(abs(z) * math.log2(math.e)))
+    while True:
+        values = _pass(n, z, frac)
+        if values is not None:
+            return values
+        frac *= 2
+
 
 class BesselEval:
     """Ascending-series evaluator for integer-order Bessel functions.
 
-    With z/2 = W / 2^q (W a Gaussian integer), term k of J_n, J_n' and
-    J_n'' has the integer numerators (-1)^k W^m, (-1)^k m 2^{q-1} W^{m-1}
-    and (-1)^k m(m-1) 2^{2q-2} W^{m-2} over D = 2^{qm} k! (n+k)!, where
-    m = n + 2k.  The values are those of the three partial sums taken
-    exactly over that one D and each rounded once, by an integer division,
-    when the sum stops.  The stopping rule is the relative tolerance
-    :data:`REL_TOL` on the rounded squared magnitudes, with at least ``n``
-    terms taken, and at most ``max_terms`` more.  A fixed-point sum with
-    proven error bounds (:meth:`_series_fixed`) finds the same stopping
-    index and the same roundings wherever its bounds decide them, which is
-    nearly everywhere; the exact sum (:meth:`_series_exact`) runs where
-    they do not and is the reference, so no input's output depends on
-    which of the two ran.  Every integer order is accepted: exact
-    summation rounds once, whatever the order.  Negative orders are
-    defined by the reflection J_{-n} = (-1)^n J_n.
-    First and second derivatives come from differentiating the series term
-    by term, independent of the ladder identities they are used to check.
+    :meth:`derivatives` returns J_n, J_n' and J_n'' at |z| <= MAX_ABS_Z,
+    every real and imaginary part correctly rounded, an exact zero as +0.0
+    (see :func:`_pass` for the tail bound).  Every integer order is
+    accepted.  The derivatives come from differentiating the series term by
+    term, independent of the ladder identities they are used to check.
+    Values are cached per (n, z).
     """
 
-    def __init__(self, max_terms: int = 200):
-        if max_terms < 1:
-            raise ValueError("max_terms must be positive")
-        self.max_terms = max_terms
+    def __init__(self):
         self._cache: dict = {}
 
     # -- public surface ----------------------------------------------------
@@ -167,175 +183,14 @@ class BesselEval:
         return self.derivatives(n, z)[0]
 
     def derivatives(self, n: int, z: complex) -> tuple[complex, complex, complex]:
-        """(J_n, J_n', J_n'') at z: the series values as summed, negated
-        only for odd negative n, so every signed zero is kept."""
+        """(J_n, J_n', J_n'') at z, each part correctly rounded."""
         z = complex(z)
         if not abs(z) <= MAX_ABS_Z:     # NaN fails this test too
             raise EnvelopeError(f"|z| = {abs(z):.3g} is not at most {MAX_ABS_Z}")
-        key = (abs(n), z)
+        key = (n, z)
         if key not in self._cache:
-            self._cache[key] = self._series(*key)
-        values = self._cache[key]
-        if n < 0 and n % 2:
-            return tuple(-v for v in values)
-        return values
-
-    # -- series core ---------------------------------------------------------
-
-    def _series(self, n: int, z: complex) -> tuple[complex, complex, complex]:
-        """The series values: from the fixed-point sum where its bounds
-        decide every stop test and rounding, from the exact sum otherwise."""
-        return self._series_fixed(n, z) or self._series_exact(n, z)
-
-    def _series_fixed(self, n: int,
-                      z: complex) -> tuple[complex, complex, complex] | None:
-        """The values of :meth:`_series_exact`, from a fixed-point sum with
-        proven error bounds, or None where the bounds cannot decide a stop
-        test or a rounding.
-
-        With w = z/2 = W / 2^q and tau_k = prod_{j<=k} (-w^2) / (j (n+j)),
-        term k of J_n is w^n / n! * tau_k, and its terms of J_n' and J_n''
-        are the same times m/z and m(m-1)/z^2, m = n + 2k.  So one Gaussian
-        integer X_k ~ 2^frac tau_k, floored at each step, feeds three sums:
-        sum X_k, sum m X_k and sum m(m-1) X_k.  An integer err bounds
-        |X_k - 2^frac tau_k|: the step multiplies it by |W|^2 / (k (n+k)
-        2^{2q}) and the floor adds less than 2.  As sum |tau_k| <= e^|z|,
-        frac = 53 + guard bits + |z| log2(e) bits cover the cancellation.
-        When W^2 is real, so are every X_k and its error, which keeps the
-        imaginary zeros of the exact sum exact.
-
-        The stop tests of the exact sum compare term and sum of each series
-        by ratio, in which w^n / n! cancels; they are decided here where
-        the bounds clear the threshold by :data:`_STOP_MARGIN`, at
-        magnitudes whose squares stay clear of the subnormals.  At the end
-        each value is the exact prefactor times its sum, and a part is
-        accepted when both ends of its error interval round to the same
-        float, so the value of the exact sum rounds to that float too.
-        """
-        a, b, q = _dyadic(z)
-        norm = a * a + b * b                              # |W|^2
-        if not norm:
-            return None
-        log2_w = math.log2(norm) / 2 - q                  # log2 |z/2|
-        log2_lead = n * log2_w - math.lgamma(n + 1) / math.log(2)
-        if log2_lead < _MIN_LOG2:                         # |w^n / n!|
-            return None
-        frac = 53 + _GUARD_BITS + math.ceil(abs(z) * math.log2(math.e))
-        # series j has the prefactor w^n / n! / (2w)^j: its terms and sums
-        # are at least 2^_MIN_LOG2 in size when X-scaled they reach floor j
-        floors = [2.0 ** (frac + _MIN_LOG2 + 1 - log2_lead + j * (1 + log2_w))
-                  for j in range(3)]
-
-        w2r, w2i = a * a - b * b, 2 * a * b               # W^2
-        shift = 2 * q
-        xr, xi = 1 << frac, 0
-        err = 0
-        m, mm = n, n * (n - 1)
-        s0r, s1r, s2r = xr, m * xr, mm * xr
-        s0i = s1i = s2i = 0
-        e0 = e1 = e2 = 0
-        k = 0
-        while True:
-            if k + 1 >= max(n, 2):
-                # series 0 alone decides all but the last few steps
-                t = math.hypot(xr, xi)
-                verdicts = [_negligible_bound(t, err, s0r, s0i, e0, floors[0])]
-                if verdicts[0] is not False:
-                    verdicts += [
-                        _negligible_bound(m * t, m * err, s1r, s1i, e1, floors[1]),
-                        _negligible_bound(mm * t, mm * err, s2r, s2i, e2, floors[2])]
-                    if False not in verdicts:
-                        if None in verdicts:
-                            return None
-                        break
-            k += 1
-            if k >= n + self.max_terms:
-                return None
-            # tau gains the factor -W^2 / (k (n+k) 2^{2q}); both floors
-            # round toward -inf, so they compose into one
-            c = k * (n + k)
-            xr, xi = ((-(xr * w2r - xi * w2i) >> shift) // c,
-                      (-(xr * w2i + xi * w2r) >> shift) // c)
-            err = 2 - ((-(err * norm) >> shift) // c)
-            m = n + 2 * k
-            mm = m * (m - 1)
-            s0r += xr
-            s0i += xi
-            s1r += m * xr
-            s1i += m * xi
-            s2r += mm * xr
-            s2i += mm * xi
-            e0 += err
-            e1 += m * err
-            e2 += mm * err
-
-        # the prefactors over 2^{qn+frac} n!: W^n for J_n, and each
-        # derivative one more factor 2^{q-1} conj(W) / |W|^2 = 1/z
-        vr, vi = 1, 0
-        for _ in range(n):
-            vr, vi = vr * a - vi * b, vr * b + vi * a
-        d = math.factorial(n) << (q * n + frac)
-        values = []
-        for sr, si, es in ((s0r, s0i, e0), (s1r, s1i, e1), (s2r, s2i, e2)):
-            value = _rounded(vr, vi, sr, si, es, es if w2i else 0, d)
-            if value is None:
-                return None
-            values.append(value)
-            vr, vi = (vr * a + vi * b) << (q - 1), (vi * a - vr * b) << (q - 1)
-            d *= norm
-        return tuple(values)
-
-    def _series_exact(self, n: int, z: complex) -> tuple[complex, complex, complex]:
-        """The three series summed exactly, each rounded once (see the
-        class docstring): the reference the fixed-point sum reproduces."""
-        a, b, q = _dyadic(z)
-
-        # p0, p1, p2 hold the signed powers (-1)^k W^{m-j}, j = 0, 1, 2, of
-        # term k's numerators over D (see the class docstring)
-        p0r, p0i = 1, 0
-        p1r = p1i = p2r = p2i = 0
-        for _ in range(n):
-            p2r, p2i, p1r, p1i = p1r, p1i, p0r, p0i
-            p0r, p0i = p0r * a - p0i * b, p0r * b + p0i * a
-        d = math.factorial(n) << (q * n)
-
-        s0r = s0i = s1r = s1i = s2r = s2i = 0
-        k = 0
-        while True:
-            m = n + 2 * k
-            s0r += p0r
-            s0i += p0i
-            t1r = t1i = t2r = t2i = 0
-            if m >= 1:
-                t1r, t1i = (m * p1r) << (q - 1), (m * p1i) << (q - 1)
-                s1r += t1r
-                s1i += t1i
-            if m >= 2:
-                c2, shift = m * (m - 1), 2 * q - 2
-                t2r, t2i = (c2 * p2r) << shift, (c2 * p2i) << shift
-                s2r += t2r
-                s2i += t2i
-            if (k + 1 >= max(n, 2) and _negligible(p0r, p0i, s0r, s0i, d)
-                    and _negligible(t1r, t1i, s1r, s1i, d)
-                    and _negligible(t2r, t2i, s2r, s2i, d)):
-                break
-            k += 1
-            if k >= n + self.max_terms:
-                raise EnvelopeError(
-                    f"series for J_{n}({z}) did not converge in {k} terms")
-            # D gains the factor 2^{2q} k (n+k); the powers gain -W^2
-            c = k * (n + k)
-            d = (d * c) << (2 * q)
-            s0r, s0i = (s0r * c) << (2 * q), (s0i * c) << (2 * q)
-            s1r, s1i = (s1r * c) << (2 * q), (s1i * c) << (2 * q)
-            s2r, s2i = (s2r * c) << (2 * q), (s2i * c) << (2 * q)
-            p2r, p2i = -p0r, -p0i
-            p1r, p1i = p2r * a - p2i * b, p2r * b + p2i * a
-            p0r, p0i = p1r * a - p1i * b, p1r * b + p1i * a
-
-        return (ensure_finite(complex(s0r / d, s0i / d)),
-                ensure_finite(complex(s1r / d, s1i / d)),
-                ensure_finite(complex(s2r / d, s2i / d)))
+            self._cache[key] = _series(n, z)
+        return self._cache[key]
 
 
 def find_j0_root(evaluator: BesselEval) -> float:

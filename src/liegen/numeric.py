@@ -89,13 +89,6 @@ def _scaled_powers(value, top: int) -> tuple[list, int]:
     return [p ** k * q ** (top - k) for k in range(top + 1)], q ** top
 
 
-def ensure_finite(z: complex) -> complex:
-    """Reject NaN/inf: a non-finite complex value is an error state here."""
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise ArithmeticError(f"non-finite complex value {z!r}")
-    return z
-
-
 # ---------------------------------------------------------------------------
 # polynomials
 # ---------------------------------------------------------------------------

@@ -7,10 +7,10 @@ from fractions import Fraction
 
 import pytest
 
+from liegen import euclidean
 from liegen.errors import BranchAmbiguityError, EnvelopeError
 from liegen.euclidean import (
     BESSEL_IDENTITIES,
-    REL_TOL,
     BesselEval,
     CylFunc,
     apply_polar_op,
@@ -70,23 +70,13 @@ def test_derivative_series_satisfies_ode_independently(ev):
 
 
 def test_envelope_guards(ev):
-    # every order is accepted, max_terms and above too; A.7 holds there
+    # every order is accepted; A.7 holds at large orders too
     for n, r in ((30, 1.0), (200, 30.0)):
         j_down, j, j_up = (ev.j(k, r).real for k in (n - 1, n, n + 1))
         assert j_down != 0
         assert abs(2 * n / r * j - j_down - j_up) <= 1e-13 * abs(j_down)
     with pytest.raises(EnvelopeError):
         ev.j(0, 31.0)
-
-
-def test_doubling_max_terms_changes_nothing():
-    base = BesselEval(max_terms=200)
-    double = BesselEval(max_terms=400)
-    for n in (0, 3, 10, 20):
-        for r in (0.1, 1.0, 5.0, 15.0, 30.0):
-            a, b = base.j(n, r), double.j(n, r)
-            scale = max(abs(a), 1e-300)
-            assert abs(a - b) / scale < 1e-13
 
 
 def test_complex_argument(ev):
@@ -96,57 +86,61 @@ def test_complex_argument(ev):
     assert abs(jpp + jp / z + j) < 1e-14
 
 
-# -- bit identity with the Fraction summation -------------------------------------
+# -- correct rounding against the Fraction sum --------------------------------------
 
 def _fraction_series(n, z):
-    """The evaluator's former core, kept as an oracle: the same ascending
-    series summed in exact Fractions (one gcd per operation), with every
-    stopping decision and output taken from Fraction.__float__."""
-    w = (Fraction(z.real) / 2, Fraction(z.imag) / 2)
+    """(J_n, J_n', J_n'') at z, each part correctly rounded, from the
+    ascending series summed in exact Fractions.
 
-    def mul(a, b):
-        return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+    Past the term k (m = n + 2k >= 2) with 2 |w|^2 (m+2)(m+1) <= (k+1)
+    (n+k+1) m(m-1), w = z/2, each weighted term is at most half the one
+    before, so the tail of each series is at most |Re t| + |Im t| of its
+    term t at k.  When w^2 is real, the nonzero terms of a series differ by
+    real factors, so a part that is zero in term k is zero in the whole sum
+    and has no tail.  Terms are added until both ends of every part's interval
+    round to the same float (the sign of a zero included), which is then
+    the correctly rounded value."""
+    sign = -1 if n < 0 and n % 2 else 1
+    n = abs(n)
+    w = (Fraction(z.real) / 2, Fraction(z.imag) / 2)
+    norm = w[0] * w[0] + w[1] * w[1]
+    real_square = w[0] * w[1] == 0
 
     pows = [(Fraction(1), Fraction(0))]
 
     def power(e):
         while len(pows) <= e:
-            pows.append(mul(pows[-1], w))
+            a, b = pows[-1]
+            pows.append((a * w[0] - b * w[1], a * w[1] + b * w[0]))
         return pows[e]
 
-    tol2 = REL_TOL * REL_TOL
-
-    def abs2(a):
-        return float(a[0] * a[0] + a[1] * a[1])
-
-    def small(term, total):
-        if term is None:
-            return True
-        t_mag = abs2(term)
-        return t_mag == 0.0 or t_mag < tol2 * abs2(total)
-
-    zero = (Fraction(0), Fraction(0))
-    s0 = s1 = s2 = zero
-    coeff = Fraction(1, math.factorial(n))
+    sums = [[Fraction(0), Fraction(0)] for _ in range(3)]
+    coeff = Fraction(sign, math.factorial(n))
     k = 0
     while True:
         m = n + 2 * k
-        t0 = (power(m)[0] * coeff, power(m)[1] * coeff)
-        s0 = (s0[0] + t0[0], s0[1] + t0[1])
-        t1 = t2 = None
-        if m >= 1:
-            c = coeff * Fraction(m, 2)
-            t1 = (power(m - 1)[0] * c, power(m - 1)[1] * c)
-            s1 = (s1[0] + t1[0], s1[1] + t1[1])
-        if m >= 2:
-            c = coeff * Fraction(m * (m - 1), 4)
-            t2 = (power(m - 2)[0] * c, power(m - 2)[1] * c)
-            s2 = (s2[0] + t2[0], s2[1] + t2[1])
-        if k + 1 >= max(n, 2) and small(t0, s0) and small(t1, s1) and small(t2, s2):
-            break
+        last = []
+        for j, weight in enumerate((1, Fraction(m, 2), Fraction(m * (m - 1), 4))):
+            term = (0, 0)
+            if weight:
+                term = tuple(coeff * weight * p for p in power(m - j))
+                sums[j] = [s + t for s, t in zip(sums[j], term)]
+            last.append(term)
+        if m >= 2 and (2 * norm * (m + 2) * (m + 1)
+                       <= (k + 1) * (n + k + 1) * m * (m - 1)):
+            values = []
+            for (sr, si), (tr, ti) in zip(sums, last):
+                tail = abs(tr) + abs(ti)
+                parts = []
+                for s, t in ((sr, tr), (si, ti)):
+                    err = 0 if real_square and not t else tail
+                    lo, hi = float(s - err), float(s + err)
+                    parts.append(lo if lo.hex() == hi.hex() else None)
+                values.append(parts)
+            if None not in values[0] + values[1] + values[2]:
+                return tuple(complex(*parts) for parts in values)
         k += 1
         coeff = -coeff / (k * (n + k))
-    return tuple(complex(float(s[0]), float(s[1])) for s in (s0, s1, s2))
 
 
 def _bits(values):
@@ -179,35 +173,60 @@ EDGE_POINTS = (
 )
 
 #: the Fraction sum takes seconds here (large n at tiny z), so only the
-#: evaluator's own output is checked
+#: evaluator's own output is checked, and mpmath where installed
 SLOW_ORACLE_POINTS = [(60, 5e-324), (199, 1e-300), (200, 5e-324)]
 
+#: one part of z is 1e-100 or less of the other, so the small parts of J
+#: take passes of over 1,000 bits
+SKEWED_POINTS = [(1, 20 + 1e-300j), (2, 30 + 5e-324j), (0, 5e-324 + 30j),
+                 (3, -29.9 + 1e-200j), (5, 12 + 1e-100j)]
 
-# the core is compared, not derivatives(): its sign factor turns the
-# imaginary part -0.0 into 0.0, which would hide a wrong signed zero
+#: the rounded partial sum at the former float stop index is one ulp away
+#: from the rounded J_11''(z) here
+PARTIAL_SUM_OFF_POINT = (11, -10.905433937068992)
+
+#: J_0 ~ 5e-12 here, so a pass that left the tail out of its error bounds
+#: would round it wrongly
+NEAR_ROOT_POINTS = [(0, 2.404825557705773), (0, 2.404825557685773)]
+
+
+def _small_points():
+    """Seeded points with |z| from 1e-8 to 1e-3, real and complex, n 0..8:
+    the derivative sums of n <= 1 and the imaginary part of J'' start far
+    below the leading term."""
+    rng = random.Random(17)
+    points = []
+    for _ in range(20):
+        r = 10 ** rng.uniform(-8, -3)
+        points.append((rng.randint(0, 8), complex(rng.choice((r, -r)))))
+        points.append((rng.randint(0, 8),
+                       cmath.rect(r, rng.uniform(-math.pi, math.pi))))
+    return points
+
 
 def test_series_bit_identical_to_fraction_sum_seeded(ev):
-    for n, z in _seeded_points():
-        assert _bits(ev._series(n, z)) == _bits(_fraction_series(n, z)), (n, z)
+    for n, z in _seeded_points() + [PARTIAL_SUM_OFF_POINT] + NEAR_ROOT_POINTS:
+        expected = _fraction_series(n, complex(z))
+        assert _bits(ev.derivatives(n, z)) == _bits(expected), (n, z)
 
 
 @pytest.mark.parametrize("n, z", EDGE_POINTS)
 def test_series_bit_identical_to_fraction_sum_edges(n, z, ev):
     z = complex(z)
-    assert _bits(ev._series(n, z)) == _bits(_fraction_series(n, z))
+    assert _bits(ev.derivatives(n, z)) == _bits(_fraction_series(n, z))
 
 
 def test_derivatives_keep_the_series_signed_zeros():
-    # derivatives() returns the series values unchanged, negated only for
-    # odd negative n, so an imaginary -0.0 stays -0.0
+    # an exact zero is +0.0 and an underflowed value keeps its sign, for
+    # negative orders as for positive ones
     ev = BesselEval()
-    points = [(20, 1e-20j), (21, 1e-20j)] + _seeded_points()
-    for n, z in points:
-        z = complex(z)
-        series = ev._series(n, z)
-        assert _bits(ev.derivatives(n, z)) == _bits(series), (n, z)
-        reflected = tuple(-v for v in series) if n % 2 else series
-        assert _bits(ev.derivatives(-n, z)) == _bits(reflected), (-n, z)
+    for n in (20, 21, -20, -21):
+        values = ev.derivatives(n, 1e-20j)
+        assert _bits(values) == _bits(_fraction_series(n, 1e-20j)), n
+        assert "-0x0.0p+0" in _bits(values) and "0x0.0p+0" in _bits(values)
+    for n, r in ((-1, 0.5), (-3, 2.0), (-21, 5e-324)):
+        expected = _fraction_series(n, complex(r))
+        assert _bits(ev.derivatives(n, r)) == _bits(expected), (n, r)
 
 
 def test_square_underflow_points_are_nonzero(ev):
@@ -228,86 +247,24 @@ def test_nan_argument_is_outside_the_envelope(z):
         BesselEval().derivatives(0, z)
 
 
-# -- the fixed-point sum against the exact one ------------------------------------
+def test_fixed_point_sum_defers_at_the_j0_root(monkeypatch):
+    # J_0 is ~1e-17 there: the first pass cannot round it, one with twice
+    # the bits can
+    root = complex(find_j0_root(BesselEval()))
+    real, passes = euclidean._pass, []
 
-def _fixed_point_cases():
-    """2,200 seeded points, n 0..40, by tenths of the |z| range: real z of
-    either sign over |z| < 30 and complex z over |z| < 10, as in the
-    benchmark, plus pure imaginaries over |z| < 30 and integer-valued z."""
-    rng = random.Random(14)
-    points = []
-    for i in range(550):
-        band = (i % 10 + rng.random()) / 10
-        sign = rng.choice((1, -1))
-        points += [
-            (rng.randint(0, 40), complex(sign * 30 * band)),
-            (rng.randint(0, 40), cmath.rect(10 * band, rng.uniform(-math.pi, math.pi))),
-            (rng.randint(0, 40), complex(0.0, sign * 30 * band)),
-            (rng.randint(0, 40), complex(round(sign * 30 * band))),
-        ]
-    return points
+    def recorded(n, z, frac):
+        passes.append((frac, real(n, z, frac)))
+        return passes[-1][1]
 
-
-def test_fixed_point_sum_bit_identical_to_exact_sum():
-    ev = BesselEval()
-    decided = 0
-    for n, z in _fixed_point_cases():
-        fast = ev._series_fixed(n, z)
-        if fast is not None:
-            decided += 1
-            assert _bits(fast) == _bits(ev._series_exact(n, z)), (n, z)
-    assert decided >= 2000
-
-
-def test_fixed_point_sum_decides_nearly_every_seeded_point():
-    # a fast path that always defers would pass every identity test
-    ev = BesselEval()
-    points = _seeded_points()
-    decided = sum(ev._series_fixed(n, complex(z)) is not None for n, z in points)
-    assert decided >= 0.95 * len(points)
-
-
-#: the sum stops at its first test, k = n - 1, and one more term would
-#: change a rounding
-FIRST_TEST_STOP_POINTS = [(11, -0.7998587851420256 - 2.2890525760877782j),
-                          (11, 0.7095479135000315 + 2.0072196524213743j),
-                          (10, 1.4042620001320865 + 0.8203099940272283j)]
-
-
-@pytest.mark.parametrize("n, z", FIRST_TEST_STOP_POINTS)
-def test_both_sums_take_the_first_stop_test(n, z):
-    ev = BesselEval()
-    expected = _bits(_fraction_series(n, z))
-    assert _bits(ev._series_fixed(n, z)) == expected
-    assert _bits(ev._series_exact(n, z)) == expected
-
-
-@pytest.mark.parametrize("n, z", [(0, 0j), (5, 0j)] + SQUARE_UNDERFLOW_POINTS
-                         + SLOW_ORACLE_POINTS)
-def test_fixed_point_sum_defers_at_zero_and_near_underflow(n, z):
-    ev = BesselEval()
-    z = complex(z)
-    assert ev._series_fixed(n, z) is None
-    if (n, z) not in SLOW_ORACLE_POINTS:
-        assert _bits(ev._series(n, z)) == _bits(_fraction_series(n, z))
-
-
-def test_fixed_point_sum_defers_at_the_j0_root():
-    # J_0 is ~1e-17 there: its error interval straddles a rounding boundary
-    ev = BesselEval()
-    root = complex(find_j0_root(ev))
-    assert ev._series_fixed(0, root) is None
-    assert _bits(ev._series(0, root)) == _bits(_fraction_series(0, root))
-
-
-@pytest.mark.parametrize("n, r, max_terms, terms", [
-    (0, 1.0, 1, 1), (5, 1.0, 1, 6), (3, 20.0, 1, 4), (10, 30.0, 5, 15),
-    (0, 30.0, 20, 20)])
-def test_max_terms_limit_raises_where_it_did(n, r, max_terms, terms):
-    # the fixed-point sum defers at the limit; the exact sum raises
-    message = rf"J_{n}\(\({r:g}\+0j\)\) did not converge in {terms} terms"
-    with pytest.raises(EnvelopeError, match=message):
-        BesselEval(max_terms=max_terms).derivatives(n, r)
+    monkeypatch.setattr(euclidean, "_pass", recorded)
+    values = BesselEval().derivatives(0, root)
+    monkeypatch.undo()
+    (first, none), (second, last) = passes
+    assert none is None and second == 2 * first and last == values
+    assert _bits(values) == _bits(_fraction_series(0, root))
+    mpmath = pytest.importorskip("mpmath")
+    assert _bits(values) == _bits(_mpmath_values(mpmath, 0, root))
 
 
 # -- independent oracles (test-only dependencies) -------------------------------------
@@ -326,18 +283,43 @@ def _a11_arguments():
             for t in (0.5, -0.25, 0.5j, -0.5j)]
 
 
+def _mpmath_values(mpmath, n, z):
+    """(J_n, J_n', J_n'') by mpmath, each part rounded once to a float.
+    mpmath's error is relative to the modulus, so the working precision is
+    60 digits plus the decades between |z| and the smaller part of z."""
+    z = complex(z)
+    parts = [abs(p) for p in (z.real, z.imag) if p]
+    skew = 0
+    if len(parts) == 2:
+        skew = math.ceil(math.log10(abs(z)) - math.log10(min(parts)))
+    with mpmath.workdps(60 + skew):
+        arg = mpmath.mpc(z.real, z.imag)
+        return [complex(mpmath.besselj(n, arg, derivative=order))
+                for order in range(3)]
+
+
 def _assert_close(got, ref, where):
     assert abs(got - ref) <= ORACLE_TOL * max(1.0, abs(ref)), (where, got, ref)
 
 
 def test_matches_mpmath_besselj(ev):
     mpmath = pytest.importorskip("mpmath")
-    with mpmath.workdps(30):
-        for n, z in REPORT_POINTS + _a11_arguments():
-            arg = mpmath.mpc(z.real, z.imag) if isinstance(z, complex) else z
-            for order, got in enumerate(ev.derivatives(n, z)):
-                ref = complex(mpmath.besselj(n, arg, derivative=order))
-                _assert_close(got, ref, (n, z, order))
+    for n, z in REPORT_POINTS + _a11_arguments():
+        expected = _mpmath_values(mpmath, n, z)
+        assert _bits(ev.derivatives(n, z)) == _bits(expected), (n, z)
+
+
+@pytest.mark.parametrize("points", [
+    _seeded_points(), EDGE_POINTS, SLOW_ORACLE_POINTS, SKEWED_POINTS,
+    _small_points(), [PARTIAL_SUM_OFF_POINT], NEAR_ROOT_POINTS],
+    ids=["seeded", "edges", "slow", "skewed", "small", "partial-sum-off",
+         "near-root"])
+def test_rounds_like_mpmath_besselj(points):
+    mpmath = pytest.importorskip("mpmath")
+    ev = BesselEval()
+    for n, z in points:
+        expected = _mpmath_values(mpmath, n, z)
+        assert _bits(ev.derivatives(n, z)) == _bits(expected), (n, z)
 
 
 def test_matches_scipy_jv_on_real_points(ev):

@@ -170,6 +170,19 @@ def test_tiny_composition_error_fails_h3_closure(monkeypatch):
     assert record.residual == math.ulp(0.0)
 
 
+def test_flipped_rotation_term_fails_e2_apply_rotation(monkeypatch):
+    def flipped(g, point):
+        a, b = point
+        (x, y, c, s), d = g.num, g.den
+        return (Fraction(a * c + b * s + x, d), Fraction(a * s + b * c + y, d))
+
+    monkeypatch.setattr(gr, "e2_apply", flipped)
+    record = records_by_id(run_groups(SuiteConfig(group_samples=1)))[
+        "e2_apply_rotation"]
+    assert record.status == "fail"
+    assert record.residual == 4
+
+
 def test_perturbed_exponential_fails_closed_form(monkeypatch):
     real = gr.h3_exp
 
