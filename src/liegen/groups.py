@@ -291,9 +291,10 @@ def axiom_suite(group: str, samples: int, seed: int) -> dict:
         g, h, k = draw(rng), draw(rng), draw(rng)
         gh = compose(g, h)
         # closure: parameter-space composition matches the matrix product
-        # (and therefore stays in the matrix group)
+        # (and therefore stays in the matrix group); equal first, as in diff
+        composed, product = gh.to_matrix(), g.to_matrix() * h.to_matrix()
         diffs["closure"].append(
-            gh.to_matrix().max_abs_diff(g.to_matrix() * h.to_matrix()))
+            0 if composed == product else composed.max_abs_diff(product))
         diff("associativity", compose(gh, k), compose(g, compose(h, k)))
         diff("identity", compose(g, ident), g)
         diff("identity", compose(ident, g), g)

@@ -25,10 +25,10 @@ S = diag(sqrt(n! 2^n)), S M S^-1 is sqrt(2) times the usual matrix with
 sqrt(n) entries, so [lower, raise] = 2 and {lower, raise} = 2(2n+1) here say
 exactly [a, a+] = 1 and {a, a+} = 2n+1 in the normalized basis.
 
-sqrt(pi) is likewise held symbolic: Gaussian moments are rational numbers in
-units of sqrt(pi), and the basis normalization squares to a rational in the
-same units, so every orthonormality statement reduces to exact rational
-arithmetic.
+sqrt(pi) is likewise held symbolic: an overlap, ``numeric.weighted_overlap``,
+is a rational number in units of sqrt(pi), and the basis normalization
+squares to a rational in the same units, so every orthonormality statement
+reduces to exact rational arithmetic.
 
 Exactness is enforced by construction: ``Polynomial`` rejects float
 coefficients, and the ladder matrices are built from ints only.
@@ -45,8 +45,8 @@ from .numeric import (
     Polynomial,
     PowerSeries,
     X,
-    gaussian_moment,
     series_exp,
+    weighted_overlap,
 )
 
 #: lowest Hermite index
@@ -122,29 +122,15 @@ def hermite_recurrence(n: int) -> Polynomial:
 
 
 # ---------------------------------------------------------------------------
-# normalized basis functions and overlaps
+# normalized basis functions
 # ---------------------------------------------------------------------------
 
 def mixed_basis(n: int) -> tuple[Polynomial, Fraction]:
     """The n-th basis function H_n(x) w, as its polynomial part H_n, and the
     square of its normalization 1/sqrt(n! 2^n sqrt(pi)), in units of
     1/sqrt(pi): the Fraction 1/(n! 2^n), whose sqrt(pi) unit cancels against
-    the one carried by Gaussian moments."""
+    the one carried by :func:`weighted_overlap`."""
     return hermite_rodrigues(n), Fraction(1, math.factorial(n) * 2 ** n)
-
-
-def weighted_overlap(p: Polynomial, q: Polynomial) -> Fraction:
-    """integral (p w)(q w) dx over the real line, in units of sqrt(pi).
-
-    The two Gaussian envelopes combine to exp(-x^2), so the integral is a
-    rational combination of Gaussian moments.
-    """
-    product = p * q
-    total = Fraction(0)
-    for exps, coeff in product.terms.items():
-        k = exps[0] if exps else 0
-        total += coeff * gaussian_moment(k)
-    return total
 
 
 # ---------------------------------------------------------------------------

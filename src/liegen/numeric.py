@@ -1,9 +1,9 @@
 """Exact-arithmetic core: multivariate rational polynomials, square
 matrices, truncated formal power series with polynomial coefficients, and
-Gaussian moments.
+the Gaussian pairing of polynomials in x.
 
 All values in this module are immutable after construction.  Polynomials,
-series and moments are exact.  A ``Matrix`` stores its entries as given:
+series and pairings are exact.  A ``Matrix`` stores its entries as given:
 int and Fraction entries give exact arithmetic and float entries float
 arithmetic, so the same class holds the exact group and ladder matrices and
 the float matrices of finite differences.  Exactness is enforced
@@ -15,7 +15,7 @@ denominator that has no factor common to all of them, so its arithmetic runs
 on plain ints with one gcd per result instead of one per coefficient
 operation (Knuth, TAOCP vol. 2, 4.5.1 and 4.6.4).  Rational values leave the
 module as ``fractions.Fraction``: ``Polynomial.terms``, series coefficients
-and Gaussian moments.  The one exception is ``Polynomial.z_line``, which
+and Gaussian pairings.  The one exception is ``Polynomial.z_line``, which
 hands out ints: the restriction of a polynomial to the line (x0, y0, z), as
 the numerators of its coefficients in z over one denominator, so a caller
 that evaluates one line at many z (``contraction_residual``) builds no
@@ -35,10 +35,10 @@ variables a polynomial uses are read off its terms when asked for, so no
 result is scanned for them.
 
 A ``PowerSeries`` has ``Polynomial`` coefficients only (a rational series
-has constant ones), so its arithmetic is the polynomial arithmetic above.
-Series products skip zero coefficients, and ``series_exp`` runs the
-exponential's ODE recurrence a_n = (1/n) sum_j j s_j a_{n-j} over the
-nonzero coefficients of s.
+has constant ones).  A coefficient of a series product, or of ``series_exp``
+(the ODE recurrence a_n = (1/n) sum_j j s_j a_{n-j} over the nonzero s_j),
+is one ``_sum_of_products``: one pass in ints, one normalization.
+``weighted_overlap``, the Gaussian pairing, is one pass in ints too.
 """
 
 from __future__ import annotations
@@ -524,21 +524,12 @@ class PowerSeries:
     def __mul__(self, other: "PowerSeries") -> "PowerSeries":
         k = min(self.order, other.order)
         # only pairs of nonzero coefficients contribute
-        left = [(i, c) for i, c in enumerate(self.coeffs[:k + 1])
-                if not c.is_zero]
-        right = {j: c for j, c in enumerate(other.coeffs[:k + 1])
-                 if not c.is_zero}
-        coeffs = []
-        for n in range(k + 1):
-            acc = _ZERO_POLY
-            for i, a in left:
-                if i > n:
-                    break
-                b = right.get(n - i)
-                if b is not None:
-                    acc = acc + a * b
-            coeffs.append(acc)
-        return PowerSeries(coeffs, k)
+        left = [(i, c) for i, c in enumerate(self.coeffs[:k + 1]) if c._nums]
+        right = {j: c for j, c in enumerate(other.coeffs[:k + 1]) if c._nums}
+        return PowerSeries(
+            [_sum_of_products([(a, right[n - i]) for i, a in left
+                               if n - i in right])
+             for n in range(k + 1)], k)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PowerSeries):
@@ -564,37 +555,55 @@ def series_exp(s: PowerSeries) -> PowerSeries:
     """
     if not s.coeffs[0].is_zero:
         raise ValueError("series_exp requires a zero constant term")
-    weighted = [(j, j * c) for j, c in enumerate(s.coeffs)
-                if j and not c.is_zero]
+    weighted = [(j, j * c) for j, c in enumerate(s.coeffs) if j and c._nums]
     a = [Polynomial.constant(1)]
     for n in range(1, s.order + 1):
-        acc = _ZERO_POLY
-        for j, js_j in weighted:
-            if j > n:
-                break
-            acc = acc + js_j * a[n - j]
-        a.append(Fraction(1, n) * acc)
+        a.append(_sum_of_products(
+            [(js_j, a[n - j]) for j, js_j in weighted if j <= n], n))
     return PowerSeries(a, s.order)
 
 
-# ---------------------------------------------------------------------------
-# Gaussian moments
-# ---------------------------------------------------------------------------
+def _sum_of_products(pairs: list, div: int = 1) -> Polynomial:
+    """(sum of a * b over the ``(a, b)`` polynomial pairs) / ``div``.
 
-_moment_cache: dict[int, Fraction] = {0: _ONE}
-
-
-def gaussian_moment(k: int) -> Fraction:
-    """``integral of x^k * exp(-x^2) over the real line``, in units of sqrt(pi).
-
-    The sqrt(pi) factor is kept symbolic (it must cancel in every exact
-    check), so the return value is the rational coefficient only.  Odd
-    moments vanish; even ones satisfy M(k) = (k-1)/2 * M(k-2).
+    Each product is brought to the lcm L of the d_a * d_b by the cofactor
+    L / (d_a * d_b) into one dict of ints, and one ``_make`` normalizes
+    the sum: no product or partial sum is built.
     """
-    if k < 0:
-        raise ValueError("moment order must be non-negative")
-    if k % 2:
-        return _ZERO
-    if k not in _moment_cache:
-        _moment_cache[k] = Fraction(k - 1, 2) * gaussian_moment(k - 2)
-    return _moment_cache[k]
+    den = math.lcm(*(a._den * b._den for a, b in pairs))
+    nums: dict = {}
+    get = nums.get
+    for a, b in pairs:
+        scale = den // (a._den * b._den)
+        for (a0, a1, a2), na in a._nums.items():
+            na *= scale
+            for (b0, b1, b2), nb in b._nums.items():
+                key = (a0 + b0, a1 + b1, a2 + b2)
+                nums[key] = get(key, 0) + na * nb
+    return Polynomial._make(nums, den * div)
+
+
+# ---------------------------------------------------------------------------
+# the Gaussian pairing
+# ---------------------------------------------------------------------------
+
+def weighted_overlap(p: Polynomial, q: Polynomial) -> Fraction:
+    """integral (p w)(q w) dx over the real line, w = exp(-x^2/2), in units
+    of sqrt(pi), for p and q in x only (``ValueError`` for y or z).
+
+    exp(-x^2) has the moments (2j-1)!!/2^j at x^(2j) and 0 at odd powers.
+    With p = sum n_a x^a / d_p, q = sum m_b x^b / d_q, 2h the top even
+    power of p q and w_j = (2j-1)!! 2^(h-j), the overlap is the sum of
+    n_a m_b w_((a+b)/2) over a + b even, over d_p d_q 2^h: one pass in
+    ints, with no product p q built.
+    """
+    if any(e[1] or e[2] for poly in (p, q) for e in poly._nums):
+        raise ValueError("the Gaussian pairing takes polynomials in x only")
+    h = max(p.degree() + q.degree(), 0) // 2
+    weights = [1 << h]
+    for j in range(1, h + 1):
+        weights.append(weights[-1] * (2 * j - 1) >> 1)
+    total = sum(n * m * weights[(a + b) >> 1]
+                for (a, _, _), n in p._nums.items()
+                for (b, _, _), m in q._nums.items() if not (a + b) & 1)
+    return Fraction(total, p._den * q._den << h)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from liegen import groups
 from liegen.groups import (
     E2_BASIS_ROT,
     E2_BASIS_X,
@@ -251,6 +252,23 @@ def test_e2_axioms_within_tolerance():
                                  "inverse"]
     for value in residuals.values():
         assert isinstance(value, (int, Fraction)) and value == 0
+
+
+def test_closure_gap_of_a_flipped_rotation_term(monkeypatch):
+    # the sign of s1*y2 flipped: closure compares the matrices first and
+    # still records the exact gap that max_abs_diff finds between them
+    def flipped(g, h):
+        (x1, y1, c1, s1), d1 = g.num, g.den
+        (x2, y2, c2, s2), d2 = h.num, h.den
+        return E2Element(x1 * d2 + c1 * x2 + s1 * y2,
+                         y1 * d2 + s1 * x2 + c1 * y2,
+                         c1 * c2 - s1 * s2, s1 * c2 + c1 * s2, d1 * d2)
+
+    monkeypatch.setattr(groups, "e2_compose", flipped)
+    residuals = axiom_suite("e2", samples=3, seed=20260809)
+    assert residuals["closure"] == Fraction(37202, 32625)
+    assert axiom_suite("e2", samples=100, seed=20260809)["closure"] == \
+        Fraction(159109, 17425)
 
 
 def test_axiom_suite_rejects_bad_input():

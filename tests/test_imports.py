@@ -4,10 +4,12 @@ class is read somewhere in the package or the benchmark.
 
 No linter ships with the project, and a deleted function can leave its
 imports behind, or a deleted caller its callee; this reads each module's
-syntax tree with the standard ``ast`` module instead.
+syntax tree with the standard ``ast`` module instead.  Last, the
+benchmark's tracer must find every liegen name it patches.
 """
 
 import ast
+import importlib.util
 import pathlib
 
 import pytest
@@ -190,3 +192,23 @@ def test_every_private_name_has_a_reader():
 
 def test_every_method_has_a_reader():
     assert orphan_methods(*_product_sources()) == []
+
+
+def test_tracer_finds_every_target():
+    # the benchmark's traced runs patch liegen names by string: one that a
+    # change inlines or renames is a KeyError here, not only under --trace 1
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", PERFBENCH / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    from liegen import heisenberg, numeric
+
+    before = (numeric.Polynomial.__dict__["__mul__"], heisenberg.series_exp)
+    tracer = tracing.Tracer()
+    try:   # uninstall also undoes a partial install
+        tracing.install(tracer)
+        assert heisenberg.series_exp is not before[1]
+    finally:
+        tracer.uninstall()
+    assert (numeric.Polynomial.__dict__["__mul__"],
+            heisenberg.series_exp) == before

@@ -1,4 +1,4 @@
-"""Exact-arithmetic core: polynomials, series, moments."""
+"""Exact-arithmetic core: polynomials, series, the Gaussian pairing."""
 
 import math
 import random
@@ -13,8 +13,11 @@ from liegen.numeric import (
     Polynomial,
     PowerSeries,
     X,
-    gaussian_moment,
+    Y,
+    Z,
+    _sum_of_products,
     series_exp,
+    weighted_overlap,
 )
 
 F = Fraction
@@ -533,6 +536,41 @@ def test_series_product_matches_convolution(data, order):
     assert list(product.coeffs) == convolve(a, b, ZERO)
 
 
+@given(data=st.data(), order_a=st.integers(min_value=0, max_value=6),
+       order_b=st.integers(min_value=0, max_value=6))
+@settings(max_examples=40, deadline=None)
+def test_series_product_matches_naive_cauchy_sum(data, order_a, order_b):
+    # polynomial coefficients, many of them zero, and unequal orders: the
+    # fused product equals the Cauchy sum through Polynomial * and +
+    a, b = [data.draw(st.lists(sparse_polys, min_size=n + 1, max_size=n + 1))
+            for n in (order_a, order_b)]
+    product = PowerSeries(a, order_a) * PowerSeries(b, order_b)
+    k = min(order_a, order_b)
+    assert product.order == k
+    assert list(product.coeffs) == convolve(a[:k + 1], b[:k + 1], ZERO)
+    for c in product.coeffs:
+        assert_canonical(c)
+
+
+def test_series_product_coefficient_with_no_nonzero_pair():
+    # t^2 * t^2 through t^3: every coefficient sums an empty pair list
+    t2 = PowerSeries.from_terms({2: X}, 3)
+    assert (t2 * t2).is_zero
+    for div in (1, 6):
+        empty = _sum_of_products([], div)
+        assert empty == 0
+        assert_canonical(empty)
+
+
+def test_sum_of_products_brings_each_product_to_the_lcm():
+    # products over 6 and 20, summed over their lcm 60, then divided by 7
+    pairs = [(X / 2, X / 3), (Polynomial.constant(F(1, 5)), Y / 4)]
+    expected = (X / 2) * (X / 3) + F(1, 5) * (Y / 4)
+    assert _sum_of_products(pairs) == expected
+    assert _sum_of_products(pairs, 7) == expected / 7
+    assert_canonical(_sum_of_products(pairs, 7))
+
+
 def test_series_exp_of_zero_is_one():
     zero = PowerSeries.from_terms({}, 8)
     assert series_exp(zero) == PowerSeries.from_terms({0: ONE}, 8)
@@ -571,22 +609,55 @@ def test_series_operations_keep_smaller_order():
     assert (a + b).order == 4
 
 
-# -- Gaussian moments ---------------------------------------------------------
+# -- the Gaussian pairing ------------------------------------------------------
+# weighted_overlap(x^k, 1) is the k-th moment of exp(-x^2) in units of sqrt(pi)
+
+def moment(k):
+    return weighted_overlap(X ** k, ONE)
+
 
 def test_moment_odd_vanishes():
-    assert gaussian_moment(1) == 0
-    assert gaussian_moment(7) == 0
+    assert moment(1) == 0
+    assert moment(7) == 0
 
 
 def test_moment_normalization():
-    assert gaussian_moment(0) == 1
+    assert moment(0) == 1
 
 
 def test_moment_two_by_parts():
     # integration by parts: integral x^2 e^{-x^2} = (1/2) integral e^{-x^2}
-    assert gaussian_moment(2) == F(1, 2) * gaussian_moment(0)
+    assert moment(2) == F(1, 2) * moment(0)
 
 
 @pytest.mark.parametrize("k", range(2, 40, 2))
 def test_moment_recurrence(k):
-    assert gaussian_moment(k) == F(k - 1, 2) * gaussian_moment(k - 2)
+    assert moment(k) == F(k - 1, 2) * moment(k - 2)
+
+
+def test_moments_match_gamma_oracle():
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(60):
+        for k in range(0, 41, 2):
+            oracle = mpmath.gamma(mpmath.mpf(k + 1) / 2) / mpmath.sqrt(mpmath.pi)
+            value = moment(k)
+            assert mpmath.almosteq(
+                mpmath.mpf(value.numerator) / value.denominator, oracle,
+                rel_eps=mpmath.mpf(10) ** -50)
+
+
+@given(p=polynomials(max_deg=8).map(lambda p: p.substitute({"y": ONE})),
+       q=polynomials(max_deg=8).map(lambda p: p.substitute({"y": ONE})))
+@settings(max_examples=60)
+def test_overlap_is_the_moment_sum_of_the_product(p, q):
+    # the bilinear pass equals integrating the built product p*q term by term
+    expected = sum((c * moment(e[0] if e else 0)
+                    for e, c in (p * q).terms.items()), F(0))
+    assert weighted_overlap(p, q) == expected == weighted_overlap(q, p)
+
+
+@pytest.mark.parametrize("p, q", [(Y, Y), (X * Y, X * Y), (Z, ONE),
+                                  (ONE, X + Z), (X ** 2, X - Y + 1)])
+def test_overlap_rejects_a_term_in_y_or_z(p, q):
+    with pytest.raises(ValueError, match="x only"):
+        weighted_overlap(p, q)
