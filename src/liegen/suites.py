@@ -1,12 +1,17 @@
 """Verification suites: runnable bundles of checks with serializable reports.
 
-Each suite produces a :class:`SuiteReport` whose records are sorted by check
-id, so a report's bytes depend only on the configuration and seed.  Checks
-are either exact (pass means the residual is identically zero in rational
-arithmetic) or tolerance-gated floats; diagnostic records are reported but
-can never affect an exit status.
+Each block is a runner ``run_<block>(config, rec)`` that only records
+checks.  :func:`run_suite` is the one loop that runs blocks: per block a
+fresh recorder, a timed call and a :class:`SuiteReport`, which sorts its
+records by check id, so a report's bytes depend only on the configuration
+and seed.  A runner that raises keeps its records and gains one
+``block_raised`` record of status ``error``; the later blocks still run.
+Checks are exact (pass means the residual is identically zero in rational
+arithmetic) or tolerance-gated floats; diagnostic records can never affect
+an exit status.  Every emitter reads rows from :meth:`CheckRecord.to_dict`,
+and :func:`emit_json` writes ``{"suites": [block, ...]}`` for one block or
+for all.
 """
-
 from __future__ import annotations
 
 import configparser
@@ -14,7 +19,6 @@ import csv
 import io
 import json
 import math
-import numbers
 import time
 from collections import Counter
 from dataclasses import MISSING, dataclass, field, fields
@@ -92,7 +96,7 @@ class SuiteConfig:
         # twice the one before it
         if len(self.contraction_R) < 2 or len(self.legendre_l) < 2:
             raise ConfigError("contraction_R and legendre_l need two entries")
-        if any(not (_is_number(R, numbers.Real) and 0 < R < math.inf)
+        if any(not (_is_number(R, (int, float)) and 0 < R < math.inf)
                for R in self.contraction_R):
             raise ConfigError("contraction_R entries must be positive numbers")
         for name in ("contraction_R", "legendre_l"):
@@ -103,7 +107,7 @@ class SuiteConfig:
         if any(abs(n) > eu.IDENTITY_MAX_ORDER for n in self.bessel_orders):
             raise ConfigError(
                 f"bessel_orders outside |n| <= {eu.IDENTITY_MAX_ORDER}")
-        if any(not (_is_number(r, numbers.Real)
+        if any(not (_is_number(r, (int, float))
                     and eu.IDENTITY_MIN_R <= r <= eu.IDENTITY_MAX_R)
                for r in self.bessel_r_grid):
             raise ConfigError(f"bessel_r_grid entries must be numbers in "
@@ -115,7 +119,7 @@ class SuiteConfig:
         for key, value in self.tolerance_overrides.items():
             if key not in DEFAULT_TOLERANCES:
                 raise ConfigError(f"unknown tolerance key {key!r}")
-            if not (_is_number(value, numbers.Real) and value > 0):
+            if not (_is_number(value, (int, float)) and value > 0):
                 raise ConfigError(f"tolerance for {key} must be a positive number")
         for name, low in _LOWER_BOUNDS.items():
             if getattr(self, name) < low:
@@ -217,7 +221,7 @@ class CheckRecord:
     residual: float
     exact: bool
     tolerance: float | None
-    status: str  # pass | fail | diagnostic
+    status: str  # pass | fail | diagnostic | error
 
     def to_dict(self) -> dict:
         return {
@@ -237,12 +241,15 @@ class SuiteReport:
     config_echo: dict
     wall_time_s: float = 0.0
 
+    def __post_init__(self):
+        # every emitter writes the records in this order, as stored
+        self.records = sorted(self.records, key=lambda r: r.check_id)
+
     def to_dict(self) -> dict:
         return {
             "suite": self.suite,
             "config": self.config_echo,
-            "checks": [r.to_dict() for r in sorted(self.records,
-                                                   key=lambda r: r.check_id)],
+            "checks": [r.to_dict() for r in self.records],
         }
 
 
@@ -326,10 +333,7 @@ class _Recorder:
 # the four verification suites plus the diagnostics block
 # ---------------------------------------------------------------------------
 
-def run_groups(config: SuiteConfig) -> SuiteReport:
-    rec = _Recorder(config)
-    started = time.perf_counter()
-
+def run_groups(config: SuiteConfig, rec: _Recorder) -> None:
     for group in ("h3", "e2"):
         residuals = gr.axiom_suite(group, config.group_samples, config.seed)
         for axiom, residual in sorted(residuals.items()):
@@ -386,13 +390,8 @@ def run_groups(config: SuiteConfig) -> SuiteReport:
     rec.exact("e2_apply_rotation", [turned[0] + 2, turned[1] - 1],
               {"t": 1, "theta": "pi/2"})
 
-    return SuiteReport("groups", rec.records, config.echo(),
-                       time.perf_counter() - started)
 
-
-def run_hermite(config: SuiteConfig) -> SuiteReport:
-    rec = _Recorder(config)
-    started = time.perf_counter()
+def run_hermite(config: SuiteConfig, rec: _Recorder) -> None:
     max_n = config.hermite_max_n
 
     rec.exact(
@@ -464,13 +463,8 @@ def run_hermite(config: SuiteConfig) -> SuiteReport:
               discrete_residuals(hb.discrete_commutator(dim), lambda i: 2),
               {"dimension": dim})
 
-    return SuiteReport("hermite", rec.records, config.echo(),
-                       time.perf_counter() - started)
 
-
-def run_bessel(config: SuiteConfig) -> SuiteReport:
-    rec = _Recorder(config)
-    started = time.perf_counter()
+def run_bessel(config: SuiteConfig, rec: _Recorder) -> None:
     ev = eu.BesselEval()
 
     def identity_residuals(which, small_r):
@@ -526,13 +520,8 @@ def run_bessel(config: SuiteConfig) -> SuiteReport:
     rec.gated("selfconsistency_double_precision", relative_differences(),
               "bessel/selfconsistency", {"start_precision": [1, 2]})
 
-    return SuiteReport("bessel", rec.records, config.echo(),
-                       time.perf_counter() - started)
 
-
-def run_contraction(config: SuiteConfig) -> SuiteReport:
-    rec = _Recorder(config)
-    started = time.perf_counter()
+def run_contraction(config: SuiteConfig, rec: _Recorder) -> None:
     ev = eu.BesselEval()
 
     rec.exact("so3_commutator_xy", [ct.vf_commutator(ct.LX, ct.LY) + ct.LZ])
@@ -619,14 +608,9 @@ def run_contraction(config: SuiteConfig) -> SuiteReport:
               {"l_final": max(config.legendre_l), "m": "0..3",
                "r": [1.0, 2.0, 4.0]})
 
-    return SuiteReport("contraction", rec.records, config.echo(),
-                       time.perf_counter() - started)
 
-
-def run_diagnostics(config: SuiteConfig) -> SuiteReport:
+def run_diagnostics(config: SuiteConfig, rec: _Recorder) -> None:
     """Recorded-only block: residuals with no pass/fail semantics."""
-    rec = _Recorder(config)
-    started = time.perf_counter()
     ev = eu.BesselEval()
 
     for n, r, phi, t in ((0, 2.0, 0.5, 0.2), (1, 3.0, 1.0, 0.1)):
@@ -650,9 +634,6 @@ def run_diagnostics(config: SuiteConfig) -> SuiteReport:
     rec.diagnostic("flow_q_drift", flow.q_drift, params)
     rec.diagnostic("flow_integrator_selfcheck", flow.integrator_error, params)
 
-    return SuiteReport("diagnostics", rec.records, config.echo(),
-                       time.perf_counter() - started)
-
 
 #: every block, in the order of the full report
 _RUNNERS = {
@@ -665,26 +646,35 @@ _RUNNERS = {
 
 
 def run_suite(name: str, config: SuiteConfig) -> list[SuiteReport]:
-    """Run one named suite, or all four plus the diagnostics block."""
+    """Run one named block, or every block in the order of ``_RUNNERS``."""
     if name == "all":
-        return [run(config) for run in _RUNNERS.values()]
-    if name not in _RUNNERS:
+        blocks = _RUNNERS
+    elif name in _RUNNERS:
+        blocks = {name: _RUNNERS[name]}
+    else:
         raise ConfigError(f"unknown suite {name!r}")
-    return [_RUNNERS[name](config)]
+    reports = []
+    for suite, run in blocks.items():
+        rec = _Recorder(config)
+        started = time.perf_counter()
+        try:
+            run(config, rec)
+        except Exception as exc:
+            rec.records.append(CheckRecord(
+                "block_raised", {"exception": type(exc).__name__}, math.nan,
+                False, None, "error"))
+        reports.append(SuiteReport(suite, rec.records, config.echo(),
+                                   time.perf_counter() - started))
+    return reports
 
 
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
 
-def reports_to_document(reports: list[SuiteReport]) -> dict:
-    if len(reports) == 1:
-        return reports[0].to_dict()
-    return {"suites": [r.to_dict() for r in reports]}
-
-
 def emit_json(reports: list[SuiteReport]) -> str:
-    return json.dumps(reports_to_document(reports), sort_keys=True, indent=2) + "\n"
+    document = {"suites": [r.to_dict() for r in reports]}
+    return json.dumps(document, sort_keys=True, indent=2) + "\n"
 
 
 def _params_text(params: dict) -> str:
@@ -697,14 +687,13 @@ def emit_csv(reports: list[SuiteReport]) -> str:
     writer.writerow(["suite", "check_id", "params", "residual",
                      "exact_zero", "tolerance", "status"])
     for report in reports:
-        for record in sorted(report.records, key=lambda r: r.check_id):
+        for record in report.records:
+            row = record.to_dict()
             writer.writerow([
-                report.suite, record.check_id, _params_text(record.params),
-                repr(record.residual),
-                str(record.exact and record.residual == 0.0).lower(),
-                "" if record.tolerance is None else repr(record.tolerance),
-                record.status,
-            ])
+                report.suite, row["check_id"], _params_text(row["params"]),
+                repr(row["residual"]), str(row["exact_zero"]).lower(),
+                "" if row["tolerance"] is None else repr(row["tolerance"]),
+                row["status"]])
     return buffer.getvalue()
 
 
@@ -712,16 +701,18 @@ def emit_text(reports: list[SuiteReport]) -> str:
     lines = []
     for report in reports:
         lines.append(f"== suite {report.suite} ==")
-        for record in sorted(report.records, key=lambda r: r.check_id):
-            if record.exact:
-                label = "exact zero" if record.residual == 0.0 else \
-                    f"NONZERO ~{record.residual:.3e}"
+        for record in report.records:
+            row = record.to_dict()
+            if row["exact_zero"]:
+                label = "exact zero"
+            elif record.exact:
+                label = f"NONZERO ~{row['residual']:.3e}"
             else:
-                label = f"residual={record.residual:.6e}"
-                if record.tolerance is not None:
-                    label += f" tol={record.tolerance:.1e}"
-            status = "DIAG" if record.status == "diagnostic" else record.status.upper()
-            lines.append(f"{status:4}  {record.check_id}: {label}")
+                label = f"residual={row['residual']:.6e}"
+                if row["tolerance"] is not None:
+                    label += f" tol={row['tolerance']:.1e}"
+            status = "DIAG" if row["status"] == "diagnostic" else row["status"].upper()
+            lines.append(f"{status:4}  {row['check_id']}: {label}")
         counts = Counter(record.status for record in report.records)
         errors = f", {counts['error']} error" if counts["error"] else ""
         lines.append(f"-- {counts['pass']} passed, {counts['fail']} failed, "

@@ -1,5 +1,6 @@
 """The paired-bench tool's summary and bookkeeping, on synthetic runs."""
 
+import hashlib
 import importlib.util
 import json
 import pathlib
@@ -122,3 +123,28 @@ def test_main_exits_nonzero_on_failed_operations(tmp_path):
     assert bench_pairs.main(argv, run=run) == 1
     entry = json.loads((tmp_path / "b.json").read_text())["workloads"]["report"]
     assert entry["failed"] == {"parent": 0, "change": 1}
+
+
+def test_entry_names_the_source_tree_of_each_side(tmp_path):
+    parent, change = write_spec(tmp_path / "p"), write_spec(tmp_path / "c")
+    for root, body in ((parent, b"x = 1\n"), (change, b"x = 2\n")):
+        package = pathlib.Path(root, "src", "liegen")
+        package.mkdir(parents=True)
+        (package / "b.py").write_bytes(body)
+        (package / "a.py").write_bytes(b"")
+        (package / "notes.txt").write_bytes(body)   # not a .py: not hashed
+    run, _ = fake_run({parent: {1: 2.0}, change: {1: 1.0}})
+    out = tmp_path / "b.json"
+    argv = ["--parent", parent, "--change", change, "--workload", "report",
+            "--seeds", "1", "--seconds", "1", "--out", str(out)]
+    assert bench_pairs.main(argv, run=run) == 0
+    entry = json.loads(out.read_text())["workloads"]["report"]
+    expected = hashlib.sha256(b"src/liegen/a.py\x000\x00"
+                              b"src/liegen/b.py\x006\x00x = 2\n").hexdigest()
+    assert entry["source_sha256"]["change"] == expected
+    assert entry["source_sha256"]["parent"] != expected
+    # the bytes of the .py files name the tree, not the other files in it
+    (pathlib.Path(change, "src", "liegen", "notes.txt")).write_bytes(b"")
+    assert bench_pairs.source_digest(change) == expected
+    (pathlib.Path(change, "src", "liegen", "a.py")).write_bytes(b"\n")
+    assert bench_pairs.source_digest(change) != expected

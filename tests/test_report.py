@@ -10,31 +10,62 @@ from collections import Counter
 
 import pytest
 
-from liegen.suites import SuiteConfig, emit_json, run_suite
+from liegen.suites import (
+    SuiteConfig,
+    emit_csv,
+    emit_json,
+    emit_text,
+    run_suite,
+)
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKER = os.path.join(ROOT, "perfbench", "worker.py")
+BLOCKS = ["groups", "hermite", "bessel", "contraction", "diagnostics"]
 
 
-def fingerprint(reports):
-    return hashlib.sha256(emit_json(reports).encode()).hexdigest()[:16]
+def sha(text):
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-def test_default_report_fingerprint():
-    reports = run_suite("all", SuiteConfig())
-    assert fingerprint(reports) == "b8de8657389d8445"
-    # each block alone, so a change to one shows which block moved
-    assert {r.suite: fingerprint([r]) for r in reports} == {
+@pytest.fixture(scope="module")
+def default_reports():
+    return run_suite("all", SuiteConfig())
+
+
+def test_default_report_fingerprint(default_reports):
+    reports = default_reports
+    assert sha(emit_json(reports)) == "b8de8657389d8445"
+    assert sha(emit_csv(reports)) == "97227cffea6e7a80"
+    assert sha(emit_text(reports)) == "b6a645cecc67d70f"
+    # each block object alone, so a change to one shows which block moved
+    assert {r.suite: sha(json.dumps(r.to_dict(), sort_keys=True, indent=2)
+                         + "\n") for r in reports} == {
         "groups": "0c2fd2c50fa20aec",
         "hermite": "703848add5aae041",
         "bessel": "c6aad6ff674141e8",
         "contraction": "ed6010d810e71413",
         "diagnostics": "71b3aceb03755686",
     }
-    assert [r.suite for r in reports] == [
-        "groups", "hermite", "bessel", "contraction", "diagnostics"]
+    assert [r.suite for r in reports] == BLOCKS
     statuses = Counter(rec.status for r in reports for rec in r.records)
     assert statuses == {"pass": 66, "diagnostic": 9}
+
+
+@pytest.mark.parametrize("name", BLOCKS)
+def test_one_block_alone_is_its_entry_in_the_full_report(default_reports,
+                                                         name):
+    (alone,) = run_suite(name, SuiteConfig())
+    entry = default_reports[BLOCKS.index(name)]
+    assert alone.to_dict() == entry.to_dict()
+    # one document shape: a single block is a list of one
+    assert json.loads(emit_json([alone])) == {"suites": [entry.to_dict()]}
+    # the CSV header, then exactly this block's rows of the full report
+    header, *rows = emit_csv([alone]).splitlines()
+    full_header, *full_rows = emit_csv(default_reports).splitlines()
+    assert header == full_header
+    assert rows == [row for row in full_rows if row.startswith(f"{name},")]
+    # its text section, from the header line through the counts line
+    assert emit_text([alone]) in emit_text(default_reports)
 
 
 @pytest.mark.parametrize("workload", ["report", "bessel-points",

@@ -23,10 +23,6 @@ from liegen.suites import (
     SuiteReport,
     emit_text,
     load_config,
-    run_bessel,
-    run_contraction,
-    run_groups,
-    run_hermite,
     run_suite,
 )
 
@@ -39,7 +35,7 @@ def records_by_id(report):
 
 
 def test_run_hermite_defaults_all_pass_exactly():
-    report = run_hermite(SuiteConfig())
+    report = run_suite("hermite", SuiteConfig())[0]
     assert len(report.records) == 13
     for record in report.records:
         assert record.status == "pass", record.check_id
@@ -68,7 +64,7 @@ def test_nan_generator_entry_fails_fd_record(monkeypatch):
         return Matrix(rows)
 
     monkeypatch.setattr(gr, "generators_at_identity", poisoned)
-    records = records_by_id(run_groups(SuiteConfig(group_samples=1)))
+    records = records_by_id(run_suite("groups", SuiteConfig(group_samples=1))[0])
     assert records["h3_generators_fd"].status == "fail"
     assert math.isnan(records["h3_generators_fd"].residual)
     assert records["e2_generators_fd"].status == "pass"
@@ -163,7 +159,7 @@ def test_tiny_composition_error_fails_h3_closure(monkeypatch):
         return gr.H3Element(out.x1, out.x2 + Fraction(1, 10 ** 400), out.x3)
 
     monkeypatch.setattr(gr, "h3_compose", perturbed)
-    record = records_by_id(run_groups(SuiteConfig(group_samples=3)))[
+    record = records_by_id(run_suite("groups", SuiteConfig(group_samples=3))[0])[
         "h3_axiom_closure"]
     # the error underflows a float, so the recorder's floor reports it
     assert record.status == "fail"
@@ -177,7 +173,7 @@ def test_flipped_rotation_term_fails_e2_apply_rotation(monkeypatch):
         return (Fraction(a * c + b * s + x, d), Fraction(a * s + b * c + y, d))
 
     monkeypatch.setattr(gr, "e2_apply", flipped)
-    record = records_by_id(run_groups(SuiteConfig(group_samples=1)))[
+    record = records_by_id(run_suite("groups", SuiteConfig(group_samples=1))[0])[
         "e2_apply_rotation"]
     assert record.status == "fail"
     assert record.residual == 4
@@ -191,7 +187,7 @@ def test_perturbed_exponential_fails_closed_form(monkeypatch):
         return gr.H3Element(out.x1, out.x2 + Fraction(1, 8), out.x3)
 
     monkeypatch.setattr(gr, "h3_exp", perturbed)
-    records = records_by_id(run_groups(SuiteConfig(group_samples=1)))
+    records = records_by_id(run_suite("groups", SuiteConfig(group_samples=1))[0])
     assert records["h3_exp_closed_form"].status == "fail"
     assert records["h3_exp_closed_form"].residual == 0.125
     assert records["h3_exp_log_roundtrip"].status == "fail"
@@ -204,7 +200,7 @@ def test_nan_residual_fails_contraction_gate(monkeypatch):
         return math.nan if (m, r) == (2, 1.0) else real(m, r, ev)
 
     monkeypatch.setattr(ct, "bessel_operator_residual", poisoned)
-    record = records_by_id(run_contraction(SuiteConfig()))[
+    record = records_by_id(run_suite("contraction", SuiteConfig())[0])[
         "bessel_operator_exact_form"]
     assert record.status == "fail"
     assert math.isnan(record.residual)
@@ -220,7 +216,7 @@ def test_nan_residual_fails_bessel_identity(monkeypatch):
 
     monkeypatch.setattr(eu, "verify_bessel_identity", poisoned)
     config = SuiteConfig(bessel_orders=(0, 1), bessel_r_grid=(0.5, 1.0, 2.0))
-    records = records_by_id(run_bessel(config))
+    records = records_by_id(run_suite("bessel", config)[0])
     assert records["ode_A6"].status == "fail"
     assert math.isnan(records["ode_A6"].residual)
     others = [r for r in records.values() if r.check_id != "ode_A6"]
@@ -243,7 +239,7 @@ def test_doubled_raise_records_the_coefficient_gap(monkeypatch):
                            for n, (re, im) in out.coeffs.items()})
 
     monkeypatch.setattr(eu, "apply_polar_op", mutated)
-    records = records_by_id(run_bessel(SuiteConfig(**SMALL_BESSEL)))
+    records = records_by_id(run_suite("bessel", SuiteConfig(**SMALL_BESSEL))[0])
     assert records["ladder_roundtrip_identity"].status == "fail"
     assert records["ladder_roundtrip_identity"].residual == 2.0
     assert records["lz_eigenvalue"].status == "pass"
@@ -264,7 +260,7 @@ def test_wrong_lz_records_the_coefficient_gap(monkeypatch, coeff, residual):
                            for n, (re, im) in f.coeffs.items()})
 
     monkeypatch.setattr(eu, "apply_polar_op", mutated)
-    records = records_by_id(run_bessel(SuiteConfig(**SMALL_BESSEL)))
+    records = records_by_id(run_suite("bessel", SuiteConfig(**SMALL_BESSEL))[0])
     record = records["lz_eigenvalue"]
     assert record.status == "fail"
     assert record.residual == residual
@@ -280,7 +276,7 @@ def test_wrong_parity_term_fails_parity_and_recurrence(monkeypatch):
         return h + bump if n == 5 else h
 
     monkeypatch.setattr(hb, "hermite_rodrigues", mutated)
-    records = records_by_id(run_hermite(SuiteConfig(**SMALL_HERMITE)))
+    records = records_by_id(run_suite("hermite", SuiteConfig(**SMALL_HERMITE))[0])
     assert records["parity"].status == "fail"
     assert records["parity"].residual == 1.5
     assert records["rodrigues_vs_recurrence"].status == "fail"
@@ -312,7 +308,7 @@ def test_wrong_lower_entry_fails_discrete_records(monkeypatch, entry, failing):
                        for row in matrix.rows])
 
     monkeypatch.setattr(hb, "discrete_matrix", mutated)
-    failed = failed_ids(run_hermite(SuiteConfig(**SMALL_HERMITE)))
+    failed = failed_ids(run_suite("hermite", SuiteConfig(**SMALL_HERMITE))[0])
     assert failing <= failed <= {"discrete_anticommutator_diagonal",
                                  "discrete_commutator_identity"}
 
@@ -325,18 +321,18 @@ def test_wrong_norm_fails_orthonormality_and_raising(monkeypatch):
         return basis, Fraction(1, 1 / norm + 1)
 
     monkeypatch.setattr(hb, "mixed_basis", mutated)
-    assert failed_ids(run_hermite(SuiteConfig(**SMALL_HERMITE))) == {
+    assert failed_ids(run_suite("hermite", SuiteConfig(**SMALL_HERMITE))[0]) == {
         "orthonormality", "raising_consistency"}
 
 
 def test_small_hermite_config_passes():
-    report = run_hermite(SuiteConfig(**SMALL_HERMITE))
+    report = run_suite("hermite", SuiteConfig(**SMALL_HERMITE))[0]
     assert all(r.status == "pass" for r in report.records)
 
 
 def test_hermite_checks_above_64_pass():
     # no Hermite function caps n, so configs above 64 need no widening
-    report = run_hermite(SuiteConfig(spectrum_max=70))
+    report = run_suite("hermite", SuiteConfig(spectrum_max=70))[0]
     assert all(r.status == "pass" for r in report.records)
     assert hb.verify_hermite_identity("orthonormality", 70) == 0
     poly_residual, norm_residual = hb.raising_consistency_residual(70)
@@ -364,7 +360,7 @@ ZERO_SEQUENCES = {
 def test_vanishing_sequence_fails_rate_gates(monkeypatch, target, checks):
     # a zero denominator must fail the gate, neither raise nor be skipped
     monkeypatch.setattr(ct, target, ZERO_SEQUENCES[target])
-    records = records_by_id(run_contraction(SuiteConfig()))
+    records = records_by_id(run_suite("contraction", SuiteConfig())[0])
     for check in checks:
         assert records[check].status == "fail", check
         assert records[check].residual == math.inf, check
@@ -399,6 +395,10 @@ def test_vanishing_sequence_fails_rate_gates(monkeypatch, target, checks):
     dict(bessel_r_grid=("1.0",)),
     dict(contraction_R=("8", "16")),
     dict(tolerance_overrides={"bessel/identity": "1e-9"}),
+    # the emitters write ints and floats: a Fraction ran, then broke emit_json
+    dict(bessel_r_grid=(Fraction(1, 2),)),
+    dict(contraction_R=(Fraction(1, 2), 1)),
+    dict(tolerance_overrides={"bessel/identity": Fraction(1, 10 ** 9)}),
     # a bool is an int to isinstance, but not a count, order or radius
     dict(seed=True),
     dict(bessel_orders=(False, 1)),
@@ -423,7 +423,7 @@ def test_doubling_schedules_build():
     # the default config and the benchmark's tiny report config
     assert SuiteConfig().contraction_R[-1] == 1024
     SuiteConfig(contraction_R=(8, 16, 32), legendre_l=(64, 128, 256))
-    SuiteConfig(contraction_R=(Fraction(1, 2), 1, 2), legendre_l=(8, 16))
+    SuiteConfig(contraction_R=(0.5, 1, 2), legendre_l=(8, 16))
 
 
 @pytest.mark.parametrize("bad", [
@@ -459,7 +459,7 @@ def test_ode_small_r_recorded_when_residual_is_zero(monkeypatch):
 
     monkeypatch.setattr(eu, "verify_bessel_identity", exact_at_small_r)
     config = SuiteConfig(bessel_orders=(0, 1), bessel_r_grid=(0.1, 1.0))
-    record = records_by_id(run_bessel(config))["ode_A6_small_r"]
+    record = records_by_id(run_suite("bessel", config)[0])["ode_A6_small_r"]
     assert record.status == "pass" and record.residual == 0.0
 
 
@@ -472,7 +472,7 @@ def test_ode_small_r_params_name_the_grid_radii(monkeypatch, grid, small_r):
     monkeypatch.setattr(eu, "verify_bessel_identity",
                         lambda which, n, r, ev: 0.0)
     config = SuiteConfig(bessel_orders=(0,), bessel_r_grid=grid)
-    record = records_by_id(run_bessel(config))["ode_A6_small_r"]
+    record = records_by_id(run_suite("bessel", config)[0])["ode_A6_small_r"]
     assert record.params == {"r": small_r}
 
 
@@ -532,6 +532,39 @@ def test_emit_text_counts_an_error_record():
                     "PASS  a_ok: exact zero\n"
                     "ERROR  b_raised: residual=nan\n"
                     "-- 1 passed, 0 failed, 0 diagnostic, 1 error\n")
+
+
+#: every block at small sizes, so the full report runs in well under a second
+TINY = dict(SMALL_HERMITE, **SMALL_BESSEL, group_samples=5,
+            contraction_R=(8, 16, 32), legendre_l=(64, 128, 256),
+            flow_steps=200)
+
+
+def test_a_raising_check_becomes_an_error_record(monkeypatch):
+    config = SuiteConfig(**TINY)
+    intact = run_suite("all", config)
+
+    def raising(order):
+        raise ZeroDivisionError("injected")
+
+    monkeypatch.setattr(hb, "hermite_genfunc_check", raising)
+    reports = run_suite("all", config)
+    assert [r.suite for r in reports] == [r.suite for r in intact]
+    hermite = reports[1]
+    # the records made before genfunc_A5 are kept, in check_id order
+    assert [r.check_id for r in hermite.records] == [
+        "block_raised", "diffrel_A4", "ode_A2", "parity", "recursion_A3",
+        "rodrigues_vs_recurrence"]
+    error = hermite.records[0]
+    assert error.status == "error" and not error.exact
+    assert error.params == {"exception": "ZeroDivisionError"}
+    assert math.isnan(error.residual) and error.tolerance is None
+    assert all(r.status == "pass" for r in hermite.records[1:])
+    for before, after in zip(intact, reports):
+        if before.suite != "hermite":
+            assert after.to_dict() == before.to_dict()
+    assert "-- 5 passed, 0 failed, 0 diagnostic, 1 error\n" in emit_text(
+        [hermite])
 
 
 _EMIT_DEFAULT_REPORT = """\

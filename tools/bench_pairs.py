@@ -13,7 +13,9 @@ count for neither side), with the direction ("better": lower or higher)
 taken from the change's ``BENCHMARK.json``.  ``gain_rule_met`` applies the
 rule for claiming a gain: the change wins at least nine tenths of the pairs,
 and its median is better than the parent's by more than the distance
-between the parent's quartiles.
+between the parent's quartiles.  ``source_sha256`` names the trees that
+were measured: per side, a sha256 over the sorted relative paths and the
+bytes of that checkout's ``src/liegen/*.py``.
 
 The workload's entry replaces any entry for the same workload in ``--out``;
 entries for other workloads are kept, so one file can cover several
@@ -24,8 +26,10 @@ does not finish, 0 otherwise.  Nothing is imported from either checkout.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
+import pathlib
 import platform
 import statistics
 import subprocess
@@ -101,6 +105,18 @@ def run_side(root: str, workload: str, seed: int, seconds: int) -> dict:
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
+def source_digest(root: str) -> str:
+    """sha256 over the sorted relative paths and bytes of ``src/liegen/*.py``
+    under ``root``; each path and its length go in before its bytes."""
+    digest = hashlib.sha256()
+    for path in sorted(pathlib.Path(root, "src", "liegen").glob("*.py")):
+        data = path.read_bytes()
+        name = path.relative_to(root).as_posix()
+        digest.update(f"{name}\0{len(data)}\0".encode())
+        digest.update(data)
+    return digest.hexdigest()
+
+
 def directions(root: str) -> dict:
     with open(os.path.join(root, "BENCHMARK.json")) as fh:
         spec = json.load(fh)
@@ -145,7 +161,9 @@ def run_pairs(parent: str, change: str, workload: str, seeds: list[int],
               for side, runs in results.items()}
     attempted = {side: sum(r["result"]["attempted"] for r in runs if r["result"])
                  for side, runs in results.items()}
-    entry = {"seeds": seeds, "seconds": seconds, "pairs_run": len(done),
+    entry = {"seeds": seeds, "source_sha256": {"parent": source_digest(parent),
+                                               "change": source_digest(change)},
+             "seconds": seconds, "pairs_run": len(done),
              "failed": failed, "attempted": attempted, "metrics": metrics}
     return entry, problems
 
