@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import EnvelopeError
-from .euclidean import BesselEval
+from .euclidean import BESSEL
 from .numeric import (CANONICAL_VARS, Polynomial, Scalar, X, Y, Z,
                       _as_fraction, _scaled_powers)
 
@@ -189,8 +189,7 @@ def contraction_residual(f: Polynomial, R_list: Sequence[Scalar],
 # ---------------------------------------------------------------------------
 
 def polar_ladder_limit(n: int, r: float, phi: float,
-                       R_list: Sequence[float],
-                       evaluator: BesselEval) -> dict[float, float]:
+                       R_list: Sequence[float]) -> dict[float, float]:
     """Residual between the rescaled spherical ladder operators
     e^{+-i phi}(d/dtheta +- i cot(theta) d/dphi)/R, evaluated by central
     finite differences on the pullback J_n(R tan(theta)) e^{i n phi} at
@@ -210,7 +209,7 @@ def polar_ladder_limit(n: int, r: float, phi: float,
         h_theta = h_phi / R
 
         def pullback(theta: float, p: float) -> complex:
-            return evaluator.j(n, R * math.tan(theta)) * cmath.exp(1j * n * p)
+            return BESSEL.j(n, R * math.tan(theta)) * cmath.exp(1j * n * p)
 
         d_theta = (pullback(theta0 + h_theta, phi)
                    - pullback(theta0 - h_theta, phi)) / (2 * h_theta)
@@ -223,7 +222,7 @@ def polar_ladder_limit(n: int, r: float, phi: float,
                          * (d_theta + sign * 1j * cot * d_phi) / R)
             # limit of L_{+-}/R is (+-)P_{+-}, whose ladder action is
             # -(+-) J_{n+-1} e^{i(n+-1)phi}
-            planar = (-sign * evaluator.j(n + sign, r)
+            planar = (-sign * BESSEL.j(n + sign, r)
                       * cmath.exp(1j * (n + sign) * phi))
             worst = max(worst, abs(spherical - planar))
         out[R] = worst
@@ -262,19 +261,19 @@ def assoc_legendre(l: int, m: int, x: float) -> float:
     return p
 
 
-def mehler_heine_check(m: int, r: float, l_list: Sequence[int],
-                       evaluator: BesselEval) -> dict[int, float]:
+def mehler_heine_check(m: int, r: float,
+                       l_list: Sequence[int]) -> dict[int, float]:
     """|l^{-m} P_l^m(cos(r/l)) - J_m(r)| per degree l.
 
-    The l^{-m} scaling matches the leading behavior of the P_m^m seed;
-    nothing in the limit theory fixes a normalization of solutions, only
-    the equation, so the scaling is this module's calibrated choice.
+    The l^{-m} scaling is the standard Mehler-Heine normalization for
+    P_l^m without the Condon-Shortley phase, as :func:`assoc_legendre`
+    computes it (Szego, Orthogonal Polynomials, sec. 8.1; DLMF 18.11).
     """
     if not 0.5 <= r <= 8:
         raise EnvelopeError("r outside [0.5, 8]")
     if m > 5:
         raise EnvelopeError("order above 5")
-    target = evaluator.j(m, r).real
+    target = BESSEL.j(m, r).real
     out: dict[int, float] = {}
     for l in l_list:
         value = assoc_legendre(l, m, math.cos(r / l)) / float(l) ** m
@@ -282,8 +281,7 @@ def mehler_heine_check(m: int, r: float, l_list: Sequence[int],
     return out
 
 
-def legendre_ode_residual(l: int, m: int, r: float,
-                          evaluator: BesselEval) -> float:
+def legendre_ode_residual(l: int, m: int, r: float) -> float:
     """Apply the polar-angle form of the Legendre operator,
     (1/sin)d/dtheta sin d/dtheta + l(l+1) - m^2/sin^2, to theta -> J_m(l*theta)
     at theta = r/l, using termwise series derivatives, and divide by l^2.
@@ -298,14 +296,14 @@ def legendre_ode_residual(l: int, m: int, r: float,
     theta = r / l
     if theta >= math.pi / 4:
         raise EnvelopeError("theta = r/l not small")
-    j, jp, jpp = (v.real for v in evaluator.derivatives(m, l * theta))
+    j, jp, jpp = (v.real for v in BESSEL.derivatives(m, l * theta))
     # (1/sin t) d/dt (sin t d/dt) g = g'' + cot(t) g' with g = J_m(l t)
     value = (l * l * jpp + l * jp / math.tan(theta)
              + (l * (l + 1) - m * m / math.sin(theta) ** 2) * j)
     return abs(value) / (l * l)
 
 
-def bessel_operator_residual(m: int, r: float, evaluator: BesselEval) -> float:
+def bessel_operator_residual(m: int, r: float) -> float:
     """|[r d/dr r d/dr + r^2 - m^2] J_m(r)|, the exact limiting equation."""
-    j, jp, jpp = evaluator.derivatives(m, r)
+    j, jp, jpp = BESSEL.derivatives(m, r)
     return abs(r * r * jpp.real + r * jp.real + (r * r - m * m) * j.real)

@@ -170,7 +170,10 @@ class BesselEval:
     (see :func:`_pass` for the tail bound).  Every integer order is
     accepted.  The derivatives come from differentiating the series term by
     term, independent of the ladder identities they are used to check.
-    Values are cached per (n, z).
+    Values are cached per (n, z).  The package shares one instance,
+    :data:`BESSEL`: each part is correctly rounded from (n, z) alone, so a
+    value cached for one check is bit for bit what a fresh instance would
+    give another.  Its cache grows for the life of the process.
     """
 
     def __init__(self):
@@ -193,19 +196,22 @@ class BesselEval:
         return self._cache[key]
 
 
-def find_j0_root(evaluator: BesselEval) -> float:
+#: the package's evaluator; read its methods at each call, so patches apply
+BESSEL = BesselEval()
+
+
+def find_j0_root() -> float:
     """Root of J_0 on the bracket [2, 3], by bisection to a width of 1e-13,
     using the same series it tests."""
     lo, hi = 2.0, 3.0
-    f_lo = evaluator.j(0, lo).real
-    f_hi = evaluator.j(0, hi).real
-    if f_lo * f_hi > 0:
+    f_lo = BESSEL.j(0, lo).real
+    if f_lo * BESSEL.j(0, hi).real > 0:
         raise ValueError("no sign change on the bracket")
     while hi - lo > 1e-13:
         mid = 0.5 * (lo + hi)
-        f_mid = evaluator.j(0, mid).real
+        f_mid = BESSEL.j(0, mid).real
         if f_lo * f_mid <= 0:
-            hi, f_hi = mid, f_mid
+            hi = mid
         else:
             lo, f_lo = mid, f_mid
     return 0.5 * (lo + hi)
@@ -252,10 +258,10 @@ class CylFunc:
             out[n] = (a - re, b - im)
         return CylFunc(out)
 
-    def evaluate(self, r: float, phi: float, evaluator: BesselEval) -> complex:
+    def evaluate(self, r: float, phi: float) -> complex:
         total = 0j
         for n, (re, im) in self.coeffs.items():
-            total += (complex(re, im) * evaluator.j(n, r)
+            total += (complex(re, im) * BESSEL.j(n, r)
                       * cmath.exp(1j * n * phi))
         return total
 
@@ -281,7 +287,7 @@ def apply_polar_op(op: str, f: CylFunc) -> CylFunc:
 
 
 def polar_numeric_crosscheck(op: str, n: int, r: float, phi: float,
-                             evaluator: BesselEval, step: float = 1e-5) -> float:
+                             step: float = 1e-5) -> float:
     """Difference between the ladder action computed algebraically and the
     same operator e^{+-i phi}(+-d/dr + (i/r) d/dphi) applied by central
     finite differences to J_n(r) e^{i n phi}."""
@@ -290,14 +296,11 @@ def polar_numeric_crosscheck(op: str, n: int, r: float, phi: float,
     if r < 0.2:
         raise EnvelopeError("r below the coordinate-singularity cutoff 0.2")
     sign = 1 if op == "raise" else -1
-
-    def f(rr: float, pp: float) -> complex:
-        return evaluator.j(n, rr) * cmath.exp(1j * n * pp)
-
+    f = CylFunc.basis(n).evaluate
     df_dr = (f(r + step, phi) - f(r - step, phi)) / (2 * step)
     df_dphi = (f(r, phi + step) - f(r, phi - step)) / (2 * step)
     numeric = cmath.exp(sign * 1j * phi) * (sign * df_dr + 1j / r * df_dphi)
-    algebraic = apply_polar_op(op, CylFunc.basis(n)).evaluate(r, phi, evaluator)
+    algebraic = apply_polar_op(op, CylFunc.basis(n)).evaluate(r, phi)
     return abs(numeric - algebraic)
 
 
@@ -309,17 +312,15 @@ BESSEL_IDENTITIES = ("ode_A6", "recursion_A7", "diffrel_A8",
                      "diffrel_A9", "diffrel_A10")
 
 
-def verify_bessel_identity(which: str, n: int, r: float,
-                           evaluator: BesselEval) -> float:
+def verify_bessel_identity(which: str, n: int, r: float) -> float:
     """Absolute residual of one cataloged Bessel identity at (n, r)."""
     if not IDENTITY_MIN_R <= r <= IDENTITY_MAX_R:
-        raise EnvelopeError(
-            f"r outside [{IDENTITY_MIN_R}, {IDENTITY_MAX_R}]")
+        raise EnvelopeError(f"r outside [{IDENTITY_MIN_R}, {IDENTITY_MAX_R}]")
     if abs(n) > IDENTITY_MAX_ORDER:
         raise EnvelopeError(f"|n| above {IDENTITY_MAX_ORDER}")
-    j, jp, jpp = (v.real for v in evaluator.derivatives(n, r))
-    j_down = evaluator.j(n - 1, r).real
-    j_up = evaluator.j(n + 1, r).real
+    j, jp, jpp = (v.real for v in BESSEL.derivatives(n, r))
+    j_down = BESSEL.j(n - 1, r).real
+    j_up = BESSEL.j(n + 1, r).real
     if which == "ode_A6":
         return abs(jpp + jp / r + (1 - n * n / (r * r)) * j)
     if which == "recursion_A7":
@@ -337,15 +338,15 @@ def verify_bessel_identity(which: str, n: int, r: float,
 # generating functions
 # ---------------------------------------------------------------------------
 
-def _series_side(n: int, r: float, phi: float, t: complex, terms: int,
-                 evaluator: BesselEval) -> complex:
+def _series_side(n: int, r: float, phi: float, t: complex,
+                 terms: int) -> complex:
     """sum_{m<terms} (-1)^m t^m / m! e^{i(n+m)phi} J_{n+m}(r)."""
     total = 0j
     factor = 1.0 + 0j
     for m in range(terms):
         if m:
             factor *= -t / m
-        total += factor * cmath.exp(1j * (n + m) * phi) * evaluator.j(n + m, r)
+        total += factor * cmath.exp(1j * (n + m) * phi) * BESSEL.j(n + m, r)
     return total
 
 
@@ -363,8 +364,8 @@ def _genfunc_guards(r: float, t: complex, terms: int):
             f"truncation must keep at least {MIN_GENFUNC_TERMS} terms")
 
 
-def genfunc_a11_check(n: int, r: float, phi: float, t: complex, terms: int,
-                      evaluator: BesselEval) -> float:
+def genfunc_a11_check(n: int, r: float, phi: float, t: complex,
+                      terms: int) -> float:
     """Residual of the raising-exponential generating identity (catalog A.11).
 
     The right side expands exp(t * raising) across the discrete basis, in
@@ -390,13 +391,13 @@ def genfunc_a11_check(n: int, r: float, phi: float, t: complex, terms: int,
         raise BranchAmbiguityError(
             f"radicand {radicand} leaves the right half-plane")
     u = cmath.sqrt(radicand)
-    lhs = cmath.exp(1j * n * phi) * (r / u) ** n * evaluator.j(n, u)
-    rhs = _series_side(n, r, phi, t, terms, evaluator)
+    lhs = cmath.exp(1j * n * phi) * (r / u) ** n * BESSEL.j(n, u)
+    rhs = _series_side(n, r, phi, t, terms)
     return abs(lhs - rhs)
 
 
 def genfunc_a11_literal_diagnostic(n: int, r: float, phi: float, t: complex,
-                                   terms: int, evaluator: BesselEval) -> float:
+                                   terms: int) -> float:
     """Recorded-only residual of the loose rendering of catalog entry A.11,
     e^{i n phi} J_n(sqrt(r^2 + 2t(ix - y))) with x = r cos phi,
     y = r sin phi, against the same ladder expansion.  Never gated.
@@ -410,12 +411,12 @@ def genfunc_a11_literal_diagnostic(n: int, r: float, phi: float, t: complex,
         raise BranchAmbiguityError(
             f"radicand {radicand} leaves the right half-plane")
     u = cmath.sqrt(radicand)
-    lhs = cmath.exp(1j * n * phi) * evaluator.j(n, u)
-    return abs(lhs - _series_side(n, r, phi, t, terms, evaluator))
+    lhs = cmath.exp(1j * n * phi) * BESSEL.j(n, u)
+    return abs(lhs - _series_side(n, r, phi, t, terms))
 
 
 def genfunc_a12_diagnostic(n: int, r: float, phi: float, t: float,
-                           terms: int, evaluator: BesselEval) -> dict:
+                           terms: int) -> dict:
     """Diagnostic for the scaled-shift identity (catalog entry A.12), which
     is reported but never gated.
 
@@ -433,8 +434,8 @@ def genfunc_a12_diagnostic(n: int, r: float, phi: float, t: float,
         raise BranchAmbiguityError(f"radicand {radicand} not positive")
     scaled_r = math.sqrt(radicand)
     scaled_phi = r * phi / scaled_r
-    rhs = _series_side(n, r, phi, t, terms, evaluator)
-    j_n = evaluator.j(n, scaled_r)
+    rhs = _series_side(n, r, phi, t, terms)
+    j_n = BESSEL.j(n, scaled_r)
     catalog = math.exp(scaled_phi) * j_n
     substituted = cmath.exp(1j * n * scaled_phi) * j_n
     return {

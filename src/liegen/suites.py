@@ -119,8 +119,8 @@ class SuiteConfig:
         for key, value in self.tolerance_overrides.items():
             if key not in DEFAULT_TOLERANCES:
                 raise ConfigError(f"unknown tolerance key {key!r}")
-            if not (_is_number(value, (int, float)) and value > 0):
-                raise ConfigError(f"tolerance for {key} must be a positive number")
+            if not (_is_number(value, (int, float)) and 0 < value < math.inf):
+                raise ConfigError(f"tolerance {key} must be finite and positive")
         for name, low in _LOWER_BOUNDS.items():
             if getattr(self, name) < low:
                 raise ConfigError(f"{name} below {low}")
@@ -164,16 +164,15 @@ _FILE_FIELDS = {f.name: f.default for f in fields(SuiteConfig)
                 if f.default is not MISSING}
 
 
-def _parse_field(key: str, raw: str):
-    """``raw`` as the type of the field's default: an int, a comma-separated
-    tuple of the type of its first entry, or the string itself."""
-    default = _FILE_FIELDS[key]
+def _parse_field(key: str, raw: str, default):
+    """``raw`` as the type of ``default``: a number, a comma-separated tuple
+    of the type of its first entry, or the string itself."""
     try:
         if isinstance(default, tuple):
             return tuple(type(default[0])(part.strip())
                          for part in raw.split(",") if part.strip())
-        if isinstance(default, int):
-            return int(raw)
+        if isinstance(default, (int, float)):
+            return type(default)(raw)
     except ValueError as exc:
         raise ConfigError(f"bad value {raw!r} for {key}") from exc
     return raw
@@ -184,27 +183,31 @@ def load_config(path: str) -> dict:
 
     Sections group keys per suite for readability; keys map directly onto
     :class:`SuiteConfig` fields.  ``tolerance.<check-key>`` entries feed the
-    per-check overrides.
+    per-check overrides.  Each key is set once in the whole file: a second
+    setting would silently replace the first, so it raises.
     """
-    parser = configparser.ConfigParser()
+    # "[DEFAULT]" is an ordinary section here: its keys feed no other one
+    parser = configparser.ConfigParser(default_section="", interpolation=None)
     parser.optionxform = str  # keep the case of field names (contraction_R)
-    read = parser.read(path)
-    if not read:
-        raise ConfigError(f"config file {path!r} not found")
+    try:
+        if not parser.read(path):
+            raise ConfigError(f"config file {path!r} not found")
+    except configparser.Error as exc:  # a key or section twice, a bad line
+        raise ConfigError(f"config file {path!r}: {exc}") from exc
     overrides: dict = {}
     tolerances: dict = {}
+    sections: dict = {}
     for section in parser.sections():
         for key, raw in parser.items(section):
+            if sections.setdefault(key, section) != section:
+                raise ConfigError(f"config key {key!r} is set in "
+                                  f"[{sections[key]}] and in [{section}]")
             if key.startswith("tolerance."):
-                check_key = key[len("tolerance."):]
-                try:
-                    tolerances[check_key] = float(raw)
-                except ValueError as exc:
-                    raise ConfigError(f"bad tolerance {raw!r}") from exc
-                continue
-            if key not in _FILE_FIELDS:
+                tolerances[key[len("tolerance."):]] = _parse_field(key, raw, 0.0)
+            elif key in _FILE_FIELDS:
+                overrides[key] = _parse_field(key, raw, _FILE_FIELDS[key])
+            else:
                 raise ConfigError(f"unknown config key {key!r} in [{section}]")
-            overrides[key] = _parse_field(key, raw)
     if tolerances:
         overrides["tolerance_overrides"] = tolerances
     return overrides
@@ -465,14 +468,12 @@ def run_hermite(config: SuiteConfig, rec: _Recorder) -> None:
 
 
 def run_bessel(config: SuiteConfig, rec: _Recorder) -> None:
-    ev = eu.BesselEval()
-
     def identity_residuals(which, small_r):
         # the ODE divides by r and r^2, so it is gated apart below r = 0.2
         for n in config.bessel_orders:
             for r in config.bessel_r_grid:
                 if (which == "ode_A6" and r < 0.2) == small_r:
-                    yield eu.verify_bessel_identity(which, n, r, ev)
+                    yield eu.verify_bessel_identity(which, n, r)
     params = {"orders": list(config.bessel_orders),
               "r_grid": list(config.bessel_r_grid)}
     for which in eu.BESSEL_IDENTITIES:
@@ -485,7 +486,7 @@ def run_bessel(config: SuiteConfig, rec: _Recorder) -> None:
                   {"r": small_r[0] if len(small_r) == 1 else small_r})
 
     rec.gated("ladder_crosscheck_fd",
-              (eu.polar_numeric_crosscheck(op, n, r, 0.4, ev)
+              (eu.polar_numeric_crosscheck(op, n, r, 0.4)
                for op in ("raise", "lower") for n in range(0, 6)
                for r in (0.2, 1.0, 4.0, 10.0)),
               "bessel/ladder_crosscheck", {"orders": "0..5", "step": 1e-5})
@@ -500,30 +501,28 @@ def run_bessel(config: SuiteConfig, rec: _Recorder) -> None:
     rec.exact("lz_eigenvalue", [eigen - eu.CylFunc.basis(3, 6)], {"order": 3})
 
     rec.gated("genfunc_A11",
-              (eu.genfunc_a11_check(n, r, phi, t, config.genfunc_terms, ev)
+              (eu.genfunc_a11_check(n, r, phi, t, config.genfunc_terms)
                for n in (0, 1, 2) for r in (1.0, 2.0, 5.0)
                for phi in (0.0, 0.7, math.pi / 3)
                for t in (0.5, -0.25, 0.5j, -0.5j)),
               "bessel/genfunc_A11",
               {"terms": config.genfunc_terms, "t": "[0.5, -0.25, 0.5j, -0.5j]"})
 
-    root = eu.find_j0_root(ev)
-    rec.gated("j0_root_bisection", [abs(ev.j(0, root))], "bessel/j0_root",
-              {"root": root})
+    root = eu.find_j0_root()
+    rec.gated("j0_root_bisection", [abs(eu.BESSEL.j(0, root))],
+              "bessel/j0_root", {"root": root})
 
     def relative_differences():
         # against passes that start with twice the first pass's bits
         for n in (0, 5, 10, 20):
             for r in (0.1, 1.0, 5.0, 15.0, 30.0):
-                a, b = ev.j(n, r), eu._series(n, complex(r), widen=2)[0]
+                a, b = eu.BESSEL.j(n, r), eu._series(n, complex(r), widen=2)[0]
                 yield abs(a - b) / max(abs(a), 1e-300)
     rec.gated("selfconsistency_double_precision", relative_differences(),
               "bessel/selfconsistency", {"start_precision": [1, 2]})
 
 
 def run_contraction(config: SuiteConfig, rec: _Recorder) -> None:
-    ev = eu.BesselEval()
-
     rec.exact("so3_commutator_xy", [ct.vf_commutator(ct.LX, ct.LY) + ct.LZ])
     rec.exact("so3_commutator_yz", [ct.vf_commutator(ct.LY, ct.LZ) + ct.LX])
     rec.exact("so3_commutator_zx", [ct.vf_commutator(ct.LZ, ct.LX) + ct.LY])
@@ -563,7 +562,7 @@ def run_contraction(config: SuiteConfig, rec: _Recorder) -> None:
     R_floats = [float(R) for R in config.contraction_R]
 
     def ladder_sequence(n, r, phi):
-        residuals = ct.polar_ladder_limit(n, r, phi, R_floats, ev)
+        residuals = ct.polar_ladder_limit(n, r, phi, R_floats)
         return [residuals[R] for R in R_floats]
     rec.gated("polar_ladder_rate", _ratios([ladder_sequence(0, 1.0, 0.0)]),
               "contraction/polar_ladder_rate", {"n": 0, "r": 1.0})
@@ -579,7 +578,7 @@ def run_contraction(config: SuiteConfig, rec: _Recorder) -> None:
               "contraction/legendre_closed_forms", {"degree": 2})
 
     def legendre_sequence(m, r):
-        return [ct.legendre_ode_residual(l, m, r, ev) for l in config.legendre_l]
+        return [ct.legendre_ode_residual(l, m, r) for l in config.legendre_l]
     rec.gated("legendre_ode_rate_m0",
               _ratios(legendre_sequence(0, r) for r in (1.0, 2.0, 4.0)),
               "contraction/legendre_ode_rate",
@@ -589,20 +588,20 @@ def run_contraction(config: SuiteConfig, rec: _Recorder) -> None:
               "contraction/monotone", {"m": [1, 2, 3], "r": 2.0})
 
     rec.gated("bessel_operator_exact_form",
-              (ct.bessel_operator_residual(m, r, ev)
+              (ct.bessel_operator_residual(m, r)
                for m in range(4) for r in (0.5, 1.0, 2.0, 5.0, 8.0)),
               "contraction/bessel_operator", {"m": "0..3"})
 
     def mehler_heine_margins():
         for m in range(4):
             for r in (1.0, 2.0, 4.0):
-                errs = ct.mehler_heine_check(m, r, list(config.legendre_l), ev)
+                errs = ct.mehler_heine_check(m, r, list(config.legendre_l))
                 seq = [errs[l] for l in config.legendre_l]
                 # the tail must be decreasing as well
                 if any(b >= a for a, b in zip(seq, seq[1:])):
                     yield math.inf
                 else:
-                    yield seq[-1] / (0.02 * abs(ev.j(m, r).real) + 0.005)
+                    yield seq[-1] / (0.02 * abs(eu.BESSEL.j(m, r).real) + 0.005)
     rec.gated("mehler_heine_margin", mehler_heine_margins(),
               "contraction/mehler_heine_margin",
               {"l_final": max(config.legendre_l), "m": "0..3",
@@ -611,11 +610,8 @@ def run_contraction(config: SuiteConfig, rec: _Recorder) -> None:
 
 def run_diagnostics(config: SuiteConfig, rec: _Recorder) -> None:
     """Recorded-only block: residuals with no pass/fail semantics."""
-    ev = eu.BesselEval()
-
     for n, r, phi, t in ((0, 2.0, 0.5, 0.2), (1, 3.0, 1.0, 0.1)):
-        report = eu.genfunc_a12_diagnostic(n, r, phi, t,
-                                           config.genfunc_terms, ev)
+        report = eu.genfunc_a12_diagnostic(n, r, phi, t, config.genfunc_terms)
         params = {"n": n, "r": r, "phi": phi, "t": t}
         rec.diagnostic(f"a12_catalog_form_n{n}",
                        report["residual_catalog_form"], params)
@@ -624,7 +620,7 @@ def run_diagnostics(config: SuiteConfig, rec: _Recorder) -> None:
 
     rec.diagnostic("a11_literal_form",
                    eu.genfunc_a11_literal_diagnostic(0, 2.0, 0.7, 0.3,
-                                                     config.genfunc_terms, ev),
+                                                     config.genfunc_terms),
                    {"n": 0, "r": 2.0, "phi": 0.7, "t": 0.3})
 
     flow = eu.flow_solve(2.0, 0.5, 0.3, config.flow_steps)
@@ -673,8 +669,12 @@ def run_suite(name: str, config: SuiteConfig) -> list[SuiteReport]:
 # ---------------------------------------------------------------------------
 
 def emit_json(reports: list[SuiteReport]) -> str:
-    document = {"suites": [r.to_dict() for r in reports]}
-    return json.dumps(document, sort_keys=True, indent=2) + "\n"
+    """The reports as JSON, which (RFC 8259) has no NaN or Infinity: read
+    back, each such token of a first pass becomes None, written as null."""
+    text = json.dumps({"suites": [r.to_dict() for r in reports]})
+    document = json.loads(text, parse_constant=lambda token: None)
+    return json.dumps(document, sort_keys=True, indent=2,
+                      allow_nan=False) + "\n"
 
 
 def _params_text(params: dict) -> str:

@@ -233,28 +233,28 @@ def test_sample_points_in_patch():
 
 # -- tangent-plane ladder limit -------------------------------------------------------
 
-def test_polar_ladder_limit_large_r(ev):
-    res = polar_ladder_limit(0, 1.0, 0.0, [1e4], ev)
+def test_polar_ladder_limit_large_r():
+    res = polar_ladder_limit(0, 1.0, 0.0, [1e4])
     assert res[1e4] < 1e-3
 
 
-def test_polar_ladder_limit_rate(ev):
-    res = polar_ladder_limit(0, 1.0, 0.0, R_SCHEDULE, ev)
+def test_polar_ladder_limit_rate():
+    res = polar_ladder_limit(0, 1.0, 0.0, R_SCHEDULE)
     values = [res[float(R)] for R in R_SCHEDULE]
     for a, b in zip(values, values[1:]):
         assert b / a <= 0.3
 
 
-def test_polar_ladder_limit_monotone_other_orders(ev):
+def test_polar_ladder_limit_monotone_other_orders():
     for n in (1, 2):
-        res = polar_ladder_limit(n, 2.0, 0.7, R_SCHEDULE, ev)
+        res = polar_ladder_limit(n, 2.0, 0.7, R_SCHEDULE)
         values = [res[float(R)] for R in R_SCHEDULE]
         assert all(b < a for a, b in zip(values, values[1:]))
 
 
-def test_polar_ladder_limit_envelope(ev):
+def test_polar_ladder_limit_envelope():
     with pytest.raises(EnvelopeError):
-        polar_ladder_limit(0, 0.1, 0.0, [8], ev)
+        polar_ladder_limit(0, 0.1, 0.0, [8])
 
 
 # -- associated Legendre ----------------------------------------------------------------
@@ -307,8 +307,8 @@ def test_legendre_matches_mpmath_legenp():
 
 # -- Mehler-Heine limit ---------------------------------------------------------------
 
-def test_mehler_heine_near_zero_argument(ev):
-    errs = mehler_heine_check(0, 0.5, [64, 1024], ev)
+def test_mehler_heine_near_zero_argument():
+    errs = mehler_heine_check(0, 0.5, [64, 1024])
     assert errs[1024] < errs[64]
     assert errs[1024] < 5e-4
 
@@ -316,47 +316,47 @@ def test_mehler_heine_near_zero_argument(ev):
 @pytest.mark.parametrize("m", [0, 1, 2, 3])
 @pytest.mark.parametrize("r", [1.0, 2.0, 4.0])
 def test_mehler_heine_acceptance_gate(m, r, ev):
-    errs = mehler_heine_check(m, r, [256, 512, 1024], ev)
+    errs = mehler_heine_check(m, r, [256, 512, 1024])
     values = [errs[l] for l in (256, 512, 1024)]
     assert values[0] > values[1] > values[2]
     target = abs(ev.j(m, r).real)
     assert values[-1] <= 0.02 * target + 0.005
 
 
-def test_mehler_heine_envelope(ev):
+def test_mehler_heine_envelope():
     with pytest.raises(EnvelopeError):
-        mehler_heine_check(6, 1.0, [64], ev)
+        mehler_heine_check(6, 1.0, [64])
     with pytest.raises(EnvelopeError):
-        mehler_heine_check(0, 10.0, [64], ev)
+        mehler_heine_check(0, 10.0, [64])
 
 
 # -- Legendre equation collapsing onto the Bessel equation ------------------------------
 
-def test_legendre_ode_rate_m0(ev):
+def test_legendre_ode_rate_m0():
     for r in (1.0, 2.0, 4.0):
-        values = [legendre_ode_residual(l, 0, r, ev) for l in L_SCHEDULE]
+        values = [legendre_ode_residual(l, 0, r) for l in L_SCHEDULE]
         for a, b in zip(values, values[1:]):
             assert b / a <= 0.5
 
 
-def test_legendre_ode_small_at_l128(ev):
-    assert legendre_ode_residual(128, 0, 2.0, ev) < 0.05
+def test_legendre_ode_small_at_l128():
+    assert legendre_ode_residual(128, 0, 2.0) < 0.05
 
 
-def test_legendre_ode_monotone_higher_m(ev):
+def test_legendre_ode_monotone_higher_m():
     for m in (1, 2, 3):
-        values = [legendre_ode_residual(l, m, 2.0, ev) for l in L_SCHEDULE]
+        values = [legendre_ode_residual(l, m, 2.0) for l in L_SCHEDULE]
         assert all(b < a for a, b in zip(values, values[1:]))
 
 
-def test_legendre_ode_envelope(ev):
+def test_legendre_ode_envelope():
     with pytest.raises(EnvelopeError):
-        legendre_ode_residual(4, 0, 2.0, ev)
+        legendre_ode_residual(4, 0, 2.0)
     with pytest.raises(EnvelopeError):
-        legendre_ode_residual(64, 0, 60.0, ev)
+        legendre_ode_residual(64, 0, 60.0)
 
 
-def test_bessel_operator_exact_form(ev):
+def test_bessel_operator_exact_form():
     for m in range(4):
         for r in (0.5, 1.0, 2.0, 5.0, 8.0):
-            assert bessel_operator_residual(m, r, ev) < 1e-9
+            assert bessel_operator_residual(m, r) < 1e-9

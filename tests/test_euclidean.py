@@ -8,8 +8,15 @@ from fractions import Fraction
 import pytest
 
 from liegen import euclidean
+from liegen.contraction import (
+    bessel_operator_residual,
+    legendre_ode_residual,
+    mehler_heine_check,
+    polar_ladder_limit,
+)
 from liegen.errors import BranchAmbiguityError, EnvelopeError
 from liegen.euclidean import (
+    BESSEL,
     BESSEL_IDENTITIES,
     BesselEval,
     CylFunc,
@@ -58,7 +65,7 @@ def test_negative_order_reflection(ev):
 
 
 def test_j0_root_by_bisection(ev):
-    root = find_j0_root(ev)
+    root = find_j0_root()
     assert 2.0 < root < 3.0
     assert abs(ev.j(0, root)) < 1e-10
 
@@ -250,7 +257,7 @@ def test_nan_argument_is_outside_the_envelope(z):
 def test_fixed_point_sum_defers_at_the_j0_root(monkeypatch):
     # J_0 is ~1e-17 there: the first pass cannot round it, one with twice
     # the bits can
-    root = complex(find_j0_root(BesselEval()))
+    root = complex(find_j0_root())
     real, passes = euclidean._pass, []
 
     def recorded(n, z, frac):
@@ -265,6 +272,33 @@ def test_fixed_point_sum_defers_at_the_j0_root(monkeypatch):
     assert _bits(values) == _bits(_fraction_series(0, root))
     mpmath = pytest.importorskip("mpmath")
     assert _bits(values) == _bits(_mpmath_values(mpmath, 0, root))
+
+
+@pytest.mark.parametrize("read", [
+    lambda: find_j0_root(),
+    lambda: CylFunc.basis(2).evaluate(1.5, 0.3),
+    lambda: polar_numeric_crosscheck("raise", 1, 2.0, 0.4),
+    lambda: verify_bessel_identity("recursion_A7", 3, 1.25),
+    lambda: genfunc_a11_check(1, 2.0, 0.5, 0.25, 30),
+    lambda: genfunc_a11_literal_diagnostic(0, 2.0, 0.7, 0.3, 30),
+    lambda: genfunc_a12_diagnostic(0, 2.0, 0.5, 0.2, 30),
+    lambda: polar_ladder_limit(0, 1.0, 0.0, [8]),
+    lambda: mehler_heine_check(1, 2.0, [64]),
+    lambda: legendre_ode_residual(64, 1, 2.0),
+    lambda: bessel_operator_residual(2, 1.5),
+])
+def test_every_reader_calls_the_shared_evaluator(monkeypatch, read):
+    # through the class's method, looked up at each call, so a patch of
+    # BesselEval.derivatives (as a tracer makes) sees every read
+    readers, real = [], BesselEval.derivatives
+
+    def spy(self, n, z):
+        readers.append(self)
+        return real(self, n, z)
+
+    monkeypatch.setattr(BesselEval, "derivatives", spy)
+    read()
+    assert readers and all(r is BESSEL for r in readers)
 
 
 # -- independent oracles (test-only dependencies) -------------------------------------
@@ -335,26 +369,26 @@ def test_matches_scipy_jv_on_real_points(ev):
 # -- identity grid ----------------------------------------------------------------
 
 @pytest.mark.parametrize("which", BESSEL_IDENTITIES)
-def test_identity_grid(which, ev):
+def test_identity_grid(which):
     for n in range(11):
         for r in R_GRID:
-            residual = verify_bessel_identity(which, n, r, ev)
+            residual = verify_bessel_identity(which, n, r)
             gate = 1e-9 if (which == "ode_A6" and r == 0.1) else 1e-10
             assert residual < gate, (which, n, r, residual)
 
 
-def test_identity_examples(ev):
-    assert verify_bessel_identity("recursion_A7", 1, 2.0, ev) < 1e-10
+def test_identity_examples():
+    assert verify_bessel_identity("recursion_A7", 1, 2.0) < 1e-10
     # 2 J0' - (J_{-1} - J_1) with J_{-1} = -J_1
-    assert verify_bessel_identity("diffrel_A10", 0, 3.0, ev) < 1e-10
-    assert verify_bessel_identity("ode_A6", 0, 0.1, ev) < 1e-9
+    assert verify_bessel_identity("diffrel_A10", 0, 3.0) < 1e-10
+    assert verify_bessel_identity("ode_A6", 0, 0.1) < 1e-9
 
 
-def test_identity_envelope(ev):
+def test_identity_envelope():
     with pytest.raises(EnvelopeError):
-        verify_bessel_identity("ode_A6", 11, 1.0, ev)
+        verify_bessel_identity("ode_A6", 11, 1.0)
     with pytest.raises(EnvelopeError):
-        verify_bessel_identity("ode_A6", 0, 25.0, ev)
+        verify_bessel_identity("ode_A6", 0, 25.0)
 
 
 # -- polar ladder algebra -----------------------------------------------------------
@@ -417,7 +451,7 @@ def test_span_evaluates_each_coefficient_as_a_complex(ev):
     r, phi = 2.0, 0.4
     expected = (1.5 * ev.j(0, r) - 2j * ev.j(4, r) * cmath.exp(4j * phi)
                 + ev.j(-1, r) * cmath.exp(-1j * phi))
-    assert abs(f.evaluate(r, phi, ev) - expected) <= 1e-15
+    assert abs(f.evaluate(r, phi) - expected) <= 1e-15
 
 
 @pytest.mark.parametrize("op,n,r,phi", [
@@ -425,81 +459,81 @@ def test_span_evaluates_each_coefficient_as_a_complex(ev):
     ("raise", 3, 5.0, 1.1),
     ("lower", 1, 2.0, math.pi / 3),
 ])
-def test_polar_crosscheck_examples(op, n, r, phi, ev):
-    assert polar_numeric_crosscheck(op, n, r, phi, ev) < 1e-6
+def test_polar_crosscheck_examples(op, n, r, phi):
+    assert polar_numeric_crosscheck(op, n, r, phi) < 1e-6
 
 
-def test_polar_crosscheck_grid(ev):
+def test_polar_crosscheck_grid():
     for op in ("raise", "lower"):
         for n in range(0, 6):
             for r in (0.2, 1.0, 4.0, 10.0):
-                assert polar_numeric_crosscheck(op, n, r, 0.4, ev) < 1e-6
+                assert polar_numeric_crosscheck(op, n, r, 0.4) < 1e-6
 
 
-def test_polar_crosscheck_quadratic_step_scaling(ev):
+def test_polar_crosscheck_quadratic_step_scaling():
     # truncation is O(h^2): quartering expected when h halves, on steps
     # large enough that rounding noise stays far below truncation
-    coarse = polar_numeric_crosscheck("raise", 2, 3.0, 0.9, ev, step=2e-4)
-    fine = polar_numeric_crosscheck("raise", 2, 3.0, 0.9, ev, step=1e-4)
+    coarse = polar_numeric_crosscheck("raise", 2, 3.0, 0.9, step=2e-4)
+    fine = polar_numeric_crosscheck("raise", 2, 3.0, 0.9, step=1e-4)
     ratio = fine / coarse
     assert 0.15 < ratio < 0.35
 
 
-def test_polar_crosscheck_singularity_cutoff(ev):
+def test_polar_crosscheck_singularity_cutoff():
     with pytest.raises(EnvelopeError):
-        polar_numeric_crosscheck("raise", 0, 0.1, 0.0, ev)
+        polar_numeric_crosscheck("raise", 0, 0.1, 0.0)
 
 
 # -- generating functions --------------------------------------------------------------
 
-def test_a11_zero_shift_is_exact(ev):
-    assert genfunc_a11_check(1, 2.0, 0.5, 0.0, 30, ev) < 1e-15
+def test_a11_zero_shift_is_exact():
+    assert genfunc_a11_check(1, 2.0, 0.5, 0.0, 30) < 1e-15
 
 
-def test_a11_examples(ev):
-    assert genfunc_a11_check(0, 2.0, 0.7, 0.3, 30, ev) < 1e-8
-    assert genfunc_a11_check(2, 1.0, 0.0, 0.1j, 30, ev) < 1e-8
+def test_a11_examples():
+    assert genfunc_a11_check(0, 2.0, 0.7, 0.3, 30) < 1e-8
+    assert genfunc_a11_check(2, 1.0, 0.0, 0.1j, 30) < 1e-8
 
 
-def test_a11_acceptance_grid(ev):
+def test_a11_acceptance_grid():
     for n in (0, 1, 2):
         for r in (1.0, 2.0, 5.0):
             for phi in (0.0, 0.7, math.pi / 3):
                 for t in (0.5, -0.25, 0.5j, -0.5j):
-                    assert genfunc_a11_check(n, r, phi, t, 30, ev) < 1e-8
+                    assert genfunc_a11_check(n, r, phi, t, 30) < 1e-8
 
 
-def test_a11_branch_guard(ev):
+def test_a11_branch_guard():
     with pytest.raises(BranchAmbiguityError):
-        genfunc_a11_check(0, 1.0, 0.0, -0.5, 30, ev)
+        genfunc_a11_check(0, 1.0, 0.0, -0.5, 30)
 
 
-def test_a11_envelope(ev):
+def test_a11_envelope():
     with pytest.raises(EnvelopeError):
-        genfunc_a11_check(0, 2.0, 0.0, 0.6, 30, ev)
+        genfunc_a11_check(0, 2.0, 0.0, 0.6, 30)
     with pytest.raises(EnvelopeError):
-        genfunc_a11_check(0, 0.3, 0.0, 0.1, 30, ev)
+        genfunc_a11_check(0, 0.3, 0.0, 0.1, 30)
     with pytest.raises(EnvelopeError):
-        genfunc_a11_check(0, 2.0, 0.0, 0.1, 20, ev)
+        genfunc_a11_check(0, 2.0, 0.0, 0.1, 20)
 
 
-def test_a11_literal_form_recorded_not_small(ev):
+def test_a11_literal_form_recorded_not_small():
     # the loose rendering really is not an identity ...
-    assert genfunc_a11_literal_diagnostic(0, 2.0, 0.7, 0.3, 30, ev) > 1e-3
+    assert genfunc_a11_literal_diagnostic(0, 2.0, 0.7, 0.3, 30) > 1e-3
     # ... while the consistent one is
-    assert genfunc_a11_check(0, 2.0, 0.7, 0.3, 30, ev) < 1e-10
+    assert genfunc_a11_check(0, 2.0, 0.7, 0.3, 30) < 1e-10
 
 
-def test_a12_diagnostic_reports_both_forms(ev):
-    report = genfunc_a12_diagnostic(0, 2.0, 0.5, 0.2, 30, ev)
+def test_a12_diagnostic_reports_both_forms():
+    report = genfunc_a12_diagnostic(0, 2.0, 0.5, 0.2, 30)
     assert set(report) == {"residual_catalog_form",
                            "residual_substituted_form"}
     assert report["residual_catalog_form"] >= 0
     assert report["residual_substituted_form"] >= 0
 
 
-def test_a12_substituted_form_reduces_at_t_zero(ev):
-    report = genfunc_a12_diagnostic(1, 3.0, 1.0, 0.0, 30, ev)
+def test_a12_substituted_form_reduces_at_t_zero():
+    report = genfunc_a12_diagnostic(1, 3.0, 1.0, 0.0, 30)
     assert report["residual_substituted_form"] < 1e-12
 
 

@@ -84,3 +84,7 @@ def test_benchmark_worker_tiny_traced_run(workload):
     assert result["failed"] == 0, result["errors"]
     assert result["attempted"] > 0
     assert result["layers"]
+    if workload == "report":
+        # the tracer patches BesselEval.derivatives on the class: a method
+        # bound at import would bypass it and read 0 here
+        assert result["layers"]["euclidean.derivatives_calls"] > 0

@@ -2,6 +2,7 @@
 must fail when the checked values are wrong or vanish, config validation,
 config-file parsing and the emitters."""
 
+import json
 import math
 import os
 import subprocess
@@ -21,6 +22,8 @@ from liegen.suites import (
     CheckRecord,
     SuiteConfig,
     SuiteReport,
+    emit_csv,
+    emit_json,
     emit_text,
     load_config,
     run_suite,
@@ -196,8 +199,8 @@ def test_perturbed_exponential_fails_closed_form(monkeypatch):
 def test_nan_residual_fails_contraction_gate(monkeypatch):
     real = ct.bessel_operator_residual
 
-    def poisoned(m, r, ev):
-        return math.nan if (m, r) == (2, 1.0) else real(m, r, ev)
+    def poisoned(m, r):
+        return math.nan if (m, r) == (2, 1.0) else real(m, r)
 
     monkeypatch.setattr(ct, "bessel_operator_residual", poisoned)
     record = records_by_id(run_suite("contraction", SuiteConfig())[0])[
@@ -209,10 +212,10 @@ def test_nan_residual_fails_contraction_gate(monkeypatch):
 def test_nan_residual_fails_bessel_identity(monkeypatch):
     real = eu.verify_bessel_identity
 
-    def poisoned(which, n, r, ev):
+    def poisoned(which, n, r):
         if which == "ode_A6" and (n, r) == (1, 1.0):
             return math.nan
-        return real(which, n, r, ev)
+        return real(which, n, r)
 
     monkeypatch.setattr(eu, "verify_bessel_identity", poisoned)
     config = SuiteConfig(bessel_orders=(0, 1), bessel_r_grid=(0.5, 1.0, 2.0))
@@ -347,8 +350,8 @@ def test_empty_gate_fails():
 
 ZERO_SEQUENCES = {
     "contraction_residual": lambda f, R_list: {R: Fraction(0) for R in R_list},
-    "polar_ladder_limit": lambda n, r, phi, R_list, ev: {R: 0.0 for R in R_list},
-    "legendre_ode_residual": lambda l, m, r, ev: 0.0,
+    "polar_ladder_limit": lambda n, r, phi, R_list: {R: 0.0 for R in R_list},
+    "legendre_ode_residual": lambda l, m, r: 0.0,
 }
 
 
@@ -395,6 +398,9 @@ def test_vanishing_sequence_fails_rate_gates(monkeypatch, target, checks):
     dict(bessel_r_grid=("1.0",)),
     dict(contraction_R=("8", "16")),
     dict(tolerance_overrides={"bessel/identity": "1e-9"}),
+    # a gate that can never fail, echoed as Infinity or NaN
+    dict(tolerance_overrides={"bessel/identity": math.inf}),
+    dict(tolerance_overrides={"bessel/identity": math.nan}),
     # the emitters write ints and floats: a Fraction ran, then broke emit_json
     dict(bessel_r_grid=(Fraction(1, 2),)),
     dict(contraction_R=(Fraction(1, 2), 1)),
@@ -454,8 +460,8 @@ def test_integer_fields_at_their_limits_run():
 def test_ode_small_r_recorded_when_residual_is_zero(monkeypatch):
     real = eu.verify_bessel_identity
 
-    def exact_at_small_r(which, n, r, ev):
-        return 0.0 if which == "ode_A6" and r < 0.2 else real(which, n, r, ev)
+    def exact_at_small_r(which, n, r):
+        return 0.0 if which == "ode_A6" and r < 0.2 else real(which, n, r)
 
     monkeypatch.setattr(eu, "verify_bessel_identity", exact_at_small_r)
     config = SuiteConfig(bessel_orders=(0, 1), bessel_r_grid=(0.1, 1.0))
@@ -470,7 +476,7 @@ def test_ode_small_r_recorded_when_residual_is_zero(monkeypatch):
 ])
 def test_ode_small_r_params_name_the_grid_radii(monkeypatch, grid, small_r):
     monkeypatch.setattr(eu, "verify_bessel_identity",
-                        lambda which, n, r, ev: 0.0)
+                        lambda which, n, r: 0.0)
     config = SuiteConfig(bessel_orders=(0,), bessel_r_grid=grid)
     record = records_by_id(run_suite("bessel", config)[0])["ode_A6_small_r"]
     assert record.params == {"r": small_r}
@@ -510,10 +516,33 @@ def test_load_config_tolerance_keys(tmp_path):
     "[bessel]\nbessel_orders = 0, one\n",
     "[bessel]\ntolerance.bessel/identity = -1e-9\n",
     "[bessel]\ntolerance.bessel/identiy = 1e-3\n",
+    # configparser's own errors: a key twice in one section, no section
+    "[x]\nseed = 1\nseed = 2\n",
+    "seed = 1\n",
 ])
 def test_load_config_rejects_bad_entries(tmp_path, text):
     with pytest.raises(ConfigError):
         SuiteConfig(**load_config(write_ini(tmp_path, text)))
+
+
+@pytest.mark.parametrize("key, first, second", [
+    # the later section loosened the gate from 1e-9 to 1e-3
+    ("tolerance.bessel/identity", "1e-9", "1e-3"),
+    ("hermite_max_n", "8", "10"),
+    ("seed", "1", "1"),
+])
+def test_load_config_rejects_a_key_set_in_two_sections(tmp_path, key, first,
+                                                        second):
+    text = f"[a]\n{key} = {first}\n[b]\n{key} = {second}\n"
+    with pytest.raises(ConfigError, match=key):
+        load_config(write_ini(tmp_path, text))
+
+
+def test_load_config_reads_default_as_one_more_section(tmp_path):
+    text = ("[DEFAULT]\nseed = 7\n[a]\nhermite_max_n = 8\n"
+            "[b]\ndiscrete_dim = 6\n")
+    assert load_config(write_ini(tmp_path, text)) == {
+        "seed": 7, "hermite_max_n": 8, "discrete_dim": 6}
 
 
 def test_run_suite_rejects_unknown_name():
@@ -565,6 +594,31 @@ def test_a_raising_check_becomes_an_error_record(monkeypatch):
             assert after.to_dict() == before.to_dict()
     assert "-- 5 passed, 0 failed, 0 diagnostic, 1 error\n" in emit_text(
         [hermite])
+
+
+def test_emit_json_writes_a_raising_block_as_strict_json(monkeypatch):
+    def raising(order):
+        raise ZeroDivisionError("injected")
+
+    monkeypatch.setattr(hb, "hermite_genfunc_check", raising)
+    reports = run_suite("hermite", SuiteConfig(**SMALL_HERMITE))
+
+    def no_constants(token):
+        raise ValueError(f"{token} is not JSON")
+
+    document = json.loads(emit_json(reports), parse_constant=no_constants)
+    (error,) = [c for c in document["suites"][0]["checks"]
+                if c["check_id"] == "block_raised"]
+    assert error["residual"] is None and error["status"] == "error"
+    # CSV and text keep Python's spelling
+    assert "hermite,block_raised,exception=ZeroDivisionError,nan," in (
+        emit_csv(reports))
+    assert "ERROR  block_raised: residual=nan\n" in emit_text(reports)
+    # an infinity, in a residual or in the params, is null too
+    gap = CheckRecord("gap", {"step": -math.inf}, math.inf, True, None, "fail")
+    (check,) = json.loads(emit_json([SuiteReport("groups", [gap], {})]),
+                          parse_constant=no_constants)["suites"][0]["checks"]
+    assert check["params"] == {"step": None} and check["residual"] is None
 
 
 _EMIT_DEFAULT_REPORT = """\
