@@ -17,7 +17,7 @@ from typing import Sequence
 from .errors import EnvelopeError
 from .euclidean import BESSEL
 from .numeric import (CANONICAL_VARS, Polynomial, Scalar, X, Y, Z,
-                      _as_fraction, _scaled_powers)
+                      _add_lie, _as_fraction, _over_lcm, _scaled_powers)
 
 
 # ---------------------------------------------------------------------------
@@ -35,6 +35,7 @@ class VectorFieldOp:
 
     Closed under the commutator: for first-order operators the second-order
     parts cancel, leaving coefficients A(b_i) - B(a_i).
+    :func:`vf_commutator` builds each of them in one integer pass too.
     """
 
     __slots__ = ("coeffs",)
@@ -79,9 +80,19 @@ class VectorFieldOp:
 
 
 def vf_commutator(a: VectorFieldOp, b: VectorFieldOp) -> VectorFieldOp:
-    """[a, b] computed on the coefficient polynomials; exact."""
-    return VectorFieldOp(*(a.apply(b_v) - b.apply(a_v)
-                           for a_v, b_v in zip(a.coeffs, b.coeffs)))
+    """[a, b] computed on the coefficient polynomials; exact.  With a's
+    coefficients over their lcm L_a and b's over L_b, each component
+    A(b_v) - B(a_v) is two integer passes into one dict and one ``_make``
+    over L_a * L_b, so a bracket builds no intermediate polynomial."""
+    a_nums, a_den = _over_lcm(a.coeffs)
+    b_nums, b_den = _over_lcm(b.coeffs)
+    out = []
+    for a_v, b_v in zip(a_nums, b_nums):
+        nums: dict = {}
+        _add_lie(nums, b_v, a_nums, 1)
+        _add_lie(nums, a_v, b_nums, -1)
+        out.append(Polynomial._make(nums, a_den * b_den))
+    return VectorFieldOp(*out)
 
 
 #: rotation generators about the three axes, and the plane translations
@@ -90,6 +101,9 @@ LY = VectorFieldOp(c_x=Z, c_z=-X)
 LZ = VectorFieldOp(c_x=-Y, c_y=X)
 PX = VectorFieldOp(c_x=1)
 PY = VectorFieldOp(c_y=1)
+#: Lx + z Py and Ly - z Px: their coefficients cancel to y d/dz and -x d/dz
+_LX_ZPY = LX + PY * Z
+_LY_ZPX = LY - PX * Z
 
 
 def _positive(R: Scalar) -> Fraction:
@@ -146,29 +160,29 @@ def contraction_residual(f: Polynomial, R_list: Sequence[Scalar],
     rational arithmetic throughout.
 
     The operators contract onto -Py and Px, so on test functions whose
-    z-degree stays at most 1 the residual decays as O(1/R); for z-free f it
-    vanishes identically at z = R.
+    z-degree stays at most 1 the residual decays as O(1/R).
 
     Both operators are affine in 1/R, and the points lie on z = R, so there
 
-        (Lx/R + Py) f = (Lx f + z Py f) / R,
-        (Ly/R - Px) f = (Ly f - z Px f) / R.
+        (Lx/R + Py) f = (Lx f + z Py f) / R = y f_z / R,
+        (Ly/R - Px) f = (Ly f - z Px f) / R = -x f_z / R,
 
-    The two numerators are built once per f and restricted to the line
-    (x0, y0, z) of each sample point once (:meth:`Polynomial.z_line`), which
-    leaves eight univariate polynomials in z, each as int numerators over
-    one denominator.  Each R = r/s is then a grid column: one table
-    r^k s^(D - k) serves all eight lines, the candidates are compared by
-    integer cross-multiplication, and the maximum, divided by R, is the one
-    Fraction built for that R.
+    as the z d/dy of Lx and the z d/dx of Ly cancel: a z-free f gives
+    exactly 0, and the residual is the largest max(|x0|, |y0|) |f_z| / R.
+    Each numerator is one application per f of a field built at import,
+    restricted once to the line (x0, y0, z) of each sample point
+    (:meth:`Polynomial.z_line`), which leaves eight univariate polynomials
+    in z, each as int numerators over one denominator.  Each R = r/s is
+    then a grid column: one table r^k s^(D - k) serves all eight lines, the
+    candidates are compared by integer cross-multiplication, and the
+    maximum, divided by R, is the one Fraction built for that R.
     """
     if f.degree() > 6:
         raise ValueError("test polynomial degree above 6")
     R_list = [_positive(R) for R in R_list]
-    first = LX.apply(f) + Z * PY.apply(f)
-    second = LY.apply(f) - Z * PX.apply(f)
+    images = _LX_ZPY.apply(f), _LY_ZPX.apply(f)
     lines = [image.z_line(x0, y0) for x0, y0 in DEFAULT_SAMPLE_POINTS
-             for image in (first, second)]
+             for image in images]
     top = max(len(nums) for nums, _ in lines) - 1
     out: dict[Fraction, Fraction] = {}
     for R in R_list:

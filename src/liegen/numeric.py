@@ -19,9 +19,10 @@ and Gaussian pairings.  The one exception is ``Polynomial.z_line``, which
 hands out ints: the restriction of a polynomial to the line (x0, y0, z), as
 the numerators of its coefficients in z over one denominator, so a caller
 that evaluates one line at many z (``contraction_residual``) builds no
-Fraction per point.  Applying a vector field,
-``Polynomial.lie_derivative``, is likewise one pass in ints with one
-normalization, not a sum of products of partial derivatives.
+Fraction per point.  Applying a vector field (``Polynomial.lie_derivative``)
+and each component of a bracket of two (``contraction.vf_commutator``) is
+likewise one pass in ints, ``_add_lie``, with one normalization, not a sum
+of products of partial derivatives.
 
 Every polynomial ``liegen`` builds lives in one ring, Q[x, y, z], so a
 ``Polynomial`` has one storage form: its numerators are keyed by exponent
@@ -87,6 +88,34 @@ def _scaled_powers(value, top: int) -> tuple[list, int]:
     value = _as_fraction(value)
     p, q = value.numerator, value.denominator
     return [p ** k * q ** (top - k) for k in range(top + 1)], q ** top
+
+
+def _over_lcm(polys) -> tuple[list, int]:
+    """The polynomials as numerators over L, the lcm of their denominators:
+    ([[(exponent triple, int), ...] per polynomial], L)."""
+    polys = tuple(polys)
+    lcm = math.lcm(*(p._den for p in polys))
+    return [[(e, n * (lcm // p._den)) for e, n in p._nums.items()]
+            for p in polys], lcm
+
+
+def _add_lie(nums: dict, f, field: list, sign: int) -> None:
+    """nums += sign * sum_v c_v df/dv in ints, where ``f`` and each c_v of
+    ``field`` are (exponent triple, numerator) pairs as from
+    :func:`_over_lcm`."""
+    get = nums.get
+    for axis, coeff in enumerate(field):
+        # d/dv lowers the exponent on this axis by one
+        u0, u1, u2 = _UNIT[axis]
+        for exps, n in f:
+            k = exps[axis]
+            if not k:
+                continue
+            a0, a1, a2 = exps
+            a0, a1, a2, nk = a0 - u0, a1 - u1, a2 - u2, sign * n * k
+            for (b0, b1, b2), m in coeff:
+                key = (a0 + b0, a1 + b1, a2 + b2)
+                nums[key] = get(key, 0) + nk * m
 
 
 # ---------------------------------------------------------------------------
@@ -296,32 +325,13 @@ class Polynomial:
         """sum_v c_v * df/dv for the coefficients ``field`` = (c_x, c_y,
         c_z), the action of the vector field c_x d/dx + c_y d/dy + c_z d/dz.
 
-        With c_v = (sum m_e x^e) / d_v and L the lcm of the d_v, each
-        product is brought to the denominator L * den by the cofactor
-        L / d_v, so the whole sum runs in ints into one dict and one
-        ``_make`` normalizes it: no intermediate polynomial is built.
+        The c_v go over their lcm L (:func:`_over_lcm`) and the sum runs in
+        ints into one dict (:func:`_add_lie`), so one ``_make`` over L * den
+        normalizes it and no intermediate polynomial is built.
         """
-        mine = self._nums.items()
-        parts = [(axis, c) for axis, c in enumerate(field) if c._nums]
-        if not mine or not parts:
-            return _ZERO_POLY
-        lcm = math.lcm(*(c._den for _, c in parts))
+        coeffs, lcm = _over_lcm(field)
         nums: dict = {}
-        get = nums.get
-        for axis, c in parts:
-            # d/dv lowers the exponent on this axis by one
-            u0, u1, u2 = _UNIT[axis]
-            scale = lcm // c._den
-            coeff = [(e, m * scale) for e, m in c._nums.items()]
-            for exps, n in mine:
-                k = exps[axis]
-                if not k:
-                    continue
-                a0, a1, a2 = exps
-                a0, a1, a2, nk = a0 - u0, a1 - u1, a2 - u2, n * k
-                for (b0, b1, b2), m in coeff:
-                    key = (a0 + b0, a1 + b1, a2 + b2)
-                    nums[key] = get(key, 0) + nk * m
+        _add_lie(nums, self._nums.items(), coeffs, 1)
         return Polynomial._make(nums, self._den * lcm)
 
     def z_line(self, x0: Scalar, y0: Scalar) -> tuple[list, int]:

@@ -7,6 +7,8 @@ from fractions import Fraction
 import pytest
 
 from liegen.contraction import (
+    _LX_ZPY,
+    _LY_ZPX,
     DEFAULT_SAMPLE_POINTS,
     LX,
     LY,
@@ -93,6 +95,35 @@ def test_jacobi_identity():
                          + vf_commutator(b, vf_commutator(c, a))
                          + vf_commutator(c, vf_commutator(a, b)))
                 assert total.is_zero
+
+
+def test_brackets_and_residuals_normalize_once_per_result(monkeypatch):
+    # one Polynomial._make per bracket component and per residual numerator:
+    # no intermediate polynomial is built
+    make = Polynomial.__dict__["_make"].__func__
+    made = []
+
+    def counting(cls, nums, den):
+        made.append(den)
+        return make(cls, nums, den)
+
+    a = VectorFieldOp(X * Y / 3, Z ** 2 - 1, F(2, 7) * X)
+    b = VectorFieldOp(Y, X * Z / 5, Y * Z - X ** 2)
+    f = X ** 2 * Z + Y * Z ** 3 / 4
+    expected = VectorFieldOp(*(a.apply(b_v) - b.apply(a_v)
+                               for a_v, b_v in zip(a.coeffs, b.coeffs)))
+    residual = contraction_residual(f, R_SCHEDULE)
+    monkeypatch.setattr(Polynomial, "_make", classmethod(counting))
+    assert vf_commutator(a, b) == expected
+    assert len(made) == 3
+    made.clear()
+    assert contraction_residual(f, R_SCHEDULE) == residual
+    assert len(made) == 2
+
+
+def test_residual_numerator_fields_cancel_to_d_dz():
+    assert _LX_ZPY == VectorFieldOp(c_z=Y)
+    assert _LY_ZPX == VectorFieldOp(c_z=-X)
 
 
 @pytest.mark.parametrize("R", [1, 10, 1000, F(7, 3)])

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from liegen.contraction import VectorFieldOp, vf_commutator
 from liegen.numeric import (
     CANONICAL_VARS,
     Polynomial,
@@ -356,6 +357,31 @@ def test_lie_derivative_matches_the_sum_of_partial_derivatives(data):
     assert result == sum((c * f.differentiate(var)
                           for c, var in zip(coeffs, CANONICAL_VARS)),
                          Polynomial.zero())
+
+
+def _fraction_lie(field, f):
+    """sum_v c_v df/dv on Fraction dicts."""
+    out = ((), {})
+    for c, var in zip(field, CANONICAL_VARS):
+        partial = _fraction_differentiate(fraction_form(f), var)
+        out = _fraction_add(out, _fraction_mul(fraction_form(c), partial))
+    return out
+
+
+@given(first=vector_fields(), second=vector_fields(), k=rationals)
+@settings(max_examples=100, deadline=None)
+def test_vf_commutator_matches_both_oracles_per_component(first, second, k):
+    a, b = VectorFieldOp(*first[1]), VectorFieldOp(*second[1])
+    bracket = vf_commutator(a, b)
+    for a_v, b_v, got in zip(a.coeffs, b.coeffs, bracket.coeffs):
+        # the former definition, and the same sum on Fraction dicts
+        assert got == a.apply(b_v) - b.apply(a_v)
+        assert_matches(got, _fraction_add(_fraction_lie(a.coeffs, b_v),
+                                          _fraction_lie(b.coeffs, a_v), -1))
+    # brackets that cancel to zero term by term are canonical zeros too
+    for zero in (vf_commutator(a, a), vf_commutator(a, a * k)):
+        for c in zero.coeffs:
+            assert_matches(c, ((), {}))
 
 
 @pytest.mark.parametrize("point", [{}, {"x": 0}, {"x": F(-7, 10 ** 6)},

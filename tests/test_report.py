@@ -88,3 +88,8 @@ def test_benchmark_worker_tiny_traced_run(workload):
         # the tracer patches BesselEval.derivatives on the class: a method
         # bound at import would bypass it and read 0 here
         assert result["layers"]["euclidean.derivatives_calls"] > 0
+    if workload == "exact-multivar":
+        # 3 tiny Jacobi triples of 6 brackets each, and the residual
+        # numerators are applied, not multiplied out
+        assert result["layers"]["contraction.vf_commutator_calls"] == 18
+        assert result["layers"]["numeric.poly_mul_calls"] == 0
