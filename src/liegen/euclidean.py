@@ -3,11 +3,13 @@ cylindrical functions, with a self-contained Bessel evaluator.
 
 The mixed basis functions are J_n(r) e^{i n phi}; finite spans of them are
 closed under the ladder operators, which makes every identity in the catalog
-a statement the ascending series can check numerically.  A span
-(``CylFunc``) holds Gaussian-rational coefficients and the ladder
-coefficients are the integers +-1 and n, so the ladder action on a span is
-exact: its identities are checked as exact zeros, and floats enter only when
-a span is evaluated.
+a statement the ascending series can check.  A span (``CylFunc``) holds
+Gaussian-rational coefficients and the ladder coefficients are the integers
++-1 and n, so the ladder action on a span is exact.  The ascending series
+itself has rational coefficients (:func:`bessel_series`), so the action of
+the polar operators e^{+-i phi}(+-d/dr + (i/r) d/dphi) on a basis function
+is checked against the span's image exactly, in Q[r]
+(:func:`ladder_series_residuals`).
 
 The evaluator returns J_n, J_n' and J_n'' with every real and imaginary
 part correctly rounded, at any integer order and up to |z| = MAX_ABS_Z,
@@ -29,7 +31,7 @@ from types import MappingProxyType
 from typing import Mapping
 
 from .errors import BranchAmbiguityError, EnvelopeError
-from .numeric import Scalar, _as_fraction
+from .numeric import X, Polynomial, Scalar, _as_fraction
 
 #: largest |z| the evaluator accepts
 MAX_ABS_Z = 30.0
@@ -200,6 +202,25 @@ class BesselEval:
 BESSEL = BesselEval()
 
 
+def bessel_series(n: int, degree: int) -> Polynomial:
+    """J_n(r) as a polynomial in x = r, exactly, through the power
+    ``degree``: sum_j (-1)^j r^(n+2j) / (2^(n+2j) j! (n+j)!) for n >= 0, and
+    J_{-n} = (-1)^n J_n (DLMF 10.2.2, 10.4.1).  The terms j <= k go over
+    the last one's denominator 2^(n+2k) k! (n+k)!, on which term j - 1 is
+    term j times -4 j (n+j): one pass in ints."""
+    sign = -1 if n < 0 and n % 2 else 1
+    n = abs(n)
+    k = (degree - n) // 2
+    if k < 0:
+        return Polynomial.zero()
+    nums, num = {}, sign * (-1) ** k
+    for j in range(k, -1, -1):
+        nums[(n + 2 * j, 0, 0)] = num
+        num *= -4 * j * (n + j)
+    return Polynomial._make(
+        nums, math.factorial(k) * math.factorial(n + k) << (n + 2 * k))
+
+
 def find_j0_root() -> float:
     """Root of J_0 on the bracket [2, 3], by bisection to a width of 1e-13,
     using the same series it tests."""
@@ -258,13 +279,6 @@ class CylFunc:
             out[n] = (a - re, b - im)
         return CylFunc(out)
 
-    def evaluate(self, r: float, phi: float) -> complex:
-        total = 0j
-        for n, (re, im) in self.coeffs.items():
-            total += (complex(re, im) * BESSEL.j(n, r)
-                      * cmath.exp(1j * n * phi))
-        return total
-
     def __eq__(self, other):
         if not isinstance(other, CylFunc):
             return NotImplemented
@@ -286,22 +300,25 @@ def apply_polar_op(op: str, f: CylFunc) -> CylFunc:
     raise ValueError(f"unknown polar operator {op!r}")
 
 
-def polar_numeric_crosscheck(op: str, n: int, r: float, phi: float,
-                             step: float = 1e-5) -> float:
-    """Difference between the ladder action computed algebraically and the
-    same operator e^{+-i phi}(+-d/dr + (i/r) d/dphi) applied by central
-    finite differences to J_n(r) e^{i n phi}."""
+def ladder_series_residuals(op: str, n: int, degree: int) -> list:
+    """The operator e^{i s phi}(s d/dr + (i/r) d/dphi), s = 1 for "raise"
+    and -1 for "lower", takes J_n e^{i n phi} to (s J_n' - n J_n / r)
+    e^{i (n+s) phi}.  Returns, times r and in Q[r] through the power
+    ``degree``, that coefficient minus the :func:`apply_polar_op` image's
+    at each order either has, real and imaginary parts apart: all zero
+    exactly when the span's action is the operator's."""
     if op not in ("raise", "lower"):
-        raise ValueError("crosscheck applies to the raising/lowering operators")
-    if r < 0.2:
-        raise EnvelopeError("r below the coordinate-singularity cutoff 0.2")
-    sign = 1 if op == "raise" else -1
-    f = CylFunc.basis(n).evaluate
-    df_dr = (f(r + step, phi) - f(r - step, phi)) / (2 * step)
-    df_dphi = (f(r, phi + step) - f(r, phi - step)) / (2 * step)
-    numeric = cmath.exp(sign * 1j * phi) * (sign * df_dr + 1j / r * df_dphi)
-    algebraic = apply_polar_op(op, CylFunc.basis(n)).evaluate(r, phi)
-    return abs(numeric - algebraic)
+        raise ValueError("the series check applies to raise and lower")
+    s = 1 if op == "raise" else -1
+    j = bessel_series(n, degree)
+    lhs = s * X * j.differentiate("x") - n * j
+    image = apply_polar_op(op, CylFunc.basis(n)).coeffs
+    residuals = []
+    for m in image.keys() | {n + s}:
+        re, im = image.get(m, (0, 0))
+        r_j = X * bessel_series(m, degree - 1)
+        residuals += [(lhs if m == n + s else 0) - re * r_j, im * r_j]
+    return residuals
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,10 @@ Euclidean group of the plane.
 Both groups are exact: their parameters are rational, and composition,
 inversion, exponential and logarithm are closed-form rational maps.  E(2)
 rotates by the rational points of the unit circle, which are dense in SO(2),
-so its axioms are checked exactly on a dense set.  The only float code left
-is the central finite differences of :func:`generators_at_identity`.
+so its axioms are checked exactly on a dense set.  The generators are the
+tangents of one-parameter curves through the identity, and a central
+difference of a curve's own matrices at a rational step gives each one
+exactly (:func:`tangent_residuals`).  No float enters the module.
 
 Both groups use :class:`numeric.Matrix`, which computes in whatever its
 entries are.  Exactness is enforced by the element types: ``H3Element``,
@@ -22,10 +24,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .numeric import Matrix, Scalar, _as_fraction, _worst
-
-#: central-difference step used when differentiating parametrized matrices
-GENERATOR_FD_STEP = 1e-5
-
 
 #: the 3x3 identity matrix, exact
 IDENTITY = Matrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
@@ -181,60 +179,51 @@ E2_BASIS_Y = Matrix([[0, 0, 0], [0, 0, 1], [0, 0, 0]])
 E2_BASIS_ROT = Matrix([[0, -1, 0], [1, 0, 0], [0, 0, 0]])
 
 
-def e2_exp_translation(t, axis: str) -> Matrix:
+def e2_exp_translation(t: Scalar, axis: str) -> Matrix:
     """exp(t * P_axis) = I + t * P_axis, exactly: the translation generators
-    are nilpotent of degree two.  The entries are exact for an exact t and
-    floats for a float t."""
+    are nilpotent of degree two.  ``t`` must be exact (``TypeError`` for a
+    float)."""
     if axis == "x":
         gen = E2_BASIS_X
     elif axis == "y":
         gen = E2_BASIS_Y
     else:
         raise ValueError("axis must be 'x' or 'y'")
-    return IDENTITY + gen * t
+    return IDENTITY + gen * _as_fraction(t)
 
 
 # ---------------------------------------------------------------------------
-# infinitesimal generators by finite differences
+# generators as exact tangents
 # ---------------------------------------------------------------------------
 
-def _h3_matrix_float(p1: float, p2: float, p3: float) -> Matrix:
-    return Matrix([[1.0, p1, p2], [0.0, 1.0, p3], [0.0, 0.0, 1.0]])
+def tangent_residuals(group: str, h: Scalar) -> list:
+    """(M(h) - M(-h)) / 2h - w(h) * generator, exactly, for each
+    one-parameter curve M of ``group`` through the identity, at a rational
+    step h = p/q != 0 (a curve takes the numerator, +-p).
 
-
-def _e2_matrix_float(p1: float, p2: float, p3: float) -> Matrix:
-    c, s = math.cos(p3), math.sin(p3)
-    return Matrix([[c, -s, p1], [s, c, p2], [0.0, 0.0, 1.0]])
-
-
-EXACT_GENERATORS = {
-    ("h3", 1): H3_BASIS_A,
-    ("h3", 2): H3_BASIS_B,
-    ("h3", 3): H3_BASIS_C,
-    ("e2", 1): E2_BASIS_X,
-    ("e2", 2): E2_BASIS_Y,
-    ("e2", 3): E2_BASIS_ROT,
-}
-
-
-def generators_at_identity(group: str, param_index: int) -> Matrix:
-    """Central-difference derivative, at step :data:`GENERATOR_FD_STEP`, of
-    the parametrized matrix at the identity; agrees with the exact basis
-    matrices to O(step^2)."""
+    The curves are the group's own elements: H3 on one parameter, E(2)
+    translated by h along x or y, and E(2) rotated by Cayley's
+    ((1 - h^2) + 2h*i) / (1 + h^2), whose angle has tan(theta/2) = h.  H3
+    and the translations are affine in h, so w = 1 at every step.  The
+    rotation's quotient is w = 2 / (1 + h^2) times its generator at every
+    step, so dM/dh at 0 is twice the generator and dM/dtheta the generator.
+    """
+    h = _as_fraction(h)
+    p, q = h.numerator, h.denominator
     if group == "h3":
-        param_to_matrix = _h3_matrix_float
+        curves = ((lambda a: H3Element(Fraction(a, q), 0, 0), H3_BASIS_A, 1),
+                  (lambda a: H3Element(0, Fraction(a, q), 0), H3_BASIS_B, 1),
+                  (lambda a: H3Element(0, 0, Fraction(a, q)), H3_BASIS_C, 1))
     elif group == "e2":
-        param_to_matrix = _e2_matrix_float
+        curves = ((lambda a: E2Element(a, 0, q, 0, q), E2_BASIS_X, 1),
+                  (lambda a: E2Element(0, a, q, 0, q), E2_BASIS_Y, 1),
+                  (lambda a: E2Element(0, 0, q * q - a * a, 2 * a * q,
+                                       q * q + a * a),
+                   E2_BASIS_ROT, 2 / (1 + h * h)))
     else:
         raise ValueError("group must be 'h3' or 'e2'")
-    if param_index not in (1, 2, 3):
-        raise ValueError("param_index must be 1, 2 or 3")
-    params = [0.0, 0.0, 0.0]
-    params[param_index - 1] = GENERATOR_FD_STEP
-    plus = param_to_matrix(*params)
-    params[param_index - 1] = -GENERATOR_FD_STEP
-    minus = param_to_matrix(*params)
-    return (plus - minus) * (1.0 / (2.0 * GENERATOR_FD_STEP))
+    return [(curve(p).to_matrix() - curve(-p).to_matrix()) * (1 / (2 * h))
+            - generator * weight for curve, generator, weight in curves]
 
 
 # ---------------------------------------------------------------------------

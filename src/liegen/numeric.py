@@ -3,12 +3,9 @@ matrices, truncated formal power series with polynomial coefficients, and
 the Gaussian pairing of polynomials in x.
 
 All values in this module are immutable after construction.  Polynomials,
-series and pairings are exact.  A ``Matrix`` stores its entries as given:
-int and Fraction entries give exact arithmetic and float entries float
-arithmetic, so the same class holds the exact group and ladder matrices and
-the float matrices of finite differences.  Exactness is enforced
-where a value is made exact (``_as_fraction`` rejects floats) and where an
-exact residual is read (``suites._Recorder.exact``), not by the matrix.
+series and pairings are exact; a ``Matrix`` computes in its entries' own
+arithmetic, and exactness is enforced where a value is made exact
+(``_as_fraction``) and where a residual is read (``suites._Recorder.exact``).
 
 A ``Polynomial`` stores integer numerators over one shared positive
 denominator that has no factor common to all of them, so its arithmetic runs
@@ -420,11 +417,8 @@ Z = Polynomial.variable("z")
 # ---------------------------------------------------------------------------
 
 class Matrix:
-    """Immutable square matrix with its entries stored as given.
-
-    ints and Fractions give exact arithmetic, floats give float arithmetic;
-    the only check is that the rows make a square.
-    """
+    """Immutable square matrix of its entries as given (ints and Fractions
+    give exact arithmetic); operations need matching sizes (``ValueError``)."""
 
     __slots__ = ("rows",)
 
@@ -441,17 +435,21 @@ class Matrix:
         i, j = idx
         return self.rows[i][j]
 
+    # a strict zip raises ValueError on a size mismatch, where a plain one
+    # would cut the larger matrix down to the smaller
     def __add__(self, other: "Matrix") -> "Matrix":
         return Matrix([[a + b for a, b in zip(ra, rb)]
-                       for ra, rb in zip(self.rows, other.rows)])
+                       for ra, rb in zip(self.rows, other.rows, strict=True)])
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         return Matrix([[a - b for a, b in zip(ra, rb)]
-                       for ra, rb in zip(self.rows, other.rows)])
+                       for ra, rb in zip(self.rows, other.rows, strict=True)])
 
     def __mul__(self, other) -> "Matrix":
         if not isinstance(other, Matrix):
             return Matrix([[e * other for e in r] for r in self.rows])
+        if len(other.rows) != len(self.rows):
+            raise ValueError("matrix sizes differ")
         # visit only products of two nonzero entries, k ascending per (i, j)
         other_rows = [[(j, b) for j, b in enumerate(row) if b]
                       for row in other.rows]
@@ -466,14 +464,15 @@ class Matrix:
         return Matrix(rows)
 
     def apply(self, vec) -> tuple:
-        return tuple(sum(a * v for a, v in zip(row, vec)) for row in self.rows)
+        return tuple(sum(a * v for a, v in zip(row, vec, strict=True))
+                     for row in self.rows)
 
     def max_abs_diff(self, other: "Matrix"):
         """max |a - b| over the entries, in the entries' own arithmetic (a
         Fraction for exact matrices, never rounded to a float), NaN if any
         difference is NaN."""
-        return _worst(*(abs(a - b) for ra, rb in zip(self.rows, other.rows)
-                        for a, b in zip(ra, rb)))
+        pairs = zip(self.rows, other.rows, strict=True)
+        return _worst(*(abs(a - b) for ra, rb in pairs for a, b in zip(ra, rb)))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Matrix):

@@ -21,14 +21,17 @@ from liegen.euclidean import (
     BesselEval,
     CylFunc,
     apply_polar_op,
+    bessel_series,
     find_j0_root,
     flow_solve,
     genfunc_a11_check,
     genfunc_a11_literal_diagnostic,
     genfunc_a12_diagnostic,
-    polar_numeric_crosscheck,
+    ladder_series_residuals,
     verify_bessel_identity,
 )
+from liegen.numeric import X
+from liegen.suites import SuiteConfig, run_suite
 
 R_GRID = (0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0)
 
@@ -276,8 +279,12 @@ def test_fixed_point_sum_defers_at_the_j0_root(monkeypatch):
 
 @pytest.mark.parametrize("read", [
     lambda: find_j0_root(),
-    lambda: CylFunc.basis(2).evaluate(1.5, 0.3),
-    lambda: polar_numeric_crosscheck("raise", 1, 2.0, 0.4),
+    # the blocks' own reads: the j0 root gate, the widened-pass gate and
+    # the Mehler-Heine margin's J_m(r)
+    lambda: run_suite("bessel", SuiteConfig(bessel_orders=(0,),
+                                            bessel_r_grid=(1.0,))),
+    lambda: run_suite("contraction", SuiteConfig(contraction_R=(8, 16),
+                                                 legendre_l=(64, 128))),
     lambda: verify_bessel_identity("recursion_A7", 3, 1.25),
     lambda: genfunc_a11_check(1, 2.0, 0.5, 0.25, 30),
     lambda: genfunc_a11_literal_diagnostic(0, 2.0, 0.7, 0.3, 30),
@@ -366,6 +373,24 @@ def test_matches_scipy_jv_on_real_points(ev):
         _assert_close(jpp, special.jvp(n, x, 2), (n, x, 2))
 
 
+@pytest.mark.parametrize("n", range(-3, 7))
+def test_bessel_series_matches_mpmath_besselj(n):
+    # the exact series through r^60, summed in Q at each float r, leaves a
+    # tail below 1e-40 on r <= 5; J_{-n} = (-1)^n J_n shows at odd n < 0
+    mpmath = pytest.importorskip("mpmath")
+    terms = bessel_series(n, 60).terms
+    for r in (0.1, 0.7, 1.5, 2.5, 5.0):
+        value = sum(c * Fraction(r) ** e for (e,), c in terms.items())
+        expected = float(mpmath.besselj(n, r))
+        assert abs(float(value) - expected) <= 1e-15, (n, r)
+
+
+def test_bessel_series_degree_cuts_the_sum():
+    assert bessel_series(5, 4).is_zero
+    assert bessel_series(2, 2) == Fraction(1, 8) * X ** 2
+    assert bessel_series(-3, 5) == (X ** 3 / -48 + X ** 5 / 768)
+
+
 # -- identity grid ----------------------------------------------------------------
 
 @pytest.mark.parametrize("which", BESSEL_IDENTITIES)
@@ -446,42 +471,37 @@ def test_span_rejects_an_inexact_coefficient(coeff):
         CylFunc.basis(3, coeff[0] or coeff[1])
 
 
-def test_span_evaluates_each_coefficient_as_a_complex(ev):
-    f = CylFunc({0: (Fraction(3, 2), 0), 4: (0, -2), -1: (1, 0)})
-    r, phi = 2.0, 0.4
-    expected = (1.5 * ev.j(0, r) - 2j * ev.j(4, r) * cmath.exp(4j * phi)
-                + ev.j(-1, r) * cmath.exp(-1j * phi))
-    assert abs(f.evaluate(r, phi) - expected) <= 1e-15
-
-
 @pytest.mark.parametrize("op,n,r,phi", [
     ("raise", 0, 1.0, 0.0),
     ("raise", 3, 5.0, 1.1),
     ("lower", 1, 2.0, math.pi / 3),
 ])
-def test_polar_crosscheck_examples(op, n, r, phi):
-    assert polar_numeric_crosscheck(op, n, r, phi) < 1e-6
+def test_polar_crosscheck_examples(ev, op, n, r, phi):
+    # e^{i s phi}(s d/dr + (i/r) d/dphi) on J_n(r) e^{i n phi} at a point,
+    # with J_n' from the evaluator's termwise derivative, against the span's
+    # image at the same point
+    s = 1 if op == "raise" else -1
+    j, jp, _ = ev.derivatives(n, r)
+    applied = cmath.exp(1j * (n + s) * phi) * (s * jp - n / r * j)
+    image = apply_polar_op(op, CylFunc.basis(n))
+    value = sum(complex(re, im) * ev.j(m, r) * cmath.exp(1j * m * phi)
+                for m, (re, im) in image.coeffs.items())
+    assert abs(value - applied) <= 1e-15
 
 
 def test_polar_crosscheck_grid():
-    for op in ("raise", "lower"):
-        for n in range(0, 6):
-            for r in (0.2, 1.0, 4.0, 10.0):
-                assert polar_numeric_crosscheck(op, n, r, 0.4) < 1e-6
-
-
-def test_polar_crosscheck_quadratic_step_scaling():
-    # truncation is O(h^2): quartering expected when h halves, on steps
-    # large enough that rounding noise stays far below truncation
-    coarse = polar_numeric_crosscheck("raise", 2, 3.0, 0.9, step=2e-4)
-    fine = polar_numeric_crosscheck("raise", 2, 3.0, 0.9, step=1e-4)
-    ratio = fine / coarse
-    assert 0.15 < ratio < 0.35
-
-
-def test_polar_crosscheck_singularity_cutoff():
-    with pytest.raises(EnvelopeError):
-        polar_numeric_crosscheck("raise", 0, 0.1, 0.0)
+    # the same operator on the ascending series, exactly in Q[r]: times r,
+    # s r J_n' - n J_n is r times the image's one coefficient and order
+    for op, s in (("raise", 1), ("lower", -1)):
+        for n in range(-3, 6):
+            j = bessel_series(n, 30)
+            ((m, (re, im)),) = apply_polar_op(op, CylFunc.basis(n)).coeffs.items()
+            assert m == n + s and im == 0
+            assert (s * X * j.differentiate("x") - n * j
+                    == re * X * bessel_series(m, 29))
+            assert all(r.is_zero for r in ladder_series_residuals(op, n, 30))
+    with pytest.raises(ValueError):
+        ladder_series_residuals("lz", 1, 30)
 
 
 # -- generating functions --------------------------------------------------------------

@@ -19,18 +19,17 @@ from liegen.groups import (
     H3AlgebraElement,
     H3Element,
     IDENTITY,
-    _e2_matrix_float,
     axiom_suite,
     commutator,
     e2_apply,
     e2_compose,
     e2_exp_translation,
     e2_inverse,
-    generators_at_identity,
     h3_compose,
     h3_exp,
     h3_inverse,
     h3_log,
+    tangent_residuals,
 )
 from liegen.numeric import Matrix
 
@@ -181,14 +180,15 @@ def test_e2_inverse_matches_matrix_oracle():
 
 
 def test_e2_translation_exponential():
-    identity = e2_exp_translation(0.0, "x")
-    assert identity == IDENTITY
-    assert all(isinstance(e, float) for row in identity.rows for e in row)
-    t = 0.8
+    assert e2_exp_translation(0, "x") == IDENTITY
+    t = F(4, 5)
     m = e2_exp_translation(t, "x")
-    assert m.apply((2.0, 3.0, 1.0)) == (2.0 + t, 3.0, 1.0)
+    assert m.apply((2, 3, 1)) == (2 + t, 3, 1)
     m = e2_exp_translation(t, "y")
-    assert m.apply((2.0, 3.0, 1.0)) == (2.0, 3.0 + t, 1.0)
+    assert m.apply((2, 3, 1)) == (2, 3 + t, 1)
+    # exact end to end: a float step has no exact matrix
+    with pytest.raises(TypeError, match="exact scalar"):
+        e2_exp_translation(0.8, "x")
 
 
 def test_e2_translation_generator_nilpotent():
@@ -215,24 +215,68 @@ def test_e2_matrix_basis_commutators():
 
 # -- generators ----------------------------------------------------------------
 
+STEPS = (F(1), F(1, 2), F(-3, 7), F(5, 3), F(-40, 3))
+
+
+def quotient(curve, h):
+    """The central difference (M(h) - M(-h)) / 2h of a curve's matrices."""
+    return (curve(h).to_matrix() - curve(-h).to_matrix()) * (1 / (2 * h))
+
+
 @pytest.mark.parametrize("index,exact", [
     (1, H3_BASIS_A), (2, H3_BASIS_B), (3, H3_BASIS_C)])
 def test_h3_generators_by_finite_difference(index, exact):
-    fd = generators_at_identity("h3", index)
-    assert fd.max_abs_diff(exact) < 1e-8
+    # H3 is affine in each parameter: every step's quotient is the generator
+    def curve(h):
+        params = [0, 0, 0]
+        params[index - 1] = h
+        return H3Element(*params)
+    for h in STEPS:
+        assert quotient(curve, h) == exact
+        assert tangent_residuals("h3", h)[index - 1] == ZERO
+
+
+def e2_curve(index, h):
+    """E(2) translated by h along x (index 1) or y (2), or rotated by
+    Cayley's ((1 - h^2) + 2h*i) / (1 + h^2), with tan(theta/2) = h (3)."""
+    p, q = h.numerator, h.denominator
+    if index == 3:
+        return E2Element(0, 0, q * q - p * p, 2 * p * q, q * q + p * p)
+    shift = [0, 0]
+    shift[index - 1] = p
+    return E2Element(*shift, q, 0, q)
 
 
 @pytest.mark.parametrize("index,exact", [
     (1, E2_BASIS_X), (2, E2_BASIS_Y), (3, E2_BASIS_ROT)])
 def test_e2_generators_by_finite_difference(index, exact):
-    fd = generators_at_identity("e2", index)
-    assert fd.max_abs_diff(exact) < 1e-8
+    # translations are affine in h; the rotation's quotient is 2/(1 + h^2)
+    # times its generator at every step (dtheta/dt = 2/(1 + t^2))
+    for h in STEPS:
+        weight = 2 / (1 + h * h) if index == 3 else 1
+        assert quotient(lambda t: e2_curve(index, t), h) == exact * weight
+        assert tangent_residuals("e2", h)[index - 1] == ZERO
 
 
 def test_e2_rotation_generator_entries():
-    fd = generators_at_identity("e2", 3)
-    assert abs(fd[0, 1] - (-1.0)) < 1e-8
-    assert abs(fd[1, 0] - 1.0) < 1e-8
+    # so at h -> 0 the quotient in t tends to 2 * E2_BASIS_ROT, and
+    # d/dtheta = (1/2) d/dt there is the generator itself
+    for h in STEPS:
+        rot = quotient(lambda t: e2_curve(3, t), h)
+        assert rot[0, 1] == -2 / (1 + h * h) and rot[1, 0] == 2 / (1 + h * h)
+        assert all(rot[i, j] == 0 for i in range(3) for j in range(3)
+                   if (i, j) not in ((0, 1), (1, 0)))
+
+
+def test_tangent_residuals_reject_bad_input():
+    with pytest.raises(ValueError):
+        tangent_residuals("su2", F(1))
+    with pytest.raises(ZeroDivisionError):
+        tangent_residuals("h3", F(0))
+    with pytest.raises(TypeError, match="exact scalar"):
+        tangent_residuals("e2", 0.5)
+    # an int step stays exact: 1 / (2 h) is not a float
+    assert tangent_residuals("e2", -2) == [ZERO] * 3
 
 
 # -- axiom suites ----------------------------------------------------------------
@@ -279,6 +323,21 @@ def test_axiom_suite_rejects_bad_input():
 
 
 # -- Matrix ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("op", [
+    lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b,
+    lambda a, b: a.max_abs_diff(b), lambda a, b: a.apply(b.rows[0])],
+    ids=["add", "sub", "mul", "max_abs_diff", "apply"])
+def test_matrix_sizes_must_match(op):
+    # the rows were zipped, which cut the larger operand down to the
+    # smaller: a 2x2 identity minus the 3x3 one was the 2x2 zero matrix, an
+    # exact zero, and a matrix applied to a vector of another length
+    # dropped the extra entries
+    two = Matrix([[1, 0], [0, 1]])
+    for a, b in ((two, IDENTITY), (IDENTITY, two)):
+        with pytest.raises(ValueError):
+            op(a, b)
+
 
 def test_matrix_rejects_non_square_rows():
     with pytest.raises(ValueError, match="square"):
@@ -327,10 +386,15 @@ def float_params():
     return st.tuples(finite, finite, st.floats(min_value=0.0, max_value=7.0))
 
 
+def float_e2_matrix(x, y, theta):
+    c, s = math.cos(theta), math.sin(theta)
+    return Matrix([[c, -s, x], [s, c, y], [0.0, 0.0, 1.0]])
+
+
 @given(p=float_params(), q=float_params())
 @settings(max_examples=60)
 def test_sparse_product_matches_dense_on_e2_matrices(p, q):
-    a, b = _e2_matrix_float(*p), _e2_matrix_float(*q)
+    a, b = float_e2_matrix(*p), float_e2_matrix(*q)
     dense = [[sum(a[i, k] * b[k, j] for k in range(3)) for j in range(3)]
              for i in range(3)]
     product = a * b

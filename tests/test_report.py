@@ -34,21 +34,23 @@ def default_reports():
 
 def test_default_report_fingerprint(default_reports):
     reports = default_reports
-    assert sha(emit_json(reports)) == "b8de8657389d8445"
-    assert sha(emit_csv(reports)) == "97227cffea6e7a80"
-    assert sha(emit_text(reports)) == "b6a645cecc67d70f"
+    assert sha(emit_json(reports)) == "2f6d47f03e2a17f8"
+    assert sha(emit_csv(reports)) == "4fc653f0ae1c55dc"
+    assert sha(emit_text(reports)) == "d26a4f294ef8eb5f"
     # each block object alone, so a change to one shows which block moved
     assert {r.suite: sha(json.dumps(r.to_dict(), sort_keys=True, indent=2)
                          + "\n") for r in reports} == {
-        "groups": "0c2fd2c50fa20aec",
+        "groups": "04a11ab97031154b",
         "hermite": "703848add5aae041",
-        "bessel": "c6aad6ff674141e8",
+        "bessel": "9888539321e31209",
         "contraction": "ed6010d810e71413",
         "diagnostics": "71b3aceb03755686",
     }
     assert [r.suite for r in reports] == BLOCKS
     statuses = Counter(rec.status for r in reports for rec in r.records)
     assert statuses == {"pass": 66, "diagnostic": 9}
+    # the groups block is exact throughout
+    assert all(rec.exact for rec in reports[0].records)
 
 
 @pytest.mark.parametrize("name", BLOCKS)

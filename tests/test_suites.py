@@ -55,22 +55,38 @@ def test_worst_is_max_without_nan():
     assert _worst(0.0, 3.0, Fraction(1, 2)) == 3.0
 
 
-def test_nan_generator_entry_fails_fd_record(monkeypatch):
-    real = gr.generators_at_identity
+def test_transposed_rotation_fails_the_e2_tangent_record(monkeypatch):
+    # the rotation's tangent at the identity is E2_BASIS_ROT, not its
+    # transpose; the translations and H3 keep their exact tangents
+    real = gr.E2Element.to_matrix
 
-    def poisoned(group, index):
-        matrix = real(group, index)
-        if (group, index) != ("h3", 2):
-            return matrix
-        rows = [list(row) for row in matrix.rows]
-        rows[1][2] = math.nan
+    def transposed(self):
+        rows = [list(row) for row in real(self).rows]
+        rows[0][1], rows[1][0] = rows[1][0], rows[0][1]
         return Matrix(rows)
 
-    monkeypatch.setattr(gr, "generators_at_identity", poisoned)
+    monkeypatch.setattr(gr.E2Element, "to_matrix", transposed)
     records = records_by_id(run_suite("groups", SuiteConfig(group_samples=1))[0])
-    assert records["h3_generators_fd"].status == "fail"
-    assert math.isnan(records["h3_generators_fd"].residual)
-    assert records["e2_generators_fd"].status == "pass"
+    assert records["e2_generators_tangent"].status == "fail"
+    # the quotient is -w * E2_BASIS_ROT, off by 2w = 4/(1 + h^2), which is
+    # largest at the smallest step, h = -3/7
+    assert records["e2_generators_tangent"].residual == float(Fraction(98, 29))
+    assert records["h3_generators_tangent"].status == "pass"
+
+
+def test_ladder_without_its_sign_flip_fails_the_series_record(monkeypatch):
+    real = eu.apply_polar_op
+
+    def unflipped(op, f):
+        image = real(op, f)
+        if op == "lz":
+            return image
+        return eu.CylFunc({n: (-re, -im) for n, (re, im) in image.coeffs.items()})
+
+    monkeypatch.setattr(eu, "apply_polar_op", unflipped)
+    records = records_by_id(run_suite("bessel", SuiteConfig())[0])
+    assert records["ladder_crosscheck_series"].status == "fail"
+    assert records["ladder_crosscheck_series"].exact
 
 
 def test_exact_record_reads_a_matrix_residual():
@@ -419,10 +435,27 @@ def test_vanishing_sequence_fails_rate_gates(monkeypatch, target, checks):
     # E(2) is exact: its axioms and the quarter turn have no tolerance
     dict(tolerance_overrides={"groups/e2_axioms": 1e-12}),
     dict(tolerance_overrides={"groups/e2_apply_rotation": 1e-12}),
+    # the generators and the E(2) ladder are exact: no step, no tolerance
+    dict(tolerance_overrides={"groups/generator_fd": 1e-8}),
+    dict(tolerance_overrides={"bessel/ladder_crosscheck": 1e-6}),
 ])
 def test_bad_config_raises_at_construction(bad):
     with pytest.raises(ConfigError):
         SuiteConfig(**bad)
+
+
+def test_the_default_report_reads_every_tolerance_key(monkeypatch):
+    # a key no gate reads is a knob that changes nothing: it must go
+    read, real = set(), SuiteConfig.tolerance
+
+    def spy(self, key):
+        read.add(key)
+        return real(self, key)
+
+    monkeypatch.setattr(SuiteConfig, "tolerance", spy)
+    run_suite("all", SuiteConfig())
+    assert read == set(suites.DEFAULT_TOLERANCES)
+    assert len(read) == 12
 
 
 def test_doubling_schedules_build():
