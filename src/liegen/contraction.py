@@ -1,7 +1,8 @@
 """Rotation-algebra vector fields, their scaled-basis contraction onto the
 planar Euclidean algebra, and the Legendre-to-Bessel limit.
 
-Commutator algebra is exact (polynomial coefficients); the limits
+Commutator algebra is exact (polynomial coefficients), and so is the
+limiting Bessel equation on the ascending series, in Q[r]; the limits
 (contraction rates, tangent-plane ladder convergence, Legendre equation
 collapsing onto the Bessel equation) are numeric with measured rates.
 """
@@ -15,7 +16,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import EnvelopeError
-from .euclidean import BESSEL
+from .euclidean import BESSEL, bessel_series
 from .numeric import (CANONICAL_VARS, Polynomial, Scalar, X, Y, Z,
                       _add_lie, _as_fraction, _over_lcm, _scaled_powers)
 
@@ -317,7 +318,11 @@ def legendre_ode_residual(l: int, m: int, r: float) -> float:
     return abs(value) / (l * l)
 
 
-def bessel_operator_residual(m: int, r: float) -> float:
-    """|[r d/dr r d/dr + r^2 - m^2] J_m(r)|, the exact limiting equation."""
-    j, jp, jpp = BESSEL.derivatives(m, r)
-    return abs(r * r * jpp.real + r * jp.real + (r * r - m * m) * j.real)
+def bessel_operator_residual(m: int, degree: int) -> Polynomial:
+    """r^2 J'' + r J' + (r^2 - m^2) J in Q[r], J = J_m through r^degree and
+    r^2 J through r^degree too: identically zero, as the coefficients of the
+    ascending series obey (p^2 - m^2) c_p + c_{p-2} = 0."""
+    j = bessel_series(m, degree)
+    jp = j.differentiate("x")
+    return (X * X * jp.differentiate("x") + X * jp - m * m * j
+            + X * X * bessel_series(m, degree - 2))

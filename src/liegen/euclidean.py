@@ -9,7 +9,8 @@ Gaussian-rational coefficients and the ladder coefficients are the integers
 itself has rational coefficients (:func:`bessel_series`), so the action of
 the polar operators e^{+-i phi}(+-d/dr + (i/r) d/dphi) on a basis function
 is checked against the span's image exactly, in Q[r]
-(:func:`ladder_series_residuals`).
+(:func:`ladder_series_residuals`), and the generating function of catalog
+A.11 in Q[r, t, e^{i phi}] (:func:`genfunc_a11_residual`).
 
 The evaluator returns J_n, J_n' and J_n'' with every real and imaginary
 part correctly rounded, at any integer order and up to |z| = MAX_ABS_Z,
@@ -27,11 +28,12 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from types import MappingProxyType
 from typing import Mapping
 
 from .errors import BranchAmbiguityError, EnvelopeError
-from .numeric import X, Polynomial, Scalar, _as_fraction
+from .numeric import X, Y, Z, Polynomial, Scalar, _as_fraction
 
 #: largest |z| the evaluator accepts
 MAX_ABS_Z = 30.0
@@ -355,45 +357,25 @@ def verify_bessel_identity(which: str, n: int, r: float) -> float:
 # generating functions
 # ---------------------------------------------------------------------------
 
-def _series_side(n: int, r: float, phi: float, t: complex,
-                 terms: int) -> complex:
-    """sum_{m<terms} (-1)^m t^m / m! e^{i(n+m)phi} J_{n+m}(r)."""
-    total = 0j
-    factor = 1.0 + 0j
-    for m in range(terms):
-        if m:
-            factor *= -t / m
-        total += factor * cmath.exp(1j * (n + m) * phi) * BESSEL.j(n + m, r)
-    return total
-
-
-#: fewest ladder-expansion terms the generating-function checks accept
-MIN_GENFUNC_TERMS = 30
-
-
-def _genfunc_guards(r: float, t: complex, terms: int):
-    if abs(t) > 0.5:
-        raise EnvelopeError("|t| above 0.5")
-    if not 0.5 <= r <= 10:
-        raise EnvelopeError("r outside [0.5, 10]")
-    if terms < MIN_GENFUNC_TERMS:
-        raise EnvelopeError(
-            f"truncation must keep at least {MIN_GENFUNC_TERMS} terms")
-
-
-def genfunc_a11_check(n: int, r: float, phi: float, t: complex,
-                      terms: int) -> float:
-    """Residual of the raising-exponential generating identity (catalog A.11).
+def genfunc_a11_residual(n: int, t_degree: int) -> Polynomial:
+    """Residual of the raising-exponential generating identity (catalog
+    A.11) in Q[r, t, w], x = r, y = t, z = w = e^{i phi}, through t^J for
+    J = ``t_degree``.
 
     The right side expands exp(t * raising) across the discrete basis, in
     the normalization where raising acts as -1 on a basis function.  The
     same group element realized as a shift of the plane sends the argument
-    to u = sqrt(r^2 + 2 t r e^{i phi}) (principal root) and scales the
-    radial part by (r/u)^n, because the angular factor (x + iy)^n is
-    invariant under that shift:
+    to u = sqrt(r^2 + 2 t r e^{i phi}) and scales the radial part by
+    (r/u)^n, because the angular factor (x + iy)^n is invariant under that
+    shift:
 
         e^{i n phi} (r/u)^n J_n(u)
-            = sum_m (-1)^m t^m / m! e^{i(n+m) phi} J_{n+m}(r).
+            = sum_m (-1)^m t^m / m! e^{i(n+m) phi} J_{n+m}(r)
+
+    (DLMF 10.23.1).  The left side, (r w/2)^n sum_j (-u^2/4)^j/(j! (n+j)!),
+    is a polynomial in u^2: its terms j <= J are the right side's m <= J
+    with J_{n+m} through r^(n+2J-m) (:func:`bessel_series`), so the
+    residual is identically zero.
 
     A widespread looser rendering of this identity drops the radial
     prefactor and carries the shift parameter in the other ladder
@@ -401,26 +383,43 @@ def genfunc_a11_check(n: int, r: float, phi: float, t: complex,
     not hold as an identity and is only recorded, by
     :func:`genfunc_a11_literal_diagnostic`.
     """
-    t = complex(t)
-    _genfunc_guards(r, t, terms)
+    u2 = X * X + 2 * X * Y * Z
+    lhs, power = Polynomial.zero(), (X * Z) ** n
+    for j in range(t_degree + 1):
+        den = math.factorial(j) * math.factorial(n + j) << (n + 2 * j)
+        lhs = lhs + power * Fraction((-1) ** j, den)
+        power = power * u2
+    rhs = Polynomial.zero()
+    for m in range(t_degree + 1):
+        # (-t)^m / m! w^(n+m)
+        ladder = Polynomial(("y", "z"), {(m, n + m): Fraction(
+            (-1) ** m, math.factorial(m))})
+        rhs = rhs + ladder * bessel_series(n + m, n + 2 * t_degree - m)
+    return lhs - rhs
+
+
+def _a11_closed_form(n: int, r: float, phi: float, t: complex) -> complex:
+    """e^{i n phi} (r/u)^n J_n(u), u = sqrt(r^2 + 2 t r e^{i phi}) (principal
+    root): the sum of the ladder expansion of A.11 (its terms are checked by
+    :func:`genfunc_a11_residual`), which the diagnostics compare against."""
+    if abs(t) > 0.5 or not 0.5 <= r <= 10:
+        raise EnvelopeError("|t| above 0.5 or r outside [0.5, 10]")
     radicand = r * r + 2 * t * r * cmath.exp(1j * phi)
     if radicand.real <= 0:
         raise BranchAmbiguityError(
             f"radicand {radicand} leaves the right half-plane")
     u = cmath.sqrt(radicand)
-    lhs = cmath.exp(1j * n * phi) * (r / u) ** n * BESSEL.j(n, u)
-    rhs = _series_side(n, r, phi, t, terms)
-    return abs(lhs - rhs)
+    return cmath.exp(1j * n * phi) * (r / u) ** n * BESSEL.j(n, u)
 
 
-def genfunc_a11_literal_diagnostic(n: int, r: float, phi: float, t: complex,
-                                   terms: int) -> float:
+def genfunc_a11_literal_diagnostic(n: int, r: float, phi: float,
+                                   t: complex) -> float:
     """Recorded-only residual of the loose rendering of catalog entry A.11,
     e^{i n phi} J_n(sqrt(r^2 + 2t(ix - y))) with x = r cos phi,
-    y = r sin phi, against the same ladder expansion.  Never gated.
+    y = r sin phi, against the closed form of the ladder expansion
+    (:func:`_a11_closed_form`).  Never gated.
     """
-    t = complex(t)
-    _genfunc_guards(r, t, terms)
+    rhs = _a11_closed_form(n, r, phi, t)
     x = r * math.cos(phi)
     y = r * math.sin(phi)
     radicand = r * r + 2 * t * (1j * x - y)
@@ -429,29 +428,28 @@ def genfunc_a11_literal_diagnostic(n: int, r: float, phi: float, t: complex,
             f"radicand {radicand} leaves the right half-plane")
     u = cmath.sqrt(radicand)
     lhs = cmath.exp(1j * n * phi) * BESSEL.j(n, u)
-    return abs(lhs - _series_side(n, r, phi, t, terms))
+    return abs(lhs - rhs)
 
 
-def genfunc_a12_diagnostic(n: int, r: float, phi: float, t: float,
-                           terms: int) -> dict:
+def genfunc_a12_diagnostic(n: int, r: float, phi: float, t: float) -> dict:
     """Diagnostic for the scaled-shift identity (catalog entry A.12), which
     is reported but never gated.
 
-    Two candidate left sides are evaluated against the common ladder
-    expansion: the identity exactly as cataloged,
+    Two candidate left sides are evaluated against the closed form of the
+    ladder expansion (:func:`_a11_closed_form`): the identity exactly as
+    cataloged,
     exp(r phi / sqrt(2 r phi t + r^2)) * J_n(sqrt(2 r phi t + r^2)), and the
     flow-substitution reading e^{i n phi(t)} J_n(r(t)) with (r(t), phi(t))
     the closed forms reported by :func:`flow_solve`.  Both residuals are
     returned; no threshold is asserted.
     """
     t = float(t)
-    _genfunc_guards(r, t, terms)
+    rhs = _a11_closed_form(n, r, phi, t)
     radicand = 2 * r * phi * t + r * r
     if radicand <= 0:
         raise BranchAmbiguityError(f"radicand {radicand} not positive")
     scaled_r = math.sqrt(radicand)
     scaled_phi = r * phi / scaled_r
-    rhs = _series_side(n, r, phi, t, terms)
     j_n = BESSEL.j(n, scaled_r)
     catalog = math.exp(scaled_phi) * j_n
     substituted = cmath.exp(1j * n * scaled_phi) * j_n

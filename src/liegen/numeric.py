@@ -309,7 +309,7 @@ class Polynomial:
 
     def differentiate(self, var: str) -> "Polynomial":
         if var not in CANONICAL_VARS:
-            return Polynomial.zero()
+            raise ValueError(f"unknown variable {var!r}")
         i = CANONICAL_VARS.index(var)
         nums = {}
         for exps, n in self._nums.items():

@@ -36,7 +36,6 @@ from .numeric import Matrix, Polynomial, PowerSeries, X, Y, Z, _worst
 DEFAULT_TOLERANCES = {
     "bessel/identity": 1e-10,
     "bessel/identity_ode_small_r": 1e-9,
-    "bessel/genfunc_A11": 1e-8,
     "bessel/j0_root": 1e-10,
     "bessel/selfconsistency": 1e-13,
     "contraction/rate_band": 0.1,
@@ -44,7 +43,6 @@ DEFAULT_TOLERANCES = {
     "contraction/monotone": 1.0,
     "contraction/legendre_closed_forms": 1e-12,
     "contraction/legendre_ode_rate": 0.5,
-    "contraction/bessel_operator": 1e-9,
     "contraction/mehler_heine_margin": 1.0,
 }
 
@@ -66,7 +64,6 @@ class SuiteConfig:
     discrete_dim: int = 40
     bessel_orders: tuple = tuple(range(11))
     bessel_r_grid: tuple = (0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0)
-    genfunc_terms: int = 30
     contraction_R: tuple = (8, 16, 32, 64, 128, 256, 512, 1024)
     legendre_l: tuple = (64, 128, 256, 512, 1024)
     flow_steps: int = 10_000
@@ -84,6 +81,8 @@ class SuiteConfig:
                 raise ConfigError(f"{f.name} must be a tuple or a list")
         if not isinstance(self.tolerance_overrides, dict):
             raise ConfigError("tolerance_overrides must be a dict")
+        if not (self.out_path is None or isinstance(self.out_path, str)):
+            raise ConfigError("out_path must be a string or None")
         if not self.bessel_orders or not self.bessel_r_grid:
             raise ConfigError("bessel_orders and bessel_r_grid must not be empty")
         for name in ("legendre_l", "bessel_orders"):
@@ -152,7 +151,6 @@ _LOWER_BOUNDS = {
     "orthonormality_max": hb.MIN_HERMITE_N,
     "spectrum_max": hb.MIN_HERMITE_N,
     "discrete_dim": hb.MIN_DISCRETE_DIM,
-    "genfunc_terms": eu.MIN_GENFUNC_TERMS,
     "flow_steps": eu.MIN_FLOW_STEPS,
 }
 
@@ -164,11 +162,15 @@ _FILE_FIELDS = {f.name: f.default for f in fields(SuiteConfig)
 
 def _parse_field(key: str, raw: str, default):
     """``raw`` as the type of ``default``: a number, a comma-separated tuple
-    of the type of its first entry, or the string itself."""
+    of numbers, or the string itself.  An entry of a tuple of ints that is
+    not an int reads as a float, which :class:`SuiteConfig` accepts in
+    ``contraction_R`` and rejects in the order and degree fields."""
     try:
         if isinstance(default, tuple):
-            return tuple(type(default[0])(part.strip())
-                         for part in raw.split(",") if part.strip())
+            ints = type(default[0]) is int
+            return tuple(int(part) if ints and part.lstrip("+-").isdigit()
+                         else float(part)
+                         for part in map(str.strip, raw.split(",")) if part)
         if isinstance(default, (int, float)):
             return type(default)(raw)
     except ValueError as exc:
@@ -494,13 +496,9 @@ def run_bessel(config: SuiteConfig, rec: _Recorder) -> None:
     eigen = eu.apply_polar_op("lz", eu.CylFunc.basis(3, 2))
     rec.exact("lz_eigenvalue", [eigen - eu.CylFunc.basis(3, 6)], {"order": 3})
 
-    rec.gated("genfunc_A11",
-              (eu.genfunc_a11_check(n, r, phi, t, config.genfunc_terms)
-               for n in (0, 1, 2) for r in (1.0, 2.0, 5.0)
-               for phi in (0.0, 0.7, math.pi / 3)
-               for t in (0.5, -0.25, 0.5j, -0.5j)),
-              "bessel/genfunc_A11",
-              {"terms": config.genfunc_terms, "t": "[0.5, -0.25, 0.5j, -0.5j]"})
+    rec.exact("genfunc_A11",
+              (eu.genfunc_a11_residual(n, 16) for n in (0, 1, 2)),
+              {"orders": [0, 1, 2], "t_degree": 16})
 
     root = eu.find_j0_root()
     rec.gated("j0_root_bisection", [abs(eu.BESSEL.j(0, root))],
@@ -581,10 +579,9 @@ def run_contraction(config: SuiteConfig, rec: _Recorder) -> None:
               _ratios(legendre_sequence(m, 2.0) for m in (1, 2, 3)),
               "contraction/monotone", {"m": [1, 2, 3], "r": 2.0})
 
-    rec.gated("bessel_operator_exact_form",
-              (ct.bessel_operator_residual(m, r)
-               for m in range(4) for r in (0.5, 1.0, 2.0, 5.0, 8.0)),
-              "contraction/bessel_operator", {"m": "0..3"})
+    rec.exact("bessel_operator_exact_form",
+              (ct.bessel_operator_residual(m, 30) for m in range(4)),
+              {"m": "0..3", "degree": 30})
 
     def mehler_heine_margins():
         for m in range(4):
@@ -605,7 +602,7 @@ def run_contraction(config: SuiteConfig, rec: _Recorder) -> None:
 def run_diagnostics(config: SuiteConfig, rec: _Recorder) -> None:
     """Recorded-only block: residuals with no pass/fail semantics."""
     for n, r, phi, t in ((0, 2.0, 0.5, 0.2), (1, 3.0, 1.0, 0.1)):
-        report = eu.genfunc_a12_diagnostic(n, r, phi, t, config.genfunc_terms)
+        report = eu.genfunc_a12_diagnostic(n, r, phi, t)
         params = {"n": n, "r": r, "phi": phi, "t": t}
         rec.diagnostic(f"a12_catalog_form_n{n}",
                        report["residual_catalog_form"], params)
@@ -613,8 +610,7 @@ def run_diagnostics(config: SuiteConfig, rec: _Recorder) -> None:
                        report["residual_substituted_form"], params)
 
     rec.diagnostic("a11_literal_form",
-                   eu.genfunc_a11_literal_diagnostic(0, 2.0, 0.7, 0.3,
-                                                     config.genfunc_terms),
+                   eu.genfunc_a11_literal_diagnostic(0, 2.0, 0.7, 0.3),
                    {"n": 0, "r": 2.0, "phi": 0.7, "t": 0.3})
 
     flow = eu.flow_solve(2.0, 0.5, 0.3, config.flow_steps)

@@ -388,6 +388,8 @@ def test_legendre_ode_envelope():
 
 
 def test_bessel_operator_exact_form():
-    for m in range(4):
-        for r in (0.5, 1.0, 2.0, 5.0, 8.0):
-            assert bessel_operator_residual(m, r) < 1e-9
+    # the limiting equation holds coefficient by coefficient, for negative
+    # orders too, and at degrees that cut the series at an odd power
+    for m in range(-3, 8):
+        for degree in (0, 1, 2, 17, 30):
+            assert bessel_operator_residual(m, degree).is_zero

@@ -9,7 +9,6 @@ import pytest
 
 from liegen import euclidean
 from liegen.contraction import (
-    bessel_operator_residual,
     legendre_ode_residual,
     mehler_heine_check,
     polar_ladder_limit,
@@ -20,12 +19,13 @@ from liegen.euclidean import (
     BESSEL_IDENTITIES,
     BesselEval,
     CylFunc,
+    _a11_closed_form,
     apply_polar_op,
     bessel_series,
     find_j0_root,
     flow_solve,
-    genfunc_a11_check,
     genfunc_a11_literal_diagnostic,
+    genfunc_a11_residual,
     genfunc_a12_diagnostic,
     ladder_series_residuals,
     verify_bessel_identity,
@@ -286,13 +286,14 @@ def test_fixed_point_sum_defers_at_the_j0_root(monkeypatch):
     lambda: run_suite("contraction", SuiteConfig(contraction_R=(8, 16),
                                                  legendre_l=(64, 128))),
     lambda: verify_bessel_identity("recursion_A7", 3, 1.25),
-    lambda: genfunc_a11_check(1, 2.0, 0.5, 0.25, 30),
-    lambda: genfunc_a11_literal_diagnostic(0, 2.0, 0.7, 0.3, 30),
-    lambda: genfunc_a12_diagnostic(0, 2.0, 0.5, 0.2, 30),
+    lambda: _a11_closed_form(1, 2.0, 0.5, 0.25),
+    lambda: genfunc_a11_literal_diagnostic(0, 2.0, 0.7, 0.3),
+    lambda: genfunc_a12_diagnostic(0, 2.0, 0.5, 0.2),
     lambda: polar_ladder_limit(0, 1.0, 0.0, [8]),
     lambda: mehler_heine_check(1, 2.0, [64]),
     lambda: legendre_ode_residual(64, 1, 2.0),
-    lambda: bessel_operator_residual(2, 1.5),
+    # the diagnostics block, through both generating-function diagnostics
+    lambda: run_suite("diagnostics", SuiteConfig(flow_steps=1)),
 ])
 def test_every_reader_calls_the_shared_evaluator(monkeypatch, read):
     # through the class's method, looked up at each call, so a patch of
@@ -506,46 +507,75 @@ def test_polar_crosscheck_grid():
 
 # -- generating functions --------------------------------------------------------------
 
+def ladder_sum(n, r, phi, t, terms=30):
+    """The right side of A.11 summed term by term in floats, an oracle for
+    the closed form: the first ``terms`` terms of
+    sum_m (-t)^m / m! e^{i(n+m) phi} J_{n+m}(r)."""
+    total, factor = 0j, 1.0 + 0j
+    for m in range(terms):
+        if m:
+            factor *= -t / m
+        total += factor * cmath.exp(1j * (n + m) * phi) * BESSEL.j(n + m, r)
+    return total
+
+
 def test_a11_zero_shift_is_exact():
-    assert genfunc_a11_check(1, 2.0, 0.5, 0.0, 30) < 1e-15
+    # t^0: (r w/2)^n sum_j (-r^2/4)^j / (j! (n+j)!) is w^n J_n(r) itself
+    for n in range(6):
+        assert genfunc_a11_residual(n, 0).is_zero
+    # and at t = 0 the closed form is e^{i n phi} J_n(r), bit for bit
+    assert (_a11_closed_form(1, 2.0, 0.5, 0.0)
+            == cmath.exp(0.5j) * BESSEL.j(1, 2.0))
 
 
 def test_a11_examples():
-    assert genfunc_a11_check(0, 2.0, 0.7, 0.3, 30) < 1e-8
-    assert genfunc_a11_check(2, 1.0, 0.0, 0.1j, 30) < 1e-8
+    # orders and degrees beyond the report's
+    for n, t_degree in ((0, 1), (0, 5), (3, 4), (5, 10)):
+        assert genfunc_a11_residual(n, t_degree).is_zero
 
 
 def test_a11_acceptance_grid():
+    # the report's record: every coefficient through t^16 agrees exactly
+    for n in (0, 1, 2):
+        assert genfunc_a11_residual(n, 16).is_zero
+    # the closed form the diagnostics compare against is the ladder sum,
+    # on a grid of orders, radii, angles and real and imaginary shifts
     for n in (0, 1, 2):
         for r in (1.0, 2.0, 5.0):
             for phi in (0.0, 0.7, math.pi / 3):
                 for t in (0.5, -0.25, 0.5j, -0.5j):
-                    assert genfunc_a11_check(n, r, phi, t, 30) < 1e-8
+                    assert abs(_a11_closed_form(n, r, phi, t)
+                               - ladder_sum(n, r, phi, t)) < 1e-13
 
 
 def test_a11_branch_guard():
     with pytest.raises(BranchAmbiguityError):
-        genfunc_a11_check(0, 1.0, 0.0, -0.5, 30)
+        _a11_closed_form(0, 1.0, 0.0, -0.5)
+    with pytest.raises(BranchAmbiguityError):
+        genfunc_a11_literal_diagnostic(0, 1.0, 0.0, -0.5)
 
 
 def test_a11_envelope():
-    with pytest.raises(EnvelopeError):
-        genfunc_a11_check(0, 2.0, 0.0, 0.6, 30)
-    with pytest.raises(EnvelopeError):
-        genfunc_a11_check(0, 0.3, 0.0, 0.1, 30)
-    with pytest.raises(EnvelopeError):
-        genfunc_a11_check(0, 2.0, 0.0, 0.1, 20)
+    # the diagnostics read the closed form only where |t| <= 0.5 and
+    # 0.5 <= r <= 10
+    for read in (_a11_closed_form, genfunc_a11_literal_diagnostic,
+                 genfunc_a12_diagnostic):
+        with pytest.raises(EnvelopeError):
+            read(0, 2.0, 0.0, 0.6)
+        with pytest.raises(EnvelopeError):
+            read(0, 0.3, 0.0, 0.1)
 
 
 def test_a11_literal_form_recorded_not_small():
     # the loose rendering really is not an identity ...
-    assert genfunc_a11_literal_diagnostic(0, 2.0, 0.7, 0.3, 30) > 1e-3
+    assert genfunc_a11_literal_diagnostic(0, 2.0, 0.7, 0.3) > 1e-3
     # ... while the consistent one is
-    assert genfunc_a11_check(0, 2.0, 0.7, 0.3, 30) < 1e-10
+    assert abs(_a11_closed_form(0, 2.0, 0.7, 0.3)
+               - ladder_sum(0, 2.0, 0.7, 0.3)) < 1e-13
 
 
 def test_a12_diagnostic_reports_both_forms():
-    report = genfunc_a12_diagnostic(0, 2.0, 0.5, 0.2, 30)
+    report = genfunc_a12_diagnostic(0, 2.0, 0.5, 0.2)
     assert set(report) == {"residual_catalog_form",
                            "residual_substituted_form"}
     assert report["residual_catalog_form"] >= 0
@@ -553,7 +583,7 @@ def test_a12_diagnostic_reports_both_forms():
 
 
 def test_a12_substituted_form_reduces_at_t_zero():
-    report = genfunc_a12_diagnostic(1, 3.0, 1.0, 0.0, 30)
+    report = genfunc_a12_diagnostic(1, 3.0, 1.0, 0.0)
     assert report["residual_substituted_form"] < 1e-12
 
 

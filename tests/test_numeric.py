@@ -45,6 +45,13 @@ def test_power_rule():
     assert (X ** 2).differentiate("x") == 2 * X
 
 
+@pytest.mark.parametrize("var", ["t", "X", ""])
+def test_differentiate_rejects_an_unknown_variable(var):
+    # as the constructor does: d/dt of x^2 read as 0 before
+    with pytest.raises(ValueError, match="unknown variable"):
+        (X ** 2).differentiate(var)
+
+
 def value_at(p, point):
     """p at the point, through its restriction to the line (x, y, z); the
     coordinate z is read only where p uses it."""
@@ -125,7 +132,7 @@ def test_arithmetic_results_equal_their_validated_form(p, q, k):
     for result in (p + q, p - q, q - p, -p, p * q, p * k, k * p, p + k,
                    k - p, p - p, p * q - q * p):
         assert_validated(result)
-    for var in ("x", "y", "z", "w"):
+    for var in ("x", "y", "z"):
         assert_validated(p.differentiate(var))
 
 

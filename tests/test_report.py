@@ -34,17 +34,17 @@ def default_reports():
 
 def test_default_report_fingerprint(default_reports):
     reports = default_reports
-    assert sha(emit_json(reports)) == "2f6d47f03e2a17f8"
-    assert sha(emit_csv(reports)) == "4fc653f0ae1c55dc"
-    assert sha(emit_text(reports)) == "d26a4f294ef8eb5f"
+    assert sha(emit_json(reports)) == "d093b44b2d9613ed"
+    assert sha(emit_csv(reports)) == "c990949617bfc16e"
+    assert sha(emit_text(reports)) == "edaf326814308c97"
     # each block object alone, so a change to one shows which block moved
     assert {r.suite: sha(json.dumps(r.to_dict(), sort_keys=True, indent=2)
                          + "\n") for r in reports} == {
-        "groups": "04a11ab97031154b",
-        "hermite": "703848add5aae041",
-        "bessel": "9888539321e31209",
-        "contraction": "ed6010d810e71413",
-        "diagnostics": "71b3aceb03755686",
+        "groups": "0abc5f4faf8564c5",
+        "hermite": "7821781d8cf0802c",
+        "bessel": "b6909bde86ae454c",
+        "contraction": "33a268bc79cd887c",
+        "diagnostics": "4558dad689220a09",
     }
     assert [r.suite for r in reports] == BLOCKS
     statuses = Counter(rec.status for r in reports for rec in r.records)

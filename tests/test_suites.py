@@ -2,6 +2,8 @@
 must fail when the checked values are wrong or vanish, config validation,
 config-file parsing and the emitters."""
 
+import dataclasses
+import inspect
 import json
 import math
 import os
@@ -213,16 +215,55 @@ def test_perturbed_exponential_fails_closed_form(monkeypatch):
 
 
 def test_nan_residual_fails_contraction_gate(monkeypatch):
-    real = ct.bessel_operator_residual
+    real = ct.legendre_ode_residual
 
-    def poisoned(m, r):
-        return math.nan if (m, r) == (2, 1.0) else real(m, r)
+    def poisoned(l, m, r):
+        return math.nan if (l, m) == (128, 2) else real(l, m, r)
 
-    monkeypatch.setattr(ct, "bessel_operator_residual", poisoned)
+    monkeypatch.setattr(ct, "legendre_ode_residual", poisoned)
     record = records_by_id(run_suite("contraction", SuiteConfig())[0])[
-        "bessel_operator_exact_form"]
+        "legendre_ode_monotone"]
     assert record.status == "fail"
     assert math.isnan(record.residual)
+
+
+def mutant(func, *edits):
+    """``func`` rebuilt from its own source with each (old, new) edit made
+    at the one place ``old`` occurs, in the namespace of its module."""
+    source = inspect.getsource(func)
+    for old, new in edits:
+        assert source.count(old) == 1, old
+        source = source.replace(old, new)
+    namespace = dict(func.__globals__)
+    exec(source, namespace)
+    return namespace[func.__name__]
+
+
+@pytest.mark.parametrize("edits", [
+    # the sign of the 2 t r w term of u^2
+    [("X * X + 2 * X * Y * Z", "X * X - 2 * X * Y * Z")],
+    # w^(n-m) in place of w^(n+m); both sides times w^(2J), so that no
+    # power of w is negative
+    [("(m, n + m)", "(m, n - m + 2 * t_degree)"),
+     ("return lhs - rhs", "return lhs * Z ** (2 * t_degree) - rhs")],
+], ids=["sign", "w-power"])
+def test_wrong_a11_term_fails_genfunc_a11(monkeypatch, edits):
+    monkeypatch.setattr(eu, "genfunc_a11_residual",
+                        mutant(eu.genfunc_a11_residual, *edits))
+    records = records_by_id(run_suite("bessel", SuiteConfig(**SMALL_BESSEL))[0])
+    assert records["genfunc_A11"].status == "fail"
+    assert records["genfunc_A11"].residual > 0
+    assert all(r.status == "pass" for r in records.values()
+               if r.check_id != "genfunc_A11")
+
+
+def test_dropped_m_squared_fails_bessel_operator(monkeypatch):
+    monkeypatch.setattr(ct, "bessel_operator_residual", mutant(
+        ct.bessel_operator_residual, (" - m * m * j", "")))
+    records = records_by_id(run_suite("contraction", SuiteConfig(**TINY))[0])
+    assert records["bessel_operator_exact_form"].status == "fail"
+    assert all(r.status == "pass" for r in records.values()
+               if r.check_id != "bessel_operator_exact_form")
 
 
 def test_nan_residual_fails_bessel_identity(monkeypatch):
@@ -438,6 +479,12 @@ def test_vanishing_sequence_fails_rate_gates(monkeypatch, target, checks):
     # the generators and the E(2) ladder are exact: no step, no tolerance
     dict(tolerance_overrides={"groups/generator_fd": 1e-8}),
     dict(tolerance_overrides={"bessel/ladder_crosscheck": 1e-6}),
+    # an out_path that is not a path was echoed into every block
+    dict(out_path=5),
+    dict(out_path=["a"]),
+    # A.11 and the limiting Bessel equation are exact: no tolerance
+    dict(tolerance_overrides={"bessel/genfunc_A11": 1e-8}),
+    dict(tolerance_overrides={"contraction/bessel_operator": 1e-9}),
 ])
 def test_bad_config_raises_at_construction(bad):
     with pytest.raises(ConfigError):
@@ -455,7 +502,25 @@ def test_the_default_report_reads_every_tolerance_key(monkeypatch):
     monkeypatch.setattr(SuiteConfig, "tolerance", spy)
     run_suite("all", SuiteConfig())
     assert read == set(suites.DEFAULT_TOLERANCES)
-    assert len(read) == 12
+    assert len(read) == 10
+
+
+def test_the_default_report_reads_every_config_field(monkeypatch):
+    # a field no runner reads is a knob that changes nothing: it must go.
+    # echo() reads every field, so it is left out; output_format and
+    # out_path are kept for the command line
+    config, read = SuiteConfig(), set()
+    echo, real = config.echo(), SuiteConfig.__getattribute__
+
+    def spy(self, name):
+        read.add(name)
+        return real(self, name)
+
+    monkeypatch.setattr(SuiteConfig, "echo", lambda self: echo)
+    monkeypatch.setattr(SuiteConfig, "__getattribute__", spy)
+    run_suite("all", config)
+    names = {f.name for f in dataclasses.fields(SuiteConfig)}
+    assert names - read == {"output_format", "out_path"}
 
 
 def test_doubling_schedules_build():
@@ -473,7 +538,6 @@ def test_doubling_schedules_build():
     dict(orthonormality_max=-1),
     dict(spectrum_max=-1),
     dict(discrete_dim=1),
-    dict(genfunc_terms=eu.MIN_GENFUNC_TERMS - 1),
     dict(flow_steps=0),
 ], ids=lambda bad: next(iter(bad)))
 def test_integer_field_below_its_limit_raises_at_construction(bad):
@@ -485,8 +549,7 @@ def test_integer_fields_at_their_limits_run():
     # each lower bound is where the code it feeds still works
     config = SuiteConfig(group_samples=1, hermite_max_n=0, genfunc_order=1,
                          disentangle_order=1, orthonormality_max=0,
-                         spectrum_max=0, discrete_dim=2,
-                         genfunc_terms=eu.MIN_GENFUNC_TERMS, flow_steps=1)
+                         spectrum_max=0, discrete_dim=2, flow_steps=1)
     assert len(run_suite("all", config)) == 5
 
 
@@ -535,6 +598,19 @@ def test_load_config_round_trip(tmp_path):
     assert loaded == config
 
 
+def test_load_config_reads_tuple_entries_as_numbers(tmp_path):
+    # an int tuple takes a float entry, as SuiteConfig does in contraction_R;
+    # the radii stay floats when written as ints
+    text = ("[contraction]\ncontraction_R = 0.5, 1, 2\n"
+            "[bessel]\nbessel_r_grid = 1, 2.5\nbessel_orders = 0, -3\n")
+    overrides = load_config(write_ini(tmp_path, text))
+    assert overrides == {"contraction_R": (0.5, 1, 2),
+                         "bessel_r_grid": (1.0, 2.5), "bessel_orders": (0, -3)}
+    assert [type(v) for v in overrides["contraction_R"]] == [float, int, int]
+    assert [type(v) for v in overrides["bessel_r_grid"]] == [float, float]
+    assert SuiteConfig(**overrides).contraction_R == (0.5, 1, 2)
+
+
 def test_load_config_tolerance_keys(tmp_path):
     path = write_ini(tmp_path, "[bessel]\ntolerance.bessel/identity = 1e-9\n")
     overrides = load_config(path)
@@ -549,6 +625,13 @@ def test_load_config_tolerance_keys(tmp_path):
     "[bessel]\nbessel_orders = 0, one\n",
     "[bessel]\ntolerance.bessel/identity = -1e-9\n",
     "[bessel]\ntolerance.bessel/identiy = 1e-3\n",
+    # an order or a degree that is not an int
+    "[bessel]\nbessel_orders = 1.0, 2\n",
+    "[contraction]\nlegendre_l = 64, 128.5\n",
+    # no field and no gate: A.11 and the limiting Bessel equation are exact
+    "[bessel]\ngenfunc_terms = 30\n",
+    "[bessel]\ntolerance.bessel/genfunc_A11 = 1e-8\n",
+    "[contraction]\ntolerance.contraction/bessel_operator = 1e-9\n",
     # configparser's own errors: a key twice in one section, no section
     "[x]\nseed = 1\nseed = 2\n",
     "seed = 1\n",
