@@ -1,10 +1,9 @@
 """Rotation-algebra vector fields, their scaled-basis contraction onto the
 planar Euclidean algebra, and the Legendre-to-Bessel limit.
 
-Commutator algebra is exact (polynomial coefficients), and so is the
-limiting Bessel equation on the ascending series, in Q[r]; the limits
-(contraction rates, tangent-plane ladder convergence, Legendre equation
-collapsing onto the Bessel equation) are numeric with measured rates.
+Commutator algebra, the contraction rate and the limiting Bessel equation
+on the ascending series (in Q[r]) are exact; only the tangent-plane ladder
+and Legendre limits are measured, with numeric rates.
 """
 
 from __future__ import annotations

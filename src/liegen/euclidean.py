@@ -155,7 +155,8 @@ def _series(n: int, z: complex,
     """(J_n, J_n', J_n'') at z, each part correctly rounded.  The first
     pass has ``widen`` times 53 + _GUARD_BITS + |z| log2(e) fractional bits,
     the last term for the cancellation (sum_k |tau_k| <= e^|z|); a pass that
-    cannot settle a rounding is followed by one with twice the bits."""
+    cannot settle a rounding is followed by one with twice the bits.  Its
+    ``widen=2`` reader, an exact report record, expects bit identity."""
     if not z:
         return _AT_ZERO.get(n, (0j, 0j, 0j))
     frac = widen * (53 + _GUARD_BITS + math.ceil(abs(z) * math.log2(math.e)))

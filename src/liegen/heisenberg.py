@@ -254,12 +254,12 @@ def raising_consistency_residual(n: int):
 # shift operator and generating-function checks (exact series)
 # ---------------------------------------------------------------------------
 
-def shift_series(p: Polynomial, order: int) -> PowerSeries:
-    """Series for exp(-t d/dx)(p w), the expansion of (p w)(x - t) in powers
-    of t: term k is (-1)^k D^k(p w) / k!, which stays in the weighted space
-    because d/dx does."""
+def shift_series(order: int) -> PowerSeries:
+    """Series for exp(-t d/dx) w, the expansion of the shifted ground state
+    w(x - t) in powers of t: term k is (-1)^k D^k w / k!, which stays in the
+    weighted space because d/dx does."""
     coeffs = []
-    current = p
+    current = Polynomial.constant(1)
     factorial = 1
     for k in range(order + 1):
         if k:
@@ -293,7 +293,7 @@ def disentangle_check(order: int) -> PowerSeries:
     exp_tx = series_exp(PowerSeries.from_terms({1: X}, order))
     exp_t2 = series_exp(PowerSeries.from_terms(
         {2: Polynomial.constant(Fraction(-1, 2))}, order))
-    shifted_ground = shift_series(Polynomial.constant(1), order)
+    shifted_ground = shift_series(order)
     return lhs - (exp_tx * exp_t2) * shifted_ground
 
 

@@ -152,7 +152,7 @@ class Polynomial:
             exps = tuple(exps)
             if len(exps) != len(variables):
                 raise ValueError("exponent tuple does not match variables")
-            if any(e < 0 or not isinstance(e, int) for e in exps):
+            if any(not isinstance(e, int) or e < 0 for e in exps):
                 raise ValueError("exponents must be non-negative integers")
             coeff = _as_fraction(coeff)
             if coeff != 0:
@@ -359,6 +359,9 @@ class Polynomial:
 
     def substitute(self, mapping: Mapping[str, "Polynomial"]) -> "Polynomial":
         """Replace variables by polynomials (unlisted variables are kept)."""
+        for v in mapping:
+            if v not in CANONICAL_VARS:
+                raise ValueError(f"unknown variable {v!r}")
         out = Polynomial.zero()
         for exps, coeff in self.terms.items():
             term = Polynomial.constant(coeff)

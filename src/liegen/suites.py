@@ -35,10 +35,7 @@ from .numeric import Matrix, Polynomial, PowerSeries, X, Y, Z, _worst
 #: SuiteConfig.tolerance_overrides
 DEFAULT_TOLERANCES = {
     "bessel/identity": 1e-10,
-    "bessel/identity_ode_small_r": 1e-9,
     "bessel/j0_root": 1e-10,
-    "bessel/selfconsistency": 1e-13,
-    "contraction/rate_band": 0.1,
     "contraction/polar_ladder_rate": 0.3,
     "contraction/monotone": 1.0,
     "contraction/legendre_closed_forms": 1e-12,
@@ -257,12 +254,11 @@ class SuiteReport:
 
 
 def _ratios(sequences):
-    """Consecutive ratios b/a within each sequence, as floats.  A zero
-    denominator gives inf, so a sequence that vanishes fails its rate gate
-    instead of raising or being skipped."""
+    """Consecutive ratios b/a within each float sequence; a zero denominator
+    gives inf, so a vanishing sequence fails its gate: no raise, no skip."""
     for seq in sequences:
         for a, b in zip(seq, seq[1:]):
-            yield float(b / a) if a else math.inf
+            yield b / a if a else math.inf
 
 
 def _scalars(residual):
@@ -466,7 +462,7 @@ def run_hermite(config: SuiteConfig, rec: _Recorder) -> None:
 
 def run_bessel(config: SuiteConfig, rec: _Recorder) -> None:
     def identity_residuals(which, small_r):
-        # the ODE divides by r and r^2, so it is gated apart below r = 0.2
+        # the ODE divides by r and r^2: reported apart below r = 0.2, same gate
         for n in config.bessel_orders:
             for r in config.bessel_r_grid:
                 if (which == "ode_A6" and r < 0.2) == small_r:
@@ -479,7 +475,7 @@ def run_bessel(config: SuiteConfig, rec: _Recorder) -> None:
     small_r = [r for r in config.bessel_r_grid if r < 0.2]
     if small_r:
         rec.gated("ode_A6_small_r", identity_residuals("ode_A6", True),
-                  "bessel/identity_ode_small_r",
+                  "bessel/identity",
                   {"r": small_r[0] if len(small_r) == 1 else small_r})
 
     rec.exact("ladder_crosscheck_series",
@@ -504,14 +500,15 @@ def run_bessel(config: SuiteConfig, rec: _Recorder) -> None:
     rec.gated("j0_root_bisection", [abs(eu.BESSEL.j(0, root))],
               "bessel/j0_root", {"root": root})
 
-    def relative_differences():
-        # against passes that start with twice the first pass's bits
+    def widened_mismatches():
+        # against a pass from twice the bits: both correctly rounded, so equal
         for n in (0, 5, 10, 20):
             for r in (0.1, 1.0, 5.0, 15.0, 30.0):
-                a, b = eu.BESSEL.j(n, r), eu._series(n, complex(r), widen=2)[0]
-                yield abs(a - b) / max(abs(a), 1e-300)
-    rec.gated("selfconsistency_double_precision", relative_differences(),
-              "bessel/selfconsistency", {"start_precision": [1, 2]})
+                wide = eu._series(n, complex(r), widen=2)
+                for a, b in zip(eu.BESSEL.derivatives(n, r), wide):
+                    yield 0 if a == b else abs(a - b)
+    rec.exact("selfconsistency_double_precision", widened_mismatches(),
+              {"start_precision": [1, 2]})
 
 
 def run_contraction(config: SuiteConfig, rec: _Recorder) -> None:
@@ -537,13 +534,13 @@ def run_contraction(config: SuiteConfig, rec: _Recorder) -> None:
     rate_polys = {"xxyyyz": X ** 2 * Y ** 3 * Z, "xyz": X * Y * Z,
                   "y5z": Y ** 5 * Z}
 
-    def residual_sequence(poly):
-        residuals = ct.contraction_residual(poly, R_list)
-        return [residuals[R] for R in R_list]
-    rec.gated("contraction_rate_band",
-              (abs(q - 0.5) for q in
-               _ratios(map(residual_sequence, rate_polys.values()))),
-              "contraction/rate_band",
+    def rate_residuals():
+        # f_z is free of z, so max(|x0|, |y0|) |f_z| / R at z = R halves at 2R
+        for poly in rate_polys.values():
+            res = ct.contraction_residual(poly, R_list)
+            for R, R2 in zip(R_list, R_list[1:]):
+                yield 2 * res[R2] - res[R] if res[R] else math.inf
+    rec.exact("contraction_rate_band", rate_residuals(),
               {"R": list(config.contraction_R),
                "polynomials": sorted(rate_polys)})
 

@@ -279,8 +279,8 @@ def test_fixed_point_sum_defers_at_the_j0_root(monkeypatch):
 
 @pytest.mark.parametrize("read", [
     lambda: find_j0_root(),
-    # the blocks' own reads: the j0 root gate, the widened-pass gate and
-    # the Mehler-Heine margin's J_m(r)
+    # the blocks' own reads: the j0 root gate, the exact widened-pass
+    # record and the Mehler-Heine margin's J_m(r)
     lambda: run_suite("bessel", SuiteConfig(bessel_orders=(0,),
                                             bessel_r_grid=(1.0,))),
     lambda: run_suite("contraction", SuiteConfig(contraction_R=(8, 16),

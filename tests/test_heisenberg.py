@@ -235,7 +235,7 @@ def test_discrete_matrix_rejects_small_dimension():
 def test_shift_of_ground_state_hand_oracle():
     # w(x - t) = w exp(xt - t^2/2): through t^3 the coefficients are
     # 1, x, (x^2 - 1)/2 and (x^3 - 3x)/6, each times w
-    s = shift_series(Polynomial.constant(1), 3)
+    s = shift_series(3)
     expected = [Polynomial.constant(1), X, (X ** 2 - 1) / 2,
                 (X ** 3 - 3 * X) / 6]
     assert list(s.coeffs) == expected

@@ -80,6 +80,20 @@ def test_substitute_parity():
     assert flipped == -1 * h3
 
 
+@pytest.mark.parametrize("mapping", [{"t": Y}, {"X": Y}, {"x": -X, "": Y}])
+def test_substitute_rejects_an_unknown_variable(mapping):
+    # as differentiate does: an unknown key left x^2 as it was before
+    with pytest.raises(ValueError, match="unknown variable"):
+        (X ** 2).substitute(mapping)
+
+
+@pytest.mark.parametrize("exps", [("1",), (None,), (1.0,), (-1,)])
+def test_constructor_rejects_an_exponent_not_a_non_negative_int(exps):
+    # the type is checked before the sign: "1" < 0 raised a TypeError
+    with pytest.raises(ValueError, match="non-negative integers"):
+        Polynomial(("x",), {exps: 1})
+
+
 coeffs = st.integers(min_value=-9, max_value=9)
 
 

@@ -21,6 +21,14 @@ from liegen.suites import (
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKER = os.path.join(ROOT, "perfbench", "worker.py")
 BLOCKS = ["groups", "hermite", "bessel", "contraction", "diagnostics"]
+#: the gated (float) records of the default report, by block
+GATED = {
+    "bessel": {"ode_A6", "recursion_A7", "diffrel_A8", "diffrel_A9",
+               "diffrel_A10", "ode_A6_small_r", "j0_root_bisection"},
+    "contraction": {"polar_ladder_rate", "polar_ladder_monotone",
+                    "legendre_closed_forms", "legendre_ode_rate_m0",
+                    "legendre_ode_monotone", "mehler_heine_margin"},
+}
 
 
 def sha(text):
@@ -34,23 +42,27 @@ def default_reports():
 
 def test_default_report_fingerprint(default_reports):
     reports = default_reports
-    assert sha(emit_json(reports)) == "d093b44b2d9613ed"
-    assert sha(emit_csv(reports)) == "c990949617bfc16e"
-    assert sha(emit_text(reports)) == "edaf326814308c97"
+    assert sha(emit_json(reports)) == "36a7115a7662b35b"
+    assert sha(emit_csv(reports)) == "8639c1a5cf3889a4"
+    assert sha(emit_text(reports)) == "61c22c1fe4505623"
     # each block object alone, so a change to one shows which block moved
     assert {r.suite: sha(json.dumps(r.to_dict(), sort_keys=True, indent=2)
                          + "\n") for r in reports} == {
         "groups": "0abc5f4faf8564c5",
         "hermite": "7821781d8cf0802c",
-        "bessel": "b6909bde86ae454c",
-        "contraction": "33a268bc79cd887c",
+        "bessel": "8f6c2cd6092b4059",
+        "contraction": "acf3f6481516be67",
         "diagnostics": "4558dad689220a09",
     }
     assert [r.suite for r in reports] == BLOCKS
     statuses = Counter(rec.status for r in reports for rec in r.records)
     assert statuses == {"pass": 66, "diagnostic": 9}
-    # the groups block is exact throughout
+    # the groups block is exact throughout, and these are the only gated
+    # float records: a record made exact must not turn back into a gate
     assert all(rec.exact for rec in reports[0].records)
+    assert {(r.suite, rec.check_id) for r in reports for rec in r.records
+            if rec.tolerance is not None} == {
+        (suite, check) for suite, checks in GATED.items() for check in checks}
 
 
 @pytest.mark.parametrize("name", BLOCKS)

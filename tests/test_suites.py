@@ -426,6 +426,56 @@ def test_vanishing_sequence_fails_rate_gates(monkeypatch, target, checks):
         assert records[check].residual == math.inf, check
 
 
+def test_rate_a_thousandth_off_fails_the_exact_rate_record(monkeypatch):
+    # the last pair's rate is (1 + 1e-3)/2, inside the old band |rate - 1/2|
+    # <= 0.1; the residual at 2R must be exactly half the one at R
+    real = ct.contraction_residual
+
+    def slowed(f, R_list):
+        residuals = real(f, R_list)
+        residuals[R_list[-1]] *= Fraction(1001, 1000)
+        return residuals
+
+    monkeypatch.setattr(ct, "contraction_residual", slowed)
+    config = SuiteConfig(contraction_R=(8, 16, 32), legendre_l=(64, 128))
+    record = records_by_id(run_suite("contraction", config)[0])[
+        "contraction_rate_band"]
+    assert record.exact and record.status == "fail"
+    assert record.residual > 0
+
+
+def test_widened_pass_an_ulp_off_fails_the_selfconsistency_record(monkeypatch):
+    # the old gate, |a - b| / |a| <= 1e-13 on J, passed J one ulp off; both
+    # passes are correctly rounded, so they must agree bit for bit
+    real = eu._series
+
+    def an_ulp_off(n, z, widen=1):
+        j, dj, d2j = real(n, z, widen)
+        if widen == 2:
+            j = complex(math.nextafter(j.real, math.inf), j.imag)
+        return j, dj, d2j
+
+    monkeypatch.setattr(eu, "_series", an_ulp_off)
+    record = records_by_id(run_suite("bessel", SuiteConfig(
+        bessel_orders=(0,), bessel_r_grid=(1.0,)))[0])[
+        "selfconsistency_double_precision"]
+    assert record.exact and record.status == "fail"
+    old_gate = max(
+        abs(eu.BESSEL.j(n, r) - eu._series(n, complex(r), widen=2)[0])
+        / abs(eu.BESSEL.j(n, r))
+        for n in (0, 5, 10, 20) for r in (0.1, 1.0, 5.0, 15.0, 30.0))
+    assert 0 < record.residual and old_gate <= 1e-13
+
+
+def test_identity_override_sets_both_ode_tolerances():
+    # below r = 0.2 the ODE is reported apart, under the same key
+    config = SuiteConfig(tolerance_overrides={"bessel/identity": 1e-8},
+                         bessel_orders=(0, 1), bessel_r_grid=(0.1, 1.0))
+    records = records_by_id(run_suite("bessel", config)[0])
+    assert records["ode_A6"].tolerance == 1e-8
+    assert records["ode_A6_small_r"].tolerance == 1e-8
+
+
 @pytest.mark.parametrize("bad", [
     dict(contraction_R=(8,)),
     dict(legendre_l=(64,)),
@@ -485,6 +535,11 @@ def test_vanishing_sequence_fails_rate_gates(monkeypatch, target, checks):
     # A.11 and the limiting Bessel equation are exact: no tolerance
     dict(tolerance_overrides={"bessel/genfunc_A11": 1e-8}),
     dict(tolerance_overrides={"contraction/bessel_operator": 1e-9}),
+    # the rate and the widened pass are exact, and the small-r ODE shares
+    # the identity gate
+    dict(tolerance_overrides={"contraction/rate_band": 0.1}),
+    dict(tolerance_overrides={"bessel/selfconsistency": 1e-13}),
+    dict(tolerance_overrides={"bessel/identity_ode_small_r": 1e-9}),
 ])
 def test_bad_config_raises_at_construction(bad):
     with pytest.raises(ConfigError):
@@ -502,7 +557,7 @@ def test_the_default_report_reads_every_tolerance_key(monkeypatch):
     monkeypatch.setattr(SuiteConfig, "tolerance", spy)
     run_suite("all", SuiteConfig())
     assert read == set(suites.DEFAULT_TOLERANCES)
-    assert len(read) == 10
+    assert len(read) == 7
 
 
 def test_the_default_report_reads_every_config_field(monkeypatch):
@@ -632,6 +687,11 @@ def test_load_config_tolerance_keys(tmp_path):
     "[bessel]\ngenfunc_terms = 30\n",
     "[bessel]\ntolerance.bessel/genfunc_A11 = 1e-8\n",
     "[contraction]\ntolerance.contraction/bessel_operator = 1e-9\n",
+    # no gate: the rate and the widened pass are exact, and the small-r ODE
+    # shares the identity gate
+    "[contraction]\ntolerance.contraction/rate_band = 0.1\n",
+    "[bessel]\ntolerance.bessel/selfconsistency = 1e-13\n",
+    "[bessel]\ntolerance.bessel/identity_ode_small_r = 1e-9\n",
     # configparser's own errors: a key twice in one section, no section
     "[x]\nseed = 1\nseed = 2\n",
     "seed = 1\n",
