@@ -9,11 +9,16 @@ tangents of one-parameter curves through the identity, and a central
 difference of a curve's own matrices at a rational step gives each one
 exactly (:func:`tangent_residuals`).  No float enters the module.
 
-Both groups use :class:`numeric.Matrix`, which computes in whatever its
-entries are.  Exactness is enforced by the element types: ``H3Element``,
-``H3AlgebraElement`` and ``E2Element`` turn their parameters into exact
-rationals and reject floats, so every group matrix is exact; the suites'
-exact records reject a residual with a float entry.
+Both element types, ``H3Element`` and ``E2Element``, store integer
+numerators over one positive denominator in lowest terms, so equal elements
+have equal fields and composition and inversion are integer arithmetic with
+one gcd.  Each gives its matrix as an integer numerator matrix over that
+denominator (``num_matrix``), and the axiom suites check closure by
+cross-multiplying those integer matrices.  The matrices themselves are
+:class:`numeric.Matrix`, which computes in whatever its entries are;
+``to_matrix`` gives exact ``Fraction`` entries, ``H3AlgebraElement`` rejects
+floats as the element types do, and the suites' exact records reject a
+residual with a float entry.
 """
 
 from __future__ import annotations
@@ -40,20 +45,56 @@ def commutator(a: Matrix, b: Matrix) -> Matrix:
 @dataclass(frozen=True)
 class H3Element:
     """Group element with parameters (x1, x2, x3); the matrix form is upper
-    unitriangular with x1, x2 on the first row and x3 above the diagonal."""
+    unitriangular with x1, x2 on the first row and x3 above the diagonal.
 
-    x1: Fraction
-    x2: Fraction
-    x3: Fraction
+    The parameters are stored as integer numerators ``num`` = (a, b, c) over
+    one positive ``den``, in lowest terms, as ``E2Element`` stores its own:
+    x1, x2, x3 = a/den, b/den, c/den.  The constructor takes exact scalars
+    (``TypeError`` for a float or a bool).
+    """
+
+    num: tuple
+    den: int
 
     def __init__(self, x1: Scalar, x2: Scalar, x3: Scalar):
-        object.__setattr__(self, "x1", _as_fraction(x1))
-        object.__setattr__(self, "x2", _as_fraction(x2))
-        object.__setattr__(self, "x3", _as_fraction(x3))
+        params = tuple(map(_as_fraction, (x1, x2, x3)))
+        # over the lcm of the reduced denominators no factor is common to all
+        den = math.lcm(*(v.denominator for v in params))
+        object.__setattr__(self, "num", tuple(
+            v.numerator * (den // v.denominator) for v in params))
+        object.__setattr__(self, "den", den)
+
+    @classmethod
+    def _reduced(cls, a: int, b: int, c: int, den: int) -> "H3Element":
+        """(a, b, c)/den for integers and den > 0, reduced by one gcd."""
+        common = math.gcd(den, a, b, c)
+        g = object.__new__(cls)
+        object.__setattr__(g, "num", (a // common, b // common, c // common))
+        object.__setattr__(g, "den", den // common)
+        return g
+
+    @property
+    def x1(self) -> Fraction:
+        return Fraction(self.num[0], self.den)
+
+    @property
+    def x2(self) -> Fraction:
+        return Fraction(self.num[1], self.den)
+
+    @property
+    def x3(self) -> Fraction:
+        return Fraction(self.num[2], self.den)
 
     @classmethod
     def identity(cls) -> "H3Element":
         return cls(0, 0, 0)
+
+    def num_matrix(self) -> Matrix:
+        """The integer matrix N with ``to_matrix() == N / den``."""
+        (a, b, c), d = self.num, self.den
+        return Matrix([[d, a, b],
+                       [0, d, c],
+                       [0, 0, d]])
 
     def to_matrix(self) -> Matrix:
         return Matrix([[1, self.x1, self.x2],
@@ -62,15 +103,18 @@ class H3Element:
 
 
 def h3_compose(g: H3Element, h: H3Element) -> H3Element:
-    """Composition in parameters: (x1+y1, y2 + x1*y3 + x2, x3+y3)."""
-    return H3Element(g.x1 + h.x1,
-                     h.x2 + g.x1 * h.x3 + g.x2,
-                     g.x3 + h.x3)
+    """Composition in parameters: (x1+y1, y2 + x1*y3 + x2, x3+y3), over
+    d1*d2."""
+    (a1, b1, c1), d1 = g.num, g.den
+    (a2, b2, c2), d2 = h.num, h.den
+    return H3Element._reduced(a1 * d2 + a2 * d1, b2 * d1 + a1 * c2 + b1 * d2,
+                              c1 * d2 + c2 * d1, d1 * d2)
 
 
 def h3_inverse(g: H3Element) -> H3Element:
-    """Inversion in parameters: (-x1, x1*x3 - x2, -x3)."""
-    return H3Element(-g.x1, g.x1 * g.x3 - g.x2, -g.x3)
+    """Inversion in parameters: (-x1, x1*x3 - x2, -x3), over d^2."""
+    (a, b, c), d = g.num, g.den
+    return H3Element._reduced(-a * d, a * c - b * d, -c * d, d * d)
 
 
 @dataclass(frozen=True)
@@ -144,6 +188,13 @@ class E2Element:
     @classmethod
     def identity(cls) -> "E2Element":
         return cls(0, 0, 1, 0)
+
+    def num_matrix(self) -> Matrix:
+        """The integer matrix N with ``to_matrix() == N / den``."""
+        (x, y, c, s), d = self.num, self.den
+        return Matrix([[c, -s, x],
+                       [s, c, y],
+                       [0, 0, d]])
 
     def to_matrix(self) -> Matrix:
         x, y, c, s = (Fraction(n, self.den) for n in self.num)
@@ -253,9 +304,11 @@ MIN_AXIOM_SAMPLES = 1
 def axiom_suite(group: str, samples: int, seed: int) -> dict:
     """Check closure, associativity, identity and inverse on pseudorandom
     elements, exactly.  Closure compares the matrix of the composed element
-    with the matrix product; the other axioms compare the two elements.
-    Returns, per axiom, the largest exact gap between the two sides' matrix
-    entries (for the elements, their parameters): 0 when all are equal.
+    with the matrix product, in integers: N_gh * (d_g * d_h) against
+    (N_g * N_h) * d_gh for the numerator matrices N over the denominators d.
+    The other axioms compare the two elements.  Returns, per axiom, the
+    largest exact gap between the two sides' matrix entries: 0 when all are
+    equal.
     """
     if samples < MIN_AXIOM_SAMPLES:
         raise ValueError(f"samples must be >= {MIN_AXIOM_SAMPLES}")
@@ -280,10 +333,14 @@ def axiom_suite(group: str, samples: int, seed: int) -> dict:
         g, h, k = draw(rng), draw(rng), draw(rng)
         gh = compose(g, h)
         # closure: parameter-space composition matches the matrix product
-        # (and therefore stays in the matrix group); equal first, as in diff
-        composed, product = gh.to_matrix(), g.to_matrix() * h.to_matrix()
-        diffs["closure"].append(
-            0 if composed == product else composed.max_abs_diff(product))
+        # (and therefore stays in the matrix group); only a mismatch pays
+        # for the Fraction matrices and their gap
+        if (gh.num_matrix() * (g.den * h.den)
+                == (g.num_matrix() * h.num_matrix()) * gh.den):
+            diffs["closure"].append(0)
+        else:
+            diffs["closure"].append(gh.to_matrix().max_abs_diff(
+                g.to_matrix() * h.to_matrix()))
         diff("associativity", compose(gh, k), compose(g, compose(h, k)))
         diff("identity", compose(g, ident), g)
         diff("identity", compose(ident, g), g)

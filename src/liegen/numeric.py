@@ -62,7 +62,8 @@ _ONE = Fraction(1)
 def _as_fraction(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    # a bool is an int to isinstance, but True is no exact scalar
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     raise TypeError(f"expected an exact scalar, got {type(value).__name__}")
 

@@ -618,3 +618,62 @@ def test_flow_rejects_bad_inputs():
         flow_solve(0.0, 0.5, 0.1)
     with pytest.raises(ValueError):
         flow_solve(1.0, 0.0, 0.1)
+
+
+def nested_rk4_flow(r0, phi0, t_end, steps):
+    """The four-stage loop through a nested right-hand side, as flow_solve
+    once wrote it: the reference that its inline stages must match bit for
+    bit."""
+    def rhs(state):
+        r, phi = state
+        if abs(r) < 1e-6:
+            raise ArithmeticError("flow reached the coordinate singularity r = 0")
+        e = cmath.exp(1j * phi)
+        return (e, 1j * e / r)
+
+    h = t_end / steps
+    r, phi = complex(r0), complex(phi0)
+    q = complex(1.0)
+    for _ in range(steps):
+        k1 = rhs((r, phi))
+        k2 = rhs((r + h / 2 * k1[0], phi + h / 2 * k1[1]))
+        k3 = rhs((r + h / 2 * k2[0], phi + h / 2 * k2[1]))
+        k4 = rhs((r + h * k3[0], phi + h * k3[1]))
+        r += h / 6 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
+        phi += h / 6 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
+    cf_r = math.sqrt(2 * r0 * phi0 * t_end + r0 * r0)
+    cf_phi = r0 * phi0 / cf_r
+    true_r = cmath.sqrt(r0 * r0 + 2 * t_end * r0 * cmath.exp(1j * phi0))
+    true_phi = phi0 + 1j * cmath.log(true_r / r0)
+    return (abs(r - cf_r), abs(phi - cf_phi), abs(q - 1.0),
+            max(abs(r - true_r), abs(phi - true_phi)))
+
+
+def flow_cases():
+    rng = random.Random(20261019)
+    cases = [(2.0, 0.5, 0.3, 10_000), (2.0, 0.5, 0.3, 1), (2.0, 0.5, 0.3, 200),
+             (1.5, -0.75, 0.4, 200), (2.0, 0.5, 0.0, 7)]
+    for steps in (1, 200, 10_000):
+        r0 = rng.uniform(0.5, 4.0)
+        phi0 = rng.choice((-1, 1)) * rng.uniform(0.1, 2.0)
+        # keep 2 r0 phi0 t + r0^2 positive, so the closed forms exist
+        cases.append((r0, phi0, rng.uniform(0.0, r0 / (4 * abs(phi0))), steps))
+    return cases
+
+
+@pytest.mark.parametrize("r0,phi0,t_end,steps", flow_cases())
+def test_flow_matches_the_nested_stage_loop_bit_for_bit(r0, phi0, t_end, steps):
+    result = flow_solve(r0, phi0, t_end, steps)
+    fields = (result.r_discrepancy, result.phi_discrepancy, result.q_drift,
+              result.integrator_error)
+    assert [v.hex() for v in fields] == \
+        [v.hex() for v in nested_rk4_flow(r0, phi0, t_end, steps)]
+
+
+def test_flow_stops_at_the_coordinate_singularity():
+    # the start itself is inside the radius
+    with pytest.raises(ArithmeticError, match="singularity"):
+        flow_solve(5e-7, 0.5, 0.1)
+    # a midpoint stage is: r0 - h/2 = 5e-7 with e^{i phi0} = -1
+    with pytest.raises(ArithmeticError, match="singularity"):
+        flow_solve(2e-6, math.pi, 3e-6, steps=1)

@@ -1,6 +1,7 @@
 """Matrix realizations of H3 and E2: composition, exp, generators, axioms."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -65,6 +66,52 @@ def test_h3_inverse_formula_and_matrix_oracle():
 def test_h3_compose_with_inverse_is_identity():
     g = H3Element(F(2, 7), F(-5, 3), 11)
     assert h3_compose(g, h3_inverse(g)) == H3Element.identity()
+
+
+def test_h3_equal_elements_over_different_denominators_have_equal_storage():
+    # stored in lowest terms over one denominator, as E2Element is
+    g = H3Element(F(2, 4), F(-3, 6), F(4, 8))
+    assert (g.num, g.den) == ((1, -1, 1), 2)
+    assert g == H3Element(F(1, 2), F(-1, 2), F(1, 2))
+    assert hash(g) == hash(H3Element(F(1, 2), F(-1, 2), F(1, 2)))
+    mixed = H3Element(F(1, 6), F(1, 4), 2)
+    assert (mixed.num, mixed.den) == ((2, 3, 24), 12)
+    assert (H3Element.identity().num, H3Element.identity().den) == ((0, 0, 0), 1)
+    # products run over d1*d2 and the inverse over d^2; one gcd reduces them
+    h = H3Element(F(2, 3), F(1, 6), F(-1, 3))
+    back = h3_compose(h3_compose(g, h), h3_inverse(h))
+    assert (back.num, back.den) == (g.num, g.den)
+    assert h3_compose(h, h3_inverse(h)).den == 1
+
+
+def test_h3_parameters_read_back_as_fractions():
+    g = H3Element(F(7, 3), -2, F(1, 5))
+    assert (g.x1, g.x2, g.x3) == (F(7, 3), -2, F(1, 5))
+    assert all(type(v) is Fraction for v in (g.x1, g.x2, g.x3))
+
+
+@pytest.mark.parametrize("args", [
+    (0.5, 0, 0), (0, 1.0, 0), (0, 0, 0.0), (True, 0, 0), (0, 0, False)],
+    ids=["float-x1", "float-x2", "float-zero", "bool-x1", "bool-x3"])
+def test_h3_rejects_inexact_parameters(args):
+    with pytest.raises(TypeError, match="exact scalar"):
+        H3Element(*args)
+
+
+def random_h3_pairs(count):
+    rng = random.Random(20261019)
+
+    def q():
+        return F(rng.randint(-60, 60), rng.randint(1, 12))
+    return [(H3Element(q(), q(), q()), H3Element(q(), q(), q()))
+            for _ in range(count)]
+
+
+@pytest.mark.parametrize("g,h", random_h3_pairs(25))
+def test_h3_integer_kernels_match_the_fraction_formulas(g, h):
+    assert h3_compose(g, h) == H3Element(
+        g.x1 + h.x1, h.x2 + g.x1 * h.x3 + g.x2, g.x3 + h.x3)
+    assert h3_inverse(g) == H3Element(-g.x1, g.x1 * g.x3 - g.x2, -g.x3)
 
 
 def test_h3_exp_closed_form():
@@ -179,6 +226,17 @@ def test_e2_inverse_matches_matrix_oracle():
     assert e2_inverse(e2_inverse(g)) == g
 
 
+@pytest.mark.parametrize("g", [
+    H3Element(F(7, 3), -2, F(1, 5)), H3Element(0, 0, 0),
+    H3Element(F(-5, 12), F(9, 4), F(1, 6)), cayley(F(3, 10), F(-6, 5), F(2, 7)),
+    E2Element.identity(), cayley(F(-7, 2), F(1, 9), F(-4, 3))],
+    ids=["h3", "h3-identity", "h3-mixed-den", "e2", "e2-identity", "e2-turn"])
+def test_numerator_matrix_over_den_is_the_matrix(g):
+    n = g.num_matrix()
+    assert all(type(n[i, j]) is int for i in range(3) for j in range(3))
+    assert n * F(1, g.den) == g.to_matrix()
+
+
 def test_e2_translation_exponential():
     assert e2_exp_translation(0, "x") == IDENTITY
     t = F(4, 5)
@@ -189,6 +247,9 @@ def test_e2_translation_exponential():
     # exact end to end: a float step has no exact matrix
     with pytest.raises(TypeError, match="exact scalar"):
         e2_exp_translation(0.8, "x")
+    # nor is a bool an exact step: True was read as the step 1
+    with pytest.raises(TypeError, match="exact scalar"):
+        e2_exp_translation(True, "x")
 
 
 def test_e2_translation_generator_nilpotent():
@@ -290,7 +351,7 @@ def test_h3_axioms_exact():
         assert isinstance(value, (int, Fraction)) and value == 0
 
 
-def test_e2_axioms_within_tolerance():
+def test_e2_axioms_exact():
     residuals = axiom_suite("e2", samples=100, seed=20260809)
     assert sorted(residuals) == ["associativity", "closure", "identity",
                                  "inverse"]

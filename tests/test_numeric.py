@@ -94,6 +94,16 @@ def test_constructor_rejects_an_exponent_not_a_non_negative_int(exps):
         Polynomial(("x",), {exps: 1})
 
 
+@pytest.mark.parametrize("coeff", [True, False, 0.5, 1.0],
+                         ids=["true", "false", "half", "float-one"])
+def test_coefficients_must_be_exact_scalars(coeff):
+    # a bool is an int to isinstance: True was read as the coefficient 1
+    with pytest.raises(TypeError, match="exact scalar"):
+        Polynomial(("x",), {(1,): coeff})
+    with pytest.raises(TypeError, match="exact scalar"):
+        Polynomial.constant(coeff)
+
+
 coeffs = st.integers(min_value=-9, max_value=9)
 
 
