@@ -33,7 +33,8 @@ from types import MappingProxyType
 from typing import Mapping
 
 from .errors import BranchAmbiguityError, EnvelopeError
-from .numeric import X, Y, Z, Polynomial, Scalar, _as_fraction
+from .numeric import (X, Y, Z, Polynomial, Scalar, _as_fraction,
+                      _sum_of_products)
 
 #: largest |z| the evaluator accepts
 MAX_ABS_Z = 30.0
@@ -385,17 +386,21 @@ def genfunc_a11_residual(n: int, t_degree: int) -> Polynomial:
     :func:`genfunc_a11_literal_diagnostic`.
     """
     u2 = X * X + 2 * X * Y * Z
-    lhs, power = Polynomial.zero(), (X * Z) ** n
+    # each side is one sum of products, normalized once
+    lhs_terms, power = [], (X * Z) ** n
     for j in range(t_degree + 1):
         den = math.factorial(j) * math.factorial(n + j) << (n + 2 * j)
-        lhs = lhs + power * Fraction((-1) ** j, den)
+        scale = Polynomial.constant(Fraction((-1) ** j, den))
+        lhs_terms.append((scale, power))
         power = power * u2
-    rhs = Polynomial.zero()
+    lhs = _sum_of_products(lhs_terms)
+    rhs_terms = []
     for m in range(t_degree + 1):
         # (-t)^m / m! w^(n+m)
         ladder = Polynomial(("y", "z"), {(m, n + m): Fraction(
             (-1) ** m, math.factorial(m))})
-        rhs = rhs + ladder * bessel_series(n + m, n + 2 * t_degree - m)
+        rhs_terms.append((ladder, bessel_series(n + m, n + 2 * t_degree - m)))
+    rhs = _sum_of_products(rhs_terms)
     return lhs - rhs
 
 
@@ -496,6 +501,9 @@ def flow_solve(r0: float, phi0: float, t_end: float,
         raise ValueError("r0 must be positive")
     if phi0 == 0:
         raise ValueError("phi0 must be nonzero")
+    # a bool is an int to isinstance, but True is no step count
+    if isinstance(steps, bool):
+        raise TypeError("steps must be an int, not a bool")
     if steps < MIN_FLOW_STEPS:
         raise ValueError("steps must be positive")
 

@@ -282,9 +282,15 @@ def tangent_residuals(group: str, h: Scalar) -> list:
 # ---------------------------------------------------------------------------
 
 def _random_h3(rng: random.Random) -> H3Element:
-    def q():
-        return Fraction(rng.randint(-60, 60), rng.randint(1, 12))
-    return H3Element(q(), q(), q())
+    """Parameters p_i/q_i, p_i in [-60, 60] and q_i in [1, 12], drawn as
+    (p_1, q_1, p_2, q_2, p_3, q_3) and brought over q_1 q_2 q_3 in ints;
+    ``H3Element._reduced`` makes that the one canonical element."""
+    randint = rng.randint
+    p1, q1 = randint(-60, 60), randint(1, 12)
+    p2, q2 = randint(-60, 60), randint(1, 12)
+    p3, q3 = randint(-60, 60), randint(1, 12)
+    return H3Element._reduced(p1 * q2 * q3, p2 * q1 * q3, p3 * q1 * q2,
+                              q1 * q2 * q3)
 
 
 def _random_e2(rng: random.Random) -> E2Element:

@@ -188,6 +188,42 @@ def _position_squared_minus_d_squared(p: Polynomial) -> Polynomial:
     return x2 - d2
 
 
+def _monomial_family(max_degree: int) -> Polynomial:
+    """sum_{k <= max_degree} y^k x^k: every x^k at once, each tagged by y^k."""
+    return Polynomial(("x", "y"), {(k, k): 1 for k in range(max_degree + 1)})
+
+
+def ladder_commutator_residual(max_degree: int) -> Polynomial:
+    """[lower, raise] - 2 on every x^k with k <= ``max_degree``, in one
+    polynomial in Q[x, y]: the operators act on
+    :func:`_monomial_family`, whose y^k tags x^k.
+
+    The tag cannot mix degrees: every operator of :func:`apply_ladder` is
+    made of d/dx and multiplication by x, so it maps y^k Q[x] into
+    y^k Q[x].  The y^k part of the result is therefore exactly the residual
+    on x^k alone, so no two degrees can cancel, and the coefficients are
+    those of the per-degree residuals together.
+    """
+    family = _monomial_family(max_degree)
+    comm = (apply_ladder("lower", apply_ladder("raise", family))
+            - apply_ladder("raise", apply_ladder("lower", family)))
+    return comm - 2 * family
+
+
+def anticommutator_operator_residual(max_degree: int) -> Polynomial:
+    """(1/2){lower, raise} - (x^2 - D^2) on every x^k with k <=
+    ``max_degree``, with D = d/dx acting on the weighted function, in one
+    polynomial in Q[x, y]: the monomials are tagged by y^k as in
+    :func:`ladder_commutator_residual`, and for the same reason the tag
+    cannot mix degrees.  Over k <= N this covers every degree that the
+    eigenvalue relations of :func:`verify_hermite_identity` reach for
+    n <= N.
+    """
+    family = _monomial_family(max_degree)
+    return (_half_anticommutator(family)
+            - _position_squared_minus_d_squared(family))
+
+
 def verify_hermite_identity(which: str, n: int):
     """Exact residual of one cataloged Hermite identity; identically zero on
     pass.  Residuals are polynomials except for ``orthonormality``, which
@@ -196,6 +232,11 @@ def verify_hermite_identity(which: str, n: int):
     Because norm_n > 0, that vanishes exactly when the normalized overlap
     overlap(psi_n, psi_m) * sqrt(norm_n * norm_m) equals delta_nm (for m != n
     both say the overlap is 0, for m == n both say it is 1 / norm_n).
+
+    ``anticommutator`` is only the eigenvalue relation
+    (1/2){lower, raise} psi_n = (2n + 1) psi_n on the n-th basis function;
+    the operator identity behind it is checked on all monomials at once by
+    :func:`anticommutator_operator_residual`.
     """
     if which == "ode_A2":
         h = hermite_rodrigues(n)
@@ -213,19 +254,12 @@ def verify_hermite_identity(which: str, n: int):
                       if n else Polynomial.zero())
         return h.differentiate("x") - lower_term
     if which == "anticommutator":
-        # the operator identity on x^n w first (over n <= N this covers every
-        # degree the eigenvalue relations below reach) ...
-        mono = X ** n
-        diff = _half_anticommutator(mono) - _position_squared_minus_d_squared(mono)
-        if not diff.is_zero:
-            return diff
-        # ... then the eigenvalue relation on the n-th basis function
-        basis, _ = mixed_basis(n)
+        basis = hermite_rodrigues(n)
         return _half_anticommutator(basis) - (2 * n + 1) * basis
     if which == "orthonormality":
         fn, norm_n = mixed_basis(n)
         for m in range(n + 1):
-            fm, _ = mixed_basis(m)
+            fm = hermite_rodrigues(m)
             expected = 1 if m == n else 0
             residual = norm_n * weighted_overlap(fn, fm) - expected
             if residual:
@@ -288,13 +322,20 @@ def disentangle_check(order: int) -> PowerSeries:
     scalar/polynomial exponential series into the shifted Gaussian, whose
     own weight re-expands as w times exp(xt - t^2/2).  The difference must
     vanish identically through the requested order.
+
+    The right side is exp(tx) (exp(-t^2/2) shift), not
+    (exp(tx) exp(-t^2/2)) shift: the coefficients of exp(-t^2/2) are
+    constants and those of exp(tx) single monomials x^k/k!, so neither
+    product has a dense factor on both sides, where the other association
+    multiplies two series of dense polynomials.  Series multiplication is
+    exact and associative, so the residual is the same series.
     """
     lhs = _hermite_series(order)
     exp_tx = series_exp(PowerSeries.from_terms({1: X}, order))
     exp_t2 = series_exp(PowerSeries.from_terms(
         {2: Polynomial.constant(Fraction(-1, 2))}, order))
     shifted_ground = shift_series(order)
-    return lhs - (exp_tx * exp_t2) * shifted_ground
+    return lhs - exp_tx * (exp_t2 * shifted_ground)
 
 
 def hermite_genfunc_check(order: int) -> PowerSeries:

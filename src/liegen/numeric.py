@@ -37,6 +37,8 @@ has constant ones).  A coefficient of a series product, or of ``series_exp``
 (the ODE recurrence a_n = (1/n) sum_j j s_j a_{n-j} over the nonzero s_j),
 is one ``_sum_of_products``: one pass in ints, one normalization.
 ``weighted_overlap``, the Gaussian pairing, is one pass in ints too.
+A power ``p ** n`` is repeated squaring, about log2(n) products instead of
+n - 1.
 """
 
 from __future__ import annotations
@@ -153,6 +155,9 @@ class Polynomial:
             exps = tuple(exps)
             if len(exps) != len(variables):
                 raise ValueError("exponent tuple does not match variables")
+            # a bool is an int to isinstance, but True is no exponent
+            if any(isinstance(e, bool) for e in exps):
+                raise TypeError("an exponent must be an int, not a bool")
             if any(not isinstance(e, int) or e < 0 for e in exps):
                 raise ValueError("exponents must be non-negative integers")
             coeff = _as_fraction(coeff)
@@ -299,12 +304,25 @@ class Polynomial:
         return self * (Fraction(1) / scalar)
 
     def __pow__(self, n: int) -> "Polynomial":
+        """self^n by repeated squaring: one squaring per bit of n below the
+        top one and one product per further set bit, so x^12 takes 4
+        products, not 11 (Knuth, TAOCP vol. 2, 4.6.3).  The products are
+        exact and every result is in canonical form, so the order in which
+        they run does not show in the power.  ``TypeError`` for an exponent
+        that is not an int (a bool included), ``ValueError`` below 0."""
+        if isinstance(n, bool) or not isinstance(n, int):
+            raise TypeError(
+                f"expected an int exponent, got {type(n).__name__}")
         if n < 0:
             raise ValueError("negative polynomial power")
-        out = Polynomial.constant(1)
-        for _ in range(n):
-            out = out * self
-        return out
+        out, base = None, self
+        while n:
+            if n & 1:
+                out = base if out is None else out * base
+            n >>= 1
+            if n:
+                base = base * base
+        return Polynomial.constant(1) if out is None else out
 
     # -- calculus and evaluation -------------------------------------------
 
@@ -312,11 +330,13 @@ class Polynomial:
         if var not in CANONICAL_VARS:
             raise ValueError(f"unknown variable {var!r}")
         i = CANONICAL_VARS.index(var)
+        u0, u1, u2 = _UNIT[i]
         nums = {}
         for exps, n in self._nums.items():
             k = exps[i]
             if k:
-                nums[exps[:i] + (k - 1,) + exps[i + 1:]] = n * k
+                a0, a1, a2 = exps
+                nums[(a0 - u0, a1 - u1, a2 - u2)] = n * k
         return Polynomial._make(nums, self._den)
 
     def lie_derivative(self, field: Iterable["Polynomial"]) -> "Polynomial":
@@ -609,6 +629,13 @@ def weighted_overlap(p: Polynomial, q: Polynomial) -> Fraction:
     power of p q and w_j = (2j-1)!! 2^(h-j), the overlap is the sum of
     n_a m_b w_((a+b)/2) over a + b even, over d_p d_q 2^h: one pass in
     ints, with no product p q built.
+
+    a + b is even exactly when a and b have the same parity, so the terms
+    of p and q go into an even and an odd bucket and only a bucket of p
+    meets the same bucket of q.  The pairs left out are exactly those whose
+    moment is 0, and the sum of ints does not depend on its order, so the
+    overlap is the same number; a Hermite polynomial has one parity, so
+    H_m against H_n of the other parity pairs nothing at all.
     """
     if any(e[1] or e[2] for poly in (p, q) for e in poly._nums):
         raise ValueError("the Gaussian pairing takes polynomials in x only")
@@ -616,7 +643,12 @@ def weighted_overlap(p: Polynomial, q: Polynomial) -> Fraction:
     weights = [1 << h]
     for j in range(1, h + 1):
         weights.append(weights[-1] * (2 * j - 1) >> 1)
+    def by_parity(poly):
+        buckets = ([], [])
+        for (a, _, _), n in poly._nums.items():
+            buckets[a & 1].append((a, n))
+        return buckets
     total = sum(n * m * weights[(a + b) >> 1]
-                for (a, _, _), n in p._nums.items()
-                for (b, _, _), m in q._nums.items() if not (a + b) & 1)
+                for side_p, side_q in zip(by_parity(p), by_parity(q))
+                for a, n in side_p for b, m in side_q)
     return Fraction(total, p._den * q._den << h)

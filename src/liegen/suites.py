@@ -405,9 +405,9 @@ def run_hermite(config: SuiteConfig, rec: _Recorder) -> None:
         # has the parity of n; the residual is the wrong-parity part
         for n in range(max_n + 1):
             h = hb.hermite_rodrigues(n)
-            yield Polynomial(h.variables,
-                             {e: c for e, c in h.terms.items()
-                              if sum(e) % 2 != n % 2})
+            wrong = {e: c for e, c in h.terms.items() if sum(e) % 2 != n % 2}
+            yield (Polynomial(h.variables, wrong) if wrong
+                   else Polynomial.zero())
     rec.exact("parity", parity_residuals(), {"max_n": max_n})
 
     rec.exact("genfunc_A5", [hb.hermite_genfunc_check(config.genfunc_order)],
@@ -421,20 +421,17 @@ def run_hermite(config: SuiteConfig, rec: _Recorder) -> None:
          for n in range(config.orthonormality_max + 1)),
         {"max_n": config.orthonormality_max})
 
-    rec.exact(
-        "anticommutator_spectrum",
-        (hb.verify_hermite_identity("anticommutator", n)
-         for n in range(config.spectrum_max + 1)),
-        {"max_n": config.spectrum_max})
+    def spectrum_residuals():
+        # the operator identity on every x^k, k <= N, covers every degree
+        # the eigenvalue relations for n <= N reach
+        yield hb.anticommutator_operator_residual(config.spectrum_max)
+        for n in range(config.spectrum_max + 1):
+            yield hb.verify_hermite_identity("anticommutator", n)
+    rec.exact("anticommutator_spectrum", spectrum_residuals(),
+              {"max_n": config.spectrum_max})
 
-    def ladder_residuals():
-        for k in range(13):
-            p = X ** k
-            comm = (hb.apply_ladder("lower", hb.apply_ladder("raise", p))
-                    - hb.apply_ladder("raise", hb.apply_ladder("lower", p)))
-            yield comm - 2 * p
-    rec.exact("ladder_commutator_identity", ladder_residuals(),
-              {"max_degree": 12})
+    rec.exact("ladder_commutator_identity",
+              [hb.ladder_commutator_residual(12)], {"max_degree": 12})
 
     def raising_residuals():
         for n in range(config.orthonormality_max + 1):

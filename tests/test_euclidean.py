@@ -620,6 +620,14 @@ def test_flow_rejects_bad_inputs():
         flow_solve(1.0, 0.0, 0.1)
 
 
+def test_flow_rejects_a_bool_step_count():
+    # a bool is an int to isinstance: True ran one step
+    with pytest.raises(TypeError, match="bool"):
+        flow_solve(2.0, 0.5, 0.3, True)
+    with pytest.raises(TypeError, match="bool"):
+        flow_solve(2.0, 0.5, 0.3, steps=False)
+
+
 def nested_rk4_flow(r0, phi0, t_end, steps):
     """The four-stage loop through a nested right-hand side, as flow_solve
     once wrote it: the reference that its inline stages must match bit for

@@ -20,6 +20,7 @@ from liegen.groups import (
     H3AlgebraElement,
     H3Element,
     IDENTITY,
+    _random_h3,
     axiom_suite,
     commutator,
     e2_apply,
@@ -341,6 +342,23 @@ def test_tangent_residuals_reject_bad_input():
 
 
 # -- axiom suites ----------------------------------------------------------------
+
+def random_h3_by_fractions(rng):
+    """The draw as a Fraction per parameter, through the public constructor:
+    the reference for the integer draw of ``_random_h3``."""
+    def q():
+        return Fraction(rng.randint(-60, 60), rng.randint(1, 12))
+    return H3Element(q(), q(), q())
+
+
+def test_random_h3_matches_the_fraction_draw():
+    ints, fractions = random.Random(20), random.Random(20)
+    for _ in range(5_000):
+        g, h = _random_h3(ints), random_h3_by_fractions(fractions)
+        assert (g.num, g.den) == (h.num, h.den)
+    # both consumed the same stream
+    assert ints.random() == fractions.random()
+
 
 def test_h3_axioms_exact():
     residuals = axiom_suite("h3", samples=100, seed=20260809)

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liegen.heisenberg import (
+    anticommutator_operator_residual,
     apply_ladder,
     discrete_anticommutator,
     discrete_commutator,
@@ -19,13 +20,14 @@ from liegen.heisenberg import (
     hermite_recurrence,
     hermite_recurrence_sequence,
     hermite_rodrigues,
+    ladder_commutator_residual,
     mixed_basis,
     raising_consistency_residual,
     shift_series,
     verify_hermite_identity,
     weighted_overlap,
 )
-from liegen.numeric import Matrix, Polynomial, X
+from liegen.numeric import Matrix, Polynomial, X, Y
 
 
 # -- ladder action -------------------------------------------------------------
@@ -60,6 +62,22 @@ def test_representation_relations_on_monomials(k):
     # [lower, raise] = 2 * identity in scaled form on x^k w
     f = X ** k
     assert lower_raise(f) - raise_lower(f) == 2 * f
+
+
+@pytest.mark.parametrize("max_degree", [0, 1, 12, 40])
+def test_tagged_operator_identities_vanish(max_degree):
+    assert ladder_commutator_residual(max_degree).is_zero
+    assert anticommutator_operator_residual(max_degree).is_zero
+
+
+@pytest.mark.parametrize("kind", ["lower", "raise", "position", "derivative"])
+def test_ladder_operators_keep_the_y_tag(kind):
+    # each operator acts on x only, so on sum_k y^k x^k it is the sum of
+    # its images of x^k, each still tagged by its own y^k
+    family = sum((Y ** k * X ** k for k in range(9)), Polynomial.zero())
+    assert apply_ladder(kind, family) == sum(
+        (Y ** k * apply_ladder(kind, X ** k) for k in range(9)),
+        Polynomial.zero())
 
 
 def test_position_and_derivative_combinations():

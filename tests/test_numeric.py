@@ -94,6 +94,14 @@ def test_constructor_rejects_an_exponent_not_a_non_negative_int(exps):
         Polynomial(("x",), {exps: 1})
 
 
+@pytest.mark.parametrize("exps", [(True,), (False,), (1, True)])
+def test_constructor_rejects_a_bool_exponent(exps):
+    # a bool is an int to isinstance: (True,) was read as x^1
+    variables = ("x", "y")[:len(exps)]
+    with pytest.raises(TypeError, match="bool"):
+        Polynomial(variables, {exps: 1})
+
+
 @pytest.mark.parametrize("coeff", [True, False, 0.5, 1.0],
                          ids=["true", "false", "half", "float-one"])
 def test_coefficients_must_be_exact_scalars(coeff):
@@ -158,6 +166,59 @@ def test_arithmetic_results_equal_their_validated_form(p, q, k):
         assert_validated(result)
     for var in ("x", "y", "z"):
         assert_validated(p.differentiate(var))
+
+
+# -- powers --------------------------------------------------------------------
+
+@pytest.mark.parametrize("n", [True, False, 2.0, F(2)])
+def test_power_rejects_an_exponent_not_an_int(n):
+    with pytest.raises(TypeError, match="int exponent"):
+        X ** n
+
+
+def test_power_rejects_a_negative_exponent():
+    with pytest.raises(ValueError, match="negative"):
+        X ** -1
+    with pytest.raises(ValueError, match="negative"):
+        Polynomial.zero() ** -3
+
+
+def repeated_product(p, n):
+    out = Polynomial.constant(1)
+    for _ in range(n):
+        out = out * p
+    return out
+
+
+@given(p=polynomials_in(max_deg=2), n=st.integers(min_value=0, max_value=12))
+@settings(max_examples=60)
+def test_power_matches_repeated_products(p, n):
+    assert p ** n == repeated_product(p, n)
+    assert_validated(p ** n)
+
+
+@pytest.mark.parametrize("p", [Polynomial.zero(), Polynomial.constant(1),
+                               Polynomial.constant(F(-2, 3)), (X + 2) - X],
+                         ids=["zero", "one", "-2/3", "cancelled-to-2"])
+def test_power_of_zero_and_constants(p):
+    for n in range(13):
+        assert p ** n == repeated_product(p, n)
+    assert p ** 0 == 1
+
+
+def test_power_squares(monkeypatch):
+    # p^12 = (p^4)(p^8): three squarings and one product, not eleven
+    expected = repeated_product(X + 1, 12)
+    products = []
+    real = Polynomial.__mul__
+
+    def counted(a, b):
+        products.append(1)
+        return real(a, b)
+
+    monkeypatch.setattr(Polynomial, "__mul__", counted)
+    assert (X + 1) ** 12 == expected
+    assert len(products) == 4
 
 
 # -- integer numerators over one denominator, against Fraction dicts ----------
@@ -711,6 +772,45 @@ def test_overlap_is_the_moment_sum_of_the_product(p, q):
     expected = sum((c * moment(e[0] if e else 0)
                     for e, c in (p * q).terms.items()), F(0))
     assert weighted_overlap(p, q) == expected == weighted_overlap(q, p)
+
+
+def moment_by_double_factorial(k):
+    """integral x^k exp(-x^2) dx / sqrt(pi): (2j-1)!!/2^j at k = 2j, 0 at odd
+    k."""
+    if k % 2:
+        return F(0)
+    j = k // 2
+    return F(math.prod(range(1, 2 * j, 2)), 2 ** j)
+
+
+def direct_overlap(p, q):
+    """The pairing as the moment sum over the terms of the expanded p*q."""
+    return sum((c * moment_by_double_factorial(e[0] if e else 0)
+                for e, c in (p * q).terms.items()), F(0))
+
+
+x_polys = st.dictionaries(
+    st.integers(min_value=0, max_value=9),
+    st.fractions(min_value=-9, max_value=9, max_denominator=6),
+    max_size=6).map(lambda d: Polynomial(("x",), {(k,): c
+                                                  for k, c in d.items()}))
+
+
+@given(p=x_polys, q=x_polys)
+@settings(max_examples=80)
+def test_overlap_matches_the_direct_moment_sum(p, q):
+    # mixed parities and the zero polynomial: the parity buckets pair only
+    # terms whose moment can be nonzero, and lose none that is
+    assert weighted_overlap(p, q) == direct_overlap(p, q)
+
+
+@pytest.mark.parametrize("p, q", [
+    (Polynomial.zero(), X ** 2 + 1), (X ** 3 - 2 * X, X ** 2 + 1),
+    (X ** 3 + X ** 2, X + 1), (1 + X + X ** 2, 1 - X + X ** 3),
+    (Polynomial.zero(), Polynomial.zero())])
+def test_overlap_on_mixed_parity_and_zero(p, q):
+    assert weighted_overlap(p, q) == direct_overlap(p, q)
+    assert weighted_overlap(q, p) == direct_overlap(p, q)
 
 
 @pytest.mark.parametrize("p, q", [(Y, Y), (X * Y, X * Y), (Z, ONE),

@@ -19,7 +19,7 @@ from liegen import groups as gr
 from liegen import heisenberg as hb
 from liegen import suites
 from liegen.errors import ConfigError
-from liegen.numeric import Matrix, Polynomial, PowerSeries, X, _worst
+from liegen.numeric import Matrix, Polynomial, PowerSeries, X, Y, _worst
 from liegen.suites import (
     CheckRecord,
     SuiteConfig,
@@ -237,6 +237,34 @@ def mutant(func, *edits):
     namespace = dict(func.__globals__)
     exec(source, namespace)
     return namespace[func.__name__]
+
+
+def test_tagged_residuals_match_the_per_degree_ones(monkeypatch):
+    # raise without its factor 2: raise p = xp - p'
+    monkeypatch.setattr(hb, "apply_ladder", mutant(
+        hb.apply_ladder, ('return 2 * X * p - p.differentiate("x")',
+                          'return X * p - p.differentiate("x")')))
+    # H_n built by the broken raise must not outlive the test
+    monkeypatch.setattr(hb, "_rodrigues_cache", [Polynomial.constant(1)])
+    up, down = (lambda p: hb.apply_ladder("raise", p),
+                lambda p: hb.apply_ladder("lower", p))
+    per_degree = {
+        hb.ladder_commutator_residual:
+            lambda p: down(up(p)) - up(down(p)) - 2 * p,
+        hb.anticommutator_operator_residual:
+            lambda p: (hb._half_anticommutator(p)
+                       - hb._position_squared_minus_d_squared(p)),
+    }
+    for tagged, residual in per_degree.items():
+        parts = [residual(X ** k) for k in range(33)]
+        assert all(not part.is_zero for part in parts)
+        # the y^k part of the tagged residual is the residual on x^k
+        assert tagged(32) == sum((Y ** k * part for k, part in enumerate(parts)),
+                                 Polynomial.zero())
+    records = records_by_id(run_suite("hermite", SuiteConfig())[0])
+    for check_id in ("ladder_commutator_identity", "anticommutator_spectrum"):
+        assert records[check_id].status == "fail"
+        assert records[check_id].residual > 0
 
 
 @pytest.mark.parametrize("edits", [
