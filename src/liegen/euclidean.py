@@ -33,7 +33,7 @@ from types import MappingProxyType
 from typing import Mapping
 
 from .errors import BranchAmbiguityError, EnvelopeError
-from .numeric import (X, Y, Z, Polynomial, Scalar, _as_fraction,
+from .numeric import (X, Y, Z, Polynomial, Scalar, _as_fraction, _is_int,
                       _sum_of_products)
 
 #: largest |z| the evaluator accepts
@@ -212,6 +212,8 @@ def bessel_series(n: int, degree: int) -> Polynomial:
     J_{-n} = (-1)^n J_n (DLMF 10.2.2, 10.4.1).  The terms j <= k go over
     the last one's denominator 2^(n+2k) k! (n+k)!, on which term j - 1 is
     term j times -4 j (n+j): one pass in ints."""
+    if not (_is_int(n) and _is_int(degree)):
+        raise TypeError("n and degree must be ints")
     sign = -1 if n < 0 and n % 2 else 1
     n = abs(n)
     k = (degree - n) // 2
@@ -501,9 +503,8 @@ def flow_solve(r0: float, phi0: float, t_end: float,
         raise ValueError("r0 must be positive")
     if phi0 == 0:
         raise ValueError("phi0 must be nonzero")
-    # a bool is an int to isinstance, but True is no step count
-    if isinstance(steps, bool):
-        raise TypeError("steps must be an int, not a bool")
+    if not _is_int(steps):
+        raise TypeError(f"steps must be an int, not a {type(steps).__name__}")
     if steps < MIN_FLOW_STEPS:
         raise ValueError("steps must be positive")
 

@@ -45,6 +45,7 @@ from .numeric import (
     Polynomial,
     PowerSeries,
     X,
+    _is_int,
     series_exp,
     weighted_overlap,
 )
@@ -94,6 +95,8 @@ def hermite_rodrigues(n: int) -> Polynomial:
     """H_n built operationally: the polynomial part of raise^n applied to the
     bare Gaussian, i.e. exp(x^2/2) (x - d/dx)^n exp(-x^2/2), for every
     n >= 0 (each H_k met on the way is cached)."""
+    if not _is_int(n):
+        raise TypeError(f"n must be an int, not a {type(n).__name__}")
     if n < MIN_HERMITE_N:
         raise ValueError("n must be non-negative")
     while len(_rodrigues_cache) <= n:
@@ -105,6 +108,8 @@ def hermite_recurrence_sequence(max_n: int) -> Iterator[Polynomial]:
     """Independent oracle, H_0 .. H_max_n in one pass of the three-term
     recurrence H_{n+1} = 2x H_n - 2n H_{n-1} from H_0 = 1 (and H_{-1} = 0).
     Only the last two polynomials are held."""
+    if not _is_int(max_n):
+        raise TypeError(f"max_n must be an int, not a {type(max_n).__name__}")
     if max_n < MIN_HERMITE_N:
         raise ValueError("n must be non-negative")
     h_prev, h = Polynomial.zero(), Polynomial.constant(1)

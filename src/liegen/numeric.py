@@ -61,11 +61,16 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
+def _is_int(value) -> bool:
+    """Whether ``value`` is an int other than a bool: a bool is an int to
+    isinstance, but True is no exact scalar, exponent, count or order."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _as_fraction(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
-    # a bool is an int to isinstance, but True is no exact scalar
-    if isinstance(value, int) and not isinstance(value, bool):
+    if _is_int(value):
         return Fraction(value)
     raise TypeError(f"expected an exact scalar, got {type(value).__name__}")
 
@@ -310,7 +315,7 @@ class Polynomial:
         exact and every result is in canonical form, so the order in which
         they run does not show in the power.  ``TypeError`` for an exponent
         that is not an int (a bool included), ``ValueError`` below 0."""
-        if isinstance(n, bool) or not isinstance(n, int):
+        if not _is_int(n):
             raise TypeError(
                 f"expected an int exponent, got {type(n).__name__}")
         if n < 0:

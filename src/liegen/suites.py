@@ -7,33 +7,34 @@ records by check id, so a report's bytes depend only on the configuration
 and seed.  A runner that raises keeps its records and gains one
 ``block_raised`` record of status ``error``; the later blocks still run.
 Checks are exact (pass means the residual is identically zero in rational
-arithmetic) or tolerance-gated floats; diagnostic records can never affect
-an exit status.  Every emitter reads rows from :meth:`CheckRecord.to_dict`,
-and :func:`emit_json` writes ``{"suites": [block, ...]}`` for one block or
-for all.
+arithmetic) or floats gated by the fixed :data:`TOLERANCES`; diagnostic
+records can never affect an exit status.  Every emitter reads rows from
+:meth:`CheckRecord.to_dict`, and :func:`emit_json` writes
+``{"suites": [block, ...]}`` for one block or for all.  A block's
+``config``, written to a JSON file, is what :func:`load_config` reads.
 """
 from __future__ import annotations
 
-import configparser
 import csv
 import io
 import json
 import math
 import time
 from collections import Counter
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
+from types import MappingProxyType
 
 from . import contraction as ct
 from . import euclidean as eu
 from . import groups as gr
 from . import heisenberg as hb
 from .errors import ConfigError
-from .numeric import Matrix, Polynomial, PowerSeries, X, Y, Z, _worst
+from .numeric import Matrix, Polynomial, PowerSeries, X, Y, Z, _is_int, _worst
 
-#: tolerances pinned by the acceptance gates; per-check overrides go through
-#: SuiteConfig.tolerance_overrides
-DEFAULT_TOLERANCES = {
+#: the tolerance of each float gate, fixed: a gate a config could loosen
+#: could be made to pass anything
+TOLERANCES = MappingProxyType({
     "bessel/identity": 1e-10,
     "bessel/j0_root": 1e-10,
     "contraction/polar_ladder_rate": 0.3,
@@ -41,17 +42,17 @@ DEFAULT_TOLERANCES = {
     "contraction/legendre_closed_forms": 1e-12,
     "contraction/legendre_ode_rate": 0.5,
     "contraction/mehler_heine_margin": 1.0,
-}
+})
+
+#: the ODE residuals at radii below this are recorded apart, in ode_A6_small_r
+SMALL_R = 0.2
 
 
 @dataclass
 class SuiteConfig:
-    """Knobs for the verification suites; defaults match the acceptance gates."""
+    """The inputs of the checks, each read by the default report."""
 
     seed: int = 1234
-    output_format: str = "text"
-    out_path: str | None = None
-    tolerance_overrides: dict = field(default_factory=dict)
     group_samples: int = 100
     hermite_max_n: int = 64
     genfunc_order: int = 64
@@ -66,31 +67,23 @@ class SuiteConfig:
     flow_steps: int = 10_000
 
     def __post_init__(self):
-        if self.output_format not in ("json", "csv", "text"):
-            raise ConfigError(f"unknown output format {self.output_format!r}")
-        # range() takes the ints and the checks below iterate the tuples and
-        # the dict: a wrong type would raise inside a check, not here
+        # range() takes the ints and the checks below iterate the tuples: a
+        # wrong type would raise inside a check, not here
         for f in fields(self):
             value = getattr(self, f.name)
-            if type(f.default) is int and not _is_number(value, int):
+            if type(f.default) is int and not _is_int(value):
                 raise ConfigError(f"{f.name} must be an int")
             if type(f.default) is tuple and not isinstance(value, (tuple, list)):
                 raise ConfigError(f"{f.name} must be a tuple or a list")
-        if not isinstance(self.tolerance_overrides, dict):
-            raise ConfigError("tolerance_overrides must be a dict")
-        if not (self.out_path is None or isinstance(self.out_path, str)):
-            raise ConfigError("out_path must be a string or None")
-        if not self.bessel_orders or not self.bessel_r_grid:
-            raise ConfigError("bessel_orders and bessel_r_grid must not be empty")
         for name in ("legendre_l", "bessel_orders"):
-            if not all(_is_number(v, int) for v in getattr(self, name)):
+            if not all(map(_is_int, getattr(self, name))):
                 raise ConfigError(f"{name} entries must be ints")
         # the rate gates compare the ratio of each pair of consecutive
         # entries with 1/2: there must be a pair, and each entry must be
         # twice the one before it
         if len(self.contraction_R) < 2 or len(self.legendre_l) < 2:
             raise ConfigError("contraction_R and legendre_l need two entries")
-        if any(not (_is_number(R, (int, float)) and 0 < R < math.inf)
+        if any(not (_is_real(R) and 0 < R < math.inf)
                for R in self.contraction_R):
             raise ConfigError("contraction_R entries must be positive numbers")
         for name in ("contraction_R", "legendre_l"):
@@ -101,42 +94,30 @@ class SuiteConfig:
         if any(abs(n) > eu.IDENTITY_MAX_ORDER for n in self.bessel_orders):
             raise ConfigError(
                 f"bessel_orders outside |n| <= {eu.IDENTITY_MAX_ORDER}")
-        if any(not (_is_number(r, (int, float))
-                    and eu.IDENTITY_MIN_R <= r <= eu.IDENTITY_MAX_R)
+        if any(not (_is_real(r) and eu.IDENTITY_MIN_R <= r <= eu.IDENTITY_MAX_R)
                for r in self.bessel_r_grid):
             raise ConfigError(f"bessel_r_grid entries must be numbers in "
                               f"[{eu.IDENTITY_MIN_R}, {eu.IDENTITY_MAX_R}]")
+        # else the identity records (ode_A6 at least) gate empty families
+        if not self.bessel_orders or all(r < SMALL_R for r in self.bessel_r_grid):
+            raise ConfigError(f"bessel_orders must not be empty, and "
+                              f"bessel_r_grid needs a radius >= {SMALL_R}")
         if any(not ct.MIN_LEGENDRE_ODE_DEGREE <= l <= ct.MAX_LEGENDRE_DEGREE
                for l in self.legendre_l):
             raise ConfigError(f"legendre_l outside [{ct.MIN_LEGENDRE_ODE_DEGREE}, "
                               f"{ct.MAX_LEGENDRE_DEGREE}]")
-        for key, value in self.tolerance_overrides.items():
-            if key not in DEFAULT_TOLERANCES:
-                raise ConfigError(f"unknown tolerance key {key!r}")
-            if not (_is_number(value, (int, float)) and 0 < value < math.inf):
-                raise ConfigError(f"tolerance {key} must be finite and positive")
         for name, low in _LOWER_BOUNDS.items():
             if getattr(self, name) < low:
                 raise ConfigError(f"{name} below {low}")
 
-    def tolerance(self, key: str) -> float:
-        if key in self.tolerance_overrides:
-            return self.tolerance_overrides[key]
-        return DEFAULT_TOLERANCES[key]
-
     def echo(self) -> dict:
-        out = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, tuple):
-                value = list(value)
-            out[f.name] = value
-        return out
+        return {name: list(value) if isinstance(value, tuple) else value
+                for name, value in asdict(self).items()}
 
 
-def _is_number(value, kind) -> bool:
-    """Whether ``value`` is an instance of ``kind`` other than a bool."""
-    return isinstance(value, kind) and not isinstance(value, bool)
+def _is_real(value) -> bool:
+    """Whether ``value`` is an int or a float, and not a bool."""
+    return isinstance(value, float) or _is_int(value)
 
 
 #: the smallest value of each integer field, as the code it feeds requires
@@ -152,62 +133,30 @@ _LOWER_BOUNDS = {
 }
 
 
-#: default of every field a config file may set, which fixes how it parses
-_FILE_FIELDS = {f.name: f.default for f in fields(SuiteConfig)
-                if f.default is not MISSING}
+def _unique_keys(pairs: list) -> dict:
+    keys = [key for key, _ in pairs]
+    for key in keys:
+        if keys.count(key) > 1:
+            raise ConfigError(f"config key {key!r} is given twice")
+    return dict(pairs)
 
 
-def _parse_field(key: str, raw: str, default):
-    """``raw`` as the type of ``default``: a number, a comma-separated tuple
-    of numbers, or the string itself.  An entry of a tuple of ints that is
-    not an int reads as a float, which :class:`SuiteConfig` accepts in
-    ``contraction_R`` and rejects in the order and degree fields."""
+def load_config(path: str) -> SuiteConfig:
+    """The config in a JSON object shaped like a report block's ``config``,
+    so a report's own config reproduces its run; a key left out keeps its
+    default.  :class:`ConfigError` for an unreadable file, a document that
+    is not an object, a key given twice or a key that is not a field."""
     try:
-        if isinstance(default, tuple):
-            ints = type(default[0]) is int
-            return tuple(int(part) if ints and part.lstrip("+-").isdigit()
-                         else float(part)
-                         for part in map(str.strip, raw.split(",")) if part)
-        if isinstance(default, (int, float)):
-            return type(default)(raw)
-    except ValueError as exc:
-        raise ConfigError(f"bad value {raw!r} for {key}") from exc
-    return raw
-
-
-def load_config(path: str) -> dict:
-    """Read the sectioned key=value config format into override kwargs.
-
-    Sections group keys per suite for readability; keys map directly onto
-    :class:`SuiteConfig` fields.  ``tolerance.<check-key>`` entries feed the
-    per-check overrides.  Each key is set once in the whole file: a second
-    setting would silently replace the first, so it raises.
-    """
-    # "[DEFAULT]" is an ordinary section here: its keys feed no other one
-    parser = configparser.ConfigParser(default_section="", interpolation=None)
-    parser.optionxform = str  # keep the case of field names (contraction_R)
-    try:
-        if not parser.read(path):
-            raise ConfigError(f"config file {path!r} not found")
-    except configparser.Error as exc:  # a key or section twice, a bad line
+        with open(path) as fh:
+            document = json.load(fh, object_pairs_hook=_unique_keys)
+    except (OSError, ValueError) as exc:  # ConfigError is a ValueError
         raise ConfigError(f"config file {path!r}: {exc}") from exc
-    overrides: dict = {}
-    tolerances: dict = {}
-    sections: dict = {}
-    for section in parser.sections():
-        for key, raw in parser.items(section):
-            if sections.setdefault(key, section) != section:
-                raise ConfigError(f"config key {key!r} is set in "
-                                  f"[{sections[key]}] and in [{section}]")
-            if key.startswith("tolerance."):
-                tolerances[key[len("tolerance."):]] = _parse_field(key, raw, 0.0)
-            elif key in _FILE_FIELDS:
-                overrides[key] = _parse_field(key, raw, _FILE_FIELDS[key])
-            else:
-                raise ConfigError(f"unknown config key {key!r} in [{section}]")
-    if tolerances:
-        overrides["tolerance_overrides"] = tolerances
-    return overrides
+    if not isinstance(document, dict):
+        raise ConfigError(f"config file {path!r} is not a JSON object")
+    unknown = sorted(set(document) - {f.name for f in fields(SuiteConfig)})
+    if unknown:
+        raise ConfigError(f"unknown config keys {unknown} in {path!r}")
+    return SuiteConfig(**document)
 
 
 # ---------------------------------------------------------------------------
@@ -292,8 +241,7 @@ def _magnitude(scalar) -> float:
 
 
 class _Recorder:
-    def __init__(self, config: SuiteConfig):
-        self.config = config
+    def __init__(self):
         self.records: list[CheckRecord] = []
 
     def exact(self, check_id: str, residuals, params: dict | None = None):
@@ -313,9 +261,10 @@ class _Recorder:
 
     def gated(self, check_id: str, residuals, tol_key: str,
               params: dict | None = None):
-        """One record for the largest of a family of float residuals."""
+        """One record for the largest of a family of float residuals, gated
+        by ``TOLERANCES[tol_key]``."""
         residual = float(_worst(*residuals))
-        tol = self.config.tolerance(tol_key)
+        tol = TOLERANCES[tol_key]
         self.records.append(CheckRecord(
             check_id=check_id, params=params or {}, residual=residual,
             exact=False, tolerance=tol,
@@ -459,17 +408,17 @@ def run_hermite(config: SuiteConfig, rec: _Recorder) -> None:
 
 def run_bessel(config: SuiteConfig, rec: _Recorder) -> None:
     def identity_residuals(which, small_r):
-        # the ODE divides by r and r^2: reported apart below r = 0.2, same gate
+        # the ODE divides by r and r^2: reported apart below SMALL_R, same gate
         for n in config.bessel_orders:
             for r in config.bessel_r_grid:
-                if (which == "ode_A6" and r < 0.2) == small_r:
+                if (which == "ode_A6" and r < SMALL_R) == small_r:
                     yield eu.verify_bessel_identity(which, n, r)
     params = {"orders": list(config.bessel_orders),
               "r_grid": list(config.bessel_r_grid)}
     for which in eu.BESSEL_IDENTITIES:
         rec.gated(which, identity_residuals(which, False), "bessel/identity",
                   params)
-    small_r = [r for r in config.bessel_r_grid if r < 0.2]
+    small_r = [r for r in config.bessel_r_grid if r < SMALL_R]
     if small_r:
         rec.gated("ode_A6_small_r", identity_residuals("ode_A6", True),
                   "bessel/identity",
@@ -635,7 +584,7 @@ def run_suite(name: str, config: SuiteConfig) -> list[SuiteReport]:
         raise ConfigError(f"unknown suite {name!r}")
     reports = []
     for suite, run in blocks.items():
-        rec = _Recorder(config)
+        rec = _Recorder()
         started = time.perf_counter()
         try:
             run(config, rec)

@@ -84,9 +84,9 @@ def fake_run(values, failed=()):
 
 def write_spec(root):
     root.mkdir()
-    spec = {"end_to_end": [{"name": n, "better": "lower"} for n in
-                           ("run_s", "op_p50_ms", "op_p90_ms", "peak_rss_mb",
-                            "setup_s")]}
+    spec = {"end_to_end": [{"name": n, "better": "lower", "bound": 0.2}
+                           for n in ("run_s", "op_p50_ms", "op_p90_ms",
+                                     "peak_rss_mb", "setup_s")]}
     (root / "BENCHMARK.json").write_text(json.dumps(spec))
     return str(root)
 
@@ -148,3 +148,42 @@ def test_entry_names_the_source_tree_of_each_side(tmp_path):
     assert bench_pairs.source_digest(change) == expected
     (pathlib.Path(change, "src", "liegen", "a.py")).write_bytes(b"\n")
     assert bench_pairs.source_digest(change) != expected
+
+
+def test_within_bound_takes_the_bound_as_a_share_of_the_parent_median():
+    lower = bench_pairs.summarize(pairs_of([2.0, 2.0, 2.0], [2.4, 2.4, 2.5]),
+                                  "lower")
+    assert bench_pairs.within_bound(lower, 0.2)          # 20% worse: at the bound
+    assert not bench_pairs.within_bound(lower, 0.19)
+    higher = bench_pairs.summarize(pairs_of([10.0], [9.0]), "higher")
+    assert bench_pairs.within_bound(higher, 0.1)         # 10% lower is worse
+    assert not bench_pairs.within_bound(higher, 0.05)
+    better = bench_pairs.summarize(pairs_of([10.0], [11.0]), "higher")
+    assert bench_pairs.within_bound(better, 0.0)
+
+
+def test_main_writes_and_prints_within_bound(tmp_path, capsys):
+    # run_s is 15% worse on the median, inside the bound 0.2; op_p50_ms
+    # reads 1.0 on both sides; peak_rss_mb is 30% worse, outside it
+    parent, change = write_spec(tmp_path / "p"), write_spec(tmp_path / "c")
+    run, _ = fake_run({parent: {1: 2.0, 2: 2.0, 3: 2.0},
+                       change: {1: 2.3, 2: 2.3, 3: 2.2}})
+
+    def worse_rss(root, workload, seed, seconds):
+        result = run(root, workload, seed, seconds)
+        if root == change:
+            result["metrics"]["peak_rss_mb"]["value"] = 1.3
+        return result
+
+    out = tmp_path / "b.json"
+    argv = ["--parent", parent, "--change", change, "--workload", "report",
+            "--seeds", "1-3", "--seconds", "1", "--out", str(out)]
+    assert bench_pairs.main(argv, run=worse_rss) == 0
+    metrics = json.loads(out.read_text())["workloads"]["report"]["metrics"]
+    assert {name: m["within_bound"] for name, m in metrics.items()} == {
+        "run_s": True, "op_p50_ms": True, "op_p90_ms": True,
+        "peak_rss_mb": False, "setup_s": True}
+    assert metrics["run_s"]["bound"] == 0.2
+    printed = capsys.readouterr().out
+    assert "report run_s:" in printed and "within_bound True" in printed
+    assert "report peak_rss_mb:" in printed and "within_bound False" in printed

@@ -392,6 +392,16 @@ def test_bessel_series_degree_cuts_the_sum():
     assert bessel_series(-3, 5) == (X ** 3 / -48 + X ** 5 / 768)
 
 
+@pytest.mark.parametrize("n, degree", [(True, 3), (1, True), (False, 4),
+                                       (1.0, 3), (1, 3.0)],
+                         ids=["true-order", "true-degree", "false-order",
+                              "float-order", "float-degree"])
+def test_bessel_series_rejects_a_non_int_argument(n, degree):
+    # a bool is an int to isinstance: bessel_series(True, 3) was J_1's series
+    with pytest.raises(TypeError, match="must be ints"):
+        bessel_series(n, degree)
+
+
 # -- identity grid ----------------------------------------------------------------
 
 @pytest.mark.parametrize("which", BESSEL_IDENTITIES)

@@ -122,6 +122,18 @@ def test_recurrence_sequence_is_one_pass_of_the_recurrence():
         hermite_recurrence(-1)
 
 
+@pytest.mark.parametrize("n", [True, False, 2.0], ids=["true", "false",
+                                                       "float"])
+def test_hermite_builders_reject_a_non_int_order(n):
+    # a bool is an int to isinstance: hermite_rodrigues(True) returned H_1
+    with pytest.raises(TypeError, match="must be an int"):
+        hermite_rodrigues(n)
+    with pytest.raises(TypeError, match="must be an int"):
+        next(hermite_recurrence_sequence(n))
+    with pytest.raises(TypeError, match="must be an int"):
+        hermite_recurrence(n)
+
+
 @pytest.mark.parametrize("n", range(0, 65, 4))
 def test_hermite_parity(n):
     h = hermite_rodrigues(n)

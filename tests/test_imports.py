@@ -19,7 +19,10 @@ SRC = ROOT / "src" / "liegen"
 PERFBENCH = ROOT / "perfbench"
 
 #: public names kept for the planned ``liegen run`` command line (ROADMAP,
-#: open item 1), which is to be their first caller
+#: open item 1), which is to be their first caller: ``load_config`` reads a
+#: JSON file in the shape of a report block's ``config`` (what
+#: ``SuiteConfig.echo`` writes), and ``EMITTERS`` picks the emitter that
+#: the command's own ``--format`` names
 ORPHAN_ALLOWLIST = {"load_config", "EMITTERS"}
 
 

@@ -42,17 +42,17 @@ def default_reports():
 
 def test_default_report_fingerprint(default_reports):
     reports = default_reports
-    assert sha(emit_json(reports)) == "36a7115a7662b35b"
+    assert sha(emit_json(reports)) == "6344e7d9b4ddec13"
     assert sha(emit_csv(reports)) == "8639c1a5cf3889a4"
     assert sha(emit_text(reports)) == "61c22c1fe4505623"
     # each block object alone, so a change to one shows which block moved
     assert {r.suite: sha(json.dumps(r.to_dict(), sort_keys=True, indent=2)
                          + "\n") for r in reports} == {
-        "groups": "0abc5f4faf8564c5",
-        "hermite": "7821781d8cf0802c",
-        "bessel": "8f6c2cd6092b4059",
-        "contraction": "acf3f6481516be67",
-        "diagnostics": "4558dad689220a09",
+        "groups": "f376b476fc7a76c9",
+        "hermite": "9dd949243c023ef5",
+        "bessel": "7f84dc6b262908e1",
+        "contraction": "2fd68481d8eb3344",
+        "diagnostics": "447d8f049841b4ec",
     }
     assert [r.suite for r in reports] == BLOCKS
     statuses = Counter(rec.status for r in reports for rec in r.records)

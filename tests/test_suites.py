@@ -1,12 +1,15 @@
 """Suite runner: the hermite block, NaN-propagating aggregates, gates that
 must fail when the checked values are wrong or vanish, config validation,
-config-file parsing and the emitters."""
+the fixed tolerances, the JSON config reader and the emitters."""
 
 import dataclasses
+import importlib.util
 import inspect
 import json
 import math
 import os
+import pathlib
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -92,7 +95,7 @@ def test_ladder_without_its_sign_flip_fails_the_series_record(monkeypatch):
 
 
 def test_exact_record_reads_a_matrix_residual():
-    rec = suites._Recorder(SuiteConfig())
+    rec = suites._Recorder()
     third = Matrix([[0, 0, 0], [0, Fraction(-1, 3), 0], [0, 0, 0]])
     rec.exact("third", [third])
     rec.exact("zero", [third - third])
@@ -106,7 +109,7 @@ def test_exact_record_reads_a_matrix_residual():
     PowerSeries.from_terms({1: X / 3}, 2),
 ], ids=["polynomial"])
 def test_exact_record_reads_a_series_residual(series):
-    rec = suites._Recorder(SuiteConfig())
+    rec = suites._Recorder()
     rec.exact("third", [series])
     rec.exact("zero", [series - series])
     third_record, zero_record = rec.records
@@ -125,7 +128,7 @@ _HUGE = Polynomial.constant(10 ** 400) * X
 ], ids=["polynomial", "series", "vector-field"])
 def test_exact_record_of_a_coefficient_past_the_float_range_is_inf(residual):
     # a scalar of this size records inf; a coefficient of one must not raise
-    rec = suites._Recorder(SuiteConfig())
+    rec = suites._Recorder()
     rec.exact("huge", [residual])
     (record,) = rec.records
     assert record.status == "fail"
@@ -143,7 +146,7 @@ def test_exact_record_of_a_coefficient_past_the_float_range_is_inf(residual):
         "complex-zero", "matrix-complex-zero"])
 def test_float_residual_fails_exact_record(residual, magnitude):
     # a float zero says nothing exact, so it fails at the recorder's floor
-    rec = suites._Recorder(SuiteConfig())
+    rec = suites._Recorder()
     rec.exact("inexact", [Fraction(0), residual])
     (record,) = rec.records
     assert record.status == "fail"
@@ -154,7 +157,7 @@ def test_float_residual_fails_exact_record(residual, magnitude):
                                       Matrix([[0, object()], [0, 0]])],
                          ids=["object", "string", "none", "matrix-entry"])
 def test_residual_of_an_unknown_type_records_inf(residual):
-    rec = suites._Recorder(SuiteConfig())
+    rec = suites._Recorder()
     rec.exact("unknown", [Fraction(0), residual])
     (record,) = rec.records
     assert record.status == "fail"
@@ -162,7 +165,7 @@ def test_residual_of_an_unknown_type_records_inf(residual):
 
 
 def test_exact_record_reads_a_span_residual():
-    rec = suites._Recorder(SuiteConfig())
+    rec = suites._Recorder()
     f = eu.CylFunc({0: (Fraction(3, 2), Fraction(-1, 3)), 2: (0, 1)})
     rec.exact("span", [f - eu.CylFunc.basis(0, 1)])
     rec.exact("zero", [f - f])
@@ -428,7 +431,7 @@ def test_hermite_checks_above_64_pass():
 
 
 def test_empty_gate_fails():
-    rec = suites._Recorder(SuiteConfig())
+    rec = suites._Recorder()
     rec.gated("nothing", (), "bessel/identity")
     assert rec.records[0].status == "fail"
 
@@ -495,15 +498,6 @@ def test_widened_pass_an_ulp_off_fails_the_selfconsistency_record(monkeypatch):
     assert 0 < record.residual and old_gate <= 1e-13
 
 
-def test_identity_override_sets_both_ode_tolerances():
-    # below r = 0.2 the ODE is reported apart, under the same key
-    config = SuiteConfig(tolerance_overrides={"bessel/identity": 1e-8},
-                         bessel_orders=(0, 1), bessel_r_grid=(0.1, 1.0))
-    records = records_by_id(run_suite("bessel", config)[0])
-    assert records["ode_A6"].tolerance == 1e-8
-    assert records["ode_A6_small_r"].tolerance == 1e-8
-
-
 @pytest.mark.parametrize("bad", [
     dict(contraction_R=(8,)),
     dict(legendre_l=(64,)),
@@ -511,12 +505,10 @@ def test_identity_override_sets_both_ode_tolerances():
     dict(bessel_orders=(eu.IDENTITY_MAX_ORDER + 1,)),
     dict(bessel_r_grid=(0.05, 1.0)),
     dict(bessel_r_grid=(1.0, 25.0)),
-    dict(tolerance_overrides={"bessel/identity": math.nan}),
     dict(contraction_R=(0, 8)),
     dict(contraction_R=(-8, 16)),
     # inf doubles to itself, and Fraction(inf) raised inside the suite
     dict(contraction_R=(math.inf, math.inf)),
-    dict(tolerance_overrides={"bessel/identiy": 1e-3}),
     # the rate gates compare each ratio of consecutive entries with 1/2
     dict(contraction_R=(8, 8)),
     dict(contraction_R=(8, 24)),
@@ -532,42 +524,44 @@ def test_identity_override_sets_both_ode_tolerances():
     # the range checks compare these with numbers: a string raised TypeError
     dict(bessel_r_grid=("1.0",)),
     dict(contraction_R=("8", "16")),
-    dict(tolerance_overrides={"bessel/identity": "1e-9"}),
-    # a gate that can never fail, echoed as Infinity or NaN
-    dict(tolerance_overrides={"bessel/identity": math.inf}),
-    dict(tolerance_overrides={"bessel/identity": math.nan}),
     # the emitters write ints and floats: a Fraction ran, then broke emit_json
     dict(bessel_r_grid=(Fraction(1, 2),)),
     dict(contraction_R=(Fraction(1, 2), 1)),
-    dict(tolerance_overrides={"bessel/identity": Fraction(1, 10 ** 9)}),
     # a bool is an int to isinstance, but not a count, order or radius
     dict(seed=True),
     dict(bessel_orders=(False, 1)),
     dict(bessel_r_grid=(True,)),
     # a container field of the wrong type raised AttributeError or TypeError
-    dict(tolerance_overrides=[("bessel/identity", 1e-9)]),
-    dict(tolerance_overrides=None),
     dict(bessel_orders=5),
     dict(bessel_r_grid=1.0),
     dict(contraction_R=8),
     dict(legendre_l=64),
-    # E(2) is exact: its axioms and the quarter turn have no tolerance
-    dict(tolerance_overrides={"groups/e2_axioms": 1e-12}),
-    dict(tolerance_overrides={"groups/e2_apply_rotation": 1e-12}),
-    # the generators and the E(2) ladder are exact: no step, no tolerance
-    dict(tolerance_overrides={"groups/generator_fd": 1e-8}),
-    dict(tolerance_overrides={"bessel/ladder_crosscheck": 1e-6}),
-    # an out_path that is not a path was echoed into every block
-    dict(out_path=5),
-    dict(out_path=["a"]),
-    # A.11 and the limiting Bessel equation are exact: no tolerance
-    dict(tolerance_overrides={"bessel/genfunc_A11": 1e-8}),
-    dict(tolerance_overrides={"contraction/bessel_operator": 1e-9}),
-    # the rate and the widened pass are exact, and the small-r ODE shares
-    # the identity gate
-    dict(tolerance_overrides={"contraction/rate_band": 0.1}),
-    dict(tolerance_overrides={"bessel/selfconsistency": 1e-13}),
-    dict(tolerance_overrides={"bessel/identity_ode_small_r": 1e-9}),
+    dict(bessel_r_grid={"r": 1.0}),
+    # no radius at or above SMALL_R: ode_A6 gated an empty family and
+    # reported fail with residual inf
+    dict(bessel_r_grid=(0.1,)),
+    dict(bessel_r_grid=(0.1, 0.15)),
+    dict(bessel_r_grid=(0.1, math.nextafter(suites.SMALL_R, 0))),
+    # an empty family gates nothing, and a rate needs a pair
+    dict(bessel_orders=()),
+    dict(bessel_r_grid=()),
+    dict(contraction_R=()),
+    dict(legendre_l=()),
+    # NaN fails every comparison with a bound, so each must reject it
+    dict(bessel_r_grid=(math.nan,)),
+    dict(bessel_r_grid=(1.0, math.nan)),
+    dict(contraction_R=(math.nan, math.nan)),
+    # None, as a config file's null reads
+    dict(seed=None),
+    dict(spectrum_max=None),
+    dict(bessel_orders=(None,)),
+    dict(bessel_r_grid=(None, 1.0)),
+    # more numbers of the wrong type
+    dict(flow_steps=True),
+    dict(seed=1.5),
+    dict(genfunc_order="8"),
+    dict(bessel_orders=("1",)),
+    dict(contraction_R=(8, "16")),
 ])
 def test_bad_config_raises_at_construction(bad):
     with pytest.raises(ConfigError):
@@ -575,23 +569,54 @@ def test_bad_config_raises_at_construction(bad):
 
 
 def test_the_default_report_reads_every_tolerance_key(monkeypatch):
-    # a key no gate reads is a knob that changes nothing: it must go
-    read, real = set(), SuiteConfig.tolerance
+    # a key no gate reads is an entry that gates nothing: it must go
+    read, real = set(), suites._Recorder.gated
 
-    def spy(self, key):
-        read.add(key)
-        return real(self, key)
+    def spy(self, check_id, residuals, tol_key, params=None):
+        read.add(tol_key)
+        return real(self, check_id, residuals, tol_key, params)
 
-    monkeypatch.setattr(SuiteConfig, "tolerance", spy)
+    monkeypatch.setattr(suites._Recorder, "gated", spy)
     run_suite("all", SuiteConfig())
-    assert read == set(suites.DEFAULT_TOLERANCES)
+    assert read == set(suites.TOLERANCES)
     assert len(read) == 7
+
+
+def test_no_config_can_change_a_tolerance():
+    # {"bessel/identity": 1e300} as an override once turned every identity
+    # record into pass; no field or table entry can set it now
+    assert not [f.name for f in dataclasses.fields(SuiteConfig)
+                if "tol" in f.name]
+    with pytest.raises(TypeError):
+        SuiteConfig(tolerance_overrides={"bessel/identity": 1e300})
+    with pytest.raises(TypeError):
+        suites.TOLERANCES["bessel/identity"] = 1e300
+
+
+def test_load_config_tolerance_keys(tmp_path):
+    # a tolerance key in a config file is refused, not read as a gate
+    for key, value in [("tolerance_overrides", {"bessel/identity": 1e300}),
+                       ("tolerance.bessel/identity", 1e300)]:
+        with pytest.raises(ConfigError, match=re.escape(key)):
+            load_config(write_json(tmp_path, {key: value}))
+
+
+def test_identity_override_sets_both_ode_tolerances():
+    # the identity gate cannot be overridden, and below SMALL_R the ODE is
+    # reported apart under that same fixed gate
+    with pytest.raises(TypeError):
+        SuiteConfig(tolerance_overrides={"bessel/identity": 1e-8})
+    config = SuiteConfig(bessel_orders=(0, 1), bessel_r_grid=(0.1, 1.0))
+    records = records_by_id(run_suite("bessel", config)[0])
+    for check_id in ("ode_A6", "ode_A6_small_r"):
+        assert records[check_id].tolerance == 1e-10
+        assert records[check_id].tolerance == suites.TOLERANCES["bessel/identity"]
+        assert records[check_id].status == "pass"
 
 
 def test_the_default_report_reads_every_config_field(monkeypatch):
     # a field no runner reads is a knob that changes nothing: it must go.
-    # echo() reads every field, so it is left out; output_format and
-    # out_path are kept for the command line
+    # echo() reads every field, so it is left out
     config, read = SuiteConfig(), set()
     echo, real = config.echo(), SuiteConfig.__getattribute__
 
@@ -603,7 +628,8 @@ def test_the_default_report_reads_every_config_field(monkeypatch):
     monkeypatch.setattr(SuiteConfig, "__getattribute__", spy)
     run_suite("all", config)
     names = {f.name for f in dataclasses.fields(SuiteConfig)}
-    assert names - read == {"output_format", "out_path"}
+    assert names - read == set()
+    assert len(names) == 13
 
 
 def test_doubling_schedules_build():
@@ -661,44 +687,45 @@ def test_ode_small_r_params_name_the_grid_radii(monkeypatch, grid, small_r):
     assert record.params == {"r": small_r}
 
 
-def write_ini(tmp_path, text):
-    path = tmp_path / "liegen.ini"
-    path.write_text(text)
+def write_json(tmp_path, document):
+    """A config file holding ``document``: text as it is, else as JSON."""
+    path = tmp_path / "liegen.json"
+    path.write_text(document if isinstance(document, str)
+                    else json.dumps(document))
     return str(path)
 
 
+def benchmark_tiny_config():
+    """The benchmark's tiny report config, from its own worker."""
+    path = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "worker.py"
+    spec = importlib.util.spec_from_file_location("bench_worker", path)
+    worker = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(worker)
+    return worker.report_inputs(7, "tiny")
+
+
 def test_load_config_round_trip(tmp_path):
-    config = SuiteConfig(seed=7, output_format="json", hermite_max_n=10,
-                         bessel_orders=(0, 2), bessel_r_grid=(0.5, 2.0),
-                         contraction_R=(8, 16), legendre_l=(64, 128))
-    lines = ["[suites]"]
-    for key, value in config.echo().items():
-        if isinstance(value, list):
-            lines.append(f"{key} = {', '.join(map(str, value))}")
-        elif value is not None and key != "tolerance_overrides":
-            lines.append(f"{key} = {value}")
-    loaded = SuiteConfig(**load_config(write_ini(tmp_path, "\n".join(lines))))
-    assert loaded == config
+    # a report block's config, written to a file, reads back as the same
+    # config and reproduces the report byte for byte
+    for config in (SuiteConfig(), benchmark_tiny_config()):
+        text = emit_json(run_suite("all", config))
+        echoed = json.loads(text)["suites"][0]["config"]
+        loaded = load_config(write_json(tmp_path, echoed))
+        assert loaded.echo() == echoed == config.echo()
+        assert emit_json(run_suite("all", loaded)) == text
 
 
 def test_load_config_reads_tuple_entries_as_numbers(tmp_path):
-    # an int tuple takes a float entry, as SuiteConfig does in contraction_R;
-    # the radii stay floats when written as ints
-    text = ("[contraction]\ncontraction_R = 0.5, 1, 2\n"
-            "[bessel]\nbessel_r_grid = 1, 2.5\nbessel_orders = 0, -3\n")
-    overrides = load_config(write_ini(tmp_path, text))
-    assert overrides == {"contraction_R": (0.5, 1, 2),
-                         "bessel_r_grid": (1.0, 2.5), "bessel_orders": (0, -3)}
-    assert [type(v) for v in overrides["contraction_R"]] == [float, int, int]
-    assert [type(v) for v in overrides["bessel_r_grid"]] == [float, float]
-    assert SuiteConfig(**overrides).contraction_R == (0.5, 1, 2)
-
-
-def test_load_config_tolerance_keys(tmp_path):
-    path = write_ini(tmp_path, "[bessel]\ntolerance.bessel/identity = 1e-9\n")
-    overrides = load_config(path)
-    assert overrides == {"tolerance_overrides": {"bessel/identity": 1e-9}}
-    assert SuiteConfig(**overrides).tolerance("bessel/identity") == 1e-9
+    # a JSON number keeps its type: an int tuple takes a float entry where
+    # SuiteConfig does (contraction_R), and a radius may be an int; keys
+    # left out keep their defaults
+    entries = {"contraction_R": [0.5, 1, 2], "bessel_r_grid": [1, 2.5],
+               "bessel_orders": [0, -3]}
+    config = load_config(write_json(tmp_path, entries))
+    assert config.echo() == SuiteConfig(**entries).echo()
+    assert config.echo() == {**SuiteConfig().echo(), **entries}
+    assert [type(v) for v in config.contraction_R] == [float, int, int]
+    assert [type(v) for v in config.bessel_r_grid] == [int, float]
 
 
 @pytest.mark.parametrize("text", [
@@ -708,45 +735,61 @@ def test_load_config_tolerance_keys(tmp_path):
     "[bessel]\nbessel_orders = 0, one\n",
     "[bessel]\ntolerance.bessel/identity = -1e-9\n",
     "[bessel]\ntolerance.bessel/identiy = 1e-3\n",
-    # an order or a degree that is not an int
     "[bessel]\nbessel_orders = 1.0, 2\n",
     "[contraction]\nlegendre_l = 64, 128.5\n",
-    # no field and no gate: A.11 and the limiting Bessel equation are exact
     "[bessel]\ngenfunc_terms = 30\n",
     "[bessel]\ntolerance.bessel/genfunc_A11 = 1e-8\n",
     "[contraction]\ntolerance.contraction/bessel_operator = 1e-9\n",
-    # no gate: the rate and the widened pass are exact, and the small-r ODE
-    # shares the identity gate
     "[contraction]\ntolerance.contraction/rate_band = 0.1\n",
     "[bessel]\ntolerance.bessel/selfconsistency = 1e-13\n",
     "[bessel]\ntolerance.bessel/identity_ode_small_r = 1e-9\n",
-    # configparser's own errors: a key twice in one section, no section
     "[x]\nseed = 1\nseed = 2\n",
     "seed = 1\n",
 ])
 def test_load_config_rejects_bad_entries(tmp_path, text):
+    # files of the sectioned key = value format read before: none is JSON,
+    # so each is refused whole, and none of its entries applies
     with pytest.raises(ConfigError):
-        SuiteConfig(**load_config(write_ini(tmp_path, text)))
+        load_config(write_json(tmp_path, text))
+
+
+@pytest.mark.parametrize("text", [
+    "[]",
+    '[{"seed": 1}]',
+    "1234",
+    '{"no_such_field": 1}',
+    '{"tolerance_overrides": {"bessel/identity": 1e-9}}',
+    '{"output_format": "json"}',
+    '{"out_path": "report.json"}',
+    '{"bessel_orders": [1.0, 2]}',
+    '{"bessel_r_grid": [NaN, 1.0]}',
+    # emit_json writes a NaN as null
+    '{"bessel_r_grid": [null, 1.0]}',
+    '{"seed": 1',
+    "",
+], ids=["list", "list-of-object", "number", "unknown-key",
+        "tolerance-overrides", "output-format", "out-path", "float-order",
+        "nan-radius", "null-radius", "truncated", "empty"])
+def test_load_config_rejects_bad_documents(tmp_path, text):
+    with pytest.raises(ConfigError):
+        load_config(write_json(tmp_path, text))
+
+
+def test_load_config_rejects_a_missing_file(tmp_path):
+    with pytest.raises(ConfigError, match="absent.json"):
+        load_config(str(tmp_path / "absent.json"))
 
 
 @pytest.mark.parametrize("key, first, second", [
-    # the later section loosened the gate from 1e-9 to 1e-3
-    ("tolerance.bessel/identity", "1e-9", "1e-3"),
+    # the later entry would silently replace the first
     ("hermite_max_n", "8", "10"),
     ("seed", "1", "1"),
-])
-def test_load_config_rejects_a_key_set_in_two_sections(tmp_path, key, first,
-                                                        second):
-    text = f"[a]\n{key} = {first}\n[b]\n{key} = {second}\n"
-    with pytest.raises(ConfigError, match=key):
-        load_config(write_ini(tmp_path, text))
-
-
-def test_load_config_reads_default_as_one_more_section(tmp_path):
-    text = ("[DEFAULT]\nseed = 7\n[a]\nhermite_max_n = 8\n"
-            "[b]\ndiscrete_dim = 6\n")
-    assert load_config(write_ini(tmp_path, text)) == {
-        "seed": 7, "hermite_max_n": 8, "discrete_dim": 6}
+    ("bessel_r_grid", "[0.5, 1.0]", "[1.0]"),
+], ids=["hermite_max_n-8-10", "seed-1-1", "bessel_r_grid"])
+def test_load_config_rejects_a_key_given_twice(tmp_path, key, first, second):
+    text = f'{{"{key}": {first}, "seed": 3, "{key}": {second}}}'
+    with pytest.raises(ConfigError, match=f"{key}.*given twice"):
+        load_config(write_json(tmp_path, text))
 
 
 def test_run_suite_rejects_unknown_name():

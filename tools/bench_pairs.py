@@ -13,7 +13,10 @@ count for neither side), with the direction ("better": lower or higher)
 taken from the change's ``BENCHMARK.json``.  ``gain_rule_met`` applies the
 rule for claiming a gain: the change wins at least nine tenths of the pairs,
 and its median is better than the parent's by more than the distance
-between the parent's quartiles.  ``source_sha256`` names the trees that
+between the parent's quartiles.  ``within_bound`` applies the rule for a
+change that claims no gain: its median is worse than the parent's by at
+most the metric's ``bound`` in ``BENCHMARK.json``, a fraction of the parent
+median, in the metric's direction.  ``source_sha256`` names the trees that
 were measured: per side, a sha256 over the sorted relative paths and the
 bytes of that checkout's ``src/liegen/*.py``.
 
@@ -88,6 +91,14 @@ def summarize(pairs: list[dict], better: str) -> dict:
     }
 
 
+def within_bound(summary: dict, bound: float) -> bool:
+    """Whether the change's median in ``summary`` is worse than the
+    parent's by at most ``bound`` times the parent median."""
+    sign = 1 if summary["better"] == "lower" else -1
+    worse_by = sign * (summary["change"]["median"] - summary["parent"]["median"])
+    return worse_by <= bound * abs(summary["parent"]["median"])
+
+
 def run_side(root: str, workload: str, seed: int, seconds: int) -> dict:
     """One ``perfbench/run.py --trace 0`` run of the checkout at ``root``:
     its result line (``correct``, ``attempted``, ``failed``, ``metrics``)."""
@@ -117,10 +128,11 @@ def source_digest(root: str) -> str:
     return digest.hexdigest()
 
 
-def directions(root: str) -> dict:
+def end_to_end(root: str) -> dict:
+    """The end-to-end metrics of ``BENCHMARK.json`` under ``root``, by name."""
     with open(os.path.join(root, "BENCHMARK.json")) as fh:
         spec = json.load(fh)
-    return {m["name"]: m["better"] for m in spec["end_to_end"]}
+    return {m["name"]: m for m in spec["end_to_end"]}
 
 
 def run_pairs(parent: str, change: str, workload: str, seeds: list[int],
@@ -145,18 +157,20 @@ def run_pairs(parent: str, change: str, workload: str, seeds: list[int],
                 {"seed": seed, "first": side == order[0], "result": result})
     done = [i for i, seed in enumerate(seeds)
             if results["parent"][i]["result"] and results["change"][i]["result"]]
-    better = directions(change)
+    spec = end_to_end(change)
     metrics = {}
-    for name in better:
+    for name in spec:
         pairs = [{"seed": seeds[i],
                   "parent": results["parent"][i]["result"]["metrics"][name]["value"],
                   "change": results["change"][i]["result"]["metrics"][name]["value"],
                   "first": "parent" if results["parent"][i]["first"] else "change"}
                  for i in done]
         if pairs:
-            metrics[name] = summarize(pairs, better[name])
-            metrics[name]["unit"] = (
+            summary = metrics[name] = summarize(pairs, spec[name]["better"])
+            summary["unit"] = (
                 results["change"][done[0]]["result"]["metrics"][name]["unit"])
+            summary["bound"] = spec[name]["bound"]
+            summary["within_bound"] = within_bound(summary, summary["bound"])
     failed = {side: sum(r["result"]["failed"] for r in runs if r["result"])
               for side, runs in results.items()}
     attempted = {side: sum(r["result"]["attempted"] for r in runs if r["result"])
@@ -195,7 +209,8 @@ def main(argv=None, run=run_side) -> int:
         print(f"{args.workload} {name}: parent {m['parent']['median']:.6g} "
               f"change {m['change']['median']:.6g} {m['unit']}, change wins "
               f"{m['change_wins']}/{len(m['pairs'])}, "
-              f"gain rule {'met' if m['gain_rule_met'] else 'not met'}")
+              f"gain rule {'met' if m['gain_rule_met'] else 'not met'}, "
+              f"within_bound {m['within_bound']} (bound {m['bound']:g})")
     for problem in problems:
         print(f"FAILED: {problem}", file=sys.stderr)
     return 1 if problems else 0
