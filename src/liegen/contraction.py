@@ -17,7 +17,8 @@ from typing import Sequence
 from .errors import EnvelopeError
 from .euclidean import BESSEL, bessel_series
 from .numeric import (CANONICAL_VARS, Polynomial, Scalar, X, Y, Z,
-                      _add_lie, _as_fraction, _over_lcm, _scaled_powers)
+                      _add_lie, _as_fraction, _is_int, _over_lcm,
+                      _scaled_powers)
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +256,10 @@ MIN_LEGENDRE_ODE_DEGREE = 8
 def assoc_legendre(l: int, m: int, x: float) -> float:
     """P_l^m(x) without the Condon-Shortley phase, by upward degree
     recurrence from the seeds P_m^m = (2m-1)!! (1-x^2)^{m/2} and
-    P_{m+1}^m = (2m+1) x P_m^m."""
+    P_{m+1}^m = (2m+1) x P_m^m.  ``TypeError`` for a degree or order that
+    is not an int (a bool included)."""
+    if not (_is_int(l) and _is_int(m)):
+        raise TypeError("l and m must be ints")
     if not 0 <= m <= l:
         raise ValueError("need 0 <= m <= l")
     if l > MAX_LEGENDRE_DEGREE:
@@ -301,8 +305,11 @@ def legendre_ode_residual(l: int, m: int, r: float) -> float:
     at theta = r/l, using termwise series derivatives, and divide by l^2.
 
     As l grows the operator collapses onto the Bessel operator and the
-    normalized residual decays like 1/l.
+    normalized residual decays like 1/l.  ``TypeError`` for a degree or
+    order that is not an int (a bool included).
     """
+    if not (_is_int(l) and _is_int(m)):
+        raise TypeError("l and m must be ints")
     if l < MIN_LEGENDRE_ODE_DEGREE:
         raise EnvelopeError(f"degree below {MIN_LEGENDRE_ODE_DEGREE}")
     if not 0.5 <= r <= 8:

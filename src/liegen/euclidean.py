@@ -192,7 +192,10 @@ class BesselEval:
         return self.derivatives(n, z)[0]
 
     def derivatives(self, n: int, z: complex) -> tuple[complex, complex, complex]:
-        """(J_n, J_n', J_n'') at z, each part correctly rounded."""
+        """(J_n, J_n', J_n'') at z, each part correctly rounded; ``TypeError``
+        for an order that is not an int (a bool included)."""
+        if not _is_int(n):
+            raise TypeError(f"n must be an int, not a {type(n).__name__}")
         z = complex(z)
         if not abs(z) <= MAX_ABS_Z:     # NaN fails this test too
             raise EnvelopeError(f"|z| = {abs(z):.3g} is not at most {MAX_ABS_Z}")
@@ -447,9 +450,10 @@ def genfunc_a12_diagnostic(n: int, r: float, phi: float, t: float) -> dict:
     ladder expansion (:func:`_a11_closed_form`): the identity exactly as
     cataloged,
     exp(r phi / sqrt(2 r phi t + r^2)) * J_n(sqrt(2 r phi t + r^2)), and the
-    flow-substitution reading e^{i n phi(t)} J_n(r(t)) with (r(t), phi(t))
-    the closed forms reported by :func:`flow_solve`.  Both residuals are
-    returned; no threshold is asserted.
+    flow-substitution reading e^{i n phi(t)} J_n(r(t)) with the closed forms
+    r(t) = sqrt(2 r phi t + r^2) and phi(t) = r phi / r(t), computed here
+    (the forms :func:`flow_solve` compares its endpoint with; no flow is
+    integrated).  Both residuals are returned; no threshold is asserted.
     """
     t = float(t)
     rhs = _a11_closed_form(n, r, phi, t)

@@ -12,13 +12,14 @@ exactly (:func:`tangent_residuals`).  No float enters the module.
 Both element types, ``H3Element`` and ``E2Element``, store integer
 numerators over one positive denominator in lowest terms, so equal elements
 have equal fields and composition and inversion are integer arithmetic with
-one gcd.  Each gives its matrix as an integer numerator matrix over that
-denominator (``num_matrix``), and the axiom suites check closure by
-cross-multiplying those integer matrices.  The matrices themselves are
-:class:`numeric.Matrix`, which computes in whatever its entries are;
-``to_matrix`` gives exact ``Fraction`` entries, ``H3AlgebraElement`` rejects
-floats as the element types do, and the suites' exact records reject a
-residual with a float entry.
+one gcd.  Each lays out its matrix in one place, as an integer numerator
+matrix over that denominator (``num_matrix``); ``to_matrix`` is that matrix
+over the denominator, in ``Fraction`` entries, and the axiom suites compare
+and size the two sides of each axiom in those integer matrices.  An algebra
+element of either group is a :class:`numeric.Matrix` in the group's basis
+(``H3_BASIS_*``, ``E2_BASIS_*``), which computes in whatever its entries
+are; ``h3_exp`` rejects a float entry as the element types do, and the
+suites' exact records reject a residual with a float entry.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .numeric import Matrix, Scalar, _as_fraction, _worst
+from .numeric import Matrix, Scalar, _as_fraction, _is_int, _worst
 
 #: the 3x3 identity matrix, exact
 IDENTITY = Matrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
@@ -38,12 +39,23 @@ def commutator(a: Matrix, b: Matrix) -> Matrix:
     return a * b - b * a
 
 
+class _OverDen:
+    """An element stored as integer numerators ``num`` over one positive
+    ``den``, whose ``num_matrix`` is the one place that lays them out."""
+
+    def to_matrix(self) -> Matrix:
+        """The element's matrix, ``num_matrix() / den`` in Fractions."""
+        den = self.den
+        return Matrix([[Fraction(n, den) for n in row]
+                       for row in self.num_matrix().rows])
+
+
 # ---------------------------------------------------------------------------
 # Heisenberg group H3
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class H3Element:
+class H3Element(_OverDen):
     """Group element with parameters (x1, x2, x3); the matrix form is upper
     unitriangular with x1, x2 on the first row and x3 above the diagonal.
 
@@ -73,33 +85,16 @@ class H3Element:
         object.__setattr__(g, "den", den // common)
         return g
 
-    @property
-    def x1(self) -> Fraction:
-        return Fraction(self.num[0], self.den)
-
-    @property
-    def x2(self) -> Fraction:
-        return Fraction(self.num[1], self.den)
-
-    @property
-    def x3(self) -> Fraction:
-        return Fraction(self.num[2], self.den)
-
     @classmethod
     def identity(cls) -> "H3Element":
         return cls(0, 0, 0)
 
     def num_matrix(self) -> Matrix:
-        """The integer matrix N with ``to_matrix() == N / den``."""
+        """The matrix times ``den``, in ints."""
         (a, b, c), d = self.num, self.den
         return Matrix([[d, a, b],
                        [0, d, c],
                        [0, 0, d]])
-
-    def to_matrix(self) -> Matrix:
-        return Matrix([[1, self.x1, self.x2],
-                       [0, 1, self.x3],
-                       [0, 0, 1]])
 
 
 def h3_compose(g: H3Element, h: H3Element) -> H3Element:
@@ -117,43 +112,27 @@ def h3_inverse(g: H3Element) -> H3Element:
     return H3Element._reduced(-a * d, a * c - b * d, -c * d, d * d)
 
 
-@dataclass(frozen=True)
-class H3AlgebraElement:
-    """Algebra element a*A + b*B + c*C in the strictly-upper-triangular basis
-    (A, B, C below); its matrix cube vanishes."""
-
-    a: Fraction
-    b: Fraction
-    c: Fraction
-
-    def __init__(self, a: Scalar, b: Scalar, c: Scalar):
-        object.__setattr__(self, "a", _as_fraction(a))
-        object.__setattr__(self, "b", _as_fraction(b))
-        object.__setattr__(self, "c", _as_fraction(c))
-
-    def to_matrix(self) -> Matrix:
-        return Matrix([[0, self.a, self.b],
-                       [0, 0, self.c],
-                       [0, 0, 0]])
-
-
 #: basis matrices of the Heisenberg algebra: [A, C] = B, all else commutes
 H3_BASIS_A = Matrix([[0, 1, 0], [0, 0, 0], [0, 0, 0]])
 H3_BASIS_B = Matrix([[0, 0, 1], [0, 0, 0], [0, 0, 0]])
 H3_BASIS_C = Matrix([[0, 0, 0], [0, 0, 1], [0, 0, 0]])
 
 
-def h3_exp(m: H3AlgebraElement) -> H3Element:
-    """Exponential: nilpotency cuts the series at the quadratic term, giving
-    group parameters (a, b + a*c/2, c) exactly."""
-    return H3Element(m.a, m.b + m.a * m.c * Fraction(1, 2), m.c)
+def h3_exp(m: Matrix) -> H3Element:
+    """exp(aA + bB + cC) for the algebra element's matrix ``m``: nilpotency
+    cuts the series at the quadratic term, giving group parameters
+    (a, b + a*c/2, c) exactly.  ``ValueError`` unless ``m`` is strictly
+    upper triangular 3x3, ``TypeError`` for an inexact a, b or c."""
+    if len(m.rows) != 3 or any(m[i, j] for i in range(3) for j in range(i + 1)):
+        raise ValueError("an H3 algebra element is strictly upper triangular")
+    a, b, c = map(_as_fraction, (m[0, 1], m[0, 2], m[1, 2]))
+    return H3Element(a, b + a * c / 2, c)
 
 
-def h3_log(g: H3Element) -> H3AlgebraElement:
+def h3_log(g: H3Element) -> Matrix:
     """Matrix logarithm, exact: log(I + N) = N - N^2/2 for nilpotent N."""
     n = g.to_matrix() - IDENTITY
-    m = n - (n * n) * Fraction(1, 2)
-    return H3AlgebraElement(m[0, 1], m[0, 2], m[1, 2])
+    return n - (n * n) * Fraction(1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +140,7 @@ def h3_log(g: H3Element) -> H3AlgebraElement:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class E2Element:
+class E2Element(_OverDen):
     """Rotation by u = (c + i*s)/den, |u| = 1, followed by translation by
     (x, y)/den, for integers x, y, c, s and den > 0.
 
@@ -190,17 +169,11 @@ class E2Element:
         return cls(0, 0, 1, 0)
 
     def num_matrix(self) -> Matrix:
-        """The integer matrix N with ``to_matrix() == N / den``."""
+        """The matrix times ``den``, in ints."""
         (x, y, c, s), d = self.num, self.den
         return Matrix([[c, -s, x],
                        [s, c, y],
                        [0, 0, d]])
-
-    def to_matrix(self) -> Matrix:
-        x, y, c, s = (Fraction(n, self.den) for n in self.num)
-        return Matrix([[c, -s, x],
-                       [s, c, y],
-                       [0, 0, 1]])
 
 
 def e2_compose(g: E2Element, h: E2Element) -> E2Element:
@@ -307,15 +280,25 @@ def _random_e2(rng: random.Random) -> E2Element:
 MIN_AXIOM_SAMPLES = 1
 
 
+def _gap(M: Matrix, m: int, N: Matrix, n: int) -> Fraction:
+    """max |M/m - N/n| over the entries, exactly, for integer matrices M and
+    N over positive m and n: the largest entry of |M*n - N*m|, over m*n."""
+    return Fraction(max(abs(e) for row in (M * n - N * m).rows for e in row),
+                    m * n)
+
+
 def axiom_suite(group: str, samples: int, seed: int) -> dict:
     """Check closure, associativity, identity and inverse on pseudorandom
     elements, exactly.  Closure compares the matrix of the composed element
     with the matrix product, in integers: N_gh * (d_g * d_h) against
     (N_g * N_h) * d_gh for the numerator matrices N over the denominators d.
     The other axioms compare the two elements.  Returns, per axiom, the
-    largest exact gap between the two sides' matrix entries: 0 when all are
-    equal.
+    largest exact gap between the two sides' matrix entries (:func:`_gap`):
+    0 when all are equal.  ``TypeError`` for a ``samples`` or ``seed`` that
+    is not an int (a bool included).
     """
+    if not (_is_int(samples) and _is_int(seed)):
+        raise TypeError("samples and seed must be ints")
     if samples < MIN_AXIOM_SAMPLES:
         raise ValueError(f"samples must be >= {MIN_AXIOM_SAMPLES}")
     rng = random.Random(seed)
@@ -332,21 +315,19 @@ def axiom_suite(group: str, samples: int, seed: int) -> dict:
 
     def diff(axiom: str, a, b):
         # stored parameters are canonical: equal elements are equal fields
-        diffs[axiom].append(
-            0 if a == b else a.to_matrix().max_abs_diff(b.to_matrix()))
+        diffs[axiom].append(0 if a == b else _gap(
+            a.num_matrix(), a.den, b.num_matrix(), b.den))
 
     for _ in range(samples):
         g, h, k = draw(rng), draw(rng), draw(rng)
         gh = compose(g, h)
         # closure: parameter-space composition matches the matrix product
         # (and therefore stays in the matrix group); only a mismatch pays
-        # for the Fraction matrices and their gap
-        if (gh.num_matrix() * (g.den * h.den)
-                == (g.num_matrix() * h.num_matrix()) * gh.den):
-            diffs["closure"].append(0)
-        else:
-            diffs["closure"].append(gh.to_matrix().max_abs_diff(
-                g.to_matrix() * h.to_matrix()))
+        # for its gap
+        product, den = g.num_matrix() * h.num_matrix(), g.den * h.den
+        diffs["closure"].append(
+            0 if gh.num_matrix() * den == product * gh.den
+            else _gap(gh.num_matrix(), gh.den, product, den))
         diff("associativity", compose(gh, k), compose(g, compose(h, k)))
         diff("identity", compose(g, ident), g)
         diff("identity", compose(ident, g), g)

@@ -194,7 +194,11 @@ def _position_squared_minus_d_squared(p: Polynomial) -> Polynomial:
 
 
 def _monomial_family(max_degree: int) -> Polynomial:
-    """sum_{k <= max_degree} y^k x^k: every x^k at once, each tagged by y^k."""
+    """sum_{k <= max_degree} y^k x^k: every x^k at once, each tagged by y^k;
+    ``TypeError`` for a degree that is not an int (a bool included)."""
+    if not _is_int(max_degree):
+        raise TypeError(
+            f"max_degree must be an int, not a {type(max_degree).__name__}")
     return Polynomial(("x", "y"), {(k, k): 1 for k in range(max_degree + 1)})
 
 
@@ -310,7 +314,10 @@ def shift_series(order: int) -> PowerSeries:
 
 def _hermite_series(order: int) -> PowerSeries:
     """sum H_k t^k / k! through t^order, with H_k from
-    :func:`hermite_rodrigues`."""
+    :func:`hermite_rodrigues`; ``TypeError`` for an order that is not an int
+    (a bool included)."""
+    if not _is_int(order):
+        raise TypeError(f"order must be an int, not a {type(order).__name__}")
     if order < MIN_SERIES_ORDER:
         raise ValueError(f"order must be >= {MIN_SERIES_ORDER}")
     return PowerSeries([Fraction(1, math.factorial(k)) * hermite_rodrigues(k)

@@ -293,14 +293,7 @@ class Polynomial:
             p, q = other.numerator, other.denominator
             return Polynomial._make(
                 {e: n * p for e, n in self._nums.items()}, self._den * q)
-        b = other._nums.items()
-        nums: dict = {}
-        get = nums.get
-        for (a0, a1, a2), na in self._nums.items():
-            for (b0, b1, b2), nb in b:
-                key = (a0 + b0, a1 + b1, a2 + b2)
-                nums[key] = get(key, 0) + na * nb
-        return Polynomial._make(nums, self._den * other._den)
+        return _sum_of_products([(self, other)])
 
     __rmul__ = __mul__
 
@@ -495,13 +488,6 @@ class Matrix:
     def apply(self, vec) -> tuple:
         return tuple(sum(a * v for a, v in zip(row, vec, strict=True))
                      for row in self.rows)
-
-    def max_abs_diff(self, other: "Matrix"):
-        """max |a - b| over the entries, in the entries' own arithmetic (a
-        Fraction for exact matrices, never rounded to a float), NaN if any
-        difference is NaN."""
-        pairs = zip(self.rows, other.rows, strict=True)
-        return _worst(*(abs(a - b) for ra, rb in pairs for a, b in zip(ra, rb)))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Matrix):

@@ -312,6 +312,19 @@ def test_legendre_input_validation():
         assoc_legendre(5000, 0, 0.5)
 
 
+@pytest.mark.parametrize("l, m", [(True, 0), (2, True), (64, False),
+                                  (2.0, 0), (64, 1.0)],
+                         ids=["true-degree", "true-order", "false-order",
+                              "float-degree", "float-order"])
+def test_legendre_rejects_a_non_int_degree_or_order(l, m):
+    # a bool is an int to isinstance: assoc_legendre(True, 0, 0.5) was
+    # P_1(0.5) = 0.5, and legendre_ode_residual(64, True, 2.0) used m = 1
+    with pytest.raises(TypeError, match="must be ints"):
+        assoc_legendre(l, m, 0.5)
+    with pytest.raises(TypeError, match="must be ints"):
+        legendre_ode_residual(l, m, 2.0)
+
+
 def test_legendre_high_degree_stable():
     # forward recurrence should stay finite and sane up to the degree cap
     value = assoc_legendre(4096, 0, 0.5)

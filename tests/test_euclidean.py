@@ -392,6 +392,20 @@ def test_bessel_series_degree_cuts_the_sum():
     assert bessel_series(-3, 5) == (X ** 3 / -48 + X ** 5 / 768)
 
 
+@pytest.mark.parametrize("n", [True, False, 1.0], ids=["true", "false",
+                                                       "float"])
+def test_evaluator_rejects_a_non_int_order(n):
+    # a bool is an int to isinstance, and (True, z) is the cache key (1, z):
+    # BESSEL.j(True, 1.0) was J_1(1)
+    ev = BesselEval()
+    for read in (ev.j, ev.derivatives):
+        with pytest.raises(TypeError, match="must be an int"):
+            read(n, 1.0)
+    assert ev._cache == {}
+    with pytest.raises(TypeError, match="must be an int"):
+        BESSEL.j(n, 1.0)
+
+
 @pytest.mark.parametrize("n, degree", [(True, 3), (1, True), (False, 4),
                                        (1.0, 3), (1, 3.0)],
                          ids=["true-order", "true-degree", "false-order",

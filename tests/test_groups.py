@@ -17,9 +17,9 @@ from liegen.groups import (
     H3_BASIS_A,
     H3_BASIS_B,
     H3_BASIS_C,
-    H3AlgebraElement,
     H3Element,
     IDENTITY,
+    _gap,
     _random_h3,
     axiom_suite,
     commutator,
@@ -85,10 +85,17 @@ def test_h3_equal_elements_over_different_denominators_have_equal_storage():
     assert h3_compose(h, h3_inverse(h)).den == 1
 
 
+def params(g):
+    """An element's parameters as Fractions, read off its numerators."""
+    return tuple(F(n, g.den) for n in g.num)
+
+
 def test_h3_parameters_read_back_as_fractions():
     g = H3Element(F(7, 3), -2, F(1, 5))
-    assert (g.x1, g.x2, g.x3) == (F(7, 3), -2, F(1, 5))
-    assert all(type(v) is Fraction for v in (g.x1, g.x2, g.x3))
+    assert params(g) == (F(7, 3), -2, F(1, 5))
+    m = g.to_matrix()
+    assert (m[0, 1], m[0, 2], m[1, 2]) == params(g)
+    assert all(type(v) is Fraction for row in m.rows for v in row)
 
 
 @pytest.mark.parametrize("args", [
@@ -110,31 +117,60 @@ def random_h3_pairs(count):
 
 @pytest.mark.parametrize("g,h", random_h3_pairs(25))
 def test_h3_integer_kernels_match_the_fraction_formulas(g, h):
-    assert h3_compose(g, h) == H3Element(
-        g.x1 + h.x1, h.x2 + g.x1 * h.x3 + g.x2, g.x3 + h.x3)
-    assert h3_inverse(g) == H3Element(-g.x1, g.x1 * g.x3 - g.x2, -g.x3)
+    (x1, x2, x3), (y1, y2, y3) = params(g), params(h)
+    assert h3_compose(g, h) == H3Element(x1 + y1, y2 + x1 * y3 + x2, x3 + y3)
+    assert h3_inverse(g) == H3Element(-x1, x1 * x3 - x2, -x3)
+
+
+def h3_algebra(a, b, c):
+    """The algebra element aA + bB + cC as its matrix."""
+    return H3_BASIS_A * F(a) + H3_BASIS_B * F(b) + H3_BASIS_C * F(c)
 
 
 def test_h3_exp_closed_form():
-    assert h3_exp(H3AlgebraElement(0, 0, 0)) == H3Element.identity()
-    assert h3_exp(H3AlgebraElement(1, 0, 1)) == H3Element(1, F(1, 2), 1)
+    assert h3_exp(ZERO) == H3Element.identity()
+    assert h3_exp(H3_BASIS_A + H3_BASIS_C) == H3Element(1, F(1, 2), 1)
 
 
 def test_h3_algebra_cube_is_zero():
-    m = H3AlgebraElement(F(3, 2), -4, F(7, 5)).to_matrix()
+    m = h3_algebra(F(3, 2), -4, F(7, 5))
     assert m * m * m == ZERO
 
 
 def test_h3_exp_matches_truncated_series():
-    m = H3AlgebraElement(F(1, 3), F(2, 5), -2)
-    mat = m.to_matrix()
-    series = IDENTITY + mat + (mat * mat) * F(1, 2)
+    m = h3_algebra(F(1, 3), F(2, 5), -2)
+    series = IDENTITY + m + (m * m) * F(1, 2)
     assert h3_exp(m).to_matrix() == series
 
 
 def test_h3_log_roundtrip():
-    m = H3AlgebraElement(F(5, 4), F(-1, 7), 3)
+    m = h3_algebra(F(5, 4), F(-1, 7), 3)
     assert h3_log(h3_exp(m)) == m
+    assert h3_exp(h3_log(H3Element(F(2, 9), -7, F(5, 3)))) == H3Element(
+        F(2, 9), -7, F(5, 3))
+
+
+@pytest.mark.parametrize("position", [(0, 0), (1, 1), (2, 2), (1, 0), (2, 0),
+                                      (2, 1), None])
+def test_h3_exp_rejects_a_diagonal_or_lower_entry(position):
+    # None: a 2x2 matrix, which has no H3 algebra element either
+    rows = [list(row) for row in h3_algebra(1, 2, 3).rows]
+    if position is None:
+        rows = [[0, 1], [0, 0]]
+    else:
+        rows[position[0]][position[1]] = F(1, 5)
+    with pytest.raises(ValueError, match="strictly upper triangular"):
+        h3_exp(Matrix(rows))
+
+
+@pytest.mark.parametrize("position", [(0, 1), (0, 2), (1, 2)])
+@pytest.mark.parametrize("value", [0.5, 0.0, True],
+                         ids=["float", "float-zero", "bool"])
+def test_h3_exp_rejects_an_inexact_entry(position, value):
+    rows = [list(row) for row in h3_algebra(1, 2, 3).rows]
+    rows[position[0]][position[1]] = value
+    with pytest.raises(TypeError, match="exact scalar"):
+        h3_exp(Matrix(rows))
 
 
 def test_h3_basis_commutators():
@@ -233,9 +269,19 @@ def test_e2_inverse_matches_matrix_oracle():
     E2Element.identity(), cayley(F(-7, 2), F(1, 9), F(-4, 3))],
     ids=["h3", "h3-identity", "h3-mixed-den", "e2", "e2-identity", "e2-turn"])
 def test_numerator_matrix_over_den_is_the_matrix(g):
+    # the layout written out here, from the parameters as Fractions, is the
+    # oracle for num_matrix, the one place the package writes it
+    if isinstance(g, H3Element):
+        x1, x2, x3 = params(g)
+        oracle = Matrix([[1, x1, x2], [0, 1, x3], [0, 0, 1]])
+    else:
+        x, y, c, s = params(g)
+        oracle = Matrix([[c, -s, x], [s, c, y], [0, 0, 1]])
     n = g.num_matrix()
     assert all(type(n[i, j]) is int for i in range(3) for j in range(3))
-    assert n * F(1, g.den) == g.to_matrix()
+    assert n * F(1, g.den) == oracle
+    assert g.to_matrix() == oracle
+    assert all(type(v) is Fraction for row in g.to_matrix().rows for v in row)
 
 
 def test_e2_translation_exponential():
@@ -378,8 +424,8 @@ def test_e2_axioms_exact():
 
 
 def test_closure_gap_of_a_flipped_rotation_term(monkeypatch):
-    # the sign of s1*y2 flipped: closure compares the matrices first and
-    # still records the exact gap that max_abs_diff finds between them
+    # the sign of s1*y2 flipped: closure compares the integer matrices first
+    # and still records the exact gap between the two sides' matrices
     def flipped(g, h):
         (x1, y1, c1, s1), d1 = g.num, g.den
         (x2, y2, c2, s2), d2 = h.num, h.den
@@ -394,6 +440,31 @@ def test_closure_gap_of_a_flipped_rotation_term(monkeypatch):
         Fraction(159109, 17425)
 
 
+def fraction_gap(M, m, N, n):
+    """max |M/m - N/n| entry by entry in Fractions: the oracle for _gap."""
+    return max(abs(F(a, m) - F(b, n))
+               for ra, rb in zip(M.rows, N.rows) for a, b in zip(ra, rb))
+
+
+def test_gap_is_the_fraction_gap():
+    rng = random.Random(20261019)
+    pairs = [(_random_h3(rng), _random_h3(rng)) for _ in range(40)]
+    pairs += [(cayley(*(F(rng.randint(-60, 60), rng.randint(1, 12))
+                        for _ in range(3))), E2Element.identity())
+              for _ in range(40)]
+    # the closure mutant's 1/10^400, which underflows a float
+    g = H3Element(F(3, 7), F(-2, 5), 4)
+    pairs.append((g, H3Element(F(3, 7), F(-2, 5) + F(1, 10 ** 400), 4)))
+    for g, h in pairs:
+        assert g != h
+        gap = _gap(g.num_matrix(), g.den, h.num_matrix(), h.den)
+        assert type(gap) is Fraction and gap > 0
+        assert gap == fraction_gap(g.num_matrix(), g.den, h.num_matrix(), h.den)
+    assert gap == F(1, 10 ** 400)
+    # one element's matrix over two denominators has no gap
+    assert _gap(g.num_matrix() * 3, g.den * 3, g.num_matrix(), g.den) == 0
+
+
 def test_axiom_suite_rejects_bad_input():
     with pytest.raises(ValueError):
         axiom_suite("h3", samples=0, seed=1)
@@ -401,12 +472,22 @@ def test_axiom_suite_rejects_bad_input():
         axiom_suite("su2", samples=5, seed=1)
 
 
+@pytest.mark.parametrize("samples,seed", [(True, 1), (2.0, 1), (2, 1.5),
+                                          (2, False)],
+                         ids=["bool-samples", "float-samples", "float-seed",
+                              "bool-seed"])
+def test_axiom_suite_rejects_a_non_int_count_or_seed(samples, seed):
+    # True ran as one sample, and a float or bool seed seeded a stream
+    with pytest.raises(TypeError, match="must be ints"):
+        axiom_suite("h3", samples=samples, seed=seed)
+
+
 # -- Matrix ----------------------------------------------------------------------
 
 @pytest.mark.parametrize("op", [
     lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b,
-    lambda a, b: a.max_abs_diff(b), lambda a, b: a.apply(b.rows[0])],
-    ids=["add", "sub", "mul", "max_abs_diff", "apply"])
+    lambda a, b: a.apply(b.rows[0])],
+    ids=["add", "sub", "mul", "apply"])
 def test_matrix_sizes_must_match(op):
     # the rows were zipped, which cut the larger operand down to the
     # smaller: a 2x2 identity minus the 3x3 one was the 2x2 zero matrix, an
@@ -430,17 +511,8 @@ def test_matrix_keeps_entries_as_given():
     assert type(m[0, 0]) is int and type(m[0, 1]) is Fraction
     assert type(m[1, 0]) is float
     # a Fraction difference is never rounded to a float
-    tiny = Matrix([[1, F(1, 10 ** 400)], [0, 1]]).max_abs_diff(
-        Matrix([[1, 0], [0, 1]]))
-    assert tiny == F(1, 10 ** 400)
-
-
-@pytest.mark.parametrize("position", [(0, 0), (1, 2), (2, 2)])
-def test_max_abs_diff_propagates_nan_anywhere(position):
-    rows = [[0.0] * 3 for _ in range(3)]
-    rows[1][1] = 5.0
-    rows[position[0]][position[1]] = math.nan
-    assert math.isnan(Matrix(rows).max_abs_diff(IDENTITY))
+    tiny = Matrix([[1, F(1, 10 ** 400)], [0, 1]]) - Matrix([[1, 0], [0, 1]])
+    assert tiny[0, 1] == F(1, 10 ** 400) and type(tiny[0, 1]) is Fraction
 
 
 def rationals():

@@ -134,6 +134,16 @@ def test_hermite_builders_reject_a_non_int_order(n):
         hermite_recurrence(n)
 
 
+@pytest.mark.parametrize("check", [hermite_genfunc_check, disentangle_check,
+                                   ladder_commutator_residual,
+                                   anticommutator_operator_residual])
+@pytest.mark.parametrize("n", [True, 2.0], ids=["true", "float"])
+def test_series_and_family_checks_reject_a_non_int_order(check, n):
+    # a bool is an int to isinstance: each of these ran with True as 1
+    with pytest.raises(TypeError, match="must be an int"):
+        check(n)
+
+
 @pytest.mark.parametrize("n", range(0, 65, 4))
 def test_hermite_parity(n):
     h = hermite_rodrigues(n)

@@ -74,12 +74,13 @@ def _definitions(tree: ast.Module):
                 yield name, node
 
 
-def _reads(node: ast.AST) -> set[str]:
-    """Every name read as an identifier, an attribute or a string constant
-    (``perfbench/tracing.py`` names its patch targets as strings)."""
+def _reads(node: ast.AST, bare_names: bool = True) -> set[str]:
+    """Every name read as an attribute or a string constant
+    (``perfbench/tracing.py`` names its patch targets as strings), and as an
+    identifier unless ``bare_names`` is false."""
     found = set()
     for sub in ast.walk(node):
-        if isinstance(sub, ast.Name):
+        if isinstance(sub, ast.Name) and bare_names:
             found.add(sub.id)
         elif isinstance(sub, ast.Attribute):
             found.add(sub.attr)
@@ -136,14 +137,16 @@ def _methods(tree: ast.Module):
 def orphan_methods(modules: dict[str, str],
                    readers: dict[str, str]) -> list[str]:
     """Methods and properties of the classes of ``modules`` whose name no
-    code in ``modules`` or ``readers`` reads outside the method itself.  A
-    class body counts statement by statement, so a method may be read by
-    another method of its own class."""
+    code in ``modules`` or ``readers`` reads outside the method itself, as
+    an attribute or a string constant: a bare name of the same spelling is
+    a local or a parameter, never the method.  A class body counts
+    statement by statement, so a method may be read by another method of
+    its own class."""
     trees = {path: ast.parse(source)
              for path, source in {**modules, **readers}.items()}
     units = [stmt for tree in trees.values() for top in tree.body
              for stmt in (top.body if isinstance(top, ast.ClassDef) else [top])]
-    reads = [(unit, _reads(unit)) for unit in units]
+    reads = [(unit, _reads(unit, bare_names=False)) for unit in units]
     return sorted(
         f"{cls}.{name} ({path})" for path in modules
         for cls, name, node in _methods(trees[path])
@@ -159,14 +162,19 @@ def test_guard_finds_an_orphan_method():
                  "    def recursive(self):\n        return self.recursive()\n"
                  "    @property\n    def flag(self):\n        return True\n"
                  "    def named(self):\n        return 3\n"
-                 "def helper():\n    return A().used()\n"),
+                 "    @property\n    def x1(self):\n        return 4\n"
+                 "def helper():\n    return A().used()\n"
+                 "def shadow(x1):\n    x2 = x1\n    return x2\n"),
     }
     readers = {"b.py": "hooks = ('named',)\n"}
+    # the parameter and the local named x1 are no reads of A.x1
     assert orphan_methods(modules, readers) == ["A.flag (a.py)",
-                                                "A.recursive (a.py)"]
+                                                "A.recursive (a.py)",
+                                                "A.x1 (a.py)"]
     assert orphan_methods({"a.py": modules["a.py"].replace(
         "A().used()", "1")}, {}) == ["A.flag (a.py)", "A.named (a.py)",
-                                     "A.recursive (a.py)", "A.used (a.py)"]
+                                     "A.recursive (a.py)", "A.used (a.py)",
+                                     "A.x1 (a.py)"]
 
 
 def _product_sources() -> tuple[dict[str, str], dict[str, str]]:

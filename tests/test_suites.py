@@ -79,6 +79,21 @@ def test_transposed_rotation_fails_the_e2_tangent_record(monkeypatch):
     assert records["h3_generators_tangent"].status == "pass"
 
 
+def test_transposed_e2_layout_fails_closure_and_tangent(monkeypatch):
+    # num_matrix is the one layout: to_matrix and the closure check both
+    # read it, so one transposed layout fails both records; the axioms
+    # that compare elements and every H3 record are untouched
+    real = gr.E2Element.num_matrix
+
+    def transposed(self):
+        return Matrix(zip(*real(self).rows))
+
+    monkeypatch.setattr(gr.E2Element, "num_matrix", transposed)
+    records = records_by_id(run_suite("groups", SuiteConfig(group_samples=3))[0])
+    failed = {r.check_id for r in records.values() if r.status != "pass"}
+    assert failed == {"e2_axiom_closure", "e2_generators_tangent"}
+
+
 def test_ladder_without_its_sign_flip_fails_the_series_record(monkeypatch):
     real = eu.apply_polar_op
 
@@ -179,8 +194,8 @@ def test_tiny_composition_error_fails_h3_closure(monkeypatch):
     real = gr.h3_compose
 
     def perturbed(g, h):
-        out = real(g, h)
-        return gr.H3Element(out.x1, out.x2 + Fraction(1, 10 ** 400), out.x3)
+        # composing with (0, e, 0) adds e to the second parameter
+        return real(real(g, h), gr.H3Element(0, Fraction(1, 10 ** 400), 0))
 
     monkeypatch.setattr(gr, "h3_compose", perturbed)
     record = records_by_id(run_suite("groups", SuiteConfig(group_samples=3))[0])[
@@ -207,8 +222,7 @@ def test_perturbed_exponential_fails_closed_form(monkeypatch):
     real = gr.h3_exp
 
     def perturbed(m):
-        out = real(m)
-        return gr.H3Element(out.x1, out.x2 + Fraction(1, 8), out.x3)
+        return gr.h3_compose(real(m), gr.H3Element(0, Fraction(1, 8), 0))
 
     monkeypatch.setattr(gr, "h3_exp", perturbed)
     records = records_by_id(run_suite("groups", SuiteConfig(group_samples=1))[0])
@@ -630,6 +644,31 @@ def test_the_default_report_reads_every_config_field(monkeypatch):
     names = {f.name for f in dataclasses.fields(SuiteConfig)}
     assert names - read == set()
     assert len(names) == 13
+
+
+def test_config_is_frozen_after_its_checks():
+    # an assignment once skipped every check: bessel_r_grid = (0.1,) left
+    # ode_A6 an empty family, which failed with residual inf
+    config = SuiteConfig()
+    for name, value in (("bessel_r_grid", (0.1,)), ("group_samples", 0),
+                        ("seed", 7)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(config, name, value)
+    assert config == SuiteConfig()
+
+
+def test_config_stores_a_list_as_a_tuple():
+    # a list, as JSON gives, could be changed in place after the checks
+    lists = {f.name: list(f.default) for f in dataclasses.fields(SuiteConfig)
+             if type(f.default) is tuple}
+    assert len(lists) == 4
+    config = SuiteConfig(**lists)
+    for name, value in lists.items():
+        assert type(getattr(config, name)) is tuple, name
+        value.append(value[-1])
+    assert config == SuiteConfig()
+    assert (emit_json(run_suite("all", config))
+            == emit_json(run_suite("all", SuiteConfig())))
 
 
 def test_doubling_schedules_build():
