@@ -33,8 +33,8 @@ from types import MappingProxyType
 from typing import Mapping
 
 from .errors import BranchAmbiguityError, EnvelopeError
-from .numeric import (X, Y, Z, Polynomial, Scalar, _as_fraction, _is_int,
-                      _sum_of_products)
+from .numeric import (X, Y, Z, Polynomial, Scalar, _as_fraction,
+                      _check_order, _is_int, _sum_of_products)
 
 #: largest |z| the evaluator accepts
 MAX_ABS_Z = 30.0
@@ -260,7 +260,8 @@ class CylFunc:
     so equal spans have equal ``coeffs``; the mapping is read-only.  The
     ladder coefficients are the integers +-1 and n, so the action on a
     span, and the difference of two spans, are exact.  Floats are rejected,
-    as in ``Polynomial``.
+    as in ``Polynomial``, and so is an order that is not an int (a bool
+    included).
     """
 
     __slots__ = ("coeffs",)
@@ -268,6 +269,9 @@ class CylFunc:
     def __init__(self, coeffs: Mapping[int, tuple[Scalar, Scalar]]):
         cleaned = {}
         for n, (re, im) in sorted(coeffs.items()):
+            if not _is_int(n):
+                raise TypeError(
+                    f"an order must be an int, not a {type(n).__name__}")
             re, im = _as_fraction(re), _as_fraction(im)
             if re or im:
                 cleaned[n] = (re, im)
@@ -367,7 +371,8 @@ def verify_bessel_identity(which: str, n: int, r: float) -> float:
 def genfunc_a11_residual(n: int, t_degree: int) -> Polynomial:
     """Residual of the raising-exponential generating identity (catalog
     A.11) in Q[r, t, w], x = r, y = t, z = w = e^{i phi}, through t^J for
-    J = ``t_degree``.
+    J = ``t_degree``.  ``n`` and ``t_degree`` are checked by
+    :func:`numeric._check_order`.
 
     The right side expands exp(t * raising) across the discrete basis, in
     the normalization where raising acts as -1 on a basis function.  The
@@ -390,6 +395,8 @@ def genfunc_a11_residual(n: int, t_degree: int) -> Polynomial:
     not hold as an identity and is only recorded, by
     :func:`genfunc_a11_literal_diagnostic`.
     """
+    _check_order(n, name="n")
+    _check_order(t_degree, name="t_degree")
     u2 = X * X + 2 * X * Y * Z
     # each side is one sum of products, normalized once
     lhs_terms, power = [], (X * Z) ** n
@@ -507,10 +514,7 @@ def flow_solve(r0: float, phi0: float, t_end: float,
         raise ValueError("r0 must be positive")
     if phi0 == 0:
         raise ValueError("phi0 must be nonzero")
-    if not _is_int(steps):
-        raise TypeError(f"steps must be an int, not a {type(steps).__name__}")
-    if steps < MIN_FLOW_STEPS:
-        raise ValueError("steps must be positive")
+    _check_order(steps, MIN_FLOW_STEPS, "steps")
 
     # the four stages inline, in the scheme's own float operations and
     # order; each stage state is checked against the singularity

@@ -43,9 +43,11 @@ from typing import Iterator
 from .numeric import (
     Matrix,
     Polynomial,
-    PowerSeries,
     X,
-    _is_int,
+    Y,
+    _check_order,
+    _series_product,
+    _sum_of_products,
     series_exp,
     weighted_overlap,
 )
@@ -95,10 +97,7 @@ def hermite_rodrigues(n: int) -> Polynomial:
     """H_n built operationally: the polynomial part of raise^n applied to the
     bare Gaussian, i.e. exp(x^2/2) (x - d/dx)^n exp(-x^2/2), for every
     n >= 0 (each H_k met on the way is cached)."""
-    if not _is_int(n):
-        raise TypeError(f"n must be an int, not a {type(n).__name__}")
-    if n < MIN_HERMITE_N:
-        raise ValueError("n must be non-negative")
+    _check_order(n, MIN_HERMITE_N, "n")
     while len(_rodrigues_cache) <= n:
         _rodrigues_cache.append(apply_ladder("raise", _rodrigues_cache[-1]))
     return _rodrigues_cache[n]
@@ -108,10 +107,7 @@ def hermite_recurrence_sequence(max_n: int) -> Iterator[Polynomial]:
     """Independent oracle, H_0 .. H_max_n in one pass of the three-term
     recurrence H_{n+1} = 2x H_n - 2n H_{n-1} from H_0 = 1 (and H_{-1} = 0).
     Only the last two polynomials are held."""
-    if not _is_int(max_n):
-        raise TypeError(f"max_n must be an int, not a {type(max_n).__name__}")
-    if max_n < MIN_HERMITE_N:
-        raise ValueError("n must be non-negative")
+    _check_order(max_n, MIN_HERMITE_N, "max_n")
     h_prev, h = Polynomial.zero(), Polynomial.constant(1)
     yield h
     for k in range(max_n):
@@ -195,10 +191,9 @@ def _position_squared_minus_d_squared(p: Polynomial) -> Polynomial:
 
 def _monomial_family(max_degree: int) -> Polynomial:
     """sum_{k <= max_degree} y^k x^k: every x^k at once, each tagged by y^k;
-    ``TypeError`` for a degree that is not an int (a bool included)."""
-    if not _is_int(max_degree):
-        raise TypeError(
-            f"max_degree must be an int, not a {type(max_degree).__name__}")
+    ``max_degree`` is checked by ``_check_order`` (a negative one would tag
+    nothing, and a check on the empty family would read no residual)."""
+    _check_order(max_degree, name="max_degree")
     return Polynomial(("x", "y"), {(k, k): 1 for k in range(max_degree + 1)})
 
 
@@ -294,38 +289,36 @@ def raising_consistency_residual(n: int):
 
 
 # ---------------------------------------------------------------------------
-# shift operator and generating-function checks (exact series)
+# shift operator and generating-function checks (exact series in t = y)
 # ---------------------------------------------------------------------------
 
-def shift_series(order: int) -> PowerSeries:
-    """Series for exp(-t d/dx) w, the expansion of the shifted ground state
-    w(x - t) in powers of t: term k is (-1)^k D^k w / k!, which stays in the
-    weighted space because d/dx does."""
-    coeffs = []
-    current = Polynomial.constant(1)
-    factorial = 1
-    for k in range(order + 1):
-        if k:
-            current = apply_ladder("derivative", current)
-            factorial *= k
-        coeffs.append(Fraction((-1) ** k, factorial) * current)
-    return PowerSeries(coeffs, order)
+def _tag(k: int) -> Polynomial:
+    """y^k / k!: the tag of term k of an exponential series in t = y, which
+    enters ``_sum_of_products`` as a factor of that term."""
+    return Polynomial._make({(0, k, 0): 1}, math.factorial(k))
 
 
-def _hermite_series(order: int) -> PowerSeries:
-    """sum H_k t^k / k! through t^order, with H_k from
-    :func:`hermite_rodrigues`; ``TypeError`` for an order that is not an int
-    (a bool included)."""
-    if not _is_int(order):
-        raise TypeError(f"order must be an int, not a {type(order).__name__}")
-    if order < MIN_SERIES_ORDER:
-        raise ValueError(f"order must be >= {MIN_SERIES_ORDER}")
-    return PowerSeries([Fraction(1, math.factorial(k)) * hermite_rodrigues(k)
-                        for k in range(order + 1)], order)
+def shift_series(order: int) -> Polynomial:
+    """exp(-t d/dx) w through t^order (checked by ``_check_order``), t = y:
+    the shifted ground state w(x - t), term k being (-D)^k w t^k / k!,
+    which stays in the weighted space because d/dx does."""
+    _check_order(order)
+    terms = [Polynomial.constant(1)]
+    for _ in range(order):
+        terms.append(-apply_ladder("derivative", terms[-1]))
+    return _sum_of_products([(_tag(k), c) for k, c in enumerate(terms)])
 
 
-def disentangle_check(order: int) -> PowerSeries:
-    """Residual series of the factorization
+def _hermite_series(order: int) -> Polynomial:
+    """sum H_k t^k / k!, H_k from :func:`hermite_rodrigues`, through t^order
+    (t = y; ``_check_order`` down to :data:`MIN_SERIES_ORDER`)."""
+    _check_order(order, MIN_SERIES_ORDER)
+    return _sum_of_products([(_tag(k), hermite_rodrigues(k))
+                             for k in range(order + 1)])
+
+
+def disentangle_check(order: int) -> Polynomial:
+    """Residual series, in Q[x, y] with y = t, of the factorization
     exp(t(x - D)) = exp(tx) exp(-t^2/2) exp(-tD) applied to the ground state.
 
     The left side is expanded by direct operator application (term k is
@@ -343,18 +336,14 @@ def disentangle_check(order: int) -> PowerSeries:
     exact and associative, so the residual is the same series.
     """
     lhs = _hermite_series(order)
-    exp_tx = series_exp(PowerSeries.from_terms({1: X}, order))
-    exp_t2 = series_exp(PowerSeries.from_terms(
-        {2: Polynomial.constant(Fraction(-1, 2))}, order))
-    shifted_ground = shift_series(order)
-    return lhs - exp_tx * (exp_t2 * shifted_ground)
+    exp_tx = series_exp(X * Y, order)
+    exp_t2 = series_exp(Y * Y * Fraction(-1, 2), order)
+    shifted = _series_product(exp_t2, shift_series(order), order)
+    return lhs - _series_product(exp_tx, shifted, order)
 
 
-def hermite_genfunc_check(order: int) -> PowerSeries:
+def hermite_genfunc_check(order: int) -> Polynomial:
     """Residual series of exp(2xt - t^2) minus sum H_n(x) t^n / n! through
-    the requested order; the Hermite side comes from the operational
-    construction, the exponential side from series_exp."""
-    rhs = _hermite_series(order)
-    exponent = PowerSeries.from_terms(
-        {1: 2 * X, 2: Polynomial.constant(-1)}, order)
-    return series_exp(exponent) - rhs
+    the requested order, in Q[x, y] with y = t; the Hermite side comes from
+    the operational construction, the exponential side from series_exp."""
+    return series_exp(2 * X * Y - Y * Y, order) - _hermite_series(order)

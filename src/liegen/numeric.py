@@ -1,9 +1,9 @@
 """Exact-arithmetic core: multivariate rational polynomials, square
-matrices, truncated formal power series with polynomial coefficients, and
-the Gaussian pairing of polynomials in x.
+matrices, truncated series in t = y, and the Gaussian pairing of
+polynomials in x.
 
-All values in this module are immutable after construction.  Polynomials,
-series and pairings are exact; a ``Matrix`` computes in its entries' own
+All values in this module are immutable after construction.  Polynomials
+and pairings are exact; a ``Matrix`` computes in its entries' own
 arithmetic, and exactness is enforced where a value is made exact
 (``_as_fraction``) and where a residual is read (``suites._Recorder.exact``).
 
@@ -11,9 +11,9 @@ A ``Polynomial`` stores integer numerators over one shared positive
 denominator that has no factor common to all of them, so its arithmetic runs
 on plain ints with one gcd per result instead of one per coefficient
 operation (Knuth, TAOCP vol. 2, 4.5.1 and 4.6.4).  Rational values leave the
-module as ``fractions.Fraction``: ``Polynomial.terms``, series coefficients
-and Gaussian pairings.  The one exception is ``Polynomial.z_line``, which
-hands out ints: the restriction of a polynomial to the line (x0, y0, z), as
+module as ``fractions.Fraction``: ``Polynomial.terms`` and Gaussian
+pairings.  The one exception is ``Polynomial.z_line``, which hands out
+ints: the restriction of a polynomial to the line (x0, y0, z), as
 the numerators of its coefficients in z over one denominator, so a caller
 that evaluates one line at many z (``contraction_residual``) builds no
 Fraction per point.  Applying a vector field (``Polynomial.lie_derivative``)
@@ -32,10 +32,11 @@ only drops zero numerators and divides out the common factor.  The
 variables a polynomial uses are read off its terms when asked for, so no
 result is scanned for them.
 
-A ``PowerSeries`` has ``Polynomial`` coefficients only (a rational series
-has constant ones).  A coefficient of a series product, or of ``series_exp``
-(the ODE recurrence a_n = (1/n) sum_j j s_j a_{n-j} over the nonzero s_j),
-is one ``_sum_of_products``: one pass in ints, one normalization.
+A series in t is a polynomial in y, truncated where a caller says: a
+product through t^order (``_series_product``) forms no pair of terms above
+it, and a coefficient of ``series_exp`` (the ODE recurrence
+a_n = (1/n) sum_j j s_j a_{n-j} over the nonzero s_j) is one
+``_sum_of_products``: one pass in ints, one normalization.
 ``weighted_overlap``, the Gaussian pairing, is one pass in ints too.
 A power ``p ** n`` is repeated squaring, about log2(n) products instead of
 n - 1.
@@ -65,6 +66,16 @@ def _is_int(value) -> bool:
     """Whether ``value`` is an int other than a bool: a bool is an int to
     isinstance, but True is no exact scalar, exponent, count or order."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_order(value, least: int = 0, name: str = "order") -> None:
+    """``TypeError`` for a ``value`` that is not an int (a bool included),
+    ``ValueError`` below ``least``: the check of an order, a degree or a
+    count, named ``name`` in the message."""
+    if not _is_int(value):
+        raise TypeError(f"{name} must be an int, not a {type(value).__name__}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}")
 
 
 def _as_fraction(value) -> Fraction:
@@ -100,8 +111,8 @@ def _over_lcm(polys) -> tuple[list, int]:
     ([[(exponent triple, int), ...] per polynomial], L)."""
     polys = tuple(polys)
     lcm = math.lcm(*(p._den for p in polys))
-    return [[(e, n * (lcm // p._den)) for e, n in p._nums.items()]
-            for p in polys], lcm
+    return [[(e, n * scale) for e, n in p._nums.items()]
+            for p in polys for scale in (lcm // p._den,)], lcm
 
 
 def _add_lie(nums: dict, f, field: list, sign: int) -> None:
@@ -288,7 +299,7 @@ class Polynomial:
 
     def __mul__(self, other):
         if not isinstance(other, Polynomial):
-            if not isinstance(other, (int, Fraction)):
+            if not (_is_int(other) or isinstance(other, Fraction)):
                 return NotImplemented
             p, q = other.numerator, other.denominator
             return Polynomial._make(
@@ -499,92 +510,54 @@ class Matrix:
 
 
 # ---------------------------------------------------------------------------
-# truncated power series
+# series in t = y
 # ---------------------------------------------------------------------------
 
-class PowerSeries:
-    """Formal power series in ``t`` with ``Polynomial`` coefficients,
-    truncated at an explicit order.  Operations never silently extend the
-    truncation order: combining series keeps the smaller order.
-    """
-
-    __slots__ = ("order", "coeffs")
-
-    def __init__(self, coeffs, order: int):
-        if order < 0:
-            raise ValueError("truncation order must be non-negative")
-        coeffs = list(coeffs)
-        if len(coeffs) > order + 1:
-            raise ValueError("more coefficients than the truncation order allows")
-        coeffs += [_ZERO_POLY] * (order + 1 - len(coeffs))
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", tuple(coeffs))
-
-    def __setattr__(self, *a):  # pragma: no cover - immutability guard
-        raise AttributeError("PowerSeries is immutable")
-
-    @classmethod
-    def from_terms(cls, terms: Mapping[int, Polynomial], order: int):
-        coeffs = [_ZERO_POLY] * (order + 1)
-        for k, c in terms.items():
-            if k <= order:
-                coeffs[k] = c
-        return cls(coeffs, order)
-
-    @property
-    def is_zero(self) -> bool:
-        return all(c.is_zero for c in self.coeffs)
-
-    def __add__(self, other: "PowerSeries") -> "PowerSeries":
-        k = min(self.order, other.order)
-        coeffs = [self.coeffs[i] + other.coeffs[i] for i in range(k + 1)]
-        return PowerSeries(coeffs, k)
-
-    def __sub__(self, other: "PowerSeries") -> "PowerSeries":
-        k = min(self.order, other.order)
-        coeffs = [self.coeffs[i] - other.coeffs[i] for i in range(k + 1)]
-        return PowerSeries(coeffs, k)
-
-    def __mul__(self, other: "PowerSeries") -> "PowerSeries":
-        k = min(self.order, other.order)
-        # only pairs of nonzero coefficients contribute
-        left = [(i, c) for i, c in enumerate(self.coeffs[:k + 1]) if c._nums]
-        right = {j: c for j, c in enumerate(other.coeffs[:k + 1]) if c._nums}
-        return PowerSeries(
-            [_sum_of_products([(a, right[n - i]) for i, a in left
-                               if n - i in right])
-             for n in range(k + 1)], k)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PowerSeries):
-            return NotImplemented
-        return self.order == other.order and (self - other).is_zero
-
-    def __repr__(self):
-        parts = [f"({c!r})*t^{k}" for k, c in enumerate(self.coeffs)
-                 if not c.is_zero]
-        return " + ".join(parts) if parts else "0"
+def _series_product(p: Polynomial, q: Polynomial, order: int) -> Polynomial:
+    """p * q through t^order, t = y, forming no pair of terms above it: the
+    terms of q are sorted by their power of y once, so the inner loop stops
+    at the first one that would take the product above t^order."""
+    right = sorted(q._nums.items(), key=lambda item: item[0][1])
+    nums: dict = {}
+    get = nums.get
+    for (a0, a1, a2), na in p._nums.items():
+        for (b0, b1, b2), nb in right:
+            if a1 + b1 > order:
+                break
+            key = (a0 + b0, a1 + b1, a2 + b2)
+            nums[key] = get(key, 0) + na * nb
+    return Polynomial._make(nums, p._den * q._den)
 
 
-def series_exp(s: PowerSeries) -> PowerSeries:
-    """``exp(s)`` as a truncated series; ``s`` must have zero constant term.
+def series_exp(s: Polynomial, order: int) -> Polynomial:
+    """exp(s) through t^order, t = y, for s with no t^0 term (``ValueError``
+    otherwise); ``order`` is checked by :func:`_check_order`.
 
-    a = exp(s) solves a' = s' a, which on coefficients is the recurrence
+    With s = sum_j s_j t^j, a = exp(s) solves a' = s' a, which on
+    coefficients is the recurrence
 
         a_0 = 1,    a_n = (1/n) * sum_{j=1..n} j s_j a_{n-j}
 
     (Brent & Kung 1978; Knuth, TAOCP vol. 2, 4.7).  Only the nonzero s_j
-    take part, so the cost is O(order * nonzero terms of s) coefficient
-    products instead of O(order) full series products.
+    take part, so the cost is O(order * nonzero s_j) coefficient products
+    instead of O(order) full series products.  s is split by powers of y
+    once; each part keeps its t^j, so a_n comes out as a_n t^n.
     """
-    if not s.coeffs[0].is_zero:
-        raise ValueError("series_exp requires a zero constant term")
-    weighted = [(j, j * c) for j, c in enumerate(s.coeffs) if j and c._nums]
+    _check_order(order)
+    parts: dict = {}
+    for (a0, j, a2), n in s._nums.items():
+        if not j:
+            raise ValueError("series_exp requires a zero constant term")
+        parts.setdefault(j, {})[(a0, j, a2)] = j * n
+    weighted = [(j, Polynomial._make(nums, s._den))
+                for j, nums in sorted(parts.items())]
     a = [Polynomial.constant(1)]
-    for n in range(1, s.order + 1):
+    for n in range(1, order + 1):
         a.append(_sum_of_products(
             [(js_j, a[n - j]) for j, js_j in weighted if j <= n], n))
-    return PowerSeries(a, s.order)
+    # the a_n t^n have no term in common: their sum is one dict over the lcm
+    coeffs, den = _over_lcm(a)
+    return Polynomial._make({e: m for c in coeffs for e, m in c}, den)
 
 
 def _sum_of_products(pairs: list, div: int = 1) -> Polynomial:

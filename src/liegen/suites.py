@@ -23,6 +23,7 @@ import time
 from collections import Counter
 from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
+from itertools import chain
 from types import MappingProxyType
 
 from . import contraction as ct
@@ -30,7 +31,7 @@ from . import euclidean as eu
 from . import groups as gr
 from . import heisenberg as hb
 from .errors import ConfigError
-from .numeric import Matrix, Polynomial, PowerSeries, X, Y, Z, _is_int, _worst
+from .numeric import Matrix, Polynomial, X, Y, Z, _is_int, _worst
 
 #: the tolerance of each float gate, fixed: a gate a config could loosen
 #: could be made to pass anything
@@ -216,13 +217,13 @@ def _ratios(sequences):
 
 def _scalars(residual):
     """The scalars an exact residual is made of: a matrix's entries, a
-    polynomial's coefficients, the coefficients' coefficients of a series
-    or a vector field, the real and imaginary parts of a span's
-    coefficients, or else the residual itself."""
+    polynomial's coefficients (a series in t is a polynomial in y), the
+    coefficients' coefficients of a vector field, the real and imaginary
+    parts of a span's coefficients, or else the residual itself."""
     if isinstance(residual, Polynomial):
         if not residual.is_zero:
             yield from residual.terms.values()
-    elif isinstance(residual, (PowerSeries, ct.VectorFieldOp)):
+    elif isinstance(residual, ct.VectorFieldOp):
         for c in residual.coeffs:
             yield from _scalars(c)
     elif isinstance(residual, Matrix):
@@ -252,12 +253,20 @@ class _Recorder:
         """One record for a family of exact residuals, consumed one at a
         time; every member must be identically zero (summing first could
         let nonzero members cancel) and exact: each of its scalars (see
-        :func:`_scalars`) an int or a Fraction equal to 0.  Any other scalar,
-        a float zero included, fails the record with its magnitude, floored
-        at the smallest float so that it cannot read as zero."""
-        magnitudes = [_magnitude(s) for r in residuals for s in _scalars(r)
-                      if not (isinstance(s, (int, Fraction)) and s == 0)]
-        worst = _worst(*magnitudes, math.ulp(0.0)) if magnitudes else 0.0
+        :func:`_scalars`; a series is a polynomial) an int or a Fraction
+        equal to 0.  Any other scalar, a float zero included, fails the
+        record with its magnitude, floored at the smallest float so that it
+        cannot read as zero.  A family with no member fails with inf, as an
+        empty gate does: a check that read nothing must not pass."""
+        residuals, empty = iter(residuals), object()
+        first = next(residuals, empty)
+        if first is empty:
+            worst = math.inf
+        else:
+            magnitudes = [_magnitude(s) for r in chain((first,), residuals)
+                          for s in _scalars(r)
+                          if not (isinstance(s, (int, Fraction)) and s == 0)]
+            worst = _worst(*magnitudes, math.ulp(0.0)) if magnitudes else 0.0
         self.records.append(CheckRecord(
             check_id=check_id, params=params or {}, residual=worst,
             exact=True, tolerance=None,

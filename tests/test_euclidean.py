@@ -485,6 +485,17 @@ def test_span_coefficients_are_read_only():
     assert f == CylFunc.basis(0, Fraction(3, 2))
 
 
+@pytest.mark.parametrize("order", [1.5, True, False],
+                         ids=["float", "true", "false"])
+def test_span_rejects_a_non_int_order(order):
+    # CylFunc({1.5: (1, 0)}) built a span with no basis function of that
+    # order, and a bool is an int to isinstance: basis(True) was order 1
+    with pytest.raises(TypeError, match="must be an int"):
+        CylFunc({order: (1, 0)})
+    with pytest.raises(TypeError, match="must be an int"):
+        CylFunc.basis(order)
+
+
 @pytest.mark.parametrize("coeff", [(1.5, 0), (0, -2.0), (math.inf, 0),
                                    (math.nan, 0), (1j, 0)],
                          ids=["float", "float-imaginary", "inf", "nan",
@@ -550,6 +561,18 @@ def test_a11_zero_shift_is_exact():
     # and at t = 0 the closed form is e^{i n phi} J_n(r), bit for bit
     assert (_a11_closed_form(1, 2.0, 0.5, 0.0)
             == cmath.exp(0.5j) * BESSEL.j(1, 2.0))
+
+
+@pytest.mark.parametrize("n, t_degree, error", [
+    (1, True, TypeError), (True, 2, TypeError), (1, 2.0, TypeError),
+    (0, -1, ValueError), (-1, 2, ValueError)],
+    ids=["true-degree", "true-order", "float-degree", "negative-degree",
+         "negative-order"])
+def test_a11_rejects_a_bad_order_or_degree(n, t_degree, error):
+    # a bool is an int to isinstance: genfunc_a11_residual(1, True) was 0,
+    # and so was (0, -1), a check that read no coefficient
+    with pytest.raises(error, match="must be"):
+        genfunc_a11_residual(n, t_degree)
 
 
 def test_a11_examples():

@@ -144,6 +144,16 @@ def test_series_and_family_checks_reject_a_non_int_order(check, n):
         check(n)
 
 
+@pytest.mark.parametrize("check", [hermite_genfunc_check, disentangle_check,
+                                   ladder_commutator_residual,
+                                   anticommutator_operator_residual])
+def test_series_and_family_checks_reject_a_negative_order(check):
+    # a negative degree tagged no monomial, so the family checks read an
+    # empty family and returned the zero residual
+    with pytest.raises(ValueError, match="must be >="):
+        check(-1)
+
+
 @pytest.mark.parametrize("n", range(0, 65, 4))
 def test_hermite_parity(n):
     h = hermite_rodrigues(n)
@@ -274,11 +284,25 @@ def test_discrete_matrix_rejects_small_dimension():
 
 def test_shift_of_ground_state_hand_oracle():
     # w(x - t) = w exp(xt - t^2/2): through t^3 the coefficients are
-    # 1, x, (x^2 - 1)/2 and (x^3 - 3x)/6, each times w
+    # 1, x, (x^2 - 1)/2 and (x^3 - 3x)/6, each times w; with t = y they
+    # are read off as the coefficients of y^k, and y^4 has none
     s = shift_series(3)
     expected = [Polynomial.constant(1), X, (X ** 2 - 1) / 2,
                 (X ** 3 - 3 * X) / 6]
-    assert list(s.coeffs) == expected
+    assert s.variables == ("x", "y")
+    assert [Polynomial(("x",), {(a,): c for (a, b), c in s.terms.items()
+                                if b == k})
+            for k in range(5)] == expected + [0]
+
+
+@pytest.mark.parametrize("order, error", [(True, TypeError),
+                                          (2.0, TypeError),
+                                          (-1, ValueError)],
+                         ids=["true", "float", "negative"])
+def test_shift_series_rejects_a_bad_order(order, error):
+    # a bool is an int to isinstance: shift_series(True) was order 1
+    with pytest.raises(error, match="order must be"):
+        shift_series(order)
 
 
 # -- generating function and disentangling ----------------------------------------

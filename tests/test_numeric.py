@@ -1,4 +1,5 @@
-"""Exact-arithmetic core: polynomials, series, the Gaussian pairing."""
+"""Exact-arithmetic core: polynomials, series in t = y, the Gaussian
+pairing."""
 
 import math
 import random
@@ -12,10 +13,10 @@ from liegen.contraction import VectorFieldOp, vf_commutator
 from liegen.numeric import (
     CANONICAL_VARS,
     Polynomial,
-    PowerSeries,
     X,
     Y,
     Z,
+    _series_product,
     _sum_of_products,
     series_exp,
     weighted_overlap,
@@ -112,18 +113,28 @@ def test_coefficients_must_be_exact_scalars(coeff):
         Polynomial.constant(coeff)
 
 
+@pytest.mark.parametrize("scalar", [True, False, 0.5],
+                         ids=["true", "false", "float"])
+def test_product_with_a_bool_or_float_scalar_is_refused(scalar):
+    # a bool is an int to isinstance: X * True was x
+    for product in (lambda: X * scalar, lambda: scalar * X,
+                    lambda: VectorFieldOp(X) * scalar):
+        with pytest.raises(TypeError):
+            product()
+
+
 coeffs = st.integers(min_value=-9, max_value=9)
 
 
 @st.composite
-def polynomials(draw, max_deg=6):
+def polynomials(draw, max_deg=6, variables=("x", "y")):
     n_terms = draw(st.integers(min_value=0, max_value=6))
     terms = {}
     for _ in range(n_terms):
         ex = draw(st.integers(min_value=0, max_value=max_deg))
         ey = draw(st.integers(min_value=0, max_value=max_deg - ex))
         terms[(ex, ey)] = F(draw(coeffs), draw(st.integers(min_value=1, max_value=5)))
-    return Polynomial(("x", "y"), terms)
+    return Polynomial(variables, terms)
 
 
 @given(p=polynomials(), q=polynomials())
@@ -585,7 +596,9 @@ def test_product_with_zero_is_the_zero_polynomial(p):
         assert_canonical(product)
 
 
-# -- power series ------------------------------------------------------------
+# -- series in t = y -----------------------------------------------------------
+# A series is a polynomial in y = t whose coefficients are polynomials in x
+# and z; the oracles below work on coefficient lists.
 
 def convolve(a, b, zero):
     """Cauchy product of two coefficient lists of equal length."""
@@ -603,13 +616,29 @@ def naive_exp(coeffs, one, zero):
     return total
 
 
+def series(coeffs):
+    """sum_k coeffs[k] t^k, with t = y."""
+    return sum((c * Y ** k for k, c in enumerate(coeffs)), Polynomial.zero())
+
+
+def coefficients(s, order):
+    """The coefficients of t^0 .. t^order of ``s``, polynomials in x and z;
+    an IndexError if ``s`` has a term above t^order."""
+    out = [{} for _ in range(order + 1)]
+    for exps, c in s.terms.items():
+        powers = dict(zip(s.variables, exps))
+        out[powers.get("y", 0)][(powers.get("x", 0), powers.get("z", 0))] = c
+    return [Polynomial(("x", "z"), terms) for terms in out]
+
+
 sparse_fractions = st.one_of(
     st.just(F(0)),
     st.builds(F, coeffs, st.integers(min_value=1, max_value=6)))
 # series coefficients are polynomials: a rational series has constant ones
 sparse_constants = sparse_fractions.map(Polynomial.constant)
 ONE, ZERO = Polynomial.constant(1), Polynomial.zero()
-sparse_polys = st.one_of(st.just(Polynomial.zero()), polynomials(max_deg=2))
+sparse_polys = st.one_of(st.just(Polynomial.zero()),
+                         polynomials(max_deg=2, variables=("x", "z")))
 
 
 @given(data=st.data(), order=st.integers(min_value=0, max_value=12))
@@ -617,8 +646,9 @@ sparse_polys = st.one_of(st.just(Polynomial.zero()), polynomials(max_deg=2))
 def test_series_exp_matches_naive_sum_fraction(data, order):
     coeffs = [ZERO] + data.draw(
         st.lists(sparse_constants, min_size=order, max_size=order))
-    s = PowerSeries(coeffs, order)
-    assert list(series_exp(s).coeffs) == naive_exp(coeffs, ONE, ZERO)
+    e = series_exp(series(coeffs), order)
+    assert coefficients(e, order) == naive_exp(coeffs, ONE, ZERO)
+    assert_canonical(e)
 
 
 @given(data=st.data(), order=st.integers(min_value=0, max_value=12))
@@ -631,16 +661,25 @@ def test_series_exp_matches_naive_sum_polynomial(data, order):
     for j in nonzero:
         if j <= order:
             coeffs[j] = data.draw(sparse_polys)
-    s = PowerSeries(coeffs, order)
     expected = naive_exp(coeffs, ONE, ZERO)
-    assert list(series_exp(s).coeffs) == expected
+    assert coefficients(series_exp(series(coeffs), order), order) == expected
 
 
 def test_series_exp_truncates_to_requested_order():
-    s = PowerSeries.from_terms({1: ONE}, 9)
-    e = series_exp(PowerSeries(s.coeffs[:5], 4))
-    assert e.order == 4
-    assert list(e.coeffs) == [F(1, math.factorial(k)) for k in range(5)]
+    # terms of s above t^order take no part
+    expected = series([F(1, math.factorial(k)) for k in range(5)])
+    assert series_exp(Y, 4) == expected
+    assert series_exp(Y + Y ** 7, 4) == expected
+
+
+@pytest.mark.parametrize("order, error", [(True, TypeError),
+                                          (2.0, TypeError),
+                                          (-1, ValueError)],
+                         ids=["bool", "float", "negative"])
+def test_series_exp_rejects_a_bad_order(order, error):
+    # a bool is an int to isinstance: series_exp(s, True) would be order 1
+    with pytest.raises(error, match="order must be"):
+        series_exp(Y, order)
 
 
 @given(data=st.data(), order=st.integers(min_value=0, max_value=8))
@@ -650,30 +689,46 @@ def test_series_product_matches_convolution(data, order):
                            max_size=order + 1))
     b = data.draw(st.lists(sparse_constants, min_size=order + 1,
                            max_size=order + 1))
-    product = PowerSeries(a, order) * PowerSeries(b, order)
-    assert list(product.coeffs) == convolve(a, b, ZERO)
+    product = _series_product(series(a), series(b), order)
+    assert coefficients(product, order) == convolve(a, b, ZERO)
 
 
 @given(data=st.data(), order_a=st.integers(min_value=0, max_value=6),
-       order_b=st.integers(min_value=0, max_value=6))
+       order_b=st.integers(min_value=0, max_value=6),
+       order=st.integers(min_value=0, max_value=8))
 @settings(max_examples=40, deadline=None)
-def test_series_product_matches_naive_cauchy_sum(data, order_a, order_b):
-    # polynomial coefficients, many of them zero, and unequal orders: the
-    # fused product equals the Cauchy sum through Polynomial * and +
+def test_series_product_matches_naive_cauchy_sum(data, order_a, order_b,
+                                                 order):
+    # polynomial coefficients, many of them zero, and factors shorter or
+    # longer than the product's order: the product equals the Cauchy sum
+    # through Polynomial * and + of the factors cut or padded to that order
     a, b = [data.draw(st.lists(sparse_polys, min_size=n + 1, max_size=n + 1))
             for n in (order_a, order_b)]
-    product = PowerSeries(a, order_a) * PowerSeries(b, order_b)
-    k = min(order_a, order_b)
-    assert product.order == k
-    assert list(product.coeffs) == convolve(a[:k + 1], b[:k + 1], ZERO)
-    for c in product.coeffs:
-        assert_canonical(c)
+    product = _series_product(series(a), series(b), order)
+    pad = [ZERO] * (order + 1)
+    assert coefficients(product, order) == convolve(
+        (a + pad)[:order + 1], (b + pad)[:order + 1], ZERO)
+    assert_canonical(product)
+
+
+@given(p=polynomials_in(), q=polynomials_in(),
+       order=st.integers(min_value=0, max_value=6))
+@settings(max_examples=60, deadline=None)
+def test_series_product_is_the_truncated_product(p, q, order):
+    # the oracle: the whole product, less every term above t^order
+    full = p * q
+    kept = {exps: c for exps, c in full.terms.items()
+            if dict(zip(full.variables, exps)).get("y", 0) <= order}
+    product = _series_product(p, q, order)
+    assert product == Polynomial(full.variables, kept)
+    assert_canonical(product)
 
 
 def test_series_product_coefficient_with_no_nonzero_pair():
-    # t^2 * t^2 through t^3: every coefficient sums an empty pair list
-    t2 = PowerSeries.from_terms({2: X}, 3)
-    assert (t2 * t2).is_zero
+    # t^2 * t^2 through t^3: no pair of terms is formed
+    t2 = X * Y ** 2
+    assert _series_product(t2, t2, 3).is_zero
+    assert _series_product(t2, t2, 4) == t2 * t2
     for div in (1, 6):
         empty = _sum_of_products([], div)
         assert empty == 0
@@ -690,41 +745,34 @@ def test_sum_of_products_brings_each_product_to_the_lcm():
 
 
 def test_series_exp_of_zero_is_one():
-    zero = PowerSeries.from_terms({}, 8)
-    assert series_exp(zero) == PowerSeries.from_terms({0: ONE}, 8)
+    # every coefficient past t^0 sums an empty pair list
+    assert series_exp(ZERO, 8) == ONE
+    assert series_exp(ZERO, 0) == ONE
 
 
 def test_series_exp_rejects_constant_term():
-    s = PowerSeries.from_terms({0: ONE}, 4)
-    with pytest.raises(ValueError, match="constant term"):
-        series_exp(s)
+    # the t^0 term is every term free of y, constant in x and z or not
+    for s in (ONE + Y, X, X * Z + Y ** 2):
+        with pytest.raises(ValueError, match="constant term"):
+            series_exp(s, 4)
 
 
 def test_series_exp_hermite_generating_coefficients():
     # exp(2xt - t^2): t and t^2 coefficients equal H_1/1! and H_2/2!
     # computed from the independent recurrence oracle.
-    s = PowerSeries.from_terms({1: 2 * X, 2: Polynomial.constant(-1)}, 8)
-    e = series_exp(s)
-    assert e.coeffs[1] == hermite_by_recurrence(1)
-    assert e.coeffs[2] == hermite_by_recurrence(2) * F(1, 2)
+    e = coefficients(series_exp(2 * X * Y - Y ** 2, 8), 8)
+    assert e[1] == hermite_by_recurrence(1)
+    assert e[2] == hermite_by_recurrence(2) * F(1, 2)
 
 
 @given(a1=coeffs, a2=coeffs, b1=coeffs, b2=coeffs)
 @settings(max_examples=40)
 def test_series_exp_is_multiplicative(a1, a2, b1, b2):
     order = 7
-    a = PowerSeries.from_terms({1: Polynomial.constant(a1),
-                                2: Polynomial.constant(a2)}, order)
-    b = PowerSeries.from_terms({1: Polynomial.constant(b1),
-                                2: Polynomial.constant(b2)}, order)
-    assert series_exp(a) * series_exp(b) == series_exp(a + b)
-
-
-def test_series_operations_keep_smaller_order():
-    a = PowerSeries.from_terms({1: ONE}, 9)
-    b = PowerSeries.from_terms({1: ONE}, 4)
-    assert (a * b).order == 4
-    assert (a + b).order == 4
+    a = a1 * Y + a2 * Y ** 2
+    b = b1 * Y + b2 * Y ** 2
+    assert (_series_product(series_exp(a, order), series_exp(b, order), order)
+            == series_exp(a + b, order))
 
 
 # -- the Gaussian pairing ------------------------------------------------------

@@ -102,6 +102,10 @@ def test_benchmark_worker_tiny_traced_run(workload):
         # the tracer patches BesselEval.derivatives on the class: a method
         # bound at import would bypass it and read 0 here
         assert result["layers"]["euclidean.derivatives_calls"] > 0
+        # one series_exp in hermite_genfunc_check and two in
+        # disentangle_check: a changed signature, or an import under
+        # another name, would make the layer read 0
+        assert result["layers"]["numeric.series_exp_calls"] == 3
     if workload == "exact-multivar":
         # 3 tiny Jacobi triples of 6 brackets each, and the residual
         # numerators are applied, not multiplied out

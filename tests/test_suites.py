@@ -22,7 +22,7 @@ from liegen import groups as gr
 from liegen import heisenberg as hb
 from liegen import suites
 from liegen.errors import ConfigError
-from liegen.numeric import Matrix, Polynomial, PowerSeries, X, Y, _worst
+from liegen.numeric import Matrix, Polynomial, X, Y, _worst
 from liegen.suites import (
     CheckRecord,
     SuiteConfig,
@@ -121,7 +121,7 @@ def test_exact_record_reads_a_matrix_residual():
 
 
 @pytest.mark.parametrize("series", [
-    PowerSeries.from_terms({1: X / 3}, 2),
+    X * Y / 3,   # (x/3) t, with t = y
 ], ids=["polynomial"])
 def test_exact_record_reads_a_series_residual(series):
     rec = suites._Recorder()
@@ -138,9 +138,8 @@ _HUGE = Polynomial.constant(10 ** 400) * X
 
 @pytest.mark.parametrize("residual", [
     _HUGE,
-    PowerSeries.from_terms({1: _HUGE}, 2),
     ct.VectorFieldOp(_HUGE),
-], ids=["polynomial", "series", "vector-field"])
+], ids=["polynomial", "vector-field"])
 def test_exact_record_of_a_coefficient_past_the_float_range_is_inf(residual):
     # a scalar of this size records inf; a coefficient of one must not raise
     rec = suites._Recorder()
@@ -372,23 +371,29 @@ def test_wrong_lz_records_the_coefficient_gap(monkeypatch, coeff, residual):
     assert records["ladder_roundtrip_identity"].status == "pass"
 
 
-def test_wrong_parity_term_fails_parity_and_recurrence(monkeypatch):
+@pytest.mark.parametrize("index, bump", [
+    (5, Fraction(3, 2) * X ** 2),   # even exponent in the odd H_5
+    # odd exponent in H_8, whose t^8 is the series checks' top coefficient
+    # under SMALL_HERMITE: a check cut one order short would miss it
+    (8, Fraction(3, 2) * X ** 3),
+], ids=["H5-even", "H8-odd-top"])
+def test_wrong_parity_term_fails_parity_and_recurrence(monkeypatch, index,
+                                                       bump):
     real = hb.hermite_rodrigues
-    bump = Fraction(3, 2) * X ** 2  # even exponent in the odd H_5
 
     def mutated(n):
         h = real(n)
-        return h + bump if n == 5 else h
+        return h + bump if n == index else h
 
     monkeypatch.setattr(hb, "hermite_rodrigues", mutated)
     records = records_by_id(run_suite("hermite", SuiteConfig(**SMALL_HERMITE))[0])
     assert records["parity"].status == "fail"
     assert records["parity"].residual == 1.5
     assert records["rodrigues_vs_recurrence"].status == "fail"
-    # both series checks read sum H_k t^k / k!, so the bump shows in t^5
+    # both series checks read sum H_k t^k / k!, so the bump shows in t^index
     for series_check in ("genfunc_A5", "disentangle"):
         assert records[series_check].status == "fail"
-        assert records[series_check].residual == 1.5 / math.factorial(5)
+        assert records[series_check].residual == 1.5 / math.factorial(index)
 
 
 def failed_ids(report):
@@ -445,9 +450,14 @@ def test_hermite_checks_above_64_pass():
 
 
 def test_empty_gate_fails():
+    # a gate or an exact record that read nothing must not pass
     rec = suites._Recorder()
     rec.gated("nothing", (), "bessel/identity")
-    assert rec.records[0].status == "fail"
+    rec.exact("nothing exact", [])
+    rec.exact("nothing exact, lazily", iter(()))
+    for record in rec.records:
+        assert record.status == "fail"
+        assert record.residual == math.inf
 
 
 ZERO_SEQUENCES = {
