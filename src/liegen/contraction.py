@@ -14,10 +14,9 @@ import operator
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import EnvelopeError
 from .euclidean import BESSEL, bessel_series
 from .numeric import (CANONICAL_VARS, Polynomial, Scalar, X, Y, Z,
-                      _add_lie, _as_fraction, _is_int, _over_lcm,
+                      _add_lie, _as_fraction, _check_order, _over_lcm,
                       _scaled_powers)
 
 
@@ -215,7 +214,7 @@ def polar_ladder_limit(n: int, r: float, phi: float,
     grow as R^2 and bury the O(r^2/R^2) geometric signal being measured.
     """
     if not 0.5 <= r <= 5:
-        raise EnvelopeError("r outside [0.5, 5]")
+        raise ValueError("r outside [0.5, 5]")
     h_phi = 1e-4
     out: dict[float, float] = {}
     for R in R_list:
@@ -256,14 +255,11 @@ MIN_LEGENDRE_ODE_DEGREE = 8
 def assoc_legendre(l: int, m: int, x: float) -> float:
     """P_l^m(x) without the Condon-Shortley phase, by upward degree
     recurrence from the seeds P_m^m = (2m-1)!! (1-x^2)^{m/2} and
-    P_{m+1}^m = (2m+1) x P_m^m.  ``TypeError`` for a degree or order that
-    is not an int (a bool included)."""
-    if not (_is_int(l) and _is_int(m)):
-        raise TypeError("l and m must be ints")
-    if not 0 <= m <= l:
-        raise ValueError("need 0 <= m <= l")
+    P_{m+1}^m = (2m+1) x P_m^m."""
+    _check_order(m, name="m")
+    _check_order(l, m, "l")
     if l > MAX_LEGENDRE_DEGREE:
-        raise EnvelopeError(f"degree above {MAX_LEGENDRE_DEGREE}")
+        raise ValueError(f"degree above {MAX_LEGENDRE_DEGREE}")
     if abs(x) > 1:
         raise ValueError("argument outside [-1, 1]")
     # (1-x^2)^{m/2} via (1-x)(1+x) keeps precision near the endpoints
@@ -288,9 +284,9 @@ def mehler_heine_check(m: int, r: float,
     computes it (Szego, Orthogonal Polynomials, sec. 8.1; DLMF 18.11).
     """
     if not 0.5 <= r <= 8:
-        raise EnvelopeError("r outside [0.5, 8]")
+        raise ValueError("r outside [0.5, 8]")
     if m > 5:
-        raise EnvelopeError("order above 5")
+        raise ValueError("order above 5")
     target = BESSEL.j(m, r).real
     out: dict[int, float] = {}
     for l in l_list:
@@ -305,18 +301,14 @@ def legendre_ode_residual(l: int, m: int, r: float) -> float:
     at theta = r/l, using termwise series derivatives, and divide by l^2.
 
     As l grows the operator collapses onto the Bessel operator and the
-    normalized residual decays like 1/l.  ``TypeError`` for a degree or
-    order that is not an int (a bool included).
-    """
-    if not (_is_int(l) and _is_int(m)):
-        raise TypeError("l and m must be ints")
-    if l < MIN_LEGENDRE_ODE_DEGREE:
-        raise EnvelopeError(f"degree below {MIN_LEGENDRE_ODE_DEGREE}")
+    normalized residual decays like 1/l."""
+    _check_order(m, None, "m")
+    _check_order(l, MIN_LEGENDRE_ODE_DEGREE, "l")
     if not 0.5 <= r <= 8:
-        raise EnvelopeError("r outside [0.5, 8]")
+        raise ValueError("r outside [0.5, 8]")
     theta = r / l
     if theta >= math.pi / 4:
-        raise EnvelopeError("theta = r/l not small")
+        raise ValueError("theta = r/l not small")
     j, jp, jpp = (v.real for v in BESSEL.derivatives(m, l * theta))
     # (1/sin t) d/dt (sin t d/dt) g = g'' + cot(t) g' with g = J_m(l t)
     value = (l * l * jpp + l * jp / math.tan(theta)

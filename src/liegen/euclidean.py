@@ -32,9 +32,8 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Mapping
 
-from .errors import BranchAmbiguityError, EnvelopeError
 from .numeric import (X, Y, Z, Polynomial, Scalar, _as_fraction,
-                      _check_order, _is_int, _sum_of_products)
+                      _check_order, _sum_of_products)
 
 #: largest |z| the evaluator accepts
 MAX_ABS_Z = 30.0
@@ -192,13 +191,11 @@ class BesselEval:
         return self.derivatives(n, z)[0]
 
     def derivatives(self, n: int, z: complex) -> tuple[complex, complex, complex]:
-        """(J_n, J_n', J_n'') at z, each part correctly rounded; ``TypeError``
-        for an order that is not an int (a bool included)."""
-        if not _is_int(n):
-            raise TypeError(f"n must be an int, not a {type(n).__name__}")
+        """(J_n, J_n', J_n'') at z, each part correctly rounded."""
+        _check_order(n, None, "n")  # before the cache, where True is 1
         z = complex(z)
         if not abs(z) <= MAX_ABS_Z:     # NaN fails this test too
-            raise EnvelopeError(f"|z| = {abs(z):.3g} is not at most {MAX_ABS_Z}")
+            raise ValueError(f"|z| = {abs(z):.3g} is not at most {MAX_ABS_Z}")
         key = (n, z)
         if key not in self._cache:
             self._cache[key] = _series(n, z)
@@ -215,8 +212,8 @@ def bessel_series(n: int, degree: int) -> Polynomial:
     J_{-n} = (-1)^n J_n (DLMF 10.2.2, 10.4.1).  The terms j <= k go over
     the last one's denominator 2^(n+2k) k! (n+k)!, on which term j - 1 is
     term j times -4 j (n+j): one pass in ints."""
-    if not (_is_int(n) and _is_int(degree)):
-        raise TypeError("n and degree must be ints")
+    _check_order(n, None, "n")
+    _check_order(degree, None, "degree")
     sign = -1 if n < 0 and n % 2 else 1
     n = abs(n)
     k = (degree - n) // 2
@@ -269,9 +266,7 @@ class CylFunc:
     def __init__(self, coeffs: Mapping[int, tuple[Scalar, Scalar]]):
         cleaned = {}
         for n, (re, im) in sorted(coeffs.items()):
-            if not _is_int(n):
-                raise TypeError(
-                    f"an order must be an int, not a {type(n).__name__}")
+            _check_order(n, None, "an order")
             re, im = _as_fraction(re), _as_fraction(im)
             if re or im:
                 cleaned[n] = (re, im)
@@ -345,9 +340,9 @@ BESSEL_IDENTITIES = ("ode_A6", "recursion_A7", "diffrel_A8",
 def verify_bessel_identity(which: str, n: int, r: float) -> float:
     """Absolute residual of one cataloged Bessel identity at (n, r)."""
     if not IDENTITY_MIN_R <= r <= IDENTITY_MAX_R:
-        raise EnvelopeError(f"r outside [{IDENTITY_MIN_R}, {IDENTITY_MAX_R}]")
+        raise ValueError(f"r outside [{IDENTITY_MIN_R}, {IDENTITY_MAX_R}]")
     if abs(n) > IDENTITY_MAX_ORDER:
-        raise EnvelopeError(f"|n| above {IDENTITY_MAX_ORDER}")
+        raise ValueError(f"|n| above {IDENTITY_MAX_ORDER}")
     j, jp, jpp = (v.real for v in BESSEL.derivatives(n, r))
     j_down = BESSEL.j(n - 1, r).real
     j_up = BESSEL.j(n + 1, r).real
@@ -416,17 +411,21 @@ def genfunc_a11_residual(n: int, t_degree: int) -> Polynomial:
     return lhs - rhs
 
 
+def _principal_root(radicand: complex) -> complex:
+    """The principal root of a radicand in the open right half-plane, a
+    quarter turn from the branch cut (``ValueError`` outside it)."""
+    if radicand.real <= 0:
+        raise ValueError(f"radicand {radicand} leaves the right half-plane")
+    return cmath.sqrt(radicand)
+
+
 def _a11_closed_form(n: int, r: float, phi: float, t: complex) -> complex:
     """e^{i n phi} (r/u)^n J_n(u), u = sqrt(r^2 + 2 t r e^{i phi}) (principal
     root): the sum of the ladder expansion of A.11 (its terms are checked by
     :func:`genfunc_a11_residual`), which the diagnostics compare against."""
     if abs(t) > 0.5 or not 0.5 <= r <= 10:
-        raise EnvelopeError("|t| above 0.5 or r outside [0.5, 10]")
-    radicand = r * r + 2 * t * r * cmath.exp(1j * phi)
-    if radicand.real <= 0:
-        raise BranchAmbiguityError(
-            f"radicand {radicand} leaves the right half-plane")
-    u = cmath.sqrt(radicand)
+        raise ValueError("|t| above 0.5 or r outside [0.5, 10]")
+    u = _principal_root(r * r + 2 * t * r * cmath.exp(1j * phi))
     return cmath.exp(1j * n * phi) * (r / u) ** n * BESSEL.j(n, u)
 
 
@@ -440,11 +439,7 @@ def genfunc_a11_literal_diagnostic(n: int, r: float, phi: float,
     rhs = _a11_closed_form(n, r, phi, t)
     x = r * math.cos(phi)
     y = r * math.sin(phi)
-    radicand = r * r + 2 * t * (1j * x - y)
-    if radicand.real <= 0:
-        raise BranchAmbiguityError(
-            f"radicand {radicand} leaves the right half-plane")
-    u = cmath.sqrt(radicand)
+    u = _principal_root(r * r + 2 * t * (1j * x - y))
     lhs = cmath.exp(1j * n * phi) * BESSEL.j(n, u)
     return abs(lhs - rhs)
 
@@ -466,7 +461,7 @@ def genfunc_a12_diagnostic(n: int, r: float, phi: float, t: float) -> dict:
     rhs = _a11_closed_form(n, r, phi, t)
     radicand = 2 * r * phi * t + r * r
     if radicand <= 0:
-        raise BranchAmbiguityError(f"radicand {radicand} not positive")
+        raise ValueError(f"radicand {radicand} not positive")
     scaled_r = math.sqrt(radicand)
     scaled_phi = r * phi / scaled_r
     j_n = BESSEL.j(n, scaled_r)

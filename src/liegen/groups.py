@@ -29,7 +29,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .numeric import Matrix, Scalar, _as_fraction, _is_int, _worst
+from .numeric import Matrix, Scalar, _as_fraction, _check_order, _worst
 
 #: the 3x3 identity matrix, exact
 IDENTITY = Matrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
@@ -156,8 +156,8 @@ class E2Element(_OverDen):
 
     def __init__(self, x: int, y: int, c: int, s: int, den: int = 1):
         num = (x, y, c, s)
-        if not all(type(n) is int for n in (*num, den)):
-            raise TypeError("E2Element takes integer numerators")
+        for n in (*num, den):
+            _check_order(n, None, "an E2Element argument")
         if den <= 0 or c * c + s * s != den * den:
             raise ValueError("need den > 0 and c^2 + s^2 = den^2")
         common = math.gcd(den, *num)
@@ -294,13 +294,9 @@ def axiom_suite(group: str, samples: int, seed: int) -> dict:
     (N_g * N_h) * d_gh for the numerator matrices N over the denominators d.
     The other axioms compare the two elements.  Returns, per axiom, the
     largest exact gap between the two sides' matrix entries (:func:`_gap`):
-    0 when all are equal.  ``TypeError`` for a ``samples`` or ``seed`` that
-    is not an int (a bool included).
-    """
-    if not (_is_int(samples) and _is_int(seed)):
-        raise TypeError("samples and seed must be ints")
-    if samples < MIN_AXIOM_SAMPLES:
-        raise ValueError(f"samples must be >= {MIN_AXIOM_SAMPLES}")
+    0 when all are equal."""
+    _check_order(samples, MIN_AXIOM_SAMPLES, "samples")
+    _check_order(seed, None, "seed")
     rng = random.Random(seed)
     if group == "h3":
         draw, compose, inverse, ident = (

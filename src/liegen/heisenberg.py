@@ -145,8 +145,7 @@ def discrete_matrix(op: str, dimension: int) -> Matrix:
     S = diag(sqrt(n! 2^n)) they are sqrt(2) times the normalized matrices,
     sqrt(n) at (n-1, n) and sqrt(n+1) at (n+1, n) (see the module docstring).
     """
-    if dimension < MIN_DISCRETE_DIM:
-        raise ValueError(f"dimension must be at least {MIN_DISCRETE_DIM}")
+    _check_order(dimension, MIN_DISCRETE_DIM, "dimension")
     rows = [[0] * dimension for _ in range(dimension)]
     if op == "lower":
         for n in range(1, dimension):

@@ -68,13 +68,14 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _check_order(value, least: int = 0, name: str = "order") -> None:
-    """``TypeError`` for a ``value`` that is not an int (a bool included),
-    ``ValueError`` below ``least``: the check of an order, a degree or a
-    count, named ``name`` in the message."""
+def _check_order(value, least: int | None = 0, name: str = "order") -> None:
+    """The one check of an integer argument in ``liegen``: an order, a
+    degree, an exponent, a count, a seed or a dimension.  ``TypeError`` for
+    a ``value`` that is not an int (a bool included), ``ValueError`` below
+    ``least`` (``None``: any int), each naming ``name`` in its message."""
     if not _is_int(value):
         raise TypeError(f"{name} must be an int, not a {type(value).__name__}")
-    if value < least:
+    if least is not None and value < least:
         raise ValueError(f"{name} must be >= {least}")
 
 
@@ -171,11 +172,8 @@ class Polynomial:
             exps = tuple(exps)
             if len(exps) != len(variables):
                 raise ValueError("exponent tuple does not match variables")
-            # a bool is an int to isinstance, but True is no exponent
-            if any(isinstance(e, bool) for e in exps):
-                raise TypeError("an exponent must be an int, not a bool")
-            if any(not isinstance(e, int) or e < 0 for e in exps):
-                raise ValueError("exponents must be non-negative integers")
+            for e in exps:
+                _check_order(e, name="an exponent")
             coeff = _as_fraction(coeff)
             if coeff != 0:
                 key = [0] * len(CANONICAL_VARS)
@@ -317,13 +315,8 @@ class Polynomial:
         top one and one product per further set bit, so x^12 takes 4
         products, not 11 (Knuth, TAOCP vol. 2, 4.6.3).  The products are
         exact and every result is in canonical form, so the order in which
-        they run does not show in the power.  ``TypeError`` for an exponent
-        that is not an int (a bool included), ``ValueError`` below 0."""
-        if not _is_int(n):
-            raise TypeError(
-                f"expected an int exponent, got {type(n).__name__}")
-        if n < 0:
-            raise ValueError("negative polynomial power")
+        they run does not show in the power."""
+        _check_order(n, name="the exponent")
         out, base = None, self
         while n:
             if n & 1:
@@ -405,7 +398,8 @@ class Polynomial:
     # -- comparison / display ----------------------------------------------
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
+        # a bool is no exact scalar: NotImplemented, so X == True is False
+        if _is_int(other) or isinstance(other, Fraction):
             other = Polynomial.constant(other)
         if not isinstance(other, Polynomial):
             return NotImplemented

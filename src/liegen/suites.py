@@ -30,8 +30,8 @@ from . import contraction as ct
 from . import euclidean as eu
 from . import groups as gr
 from . import heisenberg as hb
-from .errors import ConfigError
-from .numeric import Matrix, Polynomial, X, Y, Z, _is_int, _worst
+from .numeric import (Matrix, Polynomial, X, Y, Z, _check_order, _is_int,
+                      _worst)
 
 #: the tolerance of each float gate, fixed: a gate a config could loosen
 #: could be made to pass anything
@@ -47,6 +47,10 @@ TOLERANCES = MappingProxyType({
 
 #: the ODE residuals at radii below this are recorded apart, in ode_A6_small_r
 SMALL_R = 0.2
+
+
+class ConfigError(ValueError):
+    """A config file or value the checks cannot take."""
 
 
 @dataclass(frozen=True)
@@ -74,15 +78,15 @@ class SuiteConfig:
         # wrong type would raise inside a check, not here
         for f in fields(self):
             value = getattr(self, f.name)
-            if type(f.default) is int and not _is_int(value):
-                raise ConfigError(f"{f.name} must be an int")
-            if type(f.default) is tuple:
-                if not isinstance(value, (tuple, list)):
-                    raise ConfigError(f"{f.name} must be a tuple or a list")
+            if type(f.default) is int:
+                _config_order(value, _LOWER_BOUNDS.get(f.name), f.name)
+            elif not isinstance(value, (tuple, list)):
+                raise ConfigError(f"{f.name} must be a tuple or a list")
+            else:
                 object.__setattr__(self, f.name, tuple(value))
         for name in ("legendre_l", "bessel_orders"):
-            if not all(map(_is_int, getattr(self, name))):
-                raise ConfigError(f"{name} entries must be ints")
+            for value in getattr(self, name):
+                _config_order(value, None, f"a {name} entry")
         # the rate gates compare the ratio of each pair of consecutive
         # entries with 1/2: there must be a pair, and each entry must be
         # twice the one before it
@@ -111,13 +115,18 @@ class SuiteConfig:
                for l in self.legendre_l):
             raise ConfigError(f"legendre_l outside [{ct.MIN_LEGENDRE_ODE_DEGREE}, "
                               f"{ct.MAX_LEGENDRE_DEGREE}]")
-        for name, low in _LOWER_BOUNDS.items():
-            if getattr(self, name) < low:
-                raise ConfigError(f"{name} below {low}")
 
     def echo(self) -> dict:
         return {name: list(value) if isinstance(value, tuple) else value
                 for name, value in asdict(self).items()}
+
+
+def _config_order(value, least, name: str) -> None:
+    """:func:`numeric._check_order`, its errors raised as ``ConfigError``."""
+    try:
+        _check_order(value, least, name)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _is_real(value) -> bool:

@@ -13,7 +13,6 @@ from liegen.contraction import (
     mehler_heine_check,
     polar_ladder_limit,
 )
-from liegen.errors import BranchAmbiguityError, EnvelopeError
 from liegen.euclidean import (
     BESSEL,
     BESSEL_IDENTITIES,
@@ -85,7 +84,7 @@ def test_envelope_guards(ev):
         j_down, j, j_up = (ev.j(k, r).real for k in (n - 1, n, n + 1))
         assert j_down != 0
         assert abs(2 * n / r * j - j_down - j_up) <= 1e-13 * abs(j_down)
-    with pytest.raises(EnvelopeError):
+    with pytest.raises(ValueError, match="is not at most"):
         ev.j(0, 31.0)
 
 
@@ -253,7 +252,7 @@ def test_large_order_at_tiny_argument_is_finite(n, z):
 
 @pytest.mark.parametrize("z", [math.nan, complex(1.0, math.nan)])
 def test_nan_argument_is_outside_the_envelope(z):
-    with pytest.raises(EnvelopeError):
+    with pytest.raises(ValueError, match="is not at most"):
         BesselEval().derivatives(0, z)
 
 
@@ -412,7 +411,8 @@ def test_evaluator_rejects_a_non_int_order(n):
                               "float-order", "float-degree"])
 def test_bessel_series_rejects_a_non_int_argument(n, degree):
     # a bool is an int to isinstance: bessel_series(True, 3) was J_1's series
-    with pytest.raises(TypeError, match="must be ints"):
+    bad = "degree" if type(n) is int else "n"
+    with pytest.raises(TypeError, match=f"^{bad} must be an int, not a"):
         bessel_series(n, degree)
 
 
@@ -435,9 +435,9 @@ def test_identity_examples():
 
 
 def test_identity_envelope():
-    with pytest.raises(EnvelopeError):
+    with pytest.raises(ValueError, match=r"\|n\| above 10"):
         verify_bessel_identity("ode_A6", 11, 1.0)
-    with pytest.raises(EnvelopeError):
+    with pytest.raises(ValueError, match="r outside"):
         verify_bessel_identity("ode_A6", 0, 25.0)
 
 
@@ -596,9 +596,9 @@ def test_a11_acceptance_grid():
 
 
 def test_a11_branch_guard():
-    with pytest.raises(BranchAmbiguityError):
+    with pytest.raises(ValueError, match="leaves the right half-plane"):
         _a11_closed_form(0, 1.0, 0.0, -0.5)
-    with pytest.raises(BranchAmbiguityError):
+    with pytest.raises(ValueError, match="leaves the right half-plane"):
         genfunc_a11_literal_diagnostic(0, 1.0, 0.0, -0.5)
 
 
@@ -607,9 +607,9 @@ def test_a11_envelope():
     # 0.5 <= r <= 10
     for read in (_a11_closed_form, genfunc_a11_literal_diagnostic,
                  genfunc_a12_diagnostic):
-        with pytest.raises(EnvelopeError):
+        with pytest.raises(ValueError, match=r"\|t\| above 0.5 or r outside"):
             read(0, 2.0, 0.0, 0.6)
-        with pytest.raises(EnvelopeError):
+        with pytest.raises(ValueError, match=r"\|t\| above 0.5 or r outside"):
             read(0, 0.3, 0.0, 0.1)
 
 

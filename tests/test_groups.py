@@ -227,7 +227,8 @@ def test_e2_apply_rejects_a_float_point():
 ], ids=["float-x", "float-c-s", "float-one", "float-zero", "float-den",
         "fraction", "bool"])
 def test_e2_rejects_non_integer_numerators(args):
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError,
+                       match="an E2Element argument must be an int"):
         E2Element(*args)
 
 
@@ -478,7 +479,8 @@ def test_axiom_suite_rejects_bad_input():
                               "bool-seed"])
 def test_axiom_suite_rejects_a_non_int_count_or_seed(samples, seed):
     # True ran as one sample, and a float or bool seed seeded a stream
-    with pytest.raises(TypeError, match="must be ints"):
+    bad = "seed" if type(samples) is int else "samples"
+    with pytest.raises(TypeError, match=f"^{bad} must be an int, not a"):
         axiom_suite("h3", samples=samples, seed=seed)
 
 

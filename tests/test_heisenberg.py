@@ -276,8 +276,15 @@ def test_discrete_product_matches_dense_product(data, dim):
 
 
 def test_discrete_matrix_rejects_small_dimension():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="dimension must be >= 2"):
         discrete_matrix("lower", 1)
+
+
+@pytest.mark.parametrize("dimension", [True, 3.0], ids=["bool", "float"])
+def test_discrete_matrix_rejects_a_non_int_dimension(dimension):
+    # True was refused as too small, with a ValueError; 3.0 reached range()
+    with pytest.raises(TypeError, match="dimension must be an int, not a"):
+        discrete_matrix("raise", dimension)
 
 
 # -- shift operator ------------------------------------------------------------

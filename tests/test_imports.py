@@ -4,13 +4,17 @@ class is read somewhere in the package or the benchmark.
 
 No linter ships with the project, and a deleted function can leave its
 imports behind, or a deleted caller its callee; this reads each module's
-syntax tree with the standard ``ast`` module instead.  Last, the
-benchmark's tracer must find every liegen name it patches.
+syntax tree with the standard ``ast`` module instead.  An integer
+argument is decided by one check, ``numeric._check_order``, so no other
+module raises ``TypeError`` itself.  Last, the benchmark's tracer must find
+every liegen name it patches, and every console script must name a module
+that exists.
 """
 
 import ast
 import importlib.util
 import pathlib
+import tomllib
 
 import pytest
 
@@ -52,6 +56,38 @@ def test_guard_finds_an_unused_import():
                          ids=lambda path: path.name)
 def test_module_reads_every_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+def own_type_checks(source: str) -> list[str]:
+    """Lines where a module raises ``TypeError`` itself or imports from a
+    sibling ``errors`` module."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name) and exc.id == "TypeError":
+                found.append((node.lineno, "raise TypeError"))
+        elif (isinstance(node, ast.ImportFrom) and node.level
+              and node.module == "errors"):
+            found.append((node.lineno, "from .errors"))
+    return [f"{what} (line {line})" for line, what in sorted(found)]
+
+
+def test_guard_finds_an_own_type_check():
+    source = ("from .errors import RangeError\nfrom .numeric import f\n"
+              "def g(n):\n    if not isinstance(n, int):\n"
+              "        raise TypeError(f'{n!r}')\n"
+              "    if n < 0:\n        raise RangeError(n)\n"
+              "    raise TypeError\n")
+    assert own_type_checks(source) == ["from .errors (line 1)",
+                                       "raise TypeError (line 5)",
+                                       "raise TypeError (line 8)"]
+
+
+def test_only_numeric_raises_a_type_error():
+    found = {path.name: own_type_checks(path.read_text())
+             for path in sorted(SRC.glob("*.py")) if path.name != "numeric.py"}
+    assert {name: lines for name, lines in found.items() if lines} == {}
 
 
 def _definitions(tree: ast.Module):
@@ -223,3 +259,12 @@ def test_tracer_finds_every_target():
         tracer.uninstall()
     assert (numeric.Polynomial.__dict__["__mul__"],
             heisenberg.series_exp) == before
+
+
+def test_every_console_script_has_its_module():
+    # an installed command whose module is missing fails on import
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        scripts = tomllib.load(fh).get("project", {}).get("scripts", {})
+    missing = [f"{name} = {target}" for name, target in scripts.items()
+               if importlib.util.find_spec(target.split(":")[0]) is None]
+    assert missing == []

@@ -21,10 +21,10 @@ from liegen import euclidean as eu
 from liegen import groups as gr
 from liegen import heisenberg as hb
 from liegen import suites
-from liegen.errors import ConfigError
 from liegen.numeric import Matrix, Polynomial, X, Y, _worst
 from liegen.suites import (
     CheckRecord,
+    ConfigError,
     SuiteConfig,
     SuiteReport,
     emit_csv,
@@ -699,7 +699,9 @@ def test_doubling_schedules_build():
     dict(flow_steps=0),
 ], ids=lambda bad: next(iter(bad)))
 def test_integer_field_below_its_limit_raises_at_construction(bad):
-    with pytest.raises(ConfigError):
+    name, = bad
+    least = suites._LOWER_BOUNDS[name]
+    with pytest.raises(ConfigError, match=f"^{name} must be >= {least}$"):
         SuiteConfig(**bad)
 
 
