@@ -492,7 +492,7 @@ _SINGULARITY = "flow reached the coordinate singularity r = 0"
 
 
 def flow_solve(r0: float, phi0: float, t_end: float,
-               steps: int = 10_000) -> FlowResult:
+               steps: int) -> FlowResult:
     """Integrate dr/dt = e^{i phi}, dphi/dt = i e^{i phi} / r, dq/dt = 0 with
     the classical fourth-order scheme at fixed step, and report the endpoint
     against the closed forms r(t) = sqrt(2 r0 phi0 t + r0^2),
@@ -504,6 +504,21 @@ def flow_solve(r0: float, phi0: float, t_end: float,
     with the solution that really does satisfy the system,
     r(t) = sqrt(r0^2 + 2 t r0 e^{i phi0}),  phi(t) = phi0 + i log(r(t)/r0),
     which is exact to the integrator's own order.
+
+    The report's step count (``SuiteConfig.flow_steps``) sits at the
+    scheme's accuracy floor.  Truncation error falls like h^4 while rounding
+    error grows with the step count, and at r0 = 2, phi0 = 0.5, t = 0.3
+    ``integrator_error`` reads
+
+    ======  =======  =======  =======  =======  =======  =======
+    steps   100      200      500      1,000    5,000    10,000
+    error   4.0e-14  2.3e-15  1.3e-15  3.1e-15  6.2e-15  8.9e-15
+    ======  =======  =======  =======  =======  =======  =======
+
+    From 200 steps on, what is left is rounding.  At 1,000 steps truncation
+    is ~4e-18 (the 100-step value over 10^4), about three orders below that
+    rounding; 500 steps would save only ~0.7 ms more and narrow the margin,
+    and 10,000 steps spend ten times the work to reach a larger error.
     """
     if r0 <= 0:
         raise ValueError("r0 must be positive")

@@ -71,7 +71,8 @@ class SuiteConfig:
     bessel_r_grid: tuple = (0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0)
     contraction_R: tuple = (8, 16, 32, 64, 128, 256, 512, 1024)
     legendre_l: tuple = (64, 128, 256, 512, 1024)
-    flow_steps: int = 10_000
+    #: RK4 steps at its accuracy floor: see :func:`euclidean.flow_solve`
+    flow_steps: int = 1_000
 
     def __post_init__(self):
         # range() takes the ints and the checks below iterate the tuples: a

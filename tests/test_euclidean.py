@@ -649,12 +649,21 @@ def test_flow_q_constant_exactly():
 
 
 def test_flow_integrator_validates_against_true_solution():
-    result = flow_solve(2.0, 0.5, 0.3, steps=10_000)
-    assert result.integrator_error < 1e-12
+    result = flow_solve(2.0, 0.5, 0.3, SuiteConfig().flow_steps)
+    assert result.integrator_error <= 1e-14
+
+
+def test_default_flow_steps_are_past_the_truncation_edge():
+    # halving the steps multiplies the h^4 truncation by 16: a default at
+    # the truncation edge fails at its half (100 steps read 4.0e-14), one
+    # at the rounding floor reads rounding at both
+    steps = SuiteConfig().flow_steps
+    for n in (steps, steps // 2):
+        assert flow_solve(2.0, 0.5, 0.3, n).integrator_error <= 1e-14
 
 
 def test_flow_discrepancy_recorded_without_gate():
-    result = flow_solve(2.0, 0.5, 0.3, steps=10_000)
+    result = flow_solve(2.0, 0.5, 0.3, SuiteConfig().flow_steps)
     # the recorded comparison values exist and are finite; no assertion on size
     assert math.isfinite(result.r_discrepancy)
     assert math.isfinite(result.phi_discrepancy)
@@ -662,9 +671,9 @@ def test_flow_discrepancy_recorded_without_gate():
 
 def test_flow_rejects_bad_inputs():
     with pytest.raises(ValueError):
-        flow_solve(0.0, 0.5, 0.1)
+        flow_solve(0.0, 0.5, 0.1, 10)
     with pytest.raises(ValueError):
-        flow_solve(1.0, 0.0, 0.1)
+        flow_solve(1.0, 0.0, 0.1, 10)
 
 
 def test_flow_rejects_a_bool_step_count():
@@ -706,7 +715,9 @@ def nested_rk4_flow(r0, phi0, t_end, steps):
 
 def flow_cases():
     rng = random.Random(20261019)
-    cases = [(2.0, 0.5, 0.3, 10_000), (2.0, 0.5, 0.3, 1), (2.0, 0.5, 0.3, 200),
+    # the report's own flow, at its default 1,000 steps and at 10,000
+    cases = [(2.0, 0.5, 0.3, 1_000), (2.0, 0.5, 0.3, 10_000),
+             (2.0, 0.5, 0.3, 1), (2.0, 0.5, 0.3, 200),
              (1.5, -0.75, 0.4, 200), (2.0, 0.5, 0.0, 7)]
     for steps in (1, 200, 10_000):
         r0 = rng.uniform(0.5, 4.0)
@@ -728,7 +739,7 @@ def test_flow_matches_the_nested_stage_loop_bit_for_bit(r0, phi0, t_end, steps):
 def test_flow_stops_at_the_coordinate_singularity():
     # the start itself is inside the radius
     with pytest.raises(ArithmeticError, match="singularity"):
-        flow_solve(5e-7, 0.5, 0.1)
+        flow_solve(5e-7, 0.5, 0.1, 10)
     # a midpoint stage is: r0 - h/2 = 5e-7 with e^{i phi0} = -1
     with pytest.raises(ArithmeticError, match="singularity"):
         flow_solve(2e-6, math.pi, 3e-6, steps=1)

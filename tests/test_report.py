@@ -42,17 +42,27 @@ def default_reports():
 
 def test_default_report_fingerprint(default_reports):
     reports = default_reports
-    assert sha(emit_json(reports)) == "6344e7d9b4ddec13"
-    assert sha(emit_csv(reports)) == "8639c1a5cf3889a4"
-    assert sha(emit_text(reports)) == "61c22c1fe4505623"
+    assert sha(emit_json(reports)) == "7c7f83924bda63f8"
+    assert sha(emit_csv(reports)) == "20aef9d926e37321"
+    assert sha(emit_text(reports)) == "c7a46c069476ec46"
     # each block object alone, so a change to one shows which block moved
     assert {r.suite: sha(json.dumps(r.to_dict(), sort_keys=True, indent=2)
                          + "\n") for r in reports} == {
-        "groups": "f376b476fc7a76c9",
-        "hermite": "9dd949243c023ef5",
-        "bessel": "7f84dc6b262908e1",
-        "contraction": "2fd68481d8eb3344",
-        "diagnostics": "447d8f049841b4ec",
+        "groups": "d56e6891577b4e10",
+        "hermite": "3a3d318b099974fc",
+        "bessel": "b8137adcad9ee212",
+        "contraction": "5f9c5fe77e2a7768",
+        "diagnostics": "0606c8848c883931",
+    }
+    # each block's checks alone: every block echoes the whole config, so a
+    # config change moves every block object, but only the checks it feeds
+    assert {r.suite: sha(json.dumps(r.to_dict()["checks"], sort_keys=True,
+                                    indent=2) + "\n") for r in reports} == {
+        "groups": "ef239cf66b7c53b6",
+        "hermite": "753e61659e70f710",
+        "bessel": "c7e67e703c64f850",
+        "contraction": "42a4886535fc5f58",
+        "diagnostics": "ca5ee91742b022fc",
     }
     assert [r.suite for r in reports] == BLOCKS
     statuses = Counter(rec.status for r in reports for rec in r.records)
