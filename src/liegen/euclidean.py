@@ -1,16 +1,16 @@
 """Differential-operator realization of the planar Euclidean algebra on
 cylindrical functions, with a self-contained Bessel evaluator.
 
-The mixed basis functions are J_n(r) e^{i n phi}; finite spans of them are
-closed under the ladder operators, which makes every identity in the catalog
-a statement the ascending series can check.  A span (``CylFunc``) holds
-Gaussian-rational coefficients and the ladder coefficients are the integers
-+-1 and n, so the ladder action on a span is exact.  The ascending series
-itself has rational coefficients (:func:`bessel_series`), so the action of
-the polar operators e^{+-i phi}(+-d/dr + (i/r) d/dphi) on a basis function
-is checked against the span's image exactly, in Q[r]
-(:func:`ladder_series_residuals`), and the generating function of catalog
-A.11 in Q[r, t, e^{i phi}] (:func:`genfunc_a11_residual`).
+The mixed basis functions are e_n = J_n(r) e^{i n phi}; the ladder
+operators shift the order by one, which makes every identity in the catalog
+a statement the ascending series can check.  Their action on the basis,
+:data:`POLAR_OPS`, is banded (``numeric.BandedOp``) with the integer
+coefficients -1 and n, so it is exact.  The ascending series itself has
+rational coefficients (:func:`bessel_series`), so the action of the polar
+operators e^{+-i phi}(+-d/dr + (i/r) d/dphi) on a basis function is checked
+against its column exactly, in Q[r] (:func:`ladder_series_residuals`), and
+the generating function of catalog A.11 in Q[r, t, e^{i phi}]
+(:func:`genfunc_a11_residual`).
 
 The evaluator returns J_n, J_n' and J_n'' with every real and imaginary
 part correctly rounded, at any integer order and up to |z| = MAX_ABS_Z,
@@ -30,10 +30,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Mapping
 
-from .numeric import (X, Y, Z, Polynomial, Scalar, _as_fraction,
-                      _check_order, _sum_of_products)
+from .numeric import (X, Y, Z, BandedOp, Polynomial, _check_order,
+                      _sum_of_products)
 
 #: largest |z| the evaluator accepts
 MAX_ABS_Z = 30.0
@@ -245,88 +244,35 @@ def find_j0_root() -> float:
 
 
 # ---------------------------------------------------------------------------
-# cylindrical functions and ladder action
+# ladder action
 # ---------------------------------------------------------------------------
 
-class CylFunc:
-    """Finite span of mixed basis functions c_n e^{i n phi} J_n(r), closed
-    under the polar operators.
-
-    ``coeffs`` maps each order n to its coefficient c_n as a Gaussian
-    rational (re, im), both parts Fractions; zero coefficients are dropped,
-    so equal spans have equal ``coeffs``; the mapping is read-only.  The
-    ladder coefficients are the integers +-1 and n, so the action on a
-    span, and the difference of two spans, are exact.  Floats are rejected,
-    as in ``Polynomial``, and so is an order that is not an int (a bool
-    included).
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Mapping[int, tuple[Scalar, Scalar]]):
-        cleaned = {}
-        for n, (re, im) in sorted(coeffs.items()):
-            _check_order(n, None, "an order")
-            re, im = _as_fraction(re), _as_fraction(im)
-            if re or im:
-                cleaned[n] = (re, im)
-        object.__setattr__(self, "coeffs", MappingProxyType(cleaned))
-
-    def __setattr__(self, *a):  # pragma: no cover - immutability guard
-        raise AttributeError("CylFunc is immutable")
-
-    @classmethod
-    def basis(cls, order: int, coeff: Scalar = 1) -> "CylFunc":
-        """coeff e^{i order phi} J_order(r), for a real coefficient."""
-        return cls({order: (coeff, 0)})
-
-    def __sub__(self, other: "CylFunc") -> "CylFunc":
-        out = dict(self.coeffs)
-        for n, (re, im) in other.coeffs.items():
-            a, b = out.get(n, (0, 0))
-            out[n] = (a - re, b - im)
-        return CylFunc(out)
-
-    def __eq__(self, other):
-        if not isinstance(other, CylFunc):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __repr__(self):
-        return f"CylFunc({dict(self.coeffs)!r})"
-
-
-def apply_polar_op(op: str, f: CylFunc) -> CylFunc:
-    """Algebraic action on the span: the rotation generator scales a term by
-    its order; raising/lowering shift the order by one and flip the sign."""
-    if op == "lz":
-        return CylFunc({n: (n * re, n * im) for n, (re, im) in f.coeffs.items()})
-    if op in ("raise", "lower"):
-        shift = 1 if op == "raise" else -1
-        return CylFunc({n + shift: (-re, -im)
-                        for n, (re, im) in f.coeffs.items()})
-    raise ValueError(f"unknown polar operator {op!r}")
+#: the polar operators on e_n = J_n(r) e^{i n phi}: raising and lowering
+#: send e_n to -e_{n+1} and -e_{n-1}, and the rotation generator L_z scales
+#: e_n by its order
+POLAR_OPS = MappingProxyType({
+    "raise": BandedOp({1: lambda n: -1}),
+    "lower": BandedOp({-1: lambda n: -1}),
+    "lz": BandedOp({0: lambda n: n}),
+})
 
 
 def ladder_series_residuals(op: str, n: int, degree: int) -> list:
     """The operator e^{i s phi}(s d/dr + (i/r) d/dphi), s = 1 for "raise"
     and -1 for "lower", takes J_n e^{i n phi} to (s J_n' - n J_n / r)
     e^{i (n+s) phi}.  Returns, times r and in Q[r] through the power
-    ``degree``, that coefficient minus the :func:`apply_polar_op` image's
-    at each order either has, real and imaginary parts apart: all zero
-    exactly when the span's action is the operator's."""
+    ``degree``, that coefficient minus the one of column n of
+    ``POLAR_OPS[op]`` at each order either has: all zero exactly when the
+    column is the operator's action."""
     if op not in ("raise", "lower"):
         raise ValueError("the series check applies to raise and lower")
     s = 1 if op == "raise" else -1
     j = bessel_series(n, degree)
     lhs = s * X * j.differentiate("x") - n * j
-    image = apply_polar_op(op, CylFunc.basis(n)).coeffs
-    residuals = []
-    for m in image.keys() | {n + s}:
-        re, im = image.get(m, (0, 0))
-        r_j = X * bessel_series(m, degree - 1)
-        residuals += [(lhs if m == n + s else 0) - re * r_j, im * r_j]
-    return residuals
+    image = POLAR_OPS[op].column(n)
+    return [(lhs if m == n + s else 0)
+            - image.get(m, 0) * X * bessel_series(m, degree - 1)
+            for m in image.keys() | {n + s}]
 
 
 # ---------------------------------------------------------------------------

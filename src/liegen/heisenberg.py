@@ -19,11 +19,12 @@ act with integer coefficients,
 
     raise psi_n = psi_{n+1}        lower psi_n = 2n psi_{n-1},
 
-so the number-basis matrices are integer matrices (``numeric.Matrix``
-with int entries, whose arithmetic then stays in the integers).  With
-S = diag(sqrt(n! 2^n)), S M S^-1 is sqrt(2) times the usual matrix with
-sqrt(n) entries, so [lower, raise] = 2 and {lower, raise} = 2(2n+1) here say
-exactly [a, a+] = 1 and {a, a+} = 2n+1 in the normalized basis.
+so the number-basis operators :data:`LOWER` and :data:`RAISE` are banded
+operators (``numeric.BandedOp``) with integer coefficients, whose products
+stay in the integers at every n.  With S = diag(sqrt(n! 2^n)), S M S^-1 is
+sqrt(2) times the usual matrix with sqrt(n) entries, so [lower, raise] = 2
+and {lower, raise} = 2(2n+1) here say exactly [a, a+] = 1 and
+{a, a+} = 2n+1 in the normalized basis.
 
 sqrt(pi) is likewise held symbolic: an overlap, ``numeric.weighted_overlap``,
 is a rational number in units of sqrt(pi), and the basis normalization
@@ -31,7 +32,7 @@ squares to a rational in the same units, so every orthonormality statement
 reduces to exact rational arithmetic.
 
 Exactness is enforced by construction: ``Polynomial`` rejects float
-coefficients, and the ladder matrices are built from ints only.
+coefficients, and the number-basis ladders are built from ints only.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from fractions import Fraction
 from typing import Iterator
 
 from .numeric import (
-    Matrix,
+    BandedOp,
     Polynomial,
     X,
     Y,
@@ -56,8 +57,8 @@ from .numeric import (
 MIN_HERMITE_N = 0
 #: lowest truncation order of the generating-function and disentangling checks
 MIN_SERIES_ORDER = 1
-#: smallest number-basis truncation of the discrete ladder matrices
-MIN_DISCRETE_DIM = 2
+#: fewest number-basis columns the discrete checks read
+MIN_DISCRETE_DIM = 1
 
 
 # ---------------------------------------------------------------------------
@@ -135,39 +136,30 @@ def mixed_basis(n: int) -> tuple[Polynomial, Fraction]:
 
 
 # ---------------------------------------------------------------------------
-# discrete (number-basis) matrices
+# discrete (number-basis) ladders
 # ---------------------------------------------------------------------------
 
-def discrete_matrix(op: str, dimension: int) -> Matrix:
-    """Number-basis matrices of the scaled operators on psi_0 .. psi_{N-1}:
-    lowering has 2n on the superdiagonal (row n-1, column n), raising has 1
-    on the subdiagonal (row n+1, column n).  Conjugated by
-    S = diag(sqrt(n! 2^n)) they are sqrt(2) times the normalized matrices,
-    sqrt(n) at (n-1, n) and sqrt(n+1) at (n+1, n) (see the module docstring).
-    """
+#: lower psi_n = 2n psi_{n-1} and raise psi_n = psi_{n+1}; lower's 2n is 0
+#: at n = 0, so no column n >= 0 reaches an n < 0
+LOWER = BandedOp({-1: lambda n: 2 * n})
+RAISE = BandedOp({1: lambda n: 1})
+
+
+def discrete_commutator(dimension: int) -> list:
+    """Columns 0 .. ``dimension`` - 1 of [lower, raise] - 2, each empty
+    exactly when [lower, raise] psi_n = 2 psi_n."""
     _check_order(dimension, MIN_DISCRETE_DIM, "dimension")
-    rows = [[0] * dimension for _ in range(dimension)]
-    if op == "lower":
-        for n in range(1, dimension):
-            rows[n - 1][n] = 2 * n
-    elif op == "raise":
-        for n in range(dimension - 1):
-            rows[n + 1][n] = 1
-    else:
-        raise ValueError(f"unknown discrete operator {op!r}")
-    return Matrix(rows)
+    residual = LOWER.bracket(RAISE) - BandedOp({0: lambda n: 2})
+    return [residual.column(n) for n in range(dimension)]
 
 
-def discrete_commutator(dimension: int) -> Matrix:
-    a_minus = discrete_matrix("lower", dimension)
-    a_plus = discrete_matrix("raise", dimension)
-    return a_minus * a_plus - a_plus * a_minus
-
-
-def discrete_anticommutator(dimension: int) -> Matrix:
-    a_minus = discrete_matrix("lower", dimension)
-    a_plus = discrete_matrix("raise", dimension)
-    return a_minus * a_plus + a_plus * a_minus
+def discrete_anticommutator(dimension: int) -> list:
+    """Columns 0 .. ``dimension`` - 1 of {lower, raise} - 2(2n+1), each
+    empty exactly when {lower, raise} psi_n = 2(2n+1) psi_n."""
+    _check_order(dimension, MIN_DISCRETE_DIM, "dimension")
+    residual = (LOWER * RAISE + RAISE * LOWER
+                - BandedOp({0: lambda n: 2 * (2 * n + 1)}))
+    return [residual.column(n) for n in range(dimension)]
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Exact-arithmetic core: multivariate rational polynomials, square
-matrices, truncated series in t = y, and the Gaussian pairing of
-polynomials in x.
+matrices, banded operators on an integer-indexed basis, truncated series in
+t = y, and the Gaussian pairing of polynomials in x.
 
 All values in this module are immutable after construction.  Polynomials
 and pairings are exact; a ``Matrix`` computes in its entries' own
@@ -40,6 +40,13 @@ a_n = (1/n) sum_j j s_j a_{n-j} over the nonzero s_j) is one
 ``weighted_overlap``, the Gaussian pairing, is one pass in ints too.
 A power ``p ** n`` is repeated squaring, about log2(n) products instead of
 n - 1.
+
+A ladder representation of a Lie algebra acts on its basis with a few
+shifts, e_n -> sum_s c_s(n) e_{n+s}: the H3 number basis and the E(2) basis
+J_n(r) e^{i n phi} both do.  A ``BandedOp`` stores exactly that, each c_s a
+function of n.  Sums, products and brackets compose the functions, so a
+column read at any n is exact: there is no window, and no edge where a
+truncated dense product would be wrong.
 """
 
 from __future__ import annotations
@@ -47,7 +54,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Iterable, Mapping, Union
+from typing import Callable, Iterable, Mapping, Union
 
 Scalar = Union[int, Fraction]
 
@@ -501,6 +508,64 @@ class Matrix:
 
     def __repr__(self):
         return "Matrix(" + ", ".join(str(list(r)) for r in self.rows) + ")"
+
+
+# ---------------------------------------------------------------------------
+# banded operators
+# ---------------------------------------------------------------------------
+
+class BandedOp:
+    """Immutable operator on a basis e_n indexed by the integers,
+    e_n -> sum_s c_s(n) e_{n+s}: ``bands`` maps each shift s to c_s, a
+    function of n that returns an exact scalar.  Sums, differences and
+    products build new coefficient functions and evaluate nothing; a column
+    reads them at one n, so every result is exact at every index, with no
+    truncated edge."""
+
+    __slots__ = ("bands",)
+
+    def __init__(self, bands: Mapping[int, Callable[[int], Scalar]]):
+        object.__setattr__(self, "bands", MappingProxyType(dict(bands)))
+
+    def __setattr__(self, *a):  # pragma: no cover - immutability guard
+        raise AttributeError("BandedOp is immutable")
+
+    def column(self, n: int) -> dict:
+        """{m: coefficient of e_m in the image of e_n}, without the exact
+        zeros; an inexact zero stays, so an exact record reading the column
+        sees it.  ``n`` is checked by :func:`_check_order`."""
+        _check_order(n, None, "n")
+        return {n + s: v for s, c in self.bands.items()
+                if (v := c(n)) or not isinstance(v, (int, Fraction))}
+
+    def __add__(self, other: "BandedOp") -> "BandedOp":
+        bands: dict = {}
+        for op in (self, other):
+            for s, c in op.bands.items():
+                bands.setdefault(s, []).append(c)
+        return BandedOp({s: lambda n, cs=cs: sum(c(n) for c in cs)
+                         for s, cs in bands.items()})
+
+    def __sub__(self, other: "BandedOp") -> "BandedOp":
+        return self + other * -1
+
+    def __mul__(self, other) -> "BandedOp":
+        """The product with an operator (``self`` applied second) or with a
+        scalar: (A B) e_n = sum_t b_t(n) sum_s a_s(n+t) e_{n+t+s}."""
+        if not isinstance(other, BandedOp):
+            return BandedOp({s: lambda n, c=c: c(n) * other
+                             for s, c in self.bands.items()})
+        terms: dict = {}
+        for t, b in other.bands.items():
+            for s, a in self.bands.items():
+                terms.setdefault(s + t, []).append((a, t, b))
+        return BandedOp({u: lambda n, p=p: sum(a(n + t) * b(n)
+                                               for a, t, b in p)
+                         for u, p in terms.items()})
+
+    def bracket(self, other: "BandedOp") -> "BandedOp":
+        """The commutator [self, other] = self other - other self."""
+        return self * other - other * self
 
 
 # ---------------------------------------------------------------------------

@@ -30,8 +30,8 @@ from . import contraction as ct
 from . import euclidean as eu
 from . import groups as gr
 from . import heisenberg as hb
-from .numeric import (Matrix, Polynomial, X, Y, Z, _check_order, _is_int,
-                      _worst)
+from .numeric import (BandedOp, Matrix, Polynomial, X, Y, Z, _check_order,
+                      _is_int, _worst)
 
 #: the tolerance of each float gate, fixed: a gate a config could loosen
 #: could be made to pass anything
@@ -228,8 +228,8 @@ def _ratios(sequences):
 def _scalars(residual):
     """The scalars an exact residual is made of: a matrix's entries, a
     polynomial's coefficients (a series in t is a polynomial in y), the
-    coefficients' coefficients of a vector field, the real and imaginary
-    parts of a span's coefficients, or else the residual itself."""
+    coefficients' coefficients of a vector field, the coefficients of a
+    banded operator's column (a dict), or else the residual itself."""
     if isinstance(residual, Polynomial):
         if not residual.is_zero:
             yield from residual.terms.values()
@@ -239,9 +239,8 @@ def _scalars(residual):
     elif isinstance(residual, Matrix):
         for row in residual.rows:
             yield from row
-    elif isinstance(residual, eu.CylFunc):
-        for parts in residual.coeffs.values():
-            yield from parts
+    elif isinstance(residual, dict):
+        yield from residual.values()
     else:
         yield residual
 
@@ -409,20 +408,9 @@ def run_hermite(config: SuiteConfig, rec: _Recorder) -> None:
               {"max_n": config.orthonormality_max})
 
     dim = config.discrete_dim
-
-    def discrete_residuals(matrix, diagonal):
-        # the truncation spoils the last diagonal entry, so it is not checked
-        for i, row in enumerate(matrix.rows):
-            for j, entry in enumerate(row):
-                if i != j:
-                    yield entry
-                elif i <= dim - 2:
-                    yield entry - diagonal(i)
     rec.exact("discrete_anticommutator_diagonal",
-              discrete_residuals(hb.discrete_anticommutator(dim),
-                                 lambda i: 2 * (2 * i + 1)), {"dimension": dim})
-    rec.exact("discrete_commutator_identity",
-              discrete_residuals(hb.discrete_commutator(dim), lambda i: 2),
+              hb.discrete_anticommutator(dim), {"dimension": dim})
+    rec.exact("discrete_commutator_identity", hb.discrete_commutator(dim),
               {"dimension": dim})
 
 
@@ -449,14 +437,16 @@ def run_bessel(config: SuiteConfig, rec: _Recorder) -> None:
                for r in eu.ladder_series_residuals(op, n, 24)),
               {"orders": "0..5", "degree": 24})
 
-    f = eu.CylFunc({0: (Fraction(3, 2), 0), 4: (0, -2), -1: (1, 0)})
-    round_trip_up = eu.apply_polar_op("raise", eu.apply_polar_op("lower", f))
-    round_trip_down = eu.apply_polar_op("lower", eu.apply_polar_op("raise", f))
+    # raise lower = lower raise = 1 on the orders -2 .. 5
+    one = BandedOp({0: lambda n: 1})
+    up, down = eu.POLAR_OPS["raise"], eu.POLAR_OPS["lower"]
     rec.exact("ladder_roundtrip_identity",
-              [round_trip_up - f, round_trip_down - f])
+              ((trip - one).column(n) for trip in (up * down, down * up)
+               for n in range(-2, 6)))
 
-    eigen = eu.apply_polar_op("lz", eu.CylFunc.basis(3, 2))
-    rec.exact("lz_eigenvalue", [eigen - eu.CylFunc.basis(3, 6)], {"order": 3})
+    # L_z (2 e_3) = 6 e_3
+    rec.exact("lz_eigenvalue",
+              [(eu.POLAR_OPS["lz"] * 2 - one * 6).column(3)], {"order": 3})
 
     rec.exact("genfunc_A11",
               (eu.genfunc_a11_residual(n, 16) for n in (0, 1, 2)),

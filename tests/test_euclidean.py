@@ -16,10 +16,9 @@ from liegen.contraction import (
 from liegen.euclidean import (
     BESSEL,
     BESSEL_IDENTITIES,
+    POLAR_OPS,
     BesselEval,
-    CylFunc,
     _a11_closed_form,
-    apply_polar_op,
     bessel_series,
     find_j0_root,
     flow_solve,
@@ -29,8 +28,8 @@ from liegen.euclidean import (
     ladder_series_residuals,
     verify_bessel_identity,
 )
-from liegen.numeric import X
-from liegen.suites import SuiteConfig, run_suite
+from liegen.numeric import BandedOp, X
+from liegen.suites import SuiteConfig, _Recorder, run_suite
 
 R_GRID = (0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0)
 
@@ -444,67 +443,71 @@ def test_identity_envelope():
 # -- polar ladder algebra -----------------------------------------------------------
 
 def test_lz_eigenvalue():
-    assert apply_polar_op("lz", CylFunc.basis(0)).coeffs == {}
-    f = apply_polar_op("lz", CylFunc.basis(3, 2))
-    assert f == CylFunc({3: (6, 0)})
-    assert f.coeffs == {3: (Fraction(6), Fraction(0))}
+    assert POLAR_OPS["lz"].column(0) == {}
+    assert (POLAR_OPS["lz"] * 2).column(3) == {3: 6}
 
 
 def test_raise_action():
-    assert apply_polar_op("raise", CylFunc.basis(2)) == CylFunc({3: (-1, 0)})
+    assert POLAR_OPS["raise"].column(2) == {3: -1}
+    assert POLAR_OPS["lower"].column(2) == {1: -1}
 
 
 def test_raise_lower_eigenvalue_one():
-    f = CylFunc({0: (Fraction(3, 2), 0), 4: (0, -2)})
-    assert apply_polar_op("raise", apply_polar_op("lower", f)) == f
-    assert apply_polar_op("lower", apply_polar_op("raise", f)) == f
+    up, down = POLAR_OPS["raise"], POLAR_OPS["lower"]
+    for n in range(-5, 6):
+        assert (up * down).column(n) == (down * up).column(n) == {n: 1}
 
 
 def test_ladder_order_independence():
-    f = CylFunc({-2: (1, 0), 1: (0, Fraction(1, 2))})
-    one_way = apply_polar_op("raise", apply_polar_op("lower", f))
-    other_way = apply_polar_op("lower", apply_polar_op("raise", f))
-    assert one_way == other_way == f
+    # raise and lower commute, and L_z counts the step each one takes
+    up, down, lz = POLAR_OPS["raise"], POLAR_OPS["lower"], POLAR_OPS["lz"]
+    for n in range(-5, 6):
+        assert up.bracket(down).column(n) == {}
+        assert (lz.bracket(up) - up).column(n) == {}
+        assert (lz.bracket(down) + down).column(n) == {}
 
 
 def test_span_difference_is_exact_and_drops_zeros():
-    f = CylFunc({0: (Fraction(3, 2), 0), 4: (0, -2)})
-    g = CylFunc({0: (Fraction(1, 2), Fraction(1, 3)), 4: (0, -2), 7: (1, 0)})
-    assert (f - g).coeffs == {0: (Fraction(1), Fraction(-1, 3)),
-                              7: (Fraction(-1), Fraction(0))}
-    assert (f - f).coeffs == {}
-    assert CylFunc({2: (0, 0)}).coeffs == {}
+    # a column is a span of basis functions: the difference of two is exact
+    # in Fractions, and a coefficient that cancels leaves the column
+    f = BandedOp({0: lambda n: Fraction(3, 2), 4: lambda n: -2})
+    g = BandedOp({0: lambda n: Fraction(1, 2), 4: lambda n: -2,
+                  7: lambda n: 1})
+    assert (f - g).column(0) == {0: Fraction(1), 7: -1}
+    assert (f - f).column(0) == {}
 
 
 def test_span_coefficients_are_read_only():
-    f = CylFunc({0: (Fraction(3, 2), 0)})
     with pytest.raises(TypeError):
-        f.coeffs[0] = (1.5, 0)
+        POLAR_OPS["raise"] = POLAR_OPS["raise"] * 2
     with pytest.raises(TypeError):
-        f.coeffs[1] = (0, 0)
-    assert f == CylFunc.basis(0, Fraction(3, 2))
+        POLAR_OPS["raise"].bands[1] = lambda n: -2
+    # each column is a new dict: writing to one changes no later column
+    POLAR_OPS["raise"].column(0)[1] = -2
+    assert POLAR_OPS["raise"].column(0) == {1: -1}
 
 
 @pytest.mark.parametrize("order", [1.5, True, False],
                          ids=["float", "true", "false"])
 def test_span_rejects_a_non_int_order(order):
-    # CylFunc({1.5: (1, 0)}) built a span with no basis function of that
-    # order, and a bool is an int to isinstance: basis(True) was order 1
-    with pytest.raises(TypeError, match="must be an int"):
-        CylFunc({order: (1, 0)})
-    with pytest.raises(TypeError, match="must be an int"):
-        CylFunc.basis(order)
+    # a column at order 1.5 would be a span with no basis function of that
+    # order, and a bool is an int to isinstance: True would be order 1
+    for op in POLAR_OPS.values():
+        with pytest.raises(TypeError, match="must be an int"):
+            op.column(order)
 
 
-@pytest.mark.parametrize("coeff", [(1.5, 0), (0, -2.0), (math.inf, 0),
-                                   (math.nan, 0), (1j, 0)],
+@pytest.mark.parametrize("coeff", [1.5, -2.0j, math.inf, math.nan, 1j],
                          ids=["float", "float-imaginary", "inf", "nan",
                               "complex"])
 def test_span_rejects_an_inexact_coefficient(coeff):
-    with pytest.raises(TypeError, match="exact scalar"):
-        CylFunc({3: coeff})
-    with pytest.raises(TypeError, match="exact scalar"):
-        CylFunc.basis(3, coeff[0] or coeff[1])
+    # a column keeps an inexact coefficient, and the exact record that
+    # reads it fails
+    column = (POLAR_OPS["raise"] * coeff).column(3)
+    assert list(column) == [4]
+    rec = _Recorder()
+    rec.exact("span", [column])
+    assert rec.records[0].status == "fail"
 
 
 @pytest.mark.parametrize("op,n,r,phi", [
@@ -514,27 +517,26 @@ def test_span_rejects_an_inexact_coefficient(coeff):
 ])
 def test_polar_crosscheck_examples(ev, op, n, r, phi):
     # e^{i s phi}(s d/dr + (i/r) d/dphi) on J_n(r) e^{i n phi} at a point,
-    # with J_n' from the evaluator's termwise derivative, against the span's
-    # image at the same point
+    # with J_n' from the evaluator's termwise derivative, against the
+    # column's span at the same point
     s = 1 if op == "raise" else -1
     j, jp, _ = ev.derivatives(n, r)
     applied = cmath.exp(1j * (n + s) * phi) * (s * jp - n / r * j)
-    image = apply_polar_op(op, CylFunc.basis(n))
-    value = sum(complex(re, im) * ev.j(m, r) * cmath.exp(1j * m * phi)
-                for m, (re, im) in image.coeffs.items())
+    value = sum(c * ev.j(m, r) * cmath.exp(1j * m * phi)
+                for m, c in POLAR_OPS[op].column(n).items())
     assert abs(value - applied) <= 1e-15
 
 
 def test_polar_crosscheck_grid():
     # the same operator on the ascending series, exactly in Q[r]: times r,
-    # s r J_n' - n J_n is r times the image's one coefficient and order
+    # s r J_n' - n J_n is r times the column's one coefficient and order
     for op, s in (("raise", 1), ("lower", -1)):
         for n in range(-3, 6):
             j = bessel_series(n, 30)
-            ((m, (re, im)),) = apply_polar_op(op, CylFunc.basis(n)).coeffs.items()
-            assert m == n + s and im == 0
+            ((m, c),) = POLAR_OPS[op].column(n).items()
+            assert m == n + s
             assert (s * X * j.differentiate("x") - n * j
-                    == re * X * bessel_series(m, 29))
+                    == c * X * bessel_series(m, 29))
             assert all(r.is_zero for r in ladder_series_residuals(op, n, 30))
     with pytest.raises(ValueError):
         ladder_series_residuals("lz", 1, 30)

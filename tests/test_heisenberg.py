@@ -6,15 +6,14 @@ part p, so the bare Gaussian is ``Polynomial.constant(1)``."""
 import math
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from liegen.heisenberg import (
+    LOWER,
+    RAISE,
     anticommutator_operator_residual,
     apply_ladder,
     discrete_anticommutator,
     discrete_commutator,
-    discrete_matrix,
     disentangle_check,
     hermite_genfunc_check,
     hermite_recurrence,
@@ -27,7 +26,7 @@ from liegen.heisenberg import (
     verify_hermite_identity,
     weighted_overlap,
 )
-from liegen.numeric import Matrix, Polynomial, X, Y
+from liegen.numeric import Polynomial, X, Y
 
 
 # -- ladder action -------------------------------------------------------------
@@ -220,71 +219,53 @@ def test_raising_consistency():
 # -- discrete matrices ------------------------------------------------------------
 
 def test_discrete_entries():
-    lower = discrete_matrix("lower", 3)
-    assert lower[0, 1] == 2      # lower psi_1 = 2 psi_0
-    assert lower[1, 2] == 4      # lower psi_2 = 4 psi_1
-    assert lower[0, 0] == 0
+    assert LOWER.column(1) == {0: 2}      # lower psi_1 = 2 psi_0
+    assert LOWER.column(2) == {1: 4}      # lower psi_2 = 4 psi_1
+    assert RAISE.column(2) == {3: 1}      # raise psi_2 = psi_3
+    # there is no psi_{-1}: lower must annihilate psi_0 through its 2n at 0
+    assert LOWER.column(0) == {}
 
 
 @pytest.mark.parametrize("op", ["lower", "raise"])
 def test_discrete_matrix_matches_the_differential_operators(op):
-    # entry (i, j) is the psi_i component of op(psi_j): its overlap with
-    # psi_i divided by overlap(psi_i, psi_i) = 1/norm_i
+    # the psi_i coefficient of op(psi_j) is its overlap with psi_i divided
+    # by overlap(psi_i, psi_i) = 1/norm_i; the basis reaches one past the
+    # columns, where raise sends the last one
     dim = 12
-    matrix = discrete_matrix(op, dim)
-    basis = [mixed_basis(n) for n in range(dim)]
-    for j, (psi_j, _) in enumerate(basis):
+    banded = {"lower": LOWER, "raise": RAISE}[op]
+    basis = [mixed_basis(n) for n in range(dim + 1)]
+    for j, (psi_j, _) in enumerate(basis[:dim]):
         image = apply_ladder(op, psi_j)
-        for i, (psi_i, norm_i) in enumerate(basis):
-            assert matrix[i, j] == norm_i * weighted_overlap(psi_i, image)
+        expected = {i: c for i, (psi_i, norm_i) in enumerate(basis)
+                    if (c := norm_i * weighted_overlap(psi_i, image))}
+        assert banded.column(j) == expected
 
 
 def test_discrete_commutator_truncation_edge():
-    comm = discrete_commutator(8)
-    for n in range(7):
-        assert comm[n, n] == 2
-    assert comm[7, 7] == -14
-    for i in range(8):
-        for j in range(8):
-            if i != j:
-                assert comm[i, j] == 0
+    # the dense 8x8 product read -14 in its last diagonal entry; the banded
+    # one has no edge, so every column is [lower, raise] - 2 = 0
+    assert discrete_commutator(40) == [{}] * 40
 
 
 def test_discrete_anticommutator_diagonal():
-    anti = discrete_anticommutator(40)
-    for n in range(39):
-        assert anti[n, n] == 2 * (2 * n + 1)
-    for i in range(40):
-        for j in range(40):
-            if i != j:
-                assert anti[i, j] == 0
-
-
-int_entries = st.one_of(st.just(0), st.just(0),
-                        st.integers(min_value=-5, max_value=5))
-
-
-@given(data=st.data(), dim=st.integers(min_value=1, max_value=6))
-@settings(max_examples=40)
-def test_discrete_product_matches_dense_product(data, dim):
-    square = st.lists(st.lists(int_entries, min_size=dim, max_size=dim),
-                      min_size=dim, max_size=dim)
-    a, b = Matrix(data.draw(square)), Matrix(data.draw(square))
-    dense = [[sum(a[i, k] * b[k, j] for k in range(dim))
-              for j in range(dim)] for i in range(dim)]
-    assert a * b == Matrix(dense)
+    assert discrete_anticommutator(40) == [{}] * 40
+    anti = LOWER * RAISE + RAISE * LOWER
+    for n in range(40):
+        assert anti.column(n) == {n: 2 * (2 * n + 1)}
 
 
 def test_discrete_matrix_rejects_small_dimension():
-    with pytest.raises(ValueError, match="dimension must be >= 2"):
-        discrete_matrix("lower", 1)
+    for check in (discrete_commutator, discrete_anticommutator):
+        with pytest.raises(ValueError, match="dimension must be >= 1"):
+            check(0)
 
 
 @pytest.mark.parametrize("dimension", [True, 3.0], ids=["bool", "float"])
 def test_discrete_matrix_rejects_a_non_int_dimension(dimension):
     # True was refused as too small, with a ValueError; 3.0 reached range()
-    with pytest.raises(TypeError, match="dimension must be an int, not a"):
-        discrete_matrix("raise", dimension)
+    for check in (discrete_commutator, discrete_anticommutator):
+        with pytest.raises(TypeError, match="dimension must be an int, not a"):
+            check(dimension)
 
 
 # -- shift operator ------------------------------------------------------------

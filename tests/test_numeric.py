@@ -1,5 +1,5 @@
-"""Exact-arithmetic core: polynomials, series in t = y, the Gaussian
-pairing."""
+"""Exact-arithmetic core: polynomials, matrices and banded operators,
+series in t = y, the Gaussian pairing."""
 
 import math
 import random
@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 from liegen.contraction import VectorFieldOp, vf_commutator
 from liegen.numeric import (
     CANONICAL_VARS,
+    BandedOp,
+    Matrix,
     Polynomial,
     X,
     Y,
@@ -610,6 +612,61 @@ def test_product_with_zero_is_the_zero_polynomial(p):
         assert product == zero
         assert product.variables == () and product.is_zero
         assert_canonical(product)
+
+
+# -- matrices and banded operators ---------------------------------------------
+
+int_entries = st.one_of(st.just(0), st.just(0),
+                        st.integers(min_value=-5, max_value=5))
+
+
+@given(data=st.data(), dim=st.integers(min_value=1, max_value=6))
+@settings(max_examples=40)
+def test_matrix_product_matches_dense_product(data, dim):
+    # the product skips zero entries; it must equal the plain triple sum
+    square = st.lists(st.lists(int_entries, min_size=dim, max_size=dim),
+                      min_size=dim, max_size=dim)
+    a, b = Matrix(data.draw(square)), Matrix(data.draw(square))
+    dense = [[sum(a[i, k] * b[k, j] for k in range(dim))
+              for j in range(dim)] for i in range(dim)]
+    assert a * b == Matrix(dense)
+
+
+def banded_ops():
+    """Bands with shifts in -2..2 and coefficients a + b n, small ints."""
+    affine = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+    return st.dictionaries(st.integers(-2, 2), affine, max_size=5).map(
+        lambda bands: BandedOp({s: lambda n, a=a, b=b: a + b * n
+                                for s, (a, b) in bands.items()}))
+
+
+@given(a=banded_ops(), b=banded_ops(), k=st.integers(-3, 3),
+       first=st.integers(-3, 3), width=st.integers(1, 5))
+@settings(max_examples=100, deadline=None)
+def test_banded_op_matches_dense_products_on_a_window(a, b, k, first, width):
+    # columns first .. first+width-1, in matrices padded by 4 on each side:
+    # a product moves an index by at most 2 + 2, so no term leaves the window
+    window = range(first - 4, first + width + 4)
+
+    def dense(op):
+        return Matrix([[op.column(j).get(i, 0) for j in window]
+                       for i in window])
+
+    A, B = dense(a), dense(b)
+    cases = [(a * b, A * B), (a + b, A + B), (a - b, A - B),
+             (a.bracket(b), A * B - B * A), (a * k, A * k)]
+    for j, n in enumerate(window):
+        if first <= n < first + width:
+            for op, matrix in cases:
+                expected = {m: matrix[i, j] for i, m in enumerate(window)
+                            if matrix[i, j]}
+                assert op.column(n) == expected
+
+
+def test_banded_op_column_drops_only_exact_zeros():
+    op = BandedOp({-1: lambda n: n, 0: lambda n: Fraction(0), 1: lambda n: 0.0})
+    assert op.column(0) == {1: 0.0}
+    assert op.column(2) == {1: 2, 3: 0.0}
 
 
 # -- series in t = y -----------------------------------------------------------

@@ -21,7 +21,7 @@ from liegen import euclidean as eu
 from liegen import groups as gr
 from liegen import heisenberg as hb
 from liegen import suites
-from liegen.numeric import Matrix, Polynomial, X, Y, _worst
+from liegen.numeric import BandedOp, Matrix, Polynomial, X, Y, _worst
 from liegen.suites import (
     CheckRecord,
     ConfigError,
@@ -95,15 +95,8 @@ def test_transposed_e2_layout_fails_closure_and_tangent(monkeypatch):
 
 
 def test_ladder_without_its_sign_flip_fails_the_series_record(monkeypatch):
-    real = eu.apply_polar_op
-
-    def unflipped(op, f):
-        image = real(op, f)
-        if op == "lz":
-            return image
-        return eu.CylFunc({n: (-re, -im) for n, (re, im) in image.coeffs.items()})
-
-    monkeypatch.setattr(eu, "apply_polar_op", unflipped)
+    unflipped = {op: eu.POLAR_OPS[op] * -1 for op in ("raise", "lower")}
+    monkeypatch.setattr(eu, "POLAR_OPS", {**eu.POLAR_OPS, **unflipped})
     records = records_by_id(run_suite("bessel", SuiteConfig())[0])
     assert records["ladder_crosscheck_series"].status == "fail"
     assert records["ladder_crosscheck_series"].exact
@@ -178,14 +171,13 @@ def test_residual_of_an_unknown_type_records_inf(residual):
     assert record.residual == math.inf
 
 
-def test_exact_record_reads_a_span_residual():
+def test_exact_record_reads_a_column_residual():
     rec = suites._Recorder()
-    f = eu.CylFunc({0: (Fraction(3, 2), Fraction(-1, 3)), 2: (0, 1)})
-    rec.exact("span", [f - eu.CylFunc.basis(0, 1)])
-    rec.exact("zero", [f - f])
-    span_record, zero_record = rec.records
-    assert span_record.status == "fail"
-    assert span_record.residual == 1.0      # the imaginary part at order 2
+    rec.exact("column", [{}, {0: Fraction(1, 2), 2: -1}])
+    rec.exact("zero", [{}, {}])
+    column_record, zero_record = rec.records
+    assert column_record.status == "fail"
+    assert column_record.residual == 1.0      # the coefficient at order 2
     assert zero_record.status == "pass" and zero_record.residual == 0.0
 
 
@@ -331,39 +323,27 @@ SMALL_BESSEL = dict(bessel_orders=(0, 1), bessel_r_grid=(0.5, 1.0, 2.0))
 
 
 def test_doubled_raise_records_the_coefficient_gap(monkeypatch):
-    # a wrong coefficient records its size, not a flag of 1: both round
-    # trips give 2f, whose largest gap to f is |2(-2i) - (-2i)| = 2
-    real = eu.apply_polar_op
-
-    def mutated(op, f):
-        out = real(op, f)
-        if op != "raise":
-            return out
-        return eu.CylFunc({n: (2 * re, 2 * im)
-                           for n, (re, im) in out.coeffs.items()})
-
-    monkeypatch.setattr(eu, "apply_polar_op", mutated)
-    records = records_by_id(run_suite("bessel", SuiteConfig(**SMALL_BESSEL))[0])
-    assert records["ladder_roundtrip_identity"].status == "fail"
-    assert records["ladder_roundtrip_identity"].residual == 2.0
-    assert records["lz_eigenvalue"].status == "pass"
+    # a wrong coefficient records its size, not a flag: with raise scaled
+    # by k, both round trips are k where they should be 1
+    real = eu.POLAR_OPS
+    for k, gap in ((2, 1.0), (3, 2.0)):
+        monkeypatch.setattr(eu, "POLAR_OPS",
+                            {**real, "raise": real["raise"] * k})
+        records = records_by_id(
+            run_suite("bessel", SuiteConfig(**SMALL_BESSEL))[0])
+        assert records["ladder_roundtrip_identity"].status == "fail"
+        assert records["ladder_roundtrip_identity"].residual == gap
+        assert records["lz_eigenvalue"].status == "pass"
 
 
-@pytest.mark.parametrize("coeff, residual", [
-    (lambda n, c: (n + 1) * c, 2.0),  # 8 against 6
+@pytest.mark.parametrize("eigenvalue, residual", [
+    (lambda n: n + 1, 2.0),  # 8 against 6
 ], ids=["order-plus-one"])
-def test_wrong_lz_records_the_coefficient_gap(monkeypatch, coeff, residual):
-    # a float coefficient cannot be built (see test_euclidean), so a wrong
-    # eigenvalue reaches the record as an exact gap
-    real = eu.apply_polar_op
-
-    def mutated(op, f):
-        if op != "lz":
-            return real(op, f)
-        return eu.CylFunc({n: (coeff(n, re), coeff(n, im))
-                           for n, (re, im) in f.coeffs.items()})
-
-    monkeypatch.setattr(eu, "apply_polar_op", mutated)
+def test_wrong_lz_records_the_coefficient_gap(monkeypatch, eigenvalue,
+                                              residual):
+    # a wrong eigenvalue reaches the record as an exact gap
+    monkeypatch.setattr(eu, "POLAR_OPS",
+                        {**eu.POLAR_OPS, "lz": BandedOp({0: eigenvalue})})
     records = records_by_id(run_suite("bessel", SuiteConfig(**SMALL_BESSEL))[0])
     record = records["lz_eigenvalue"]
     assert record.status == "fail"
@@ -401,26 +381,16 @@ def failed_ids(report):
 
 
 @pytest.mark.parametrize("entry, failing", [
-    # an offset in lower cancels from [lower, raise] on every row but the
-    # first, so the anticommutator is the record that must see it
+    # an offset in lower cancels from [lower, raise] in every column, so the
+    # anticommutator is the record that must see it
     (lambda n: 2 * n + 1, {"discrete_anticommutator_diagonal"}),
     (lambda n: 4 * n, {"discrete_anticommutator_diagonal",
                        "discrete_commutator_identity"}),
 ])
 def test_wrong_lower_entry_fails_discrete_records(monkeypatch, entry, failing):
-    real = hb.discrete_matrix
-
-    def mutated(op, dimension):
-        matrix = real(op, dimension)
-        if op != "lower":
-            return matrix
-        return Matrix([[entry(j) if a else 0 for j, a in enumerate(row)]
-                       for row in matrix.rows])
-
-    monkeypatch.setattr(hb, "discrete_matrix", mutated)
+    monkeypatch.setattr(hb, "LOWER", BandedOp({-1: entry}))
     failed = failed_ids(run_suite("hermite", SuiteConfig(**SMALL_HERMITE))[0])
-    assert failing <= failed <= {"discrete_anticommutator_diagonal",
-                                 "discrete_commutator_identity"}
+    assert failed == failing
 
 
 def test_wrong_norm_fails_orthonormality_and_raising(monkeypatch):
@@ -695,7 +665,7 @@ def test_doubling_schedules_build():
     dict(disentangle_order=-1),
     dict(orthonormality_max=-1),
     dict(spectrum_max=-1),
-    dict(discrete_dim=1),
+    dict(discrete_dim=0),
     dict(flow_steps=0),
 ], ids=lambda bad: next(iter(bad)))
 def test_integer_field_below_its_limit_raises_at_construction(bad):
@@ -709,7 +679,7 @@ def test_integer_fields_at_their_limits_run():
     # each lower bound is where the code it feeds still works
     config = SuiteConfig(group_samples=1, hermite_max_n=0, genfunc_order=1,
                          disentangle_order=1, orthonormality_max=0,
-                         spectrum_max=0, discrete_dim=2, flow_steps=1)
+                         spectrum_max=0, discrete_dim=1, flow_steps=1)
     assert len(run_suite("all", config)) == 5
 
 
