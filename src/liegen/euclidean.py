@@ -20,7 +20,10 @@ error and on the tail, and sums again with twice the bits where a bound
 cannot settle a rounding (Ziv's strategy).  That ends: a part that is zero
 on the whole real or imaginary axis is summed exactly, and every other part
 is, for z != 0, a nonzero transcendental number (Siegel 1929), so it is
-neither a float nor a rounding boundary.
+neither a float nor a rounding boundary.  There are two passes: real z
+carries one integer per term, and any other z a Gaussian integer.  On the
+real line the Gaussian pass's imaginary parts are zero throughout, so the
+two agree bit for bit (:func:`_pass`).
 """
 
 from __future__ import annotations
@@ -31,8 +34,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
 
-from .numeric import (X, Y, Z, BandedOp, Polynomial, _check_order,
-                      _sum_of_products)
+from .numeric import (X, Y, Z, BandedOp, Polynomial, _as_complex,
+                      _check_order, _sum_of_products)
 
 #: largest |z| the evaluator accepts
 MAX_ABS_Z = 30.0
@@ -65,19 +68,14 @@ def _dyadic(z: complex) -> tuple[int, int, int]:
     return ar * (den // er), ai * (den // ei), den.bit_length()
 
 
-def _rounded(vr: int, vi: int, sr: int, si: int, er: int, ei: int,
-             d: int) -> complex | None:
-    """(vr + i vi)(sr + i si) / d, each part correctly rounded, where the
-    parts of s are known to within er and ei; None when an error interval
-    reaches across a rounding boundary or the sign of a zero."""
-    parts = []
-    for num, err in ((vr * sr - vi * si, abs(vr) * er + abs(vi) * ei),
-                     (vr * si + vi * sr, abs(vi) * er + abs(vr) * ei)):
-        lo, hi = (num - err) / d, (num + err) / d
-        if lo != hi or math.copysign(1.0, lo) != math.copysign(1.0, hi):
-            return None
-        parts.append(lo)
-    return complex(*parts)
+def _rounded(num: int, err: int, d: int) -> float | None:
+    """num / d correctly rounded, where num is known to within err; None
+    when the error interval reaches across a rounding boundary or the sign
+    of a zero.  Both passes round every part through here."""
+    lo, hi = (num - err) / d, (num + err) / d
+    if lo != hi or math.copysign(1.0, lo) != math.copysign(1.0, hi):
+        return None
+    return lo
 
 
 def _pass(n: int, z: complex,
@@ -90,17 +88,74 @@ def _pass(n: int, z: complex,
     m/z and m(m-1)/z^2.  So one Gaussian integer X_k ~ 2^frac tau_k,
     floored at each step, feeds the sums of X_k, m X_k and m(m-1) X_k, and
     err_k >= |X_k - 2^frac tau_k| grows by the step's factor and the floor's
-    2.  When W^2 is real, so are every X_k and its error, which keeps the
-    zeros of real and imaginary z exact.  The pass stops at the first k with
-    t = |Re X_k| + |Im X_k| + err_k < _TAIL_UNITS and 2 |W|^2 (m+2)(m+1) <=
-    k (n+k) m(m-1) 2^{2q}: both sides only grow apart with k, so from there
-    each weighted term is at most half the one before, and each sum's tail
-    is at most t times term k's weight.  As the weights grow with k, the
-    error of each sum is at most its weight at k times sum_k err_k + t.
+    2.  The pass stops at the first k with t = |Re X_k| + |Im X_k| + err_k
+    < _TAIL_UNITS and 2 |W|^2 (m+2)(m+1) <= k (n+k) m(m-1) 2^{2q}: both
+    sides only grow apart with k, so from there each weighted term is at
+    most half the one before, and each sum's tail is at most t times term
+    k's weight.  As the weights grow with k, the error of each sum is at
+    most its weight at k times sum_k err_k + t.
+
+    Real z (Im z == 0, so W = a is an integer) takes :func:`_real_pass`,
+    which carries one integer X_k; any other z takes :func:`_gaussian_pass`,
+    which carries a Gaussian integer.  At b = 0 the Gaussian pass's
+    imaginary parts are 0 from k = 0 on, so the two compute the same
+    integers, errors and stop index, and round the same numerators through
+    :func:`_rounded`: their outputs agree bit for bit.
     """
+    a, b, q = _dyadic(z)
+    if b == 0:
+        return _real_pass(n, a, q, frac)
+    return _gaussian_pass(n, a, b, q, frac)
+
+
+def _real_pass(n: int, a: int, q: int,
+               frac: int) -> tuple[complex, complex, complex] | None:
+    """:func:`_pass` at z = a / 2^{q-1}: X_k, its sums and W^n are integers,
+    and every imaginary part is an exact +0.0."""
     sign = -1 if n < 0 and n % 2 else 1       # J_{-n} = (-1)^n J_n
     n = abs(n)
-    a, b, q = _dyadic(z)
+    norm = a * a                                      # W^2 = |W|^2
+    shift = 2 * q
+    x = 1 << frac
+    s0, s1, s2 = x, n * x, n * (n - 1) * x
+    err = errs = k = 0
+    while True:
+        k += 1
+        c = k * (n + k)
+        x = (-(x * norm) >> shift) // c
+        err = 2 - ((-(err * norm) >> shift) // c)
+        errs += err
+        m = n + 2 * k
+        mm = m * (m - 1)
+        s0 += x
+        s1 += m * x
+        s2 += mm * x
+        t = abs(x) + err
+        if (t < _TAIL_UNITS
+                and 2 * norm * (m + 2) * (m + 1) <= (c * mm) << shift):
+            errs += t
+            break
+
+    v = sign * a ** n
+    d = math.factorial(n) << (q * n + frac)
+    values = []
+    for s, es in ((s0, errs), (s1, m * errs), (s2, mm * errs)):
+        value = _rounded(v * s, abs(v) * es, d)
+        if value is None:
+            return None
+        values.append(complex(value, 0.0))
+        v = v * a << (q - 1)
+        d *= norm
+    return tuple(values)
+
+
+def _gaussian_pass(n: int, a: int, b: int, q: int,
+                   frac: int) -> tuple[complex, complex, complex] | None:
+    """:func:`_pass` at z = (a + ib) / 2^{q-1}, on Gaussian integers X_k.
+    When W^2 is real (a or b is 0), so are every X_k and its error, which
+    keeps the zeros of real and imaginary z exact."""
+    sign = -1 if n < 0 and n % 2 else 1       # J_{-n} = (-1)^n J_n
+    n = abs(n)
     norm = a * a + b * b                              # |W|^2
     w2r, w2i = a * a - b * b, 2 * a * b               # W^2
     shift = 2 * q
@@ -132,7 +187,8 @@ def _pass(n: int, z: complex,
             break
 
     # the prefactors over 2^{qn+frac} n!: W^n for J_n, and each
-    # derivative one more factor 2^{q-1} conj(W) / |W|^2 = 1/z
+    # derivative one more factor 2^{q-1} conj(W) / |W|^2 = 1/z; the
+    # imaginary parts of s are exact when W^2 is real
     vr, vi = sign, 0
     for _ in range(n):
         vr, vi = vr * a - vi * b, vr * b + vi * a
@@ -140,10 +196,14 @@ def _pass(n: int, z: complex,
     values = []
     for sr, si, es in ((s0r, s0i, errs), (s1r, s1i, m * errs),
                        (s2r, s2i, mm * errs)):
-        value = _rounded(vr, vi, sr, si, es, es if w2i else 0, d)
-        if value is None:
+        ei = es if w2i else 0
+        real = _rounded(vr * sr - vi * si, abs(vr) * es + abs(vi) * ei, d)
+        if real is None:
             return None
-        values.append(value)
+        imag = _rounded(vr * si + vi * sr, abs(vi) * es + abs(vr) * ei, d)
+        if imag is None:
+            return None
+        values.append(complex(real, imag))
         vr, vi = (vr * a + vi * b) << (q - 1), (vi * a - vr * b) << (q - 1)
         d *= norm
     return tuple(values)
@@ -171,7 +231,10 @@ class BesselEval:
 
     :meth:`derivatives` returns J_n, J_n' and J_n'' at |z| <= MAX_ABS_Z,
     every real and imaginary part correctly rounded, an exact zero as +0.0
-    (see :func:`_pass` for the tail bound).  Every integer order is
+    (see :func:`_pass` for the tail bound).  A real z (Im z == 0, -0.0
+    included) is summed in integers, any other z in Gaussian integers; on
+    the real line both give the same bits (:func:`_pass`).  z must be a
+    number (``TypeError`` for a str or a bool).  Every integer order is
     accepted.  The derivatives come from differentiating the series term by
     term, independent of the ladder identities they are used to check.
     Values are cached per (n, z).  The package shares one instance,
@@ -192,7 +255,7 @@ class BesselEval:
     def derivatives(self, n: int, z: complex) -> tuple[complex, complex, complex]:
         """(J_n, J_n', J_n'') at z, each part correctly rounded."""
         _check_order(n, None, "n")  # before the cache, where True is 1
-        z = complex(z)
+        z = _as_complex(z)
         if not abs(z) <= MAX_ABS_Z:     # NaN fails this test too
             raise ValueError(f"|z| = {abs(z):.3g} is not at most {MAX_ABS_Z}")
         key = (n, z)

@@ -12,14 +12,16 @@ exactly (:func:`tangent_residuals`).  No float enters the module.
 Both element types, ``H3Element`` and ``E2Element``, store integer
 numerators over one positive denominator in lowest terms, so equal elements
 have equal fields and composition and inversion are integer arithmetic with
-one gcd.  Each lays out its matrix in one place, as an integer numerator
-matrix over that denominator (``num_matrix``); ``to_matrix`` is that matrix
-over the denominator, in ``Fraction`` entries, and the axiom suites compare
-and size the two sides of each axiom in those integer matrices.  An algebra
-element of either group is a :class:`numeric.Matrix` in the group's basis
-(``H3_BASIS_*``, ``E2_BASIS_*``), which computes in whatever its entries
-are; ``h3_exp`` rejects a float entry as the element types do, and the
-suites' exact records reject a residual with a float entry.
+one gcd (``_OverDen._reduced``, which skips the public constructor's checks:
+both maps keep an element valid).  Each lays out its matrix in one place, as
+an integer numerator matrix over that denominator (``num_matrix``);
+``to_matrix`` is that matrix over the denominator, in ``Fraction`` entries,
+and the axiom suites compare and size the two sides of each axiom in those
+integer matrices.  An algebra element of either group is a
+:class:`numeric.Matrix` in the group's basis (``H3_BASIS_*``,
+``E2_BASIS_*``), which computes in whatever its entries are; ``h3_exp``
+rejects a float entry as the element types do, and the suites' exact
+records reject a residual with a float entry.
 """
 
 from __future__ import annotations
@@ -42,6 +44,17 @@ def commutator(a: Matrix, b: Matrix) -> Matrix:
 class _OverDen:
     """An element stored as integer numerators ``num`` over one positive
     ``den``, whose ``num_matrix`` is the one place that lays them out."""
+
+    @classmethod
+    def _reduced(cls, num: tuple, den: int):
+        """The element ``num``/``den`` for integers and den > 0, reduced by
+        one gcd and built without the public constructor's checks: for the
+        results of composition and inversion, which keep them."""
+        common = math.gcd(den, *num)
+        g = object.__new__(cls)
+        object.__setattr__(g, "num", tuple(n // common for n in num))
+        object.__setattr__(g, "den", den // common)
+        return g
 
     def to_matrix(self) -> Matrix:
         """The element's matrix, ``num_matrix() / den`` in Fractions."""
@@ -77,15 +90,6 @@ class H3Element(_OverDen):
         object.__setattr__(self, "den", den)
 
     @classmethod
-    def _reduced(cls, a: int, b: int, c: int, den: int) -> "H3Element":
-        """(a, b, c)/den for integers and den > 0, reduced by one gcd."""
-        common = math.gcd(den, a, b, c)
-        g = object.__new__(cls)
-        object.__setattr__(g, "num", (a // common, b // common, c // common))
-        object.__setattr__(g, "den", den // common)
-        return g
-
-    @classmethod
     def identity(cls) -> "H3Element":
         return cls(0, 0, 0)
 
@@ -102,14 +106,14 @@ def h3_compose(g: H3Element, h: H3Element) -> H3Element:
     d1*d2."""
     (a1, b1, c1), d1 = g.num, g.den
     (a2, b2, c2), d2 = h.num, h.den
-    return H3Element._reduced(a1 * d2 + a2 * d1, b2 * d1 + a1 * c2 + b1 * d2,
-                              c1 * d2 + c2 * d1, d1 * d2)
+    return H3Element._reduced((a1 * d2 + a2 * d1, b2 * d1 + a1 * c2 + b1 * d2,
+                               c1 * d2 + c2 * d1), d1 * d2)
 
 
 def h3_inverse(g: H3Element) -> H3Element:
     """Inversion in parameters: (-x1, x1*x3 - x2, -x3), over d^2."""
     (a, b, c), d = g.num, g.den
-    return H3Element._reduced(-a * d, a * c - b * d, -c * d, d * d)
+    return H3Element._reduced((-a * d, a * c - b * d, -c * d), d * d)
 
 
 #: basis matrices of the Heisenberg algebra: [A, C] = B, all else commutes
@@ -180,14 +184,16 @@ def e2_compose(g: E2Element, h: E2Element) -> E2Element:
     """(a1, u1)(a2, u2) = (a1 + u1*a2, u1*u2) for a = x + i*y, over d1*d2."""
     (x1, y1, c1, s1), d1 = g.num, g.den
     (x2, y2, c2, s2), d2 = h.num, h.den
-    return E2Element(x1 * d2 + c1 * x2 - s1 * y2, y1 * d2 + s1 * x2 + c1 * y2,
-                     c1 * c2 - s1 * s2, s1 * c2 + c1 * s2, d1 * d2)
+    return E2Element._reduced((x1 * d2 + c1 * x2 - s1 * y2,
+                               y1 * d2 + s1 * x2 + c1 * y2,
+                               c1 * c2 - s1 * s2, s1 * c2 + c1 * s2), d1 * d2)
 
 
 def e2_inverse(g: E2Element) -> E2Element:
     """(a, u)^-1 = (-conj(u)*a, conj(u)), over the squared denominator."""
     (x, y, c, s), d = g.num, g.den
-    return E2Element(-(c * x + s * y), s * x - c * y, c * d, -s * d, d * d)
+    return E2Element._reduced((-(c * x + s * y), s * x - c * y, c * d, -s * d),
+                              d * d)
 
 
 def e2_apply(g: E2Element, point: tuple) -> tuple:
@@ -262,7 +268,7 @@ def _random_h3(rng: random.Random) -> H3Element:
     p1, q1 = randint(-60, 60), randint(1, 12)
     p2, q2 = randint(-60, 60), randint(1, 12)
     p3, q3 = randint(-60, 60), randint(1, 12)
-    return H3Element._reduced(p1 * q2 * q3, p2 * q1 * q3, p3 * q1 * q2,
+    return H3Element._reduced((p1 * q2 * q3, p2 * q1 * q3, p3 * q1 * q2),
                               q1 * q2 * q3)
 
 

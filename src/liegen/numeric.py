@@ -52,6 +52,7 @@ truncated dense product would be wrong.
 from __future__ import annotations
 
 import math
+import numbers
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Union
@@ -92,6 +93,15 @@ def _as_fraction(value) -> Fraction:
     if _is_int(value):
         return Fraction(value)
     raise TypeError(f"expected an exact scalar, got {type(value).__name__}")
+
+
+def _as_complex(value) -> complex:
+    """``value``, a number, as a complex.  ``TypeError`` for anything else,
+    a str or a bool included, which ``complex`` would parse or read as 0
+    or 1 (numpy's bool is no ``numbers.Number``)."""
+    if not isinstance(value, numbers.Number) or isinstance(value, bool):
+        raise TypeError(f"expected a number, got {type(value).__name__}")
+    return complex(value)
 
 
 def _worst(*values):

@@ -198,6 +198,10 @@ PARTIAL_SUM_OFF_POINT = (11, -10.905433937068992)
 NEAR_ROOT_POINTS = [(0, 2.404825557705773), (0, 2.404825557685773)]
 
 
+#: find_j0_root(), where J_0 ~ 1e-17 and the first pass cannot round it
+J0_ROOT = (0, 2.404825557695773)
+
+
 def _small_points():
     """Seeded points with |z| from 1e-8 to 1e-3, real and complex, n 0..8:
     the derivative sums of n <= 1 and the imaginary part of J'' start far
@@ -259,6 +263,7 @@ def test_fixed_point_sum_defers_at_the_j0_root(monkeypatch):
     # J_0 is ~1e-17 there: the first pass cannot round it, one with twice
     # the bits can
     root = complex(find_j0_root())
+    assert (0, root) == J0_ROOT
     real, passes = euclidean._pass, []
 
     def recorded(n, z, frac):
@@ -273,6 +278,64 @@ def test_fixed_point_sum_defers_at_the_j0_root(monkeypatch):
     assert _bits(values) == _bits(_fraction_series(0, root))
     mpmath = pytest.importorskip("mpmath")
     assert _bits(values) == _bits(_mpmath_values(mpmath, 0, root))
+
+
+# -- the real pass and the Gaussian pass ---------------------------------------------
+
+def _real_line_points():
+    """Seeded real points: both signs of z, n in -21..21 with odd negative
+    orders, |z| at 5e-324, from 1e-8 to 1e-3 and up to 30, and the points
+    where a rounding is close."""
+    rng = random.Random(33)
+    points = [(n, s * 5e-324) for n in (0, 1, -1, 20, -21) for s in (1, -1)]
+    for _ in range(30):
+        for r in (rng.uniform(0.0, 30.0), 10 ** rng.uniform(-8, -3)):
+            points.append((rng.randint(-21, 21), rng.choice((r, -r))))
+    points += [(-3, -7.25), (-21, 29.5), (-11, -0.001)]
+    return points + [PARTIAL_SUM_OFF_POINT] + NEAR_ROOT_POINTS + [J0_ROOT]
+
+
+def test_real_pass_is_the_gaussian_pass_on_the_real_line():
+    # at b = 0 the Gaussian pass's imaginary parts are 0 from the first
+    # term on, so both passes round the same numerators: the same bits,
+    # or None from both
+    deferred = 0
+    for n, r in _real_line_points():
+        a, b, q = euclidean._dyadic(complex(r))
+        assert b == 0
+        first = (53 + euclidean._GUARD_BITS
+                 + math.ceil(abs(r) * math.log2(math.e)))
+        for frac in (first, 2 * first):
+            real = euclidean._real_pass(n, a, q, frac)
+            gaussian = euclidean._gaussian_pass(n, a, 0, q, frac)
+            if real is None or gaussian is None:
+                assert real is gaussian, (n, r, frac)
+                deferred += 1
+            else:
+                assert _bits(real) == _bits(gaussian), (n, r, frac)
+    assert deferred      # the J_0 root defers its first pass
+
+
+def test_only_the_a11_closed_form_takes_the_gaussian_pass(monkeypatch):
+    # every report point but the four complex u of _a11_closed_form is real
+    seen, gaussian = set(), euclidean._gaussian_pass
+
+    def recorded(n, a, b, q, frac):
+        seen.add((n, complex(a, b) / 2 ** (q - 1)))
+        return gaussian(n, a, b, q, frac)
+
+    monkeypatch.setattr(BESSEL, "_cache", {})
+    monkeypatch.setattr(euclidean, "_gaussian_pass", recorded)
+    run_suite("all", SuiteConfig())
+    assert len(seen) == 4 and all(z.imag for _, z in seen), seen
+
+
+@pytest.mark.parametrize("n, r", [(0, 2.5), (3, -7.25), (-3, 1e-5),
+                                  (-21, -29.5)])
+def test_a_negative_zero_imaginary_part_reads_as_real(n, r):
+    # complex(r, -0.0) and r are one cache key, so each has its own evaluator
+    values = BesselEval().derivatives(n, complex(r, -0.0))
+    assert _bits(values) == _bits(BesselEval().derivatives(n, r))
 
 
 @pytest.mark.parametrize("read", [
@@ -402,6 +465,32 @@ def test_evaluator_rejects_a_non_int_order(n):
     assert ev._cache == {}
     with pytest.raises(TypeError, match="must be an int"):
         BESSEL.j(n, 1.0)
+
+
+@pytest.mark.parametrize("z", ["2.5", "1+2j", b"2.5", True, False],
+                         ids=["str", "complex-str", "bytes", "true", "false"])
+def test_evaluator_rejects_a_string_or_bool_argument(z):
+    # complex() parses a str and reads a bool as 0 or 1: derivatives(0,
+    # "2.5") was J_0(2.5), and derivatives(0, True) J_0(1)
+    ev = BesselEval()
+    for read in (ev.j, ev.derivatives):
+        with pytest.raises(TypeError, match="expected a number"):
+            read(0, z)
+    assert ev._cache == {}
+
+
+def test_evaluator_rejects_a_numpy_bool():
+    numpy = pytest.importorskip("numpy")
+    with pytest.raises(TypeError, match="expected a number"):
+        BesselEval().derivatives(0, numpy.bool_(True))
+
+
+def test_evaluator_takes_every_number_type():
+    ev = BesselEval()
+    expected = _bits(ev.derivatives(1, 2.5))
+    for z in (Fraction(5, 2), 2.5 + 0j):
+        assert _bits(ev.derivatives(1, z)) == expected
+    assert _bits(ev.derivatives(1, 2)) == _bits(ev.derivatives(1, 2.0))
 
 
 @pytest.mark.parametrize("n, degree", [(True, 3), (1, True), (False, 4),

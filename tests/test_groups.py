@@ -20,6 +20,7 @@ from liegen.groups import (
     H3Element,
     IDENTITY,
     _gap,
+    _random_e2,
     _random_h3,
     axiom_suite,
     commutator,
@@ -422,6 +423,23 @@ def test_e2_axioms_exact():
                                  "inverse"]
     for value in residuals.values():
         assert isinstance(value, (int, Fraction)) and value == 0
+
+
+def test_composed_and_inverted_elements_are_what_the_constructor_builds():
+    # compose and inverse skip the public constructor's checks; each result
+    # must still be the valid element in lowest terms that it would build
+    rng = random.Random(20261020)
+    for draw, compose, inverse, rebuild in (
+            (_random_e2, e2_compose, e2_inverse,
+             lambda g: E2Element(*g.num, g.den)),
+            (_random_h3, h3_compose, h3_inverse,
+             lambda g: H3Element(*(F(a, g.den) for a in g.num)))):
+        for _ in range(50):
+            g, h = draw(rng), draw(rng)
+            for result in (compose(g, h), inverse(g), compose(g, inverse(g))):
+                built = rebuild(result)
+                assert (result.num, result.den) == (built.num, built.den)
+                assert result == built and type(result) is type(built)
 
 
 def test_closure_gap_of_a_flipped_rotation_term(monkeypatch):
