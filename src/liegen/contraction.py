@@ -1,6 +1,7 @@
 """Rotation-algebra vector fields, their scaled-basis contraction onto the
 planar Euclidean algebra, and the Legendre-to-Bessel limit.
 
+A vector field keeps its coefficients as integers over one denominator.
 Commutator algebra, the contraction rate and the limiting Bessel equation
 on the ascending series (in Q[r]) are exact; only the tangent-plane ladder
 and Legendre limits are measured, with numeric rates.
@@ -25,45 +26,59 @@ from .numeric import (CANONICAL_VARS, Polynomial, Scalar, X, Y, Z,
 # ---------------------------------------------------------------------------
 
 class VectorFieldOp:
-    """c_x d/dx + c_y d/dy + c_z d/dz with polynomial coefficients.
+    """c_x d/dx + c_y d/dy + c_z d/dz with polynomial coefficients, stored
+    as a :class:`Polynomial` is, jointly: the numerator dicts ``_cols`` of
+    c_x, c_y, c_z over one ``_den > 0``, no numerator zero and no factor
+    common to all, so equal fields have equal storage.  :attr:`coeffs`
+    rebuilds (c_x, c_y, c_z) as polynomials."""
 
-    ``coeffs`` is the tuple (c_x, c_y, c_z), in :data:`CANONICAL_VARS`
-    order, which is the order in which :meth:`Polynomial.lie_derivative`
-    reads its axes.  :meth:`apply` passes it straight there: one pass in
-    ints over f and the three coefficients with a single normalization, so
-    applying a field builds no intermediate polynomial.
-
-    Closed under the commutator: for first-order operators the second-order
-    parts cancel, leaving coefficients A(b_i) - B(a_i).
-    :func:`vf_commutator` builds each of them in one integer pass too.
-    """
-
-    __slots__ = ("coeffs",)
+    __slots__ = ("_cols", "_den")
 
     def __init__(self, c_x=None, c_y=None, c_z=None):
-        object.__setattr__(self, "coeffs", tuple(
-            c if isinstance(c, Polynomial)
-            else Polynomial.constant(0 if c is None else c)
-            for c in (c_x, c_y, c_z)))
+        # no gcd: a prime p | lcm divides some c_v's denominator to its full
+        # power, so p divides neither c_v's cofactor nor all its numerators
+        cols, den = _over_lcm(c if isinstance(c, Polynomial) else
+                              Polynomial.constant(0 if c is None else c)
+                              for c in (c_x, c_y, c_z))
+        object.__setattr__(self, "_cols", list(map(dict, cols)))
+        object.__setattr__(self, "_den", den)
+
+    @classmethod
+    def _make(cls, cols: list, den: int) -> "VectorFieldOp":
+        """Internal constructor: ``cols`` over ``den > 0``, normalized."""
+        g = math.gcd(den, *cols[0].values(), *cols[1].values(), *cols[2].values())
+        if g != 1 or any(0 in c.values() for c in cols):
+            cols = [{e: n // g for e, n in c.items() if n} for c in cols]
+        field = object.__new__(cls)
+        object.__setattr__(field, "_cols", cols)
+        object.__setattr__(field, "_den", den // g)
+        return field
 
     def __setattr__(self, *a):  # pragma: no cover - immutability guard
         raise AttributeError("VectorFieldOp is immutable")
 
+    @property
+    def coeffs(self) -> tuple:
+        return tuple(Polynomial._make(dict(c), self._den) for c in self._cols)
+
     def apply(self, f: Polynomial) -> Polynomial:
-        return f.lie_derivative(self.coeffs)
+        return Polynomial._make(_add_lie({}, f._nums, self._cols, 1),
+                                f._den * self._den)
 
     @property
     def is_zero(self) -> bool:
-        return all(c.is_zero for c in self.coeffs)
+        return not any(self._cols)
 
     def __add__(self, other: "VectorFieldOp") -> "VectorFieldOp":
-        return VectorFieldOp(*map(operator.add, self.coeffs, other.coeffs))
+        return _combine(((self, 1), (other, 1)))
 
     def __sub__(self, other: "VectorFieldOp") -> "VectorFieldOp":
-        return VectorFieldOp(*map(operator.sub, self.coeffs, other.coeffs))
+        return _combine(((self, 1), (other, -1)))
 
-    def __mul__(self, scalar) -> "VectorFieldOp":
-        return VectorFieldOp(*(c * scalar for c in self.coeffs))
+    def __mul__(self, factor) -> "VectorFieldOp":
+        if isinstance(factor, Polynomial):
+            return VectorFieldOp(*(c * factor for c in self.coeffs))
+        return _combine(((self, _as_fraction(factor)),))
 
     def __neg__(self) -> "VectorFieldOp":
         return self * -1
@@ -71,7 +86,7 @@ class VectorFieldOp:
     def __eq__(self, other) -> bool:
         if not isinstance(other, VectorFieldOp):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self._den == other._den and self._cols == other._cols
 
     def __repr__(self):
         parts = [f"({c!r}) d/d{v}"
@@ -79,20 +94,24 @@ class VectorFieldOp:
         return " + ".join(parts) if parts else "0"
 
 
+def _combine(terms) -> VectorFieldOp:
+    """sum k * field over the ``(field, k)`` pairs, k an int or a Fraction."""
+    den = math.lcm(*(field._den * k.denominator for field, k in terms))
+    cols = [{}, {}, {}]
+    for field, k in terms:
+        scale = den // (field._den * k.denominator) * k.numerator
+        for nums, col in zip(cols, field._cols):
+            for e, n in col.items():
+                nums[e] = nums.get(e, 0) + n * scale
+    return VectorFieldOp._make(cols, den)
+
+
 def vf_commutator(a: VectorFieldOp, b: VectorFieldOp) -> VectorFieldOp:
-    """[a, b] computed on the coefficient polynomials; exact.  With a's
-    coefficients over their lcm L_a and b's over L_b, each component
-    A(b_v) - B(a_v) is two integer passes into one dict and one ``_make``
-    over L_a * L_b, so a bracket builds no intermediate polynomial."""
-    a_nums, a_den = _over_lcm(a.coeffs)
-    b_nums, b_den = _over_lcm(b.coeffs)
-    out = []
-    for a_v, b_v in zip(a_nums, b_nums):
-        nums: dict = {}
-        _add_lie(nums, b_v, a_nums, 1)
-        _add_lie(nums, a_v, b_nums, -1)
-        out.append(Polynomial._make(nums, a_den * b_den))
-    return VectorFieldOp(*out)
+    """[a, b], exact: each component A(b_v) - B(a_v) is two integer passes
+    into one dict over ``a._den * b._den``; one normalization for all."""
+    out = [_add_lie(_add_lie({}, b_v, a._cols, 1), a_v, b._cols, -1)
+           for a_v, b_v in zip(a._cols, b._cols)]
+    return VectorFieldOp._make(out, a._den * b._den)
 
 
 #: rotation generators about the three axes, and the plane translations

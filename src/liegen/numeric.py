@@ -16,10 +16,9 @@ pairings.  The one exception is ``Polynomial.z_line``, which hands out
 ints: the restriction of a polynomial to the line (x0, y0, z), as
 the numerators of its coefficients in z over one denominator, so a caller
 that evaluates one line at many z (``contraction_residual``) builds no
-Fraction per point.  Applying a vector field (``Polynomial.lie_derivative``)
-and each component of a bracket of two (``contraction.vf_commutator``) is
-likewise one pass in ints, ``_add_lie``, with one normalization, not a sum
-of products of partial derivatives.
+Fraction per point.  Applying a vector field and bracketing two
+(``contraction``) is likewise one pass in ints, ``_add_lie``, with one
+normalization, not a sum of products of partial derivatives.
 
 Every polynomial ``liegen`` builds lives in one ring, Q[x, y, z], so a
 ``Polynomial`` has one storage form: its numerators are keyed by exponent
@@ -133,15 +132,17 @@ def _over_lcm(polys) -> tuple[list, int]:
             for p in polys for scale in (lcm // p._den,)], lcm
 
 
-def _add_lie(nums: dict, f, field: list, sign: int) -> None:
+def _add_lie(nums: dict, f: dict, field, sign: int) -> dict:
     """nums += sign * sum_v c_v df/dv in ints, where ``f`` and each c_v of
-    ``field`` are (exponent triple, numerator) pairs as from
-    :func:`_over_lcm`."""
+    ``field`` are numerator dicts keyed by exponent triples; returns nums."""
     get = nums.get
     for axis, coeff in enumerate(field):
+        if not coeff:
+            continue
         # d/dv lowers the exponent on this axis by one
         u0, u1, u2 = _UNIT[axis]
-        for exps, n in f:
+        coeff = coeff.items()
+        for exps, n in f.items():
             k = exps[axis]
             if not k:
                 continue
@@ -150,6 +151,7 @@ def _add_lie(nums: dict, f, field: list, sign: int) -> None:
             for (b0, b1, b2), m in coeff:
                 key = (a0 + b0, a1 + b1, a2 + b2)
                 nums[key] = get(key, 0) + nk * m
+    return nums
 
 
 # ---------------------------------------------------------------------------
@@ -357,19 +359,6 @@ class Polynomial:
                 a0, a1, a2 = exps
                 nums[(a0 - u0, a1 - u1, a2 - u2)] = n * k
         return Polynomial._make(nums, self._den)
-
-    def lie_derivative(self, field: Iterable["Polynomial"]) -> "Polynomial":
-        """sum_v c_v * df/dv for the coefficients ``field`` = (c_x, c_y,
-        c_z), the action of the vector field c_x d/dx + c_y d/dy + c_z d/dz.
-
-        The c_v go over their lcm L (:func:`_over_lcm`) and the sum runs in
-        ints into one dict (:func:`_add_lie`), so one ``_make`` over L * den
-        normalizes it and no intermediate polynomial is built.
-        """
-        coeffs, lcm = _over_lcm(field)
-        nums: dict = {}
-        _add_lie(nums, self._nums.items(), coeffs, 1)
-        return Polynomial._make(nums, self._den * lcm)
 
     def z_line(self, x0: Scalar, y0: Scalar) -> tuple[list, int]:
         """The restriction to the line (x0, y0, z) as ``(nums, den)``: the

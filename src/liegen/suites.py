@@ -439,14 +439,16 @@ def run_bessel(config: SuiteConfig, rec: _Recorder) -> None:
 
     # raise lower = lower raise = 1 on the orders -2 .. 5
     one = BandedOp({0: lambda n: 1})
-    up, down = eu.POLAR_OPS["raise"], eu.POLAR_OPS["lower"]
+    up, down, lz = (eu.POLAR_OPS[op] for op in ("raise", "lower", "lz"))
     rec.exact("ladder_roundtrip_identity",
               ((trip - one).column(n) for trip in (up * down, down * up)
                for n in range(-2, 6)))
 
-    # L_z (2 e_3) = 6 e_3
-    rec.exact("lz_eigenvalue",
-              [(eu.POLAR_OPS["lz"] * 2 - one * 6).column(3)], {"order": 3})
+    # L_z (2 e_3) = 6 e_3, and [L_z, raise] = raise, [L_z, lower] = -lower
+    rec.exact("lz_eigenvalue", chain(
+        [(lz * 2 - one * 6).column(3)],
+        (rel.column(n) for rel in (lz.bracket(up) - up, lz.bracket(down) + down)
+         for n in range(-2, 6))), {"order": 3})
 
     rec.exact("genfunc_A11",
               (eu.genfunc_a11_residual(n, 16) for n in (0, 1, 2)),

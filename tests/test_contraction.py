@@ -97,14 +97,14 @@ def test_jacobi_identity():
 
 
 def test_brackets_and_residuals_normalize_once_per_result(monkeypatch):
-    # one Polynomial._make per bracket component and per residual numerator:
-    # no intermediate polynomial is built
-    make = Polynomial.__dict__["_make"].__func__
-    made = []
-
-    def counting(cls, nums, den):
-        made.append(den)
-        return make(cls, nums, den)
+    # a bracket is one field normalization and builds no polynomial; a
+    # residual is one Polynomial._make per numerator
+    made = {Polynomial: [], VectorFieldOp: []}
+    for cls in made:
+        def counting(cls, nums, den, make=cls.__dict__["_make"].__func__):
+            made[cls].append(den)
+            return make(cls, nums, den)
+        monkeypatch.setattr(cls, "_make", classmethod(counting))
 
     a = VectorFieldOp(X * Y / 3, Z ** 2 - 1, F(2, 7) * X)
     b = VectorFieldOp(Y, X * Z / 5, Y * Z - X ** 2)
@@ -112,12 +112,13 @@ def test_brackets_and_residuals_normalize_once_per_result(monkeypatch):
     expected = VectorFieldOp(*(a.apply(b_v) - b.apply(a_v)
                                for a_v, b_v in zip(a.coeffs, b.coeffs)))
     residual = contraction_residual(f, R_SCHEDULE)
-    monkeypatch.setattr(Polynomial, "_make", classmethod(counting))
+    made[Polynomial].clear()
+    made[VectorFieldOp].clear()
     assert vf_commutator(a, b) == expected
-    assert len(made) == 3
-    made.clear()
+    assert (len(made[VectorFieldOp]), len(made[Polynomial])) == (1, 0)
+    made[VectorFieldOp].clear()
     assert contraction_residual(f, R_SCHEDULE) == residual
-    assert len(made) == 2
+    assert (len(made[VectorFieldOp]), len(made[Polynomial])) == (0, 2)
 
 
 def test_residual_numerator_fields_cancel_to_d_dz():

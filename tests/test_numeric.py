@@ -9,7 +9,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liegen.contraction import VectorFieldOp, vf_commutator
+from liegen.contraction import (
+    _LX_ZPY,
+    _LY_ZPX,
+    LX,
+    LY,
+    PX,
+    PY,
+    VectorFieldOp,
+    vf_commutator,
+)
 from liegen.numeric import (
     CANONICAL_VARS,
     BandedOp,
@@ -468,7 +477,7 @@ def vector_fields(draw):
 @settings(max_examples=100, deadline=None)
 def test_lie_derivative_matches_the_sum_of_partial_derivatives(data):
     f, coeffs = data
-    result = f.lie_derivative(coeffs)
+    result = VectorFieldOp(*coeffs).apply(f)
     form = fraction_form(f)
     oracle = ((), {})
     for c, var in zip(coeffs, CANONICAL_VARS):
@@ -503,6 +512,60 @@ def test_vf_commutator_matches_both_oracles_per_component(first, second, k):
     for zero in (vf_commutator(a, a), vf_commutator(a, a * k)):
         for c in zero.coeffs:
             assert_matches(c, ((), {}))
+
+
+def assert_field_canonical(op):
+    """The joint stored form of a field: three numerator dicts keyed by
+    exponent triples over one positive denominator, no numerator zero and
+    no factor common to the denominator and all numerators; each
+    coefficient it gives back is a canonical polynomial, and the three
+    rebuild the field."""
+    cols, den = op._cols, op._den
+    assert len(cols) == len(CANONICAL_VARS)
+    assert type(den) is int and den > 0
+    nums = [n for c in cols for n in c.values()]
+    assert all(type(n) is int and n != 0 for n in nums)
+    assert all(len(e) == len(CANONICAL_VARS) for c in cols for e in c)
+    assert math.gcd(den, *nums) == 1
+    for c in op.coeffs:
+        assert_canonical(c)
+    assert VectorFieldOp(*op.coeffs) == op
+
+
+@given(first=vector_fields(), second=vector_fields(), k=rationals,
+       g=polynomials_in(max_deg=2))
+@settings(max_examples=100, deadline=None)
+def test_every_field_is_stored_jointly_canonical(first, second, k, g):
+    # the constructor takes canonical polynomials over their lcm with no
+    # gcd: its results here check that no prime divides all numerators
+    a, b = VectorFieldOp(*first[1]), VectorFieldOp(*second[1])
+    for op in (a, b, a + b, a - b, a - a, a * k, a * 0, -a, a * g,
+               vf_commutator(a, b), vf_commutator(a, a * k)):
+        assert_field_canonical(op)
+
+
+def test_constructor_needs_no_gcd_over_the_lcm():
+    # over the lcm 30 the numerators are 15, 20 and 6: each prime of 30
+    # divides two of them, none all three
+    op = VectorFieldOp(F(1, 2), F(2, 3), F(1, 5) * X)
+    assert (op._cols, op._den) == ([{(0, 0, 0): 15}, {(0, 0, 0): 20},
+                                    {(1, 0, 0): 6}], 30)
+    for field in (op, VectorFieldOp(), VectorFieldOp(c_y=F(-3, 4)), LX, PY,
+                  PY * Z, PX * Z, _LX_ZPY, _LY_ZPX):
+        assert_field_canonical(field)
+
+
+def test_paths_to_one_field_give_equal_storage():
+    a = VectorFieldOp(X * Y / 3, Z ** 2 - 1, F(2, 7) * X)
+    b = VectorFieldOp(Y, X * Z / 5, Y * Z - X ** 2)
+    for p, q in [((LX * 2) * F(1, 2), LX),
+                 (vf_commutator(a, b), -vf_commutator(b, a)),
+                 (a + b - b, a), ((a * 6) * F(1, 6), a), (-(-a), a),
+                 (a - a, VectorFieldOp()), (a * 0, VectorFieldOp()),
+                 (PY * Z, VectorFieldOp(c_y=Z)), (_LY_ZPX, LY - PX * Z),
+                 (VectorFieldOp(*a.coeffs), a)]:
+        assert (p._cols, p._den) == (q._cols, q._den)
+        assert p == q
 
 
 @pytest.mark.parametrize("point", [{}, {"x": 0}, {"x": F(-7, 10 ** 6)},

@@ -351,6 +351,21 @@ def test_wrong_lz_records_the_coefficient_gap(monkeypatch, eigenvalue,
     assert records["ladder_roundtrip_identity"].status == "pass"
 
 
+def test_lz_with_a_stray_band_fails_the_bracket_members(monkeypatch):
+    # L_z = n + (n - 3) S^2 has 2 L_z e_3 = 6 e_3, so the eigenvalue alone
+    # passes it; [L_z, raise] = raise fails by -e_{n+3} at every order
+    mutant = BandedOp({0: lambda n: n, 2: lambda n: n - 3})
+    one = BandedOp({0: lambda n: 1})
+    assert (mutant * 2 - one * 6).column(3) == {}
+    monkeypatch.setattr(eu, "POLAR_OPS", {**eu.POLAR_OPS, "lz": mutant})
+    records = records_by_id(run_suite("bessel", SuiteConfig(**SMALL_BESSEL))[0])
+    record = records["lz_eigenvalue"]
+    assert record.status == "fail"
+    assert record.residual == 1.0
+    assert record.params == {"order": 3}
+    assert records["ladder_roundtrip_identity"].status == "pass"
+
+
 @pytest.mark.parametrize("index, bump", [
     (5, Fraction(3, 2) * X ** 2),   # even exponent in the odd H_5
     # odd exponent in H_8, whose t^8 is the series checks' top coefficient
