@@ -18,7 +18,7 @@ from typing import Sequence
 from .euclidean import BESSEL, bessel_series
 from .numeric import (CANONICAL_VARS, Polynomial, Scalar, X, Y, Z,
                       _add_lie, _as_fraction, _check_order, _over_lcm,
-                      _scaled_powers)
+                      _scaled_powers, _worst)
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +249,7 @@ def polar_ladder_limit(n: int, r: float, phi: float,
         d_phi = (pullback(theta0, phi + h_phi)
                  - pullback(theta0, phi - h_phi)) / (2 * h_phi)
         cot = 1.0 / math.tan(theta0)
-        worst = 0.0
+        gaps = []
         for sign in (+1, -1):
             spherical = (cmath.exp(sign * 1j * phi)
                          * (d_theta + sign * 1j * cot * d_phi) / R)
@@ -257,8 +257,8 @@ def polar_ladder_limit(n: int, r: float, phi: float,
             # -(+-) J_{n+-1} e^{i(n+-1)phi}
             planar = (-sign * BESSEL.j(n + sign, r)
                       * cmath.exp(1j * (n + sign) * phi))
-            worst = max(worst, abs(spherical - planar))
-        out[R] = worst
+            gaps.append(abs(spherical - planar))
+        out[R] = _worst(*gaps)
     return out
 
 
@@ -274,12 +274,19 @@ MIN_LEGENDRE_ODE_DEGREE = 8
 def assoc_legendre(l: int, m: int, x: float) -> float:
     """P_l^m(x) without the Condon-Shortley phase, by upward degree
     recurrence from the seeds P_m^m = (2m-1)!! (1-x^2)^{m/2} and
-    P_{m+1}^m = (2m+1) x P_m^m."""
+    P_{m+1}^m = (2m+1) x P_m^m.  ``ValueError`` for x outside [-1, 1],
+    NaN included.
+
+    The step from degree ll to ll + 1 reads the counters 2ll + 1, ll + m
+    and ll - m + 1.  They are carried as floats, stepped by 2, 1 and 1,
+    not converted from ints at every step: every value is an integer
+    below 2^53, which a float holds exactly, so each product and quotient
+    is the float that the int counters would give."""
     _check_order(m, name="m")
     _check_order(l, m, "l")
     if l > MAX_LEGENDRE_DEGREE:
         raise ValueError(f"degree above {MAX_LEGENDRE_DEGREE}")
-    if abs(x) > 1:
+    if not abs(x) <= 1:
         raise ValueError("argument outside [-1, 1]")
     # (1-x^2)^{m/2} via (1-x)(1+x) keeps precision near the endpoints
     s = math.sqrt((1.0 - x) * (1.0 + x))
@@ -289,8 +296,12 @@ def assoc_legendre(l: int, m: int, x: float) -> float:
     if l == m:
         return pmm
     p_prev, p = pmm, (2 * m + 1) * x * pmm
-    for ll in range(m + 1, l):
-        p_prev, p = p, ((2 * ll + 1) * x * p - (ll + m) * p_prev) / (ll - m + 1)
+    a, b, c = 2.0 * m + 3.0, 2.0 * m + 1.0, 2.0
+    for _ in range(l - m - 1):
+        p_prev, p = p, (a * x * p - b * p_prev) / c
+        a += 2.0
+        b += 1.0
+        c += 1.0
     return p
 
 
@@ -301,6 +312,7 @@ def mehler_heine_check(m: int, r: float,
     The l^{-m} scaling is the standard Mehler-Heine normalization for
     P_l^m without the Condon-Shortley phase, as :func:`assoc_legendre`
     computes it (Szego, Orthogonal Polynomials, sec. 8.1; DLMF 18.11).
+    ``ValueError`` for a degree below max(m, 1).
     """
     if not 0.5 <= r <= 8:
         raise ValueError("r outside [0.5, 8]")
@@ -309,6 +321,8 @@ def mehler_heine_check(m: int, r: float,
     target = BESSEL.j(m, r).real
     out: dict[int, float] = {}
     for l in l_list:
+        # before r / l: l = 0 is a bad degree, not a division by zero
+        _check_order(l, max(m, 1), "l")
         value = assoc_legendre(l, m, math.cos(r / l)) / float(l) ** m
         out[l] = abs(value - target)
     return out

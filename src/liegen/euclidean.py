@@ -35,7 +35,7 @@ from fractions import Fraction
 from types import MappingProxyType
 
 from .numeric import (X, Y, Z, BandedOp, Polynomial, _as_complex,
-                      _check_order, _sum_of_products)
+                      _check_order, _sum_of_products, _worst)
 
 #: largest |z| the evaluator accepts
 MAX_ABS_Z = 30.0
@@ -577,5 +577,5 @@ def flow_solve(r0: float, phi0: float, t_end: float,
         r_discrepancy=abs(r - cf_r),
         phi_discrepancy=abs(phi - cf_phi),
         q_drift=abs(q - 1.0),
-        integrator_error=max(abs(r - true_r), abs(phi - true_phi)),
+        integrator_error=_worst(abs(r - true_r), abs(phi - true_phi)),
     )

@@ -96,9 +96,9 @@ class H3Element(_OverDen):
     def num_matrix(self) -> Matrix:
         """The matrix times ``den``, in ints."""
         (a, b, c), d = self.num, self.den
-        return Matrix([[d, a, b],
-                       [0, d, c],
-                       [0, 0, d]])
+        return Matrix._make(((d, a, b),
+                             (0, d, c),
+                             (0, 0, d)))
 
 
 def h3_compose(g: H3Element, h: H3Element) -> H3Element:
@@ -175,9 +175,9 @@ class E2Element(_OverDen):
     def num_matrix(self) -> Matrix:
         """The matrix times ``den``, in ints."""
         (x, y, c, s), d = self.num, self.den
-        return Matrix([[c, -s, x],
-                       [s, c, y],
-                       [0, 0, d]])
+        return Matrix._make(((c, -s, x),
+                             (s, c, y),
+                             (0, 0, d)))
 
 
 def e2_compose(g: E2Element, h: E2Element) -> E2Element:
@@ -296,11 +296,15 @@ def _gap(M: Matrix, m: int, N: Matrix, n: int) -> Fraction:
 def axiom_suite(group: str, samples: int, seed: int) -> dict:
     """Check closure, associativity, identity and inverse on pseudorandom
     elements, exactly.  Closure compares the matrix of the composed element
-    with the matrix product, in integers: N_gh * (d_g * d_h) against
-    (N_g * N_h) * d_gh for the numerator matrices N over the denominators d.
-    The other axioms compare the two elements.  Returns, per axiom, the
-    largest exact gap between the two sides' matrix entries (:func:`_gap`):
-    0 when all are equal."""
+    with the matrix product, in integers, for the numerator matrices N over
+    the denominators d: with d_g d_h = q d_gh + r, it passes when r = 0 and
+    N_gh * q = N_g N_h.  That is the test N_gh (d_g d_h) = (N_g N_h) d_gh
+    with one side scaled, not both: gh is in lowest terms, so the entries
+    of N_gh (d_gh among them) have no factor common with d_gh, and the
+    two-sided equality forces d_gh to divide d_g d_h.  A gh not in lowest
+    terms, or any mismatch, goes to the exact gap.  The other axioms compare
+    the two elements.  Returns, per axiom, the largest exact gap between the
+    two sides' matrix entries (:func:`_gap`): 0 when all are equal."""
     _check_order(samples, MIN_AXIOM_SAMPLES, "samples")
     _check_order(seed, None, "seed")
     rng = random.Random(seed)
@@ -327,8 +331,9 @@ def axiom_suite(group: str, samples: int, seed: int) -> dict:
         # (and therefore stays in the matrix group); only a mismatch pays
         # for its gap
         product, den = g.num_matrix() * h.num_matrix(), g.den * h.den
+        q, r = divmod(den, gh.den)
         diffs["closure"].append(
-            0 if gh.num_matrix() * den == product * gh.den
+            0 if not r and gh.num_matrix() * q == product
             else _gap(gh.num_matrix(), gh.den, product, den))
         diff("associativity", compose(gh, k), compose(g, compose(h, k)))
         diff("identity", compose(g, ident), g)

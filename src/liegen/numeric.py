@@ -27,9 +27,14 @@ products then need no alignment of variable lists: a product adds the
 exponent triples termwise.  The public constructor validates its input and
 embeds it into triples; arithmetic on polynomials, whose operands are
 already valid, builds its results through one internal constructor that
-only drops zero numerators and divides out the common factor.  The
-variables a polynomial uses are read off its terms when asked for, so no
-result is scanned for them.
+only drops zero numerators and divides out the common factor.  The form is
+canonical, so a difference of two operands with equal storage (the
+lhs - rhs of every passing exact check) is the zero polynomial with no pass
+over the terms.  The variables a polynomial uses are read off its terms
+when asked for, so no result is scanned for them.  A ``Matrix`` result is
+likewise built by an internal constructor, ``Matrix._make``, from the
+square tuple of tuples that the arithmetic already made: no copy and no
+check of its shape.
 
 A series in t is a polynomial in y, truncated where a caller says: a
 product through t^order (``_series_product``) forms no pair of terms above
@@ -285,6 +290,10 @@ class Polynomial:
             return self
         if not self._nums:
             return other if sign == 1 else -other
+        # storage is canonical: equal storage is an equal value, so a
+        # passing check's lhs - rhs needs no pass
+        if sign < 0 and self._den == other._den and self._nums == other._nums:
+            return _ZERO_POLY
         da, db = self._den, other._den
         den = math.lcm(da, db)
         sa, sb = den // da, sign * (den // db)
@@ -461,6 +470,14 @@ class Matrix:
             raise ValueError("matrix must be square")
         object.__setattr__(self, "rows", rows)
 
+    @classmethod
+    def _make(cls, rows: tuple) -> "Matrix":
+        """Internal constructor for results: ``rows`` is already a square
+        tuple of tuples, so nothing is copied or checked."""
+        matrix = object.__new__(cls)
+        object.__setattr__(matrix, "rows", rows)
+        return matrix
+
     def __setattr__(self, *a):  # pragma: no cover - immutability guard
         raise AttributeError("Matrix is immutable")
 
@@ -471,16 +488,19 @@ class Matrix:
     # a strict zip raises ValueError on a size mismatch, where a plain one
     # would cut the larger matrix down to the smaller
     def __add__(self, other: "Matrix") -> "Matrix":
-        return Matrix([[a + b for a, b in zip(ra, rb)]
-                       for ra, rb in zip(self.rows, other.rows, strict=True)])
+        return Matrix._make(tuple(
+            tuple(a + b for a, b in zip(ra, rb))
+            for ra, rb in zip(self.rows, other.rows, strict=True)))
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        return Matrix([[a - b for a, b in zip(ra, rb)]
-                       for ra, rb in zip(self.rows, other.rows, strict=True)])
+        return Matrix._make(tuple(
+            tuple(a - b for a, b in zip(ra, rb))
+            for ra, rb in zip(self.rows, other.rows, strict=True)))
 
     def __mul__(self, other) -> "Matrix":
         if not isinstance(other, Matrix):
-            return Matrix([[e * other for e in r] for r in self.rows])
+            return Matrix._make(tuple(tuple(e * other for e in r)
+                                      for r in self.rows))
         if len(other.rows) != len(self.rows):
             raise ValueError("matrix sizes differ")
         # visit only products of two nonzero entries, k ascending per (i, j)
@@ -493,8 +513,8 @@ class Matrix:
                 if a:
                     for j, b in other_rows[k]:
                         out[j] = out[j] + a * b
-            rows.append(out)
-        return Matrix(rows)
+            rows.append(tuple(out))
+        return Matrix._make(tuple(rows))
 
     def apply(self, vec) -> tuple:
         return tuple(sum(a * v for a, v in zip(row, vec, strict=True))

@@ -23,6 +23,11 @@ def test_parse_seeds():
     assert bench_pairs.parse_seeds("2-11,12") == list(range(2, 13))
     assert bench_pairs.parse_seeds("5") == [5]
     assert bench_pairs.parse_seeds("3-4, 9") == [3, 4, 9]
+    assert bench_pairs.parse_seeds("7-7") == [7]
+    # a backward range would drop its seeds, a repeated seed count twice
+    for text in ("2-4,9-2", "4-2", "2-4,3", "5,5", ""):
+        with pytest.raises(ValueError):
+            bench_pairs.parse_seeds(text)
 
 
 def test_summary_medians_quartiles_and_wins():

@@ -13,6 +13,7 @@ from liegen.contraction import (
     LX,
     LY,
     LZ,
+    MAX_LEGENDRE_DEGREE,
     PX,
     PY,
     assoc_legendre,
@@ -312,6 +313,40 @@ def test_legendre_input_validation():
         assoc_legendre(2, 0, 1.5)
     with pytest.raises(ValueError, match="degree above 4096"):
         assoc_legendre(5000, 0, 0.5)
+    # abs(nan) > 1 is false: a NaN argument returned nan
+    with pytest.raises(ValueError, match=r"outside \[-1, 1\]"):
+        assoc_legendre(3, 1, math.nan)
+
+
+def int_counter_legendre(m, x):
+    """P_m^m(x), P_{m+1}^m(x), ... with the counters 2ll + 1, ll + m and
+    ll - m + 1 as ints: the recurrence assoc_legendre ran before it carried
+    them as floats, kept here as the reference."""
+    s = math.sqrt((1.0 - x) * (1.0 + x))
+    pmm = 1.0
+    for k in range(1, m + 1):
+        pmm *= (2 * k - 1) * s
+    yield pmm
+    p_prev, p = pmm, (2 * m + 1) * x * pmm
+    yield p
+    for ll in range(m + 1, MAX_LEGENDRE_DEGREE):
+        p_prev, p = p, ((2 * ll + 1) * x * p - (ll + m) * p_prev) / (ll - m + 1)
+        yield p
+
+
+def test_float_counters_give_the_int_counter_floats():
+    rng = random.Random(20261021)
+    xs = [rng.uniform(-1, 1) for _ in range(6)] + [1.0, -1.0, 0.0, -0.0,
+                                                    5e-324]
+    for m in range(6):
+        degrees = sorted({m, m + 1, m + 2, m + 3, MAX_LEGENDRE_DEGREE,
+                          *(rng.randint(m, MAX_LEGENDRE_DEGREE)
+                            for _ in range(5))})
+        for x in xs:
+            reference = list(int_counter_legendre(m, x))
+            for l in degrees:
+                assert assoc_legendre(l, m, x).hex() == reference[l - m].hex(), \
+                    (l, m, x)
 
 
 @pytest.mark.parametrize("l, m", [(True, 0), (2, True), (64, False),
@@ -375,6 +410,13 @@ def test_mehler_heine_envelope():
         mehler_heine_check(6, 1.0, [64])
     with pytest.raises(ValueError, match=r"r outside \[0.5, 8\]"):
         mehler_heine_check(0, 10.0, [64])
+    # l = 0 divided r / l before any check of l: ZeroDivisionError
+    with pytest.raises(ValueError, match="l must be >= 2"):
+        mehler_heine_check(2, 2.0, [64, 0])
+    with pytest.raises(ValueError, match="l must be >= 1"):
+        mehler_heine_check(0, 2.0, [0])
+    with pytest.raises(ValueError, match="l must be >= 2"):
+        mehler_heine_check(2, 2.0, [-3])
 
 
 # -- Legendre equation collapsing onto the Bessel equation ------------------------------

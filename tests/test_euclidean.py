@@ -753,6 +753,13 @@ def test_default_flow_steps_are_past_the_truncation_edge():
         assert flow_solve(2.0, 0.5, 0.3, n).integrator_error <= 1e-14
 
 
+def test_flow_nan_exact_value_reaches_the_integrator_error(monkeypatch):
+    # a NaN true phi after a finite gap in r: a plain max kept the number
+    monkeypatch.setattr(cmath, "log", lambda z: complex(math.nan, math.nan))
+    result = flow_solve(2.0, 0.5, 0.3, 100)
+    assert math.isnan(result.integrator_error)
+
+
 def test_flow_discrepancy_recorded_without_gate():
     result = flow_solve(2.0, 0.5, 0.3, SuiteConfig().flow_steps)
     # the recorded comparison values exist and are finite; no assertion on size

@@ -459,6 +459,28 @@ def test_closure_gap_of_a_flipped_rotation_term(monkeypatch):
         Fraction(159109, 17425)
 
 
+@pytest.mark.parametrize("group, name", [("h3", "h3_compose"),
+                                         ("e2", "e2_compose")])
+def test_closure_of_an_equal_unreduced_element_is_zero(monkeypatch, group,
+                                                       name):
+    # closure scales the composed side only, by d_g d_h / d_gh, which is an
+    # integer for an element in lowest terms; an equal element over a
+    # multiple of its denominator falls through to the exact gap, still 0
+    real = getattr(groups, name)
+
+    def unreduced(g, h):
+        gh = real(g, h)
+        out = object.__new__(type(gh))
+        object.__setattr__(out, "num", tuple(7 * n for n in gh.num))
+        object.__setattr__(out, "den", 7 * gh.den)
+        return out
+
+    monkeypatch.setattr(groups, name, unreduced)
+    residuals = axiom_suite(group, samples=20, seed=20260809)
+    assert residuals["closure"] == 0
+    assert isinstance(residuals["closure"], (int, Fraction))
+
+
 def fraction_gap(M, m, N, n):
     """max |M/m - N/n| entry by entry in Fractions: the oracle for _gap."""
     return max(abs(F(a, m) - F(b, n))

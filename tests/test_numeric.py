@@ -410,6 +410,29 @@ def test_arithmetic_matches_the_fraction_dict_oracle(pair, k):
     assert_matches(p - p, ((), {}))
 
 
+def test_equal_storage_subtracts_to_the_shared_zero(monkeypatch):
+    # distinct objects with equal storage: lhs - rhs of a passing check
+    # takes no pass; a sum, or a difference of unequal operands, still does
+    p = (X + F(1, 3) * Y) ** 3
+    q = (F(1, 3) * Y + X) ** 3
+    w = p + X ** 3  # the same denominator and exponents, one numerator apart
+    assert p is not q and (p._den, p._nums) == (q._den, q._nums)
+    assert w._den == p._den and w._nums.keys() == p._nums.keys()
+    double, cube = 2 * p, X ** 3
+    passes = []
+    real = Polynomial._make.__func__
+
+    def counted(cls, nums, den):
+        passes.append(1)
+        return real(cls, nums, den)
+
+    monkeypatch.setattr(Polynomial, "_make", classmethod(counted))
+    assert p - q is Polynomial.zero() and p - p is Polynomial.zero()
+    assert not passes
+    assert p + p == double and w - p == cube
+    assert len(passes) == 2
+
+
 coordinates = st.one_of(st.just(0), st.integers(min_value=-7, max_value=7),
                         rationals)
 
@@ -686,13 +709,25 @@ int_entries = st.one_of(st.just(0), st.just(0),
 @given(data=st.data(), dim=st.integers(min_value=1, max_value=6))
 @settings(max_examples=40)
 def test_matrix_product_matches_dense_product(data, dim):
-    # the product skips zero entries; it must equal the plain triple sum
+    # the product skips zero entries; it must equal the plain triple sum.
+    # Results skip the constructor, so each must also store what it builds
     square = st.lists(st.lists(int_entries, min_size=dim, max_size=dim),
                       min_size=dim, max_size=dim)
     a, b = Matrix(data.draw(square)), Matrix(data.draw(square))
     dense = [[sum(a[i, k] * b[k, j] for k in range(dim))
               for j in range(dim)] for i in range(dim)]
-    assert a * b == Matrix(dense)
+    k = data.draw(st.integers(-5, 5))
+    for result, oracle in (
+            (a * b, dense),
+            (a + b, [[a[i, j] + b[i, j] for j in range(dim)]
+                     for i in range(dim)]),
+            (a - b, [[a[i, j] - b[i, j] for j in range(dim)]
+                     for i in range(dim)]),
+            (a * k, [[a[i, j] * k for j in range(dim)] for i in range(dim)])):
+        built = Matrix(oracle)
+        assert result == built and built == result
+        assert result.rows == built.rows and type(result.rows) is tuple
+        assert all(type(row) is tuple for row in result.rows)
 
 
 def banded_ops():

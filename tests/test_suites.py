@@ -235,6 +235,21 @@ def test_nan_residual_fails_contraction_gate(monkeypatch):
     assert math.isnan(record.residual)
 
 
+def test_nan_bessel_value_fails_the_polar_ladder_rate(monkeypatch):
+    # the worst of the two ladder gaps was a plain max, which keeps a number
+    # met before a NaN: with J_1(1.0) poisoned the record read pass at ~0.25
+    real = eu.BesselEval.j
+
+    def poisoned(self, n, z):
+        return complex(math.nan) if (n, z) == (1, 1.0) else real(self, n, z)
+
+    monkeypatch.setattr(eu.BesselEval, "j", poisoned)
+    record = records_by_id(run_suite("contraction", SuiteConfig())[0])[
+        "polar_ladder_rate"]
+    assert record.status == "fail"
+    assert math.isnan(record.residual)
+
+
 def mutant(func, *edits):
     """``func`` rebuilt from its own source with each (old, new) edit made
     at the one place ``old`` occurs, in the namespace of its module."""

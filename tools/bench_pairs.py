@@ -47,13 +47,18 @@ class RunError(RuntimeError):
 
 
 def parse_seeds(text: str) -> list[int]:
-    """``"2-11,12"`` -> [2, 3, ..., 11, 12]."""
+    """``"2-11,12"`` -> [2, 3, ..., 11, 12].  ``ValueError`` for a range
+    that runs backwards, which would drop its seeds, and for a seed named
+    twice, which would count its pair twice."""
     seeds = []
     for part in text.split(","):
         first, _, last = part.strip().partition("-")
-        seeds.extend(range(int(first), int(last or first) + 1))
-    if not seeds:
-        raise ValueError(f"no seeds in {text!r}")
+        first, last = int(first), int(last or first)
+        if last < first:
+            raise ValueError(f"seed range {part.strip()!r} runs backwards")
+        seeds.extend(range(first, last + 1))
+    if len(set(seeds)) != len(seeds):
+        raise ValueError(f"a seed repeats in {text!r}")
     return seeds
 
 
