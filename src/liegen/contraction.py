@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 import operator
 from fractions import Fraction
 from typing import Sequence
@@ -231,9 +232,15 @@ def polar_ladder_limit(n: int, r: float, phi: float,
     The phi step is 1e-4 and the theta step 1e-4/R: the pullback varies on
     the theta scale 1/R, so a fixed step would let the O(h^2) truncation
     grow as R^2 and bury the O(r^2/R^2) geometric signal being measured.
+    Every R must be a real number with 0 < R < inf (``ValueError``
+    otherwise, a bool or a NaN included), checked before any evaluation.
     """
     if not 0.5 <= r <= 5:
         raise ValueError("r outside [0.5, 5]")
+    for R in R_list:
+        if (isinstance(R, bool) or not isinstance(R, numbers.Real)
+                or not 0 < R < math.inf):
+            raise ValueError(f"R = {R!r} is not a number with 0 < R < inf")
     h_phi = 1e-4
     out: dict[float, float] = {}
     for R in R_list:

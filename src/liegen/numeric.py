@@ -24,10 +24,14 @@ Every polynomial ``liegen`` builds lives in one ring, Q[x, y, z], so a
 ``Polynomial`` has one storage form: its numerators are keyed by exponent
 triples (a, b, c) for x^a y^b z^c, whichever variables it uses.  Sums and
 products then need no alignment of variable lists: a product adds the
-exponent triples termwise.  The public constructor validates its input and
-embeds it into triples; arithmetic on polynomials, whose operands are
-already valid, builds its results through one internal constructor that
-only drops zero numerators and divides out the common factor.  The form is
+exponent triples termwise.  By a one-term polynomial that is a shift of the
+other factor's exponents, which makes no two keys meet, so such a product is
+one comprehension over d_p d_q, with no pair list and no lcm;
+``differentiate`` lowers one exponent the same way, one comprehension per
+axis.  The public constructor validates its input and embeds it into
+triples; arithmetic on polynomials, whose operands are already valid, builds
+its results through one internal constructor that only drops zero
+numerators and divides out the common factor.  The form is
 canonical, so a difference of two operands with equal storage (the
 lhs - rhs of every passing exact check) is the zero polynomial with no pass
 over the terms.  The variables a polynomial uses are read off its terms
@@ -41,7 +45,9 @@ product through t^order (``_series_product``) forms no pair of terms above
 it, and a coefficient of ``series_exp`` (the ODE recurrence
 a_n = (1/n) sum_j j s_j a_{n-j} over the nonzero s_j) is one
 ``_sum_of_products``: one pass in ints, one normalization.
-``weighted_overlap``, the Gaussian pairing, is one pass in ints too.
+``weighted_overlaps``, the Gaussian pairing of one p with many q, builds
+p's row of Gaussian moments once, in ints, and reads each overlap off it as
+one dot product.
 A power ``p ** n`` is repeated squaring, about log2(n) products instead of
 n - 1.
 
@@ -330,6 +336,15 @@ class Polynomial:
             p, q = other.numerator, other.denominator
             return Polynomial._make(
                 {e: n * p for e, n in self._nums.items()}, self._den * q)
+        # by one term the product is a shift of the exponents: no two keys
+        # meet and no numerator is zero, so one comprehension, over d_p d_q
+        one, many = (other, self) if len(other._nums) == 1 else (self, other)
+        if len(one._nums) == 1:
+            ((b0, b1, b2), m), = one._nums.items()
+            return Polynomial._make(
+                {(a0 + b0, a1 + b1, a2 + b2): n * m
+                 for (a0, a1, a2), n in many._nums.items()},
+                self._den * other._den)
         return _sum_of_products([(self, other)])
 
     __rmul__ = __mul__
@@ -359,14 +374,15 @@ class Polynomial:
     def differentiate(self, var: str) -> "Polynomial":
         if var not in CANONICAL_VARS:
             raise ValueError(f"unknown variable {var!r}")
-        i = CANONICAL_VARS.index(var)
-        u0, u1, u2 = _UNIT[i]
-        nums = {}
-        for exps, n in self._nums.items():
-            k = exps[i]
-            if k:
-                a0, a1, a2 = exps
-                nums[(a0 - u0, a1 - u1, a2 - u2)] = n * k
+        # d/dv lowers one exponent: distinct keys stay distinct, and n * k
+        # is no zero
+        terms = self._nums.items()
+        if var == "x":
+            nums = {(a - 1, b, c): n * a for (a, b, c), n in terms if a}
+        elif var == "y":
+            nums = {(a, b - 1, c): n * b for (a, b, c), n in terms if b}
+        else:
+            nums = {(a, b, c - 1): n * c for (a, b, c), n in terms if c}
         return Polynomial._make(nums, self._den)
 
     def z_line(self, x0: Scalar, y0: Scalar) -> tuple[list, int]:
@@ -662,35 +678,40 @@ def _sum_of_products(pairs: list, div: int = 1) -> Polynomial:
 # the Gaussian pairing
 # ---------------------------------------------------------------------------
 
-def weighted_overlap(p: Polynomial, q: Polynomial) -> Fraction:
-    """integral (p w)(q w) dx over the real line, w = exp(-x^2/2), in units
-    of sqrt(pi), for p and q in x only (``ValueError`` for y or z).
+def weighted_overlaps(p: Polynomial, qs: Iterable[Polynomial]) -> list:
+    """[integral (p w)(q w) dx over the real line for q in ``qs``], w =
+    exp(-x^2/2), each a Fraction in units of sqrt(pi), for p and every q in
+    x only (``ValueError`` for a term in y or z).
 
     exp(-x^2) has the moments (2j-1)!!/2^j at x^(2j) and 0 at odd powers.
-    With p = sum n_a x^a / d_p, q = sum m_b x^b / d_q, 2h the top even
-    power of p q and w_j = (2j-1)!! 2^(h-j), the overlap is the sum of
-    n_a m_b w_((a+b)/2) over a + b even, over d_p d_q 2^h: one pass in
-    ints, with no product p q built.
+    With p = sum n_a x^a / d_p, q = sum m_b x^b / d_q, 2h the top even power
+    of p times the qs and w_j = (2j-1)!! 2^(h-j), the overlap with q is
+    sum_b m_b v_b over d_p d_q 2^h, where
 
-    a + b is even exactly when a and b have the same parity, so the terms
-    of p and q go into an even and an odd bucket and only a bucket of p
-    meets the same bucket of q.  The pairs left out are exactly those whose
-    moment is 0, and the sum of ints does not depend on its order, so the
-    overlap is the same number; a Hermite polynomial has one parity, so
-    H_m against H_n of the other parity pairs nothing at all.
+        v_b = sum_a n_a w_((a+b)/2)    over a + b even
+
+    is p's moment row.  The row is built once, in ints, for every b up to
+    the top degree of the qs, so each overlap is one dot product with no
+    product p q built: the orthonormality record, p = H_n against H_m for
+    every m <= n, does O(N^3) term products over n <= N instead of O(N^4).
+    a + b is even exactly when a and b have the same parity, so v_b reads
+    only p's terms of b's parity; the pairs left out are exactly those
+    whose moment is 0.
     """
-    if any(e[1] or e[2] for poly in (p, q) for e in poly._nums):
+    qs = tuple(qs)
+    if any(e[1] or e[2] for poly in (p, *qs) for e in poly._nums):
         raise ValueError("the Gaussian pairing takes polynomials in x only")
-    h = max(p.degree() + q.degree(), 0) // 2
+    top = max((q.degree() for q in qs), default=-1)
+    h = max(p.degree() + top, 0) // 2
     weights = [1 << h]
     for j in range(1, h + 1):
         weights.append(weights[-1] * (2 * j - 1) >> 1)
-    def by_parity(poly):
-        buckets = ([], [])
-        for (a, _, _), n in poly._nums.items():
-            buckets[a & 1].append((a, n))
-        return buckets
-    total = sum(n * m * weights[(a + b) >> 1]
-                for side_p, side_q in zip(by_parity(p), by_parity(q))
-                for a, n in side_p for b, m in side_q)
-    return Fraction(total, p._den * q._den << h)
+    by_parity = ([], [])
+    for (a, _, _), n in p._nums.items():
+        by_parity[a & 1].append((a, n))
+    row = [sum(n * weights[(a + b) >> 1] for a, n in by_parity[b & 1])
+           for b in range(top + 1)]
+    den = p._den << h
+    return [Fraction(sum(m * row[b] for (b, _, _), m in q._nums.items()),
+                     den * q._den)
+            for q in qs]

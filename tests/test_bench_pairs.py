@@ -192,3 +192,74 @@ def test_main_writes_and_prints_within_bound(tmp_path, capsys):
     printed = capsys.readouterr().out
     assert "report run_s:" in printed and "within_bound True" in printed
     assert "report peak_rss_mb:" in printed and "within_bound False" in printed
+
+
+def test_aa_runs_the_parent_against_a_comment_only_copy(tmp_path):
+    parent = write_spec(tmp_path / "p")
+    package = pathlib.Path(parent, "src", "liegen")
+    package.mkdir(parents=True)
+    sources = {"a.py": b"x = 1\n", "b.py": b"def f():\n    return 2\n"}
+    for name, body in sources.items():
+        (package / name).write_bytes(body)
+    (package / "notes.txt").write_bytes(b"kept as it is\n")
+    pathlib.Path(parent, ".git").mkdir()
+    (pathlib.Path(parent, ".git") / "HEAD").write_text("ref: main\n")
+    seen = {}
+
+    def run(root, workload, seed, seconds):
+        if root != parent:
+            # the copy, while it runs: no .git, each .py one comment longer
+            copy = pathlib.Path(root, "src", "liegen")
+            assert not pathlib.Path(root, ".git").exists()
+            assert (copy / "notes.txt").read_bytes() == b"kept as it is\n"
+            for name, body in sources.items():
+                assert (copy / name).read_bytes() == (
+                    body + bench_pairs.AA_COMMENT.encode())
+            assert pathlib.Path(root, "BENCHMARK.json").exists()
+            seen.setdefault("copies", set()).add(root)
+        value = {parent: 2.0}.get(root, 2.1)
+        return fake_run({root: {seed: value}})[0](root, workload, seed, seconds)
+
+    out = tmp_path / "b.json"
+    out.write_text(json.dumps({"workloads": {"report": {"kept": True}}}))
+    argv = ["--aa", "--parent", parent, "--workload", "report",
+            "--seeds", "1-2", "--seconds", "1", "--out", str(out)]
+    assert bench_pairs.main(argv, run=run) == 0
+    (copy,) = seen["copies"]
+    assert not pathlib.Path(copy).exists()           # deleted afterwards
+    assert not pathlib.Path(copy).parent.exists()
+    bench = json.loads(out.read_text())
+    assert bench["workloads"] == {"report": {"kept": True}}
+    entry = bench["aa"]["report"]
+    assert entry["pairs_run"] == 2
+    assert entry["metrics"]["run_s"]["change"]["median"] == 2.1
+    assert entry["source_sha256"]["parent"] == bench_pairs.source_digest(parent)
+    assert entry["source_sha256"]["change"] != entry["source_sha256"]["parent"]
+
+
+def test_aa_deletes_its_copy_when_a_run_raises(tmp_path):
+    parent = write_spec(tmp_path / "p")
+    roots = []
+
+    def run(root, workload, seed, seconds):
+        roots.append(root)
+        if root == parent:
+            return fake_run({root: {seed: 2.0}})[0](root, workload, seed,
+                                                    seconds)
+        raise KeyError("a broken run")
+
+    argv = ["--aa", "--parent", parent, "--workload", "report",
+            "--seeds", "1", "--seconds", "1", "--out", str(tmp_path / "b.json")]
+    with pytest.raises(KeyError):
+        bench_pairs.main(argv, run=run)
+    parent_run, copy = roots
+    assert parent_run == parent and not pathlib.Path(copy).parent.exists()
+
+
+def test_aa_and_change_exclude_each_other(tmp_path):
+    parent = write_spec(tmp_path / "p")
+    base = ["--parent", parent, "--workload", "report", "--seeds", "1",
+            "--seconds", "1", "--out", str(tmp_path / "b.json")]
+    for extra in ([], ["--aa", "--change", parent]):
+        with pytest.raises(SystemExit):
+            bench_pairs.main(base + extra)

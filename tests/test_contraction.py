@@ -289,6 +289,24 @@ def test_polar_ladder_limit_envelope():
         polar_ladder_limit(0, 0.1, 0.0, [8])
 
 
+@pytest.mark.parametrize("bad", [0, -8.0, math.nan, math.inf, -math.inf,
+                                 True, "8", None])
+def test_polar_ladder_limit_rejects_a_scale_outside_0_inf(monkeypatch, bad):
+    # every scale is checked before any Bessel value is read, so a bad one
+    # late in the list also raises before any work
+    def unread(*args):
+        raise AssertionError("a Bessel value was read")
+
+    monkeypatch.setattr(BesselEval, "j", unread)
+    with pytest.raises(ValueError, match="0 < R < inf"):
+        polar_ladder_limit(0, 1.0, 0.0, [8.0, bad])
+
+
+def test_polar_ladder_limit_keeps_its_bits_at_a_valid_scale():
+    # the check leaves the residual of a valid scale as it was, bit for bit
+    assert polar_ladder_limit(0, 1.0, 0.0, [8.0]) == {8.0: 0.006875789910753882}
+
+
 # -- associated Legendre ----------------------------------------------------------------
 
 def test_legendre_seeds():

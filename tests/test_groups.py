@@ -408,6 +408,56 @@ def test_random_h3_matches_the_fraction_draw():
     assert ints.random() == fractions.random()
 
 
+def randint_h3(rng):
+    """``_random_h3``'s draw written with ``randint``, the reference for its
+    ``randrange`` calls."""
+    p1, q1 = rng.randint(-60, 60), rng.randint(1, 12)
+    p2, q2 = rng.randint(-60, 60), rng.randint(1, 12)
+    p3, q3 = rng.randint(-60, 60), rng.randint(1, 12)
+    return H3Element(F(p1, q1), F(p2, q2), F(p3, q3))
+
+
+def randint_e2(rng):
+    """``_random_e2``'s draw written with ``randint``."""
+    p, q, m = rng.randint(-60, 60), rng.randint(1, 12), rng.randint(1, 12)
+    den = m * (q * q + p * p)
+    return E2Element(rng.randint(-5 * den, 5 * den),
+                     rng.randint(-5 * den, 5 * den),
+                     m * (q * q - p * p), 2 * m * p * q, den)
+
+
+@pytest.mark.parametrize("draw, reference", [(_random_h3, randint_h3),
+                                             (_random_e2, randint_e2)],
+                         ids=["h3", "e2"])
+def test_draws_are_the_randint_stream(draw, reference):
+    # randint(a, b) is randrange(a, b + 1): the same elements from the same
+    # stream, and the stream left at the same place
+    for seed in range(50):
+        fast, slow = random.Random(seed), random.Random(seed)
+        for _ in range(20):
+            g, h = draw(fast), reference(slow)
+            assert (g.num, g.den) == (h.num, h.den)
+        assert fast.random() == slow.random()
+
+
+@pytest.mark.parametrize("cls, num, den", [
+    (H3Element, (3, -5, 7), 4),              # gcd 1
+    (H3Element, (6, -10, 14), 8),            # gcd 2
+    (H3Element, (0, 0, 0), 36),              # the identity over 36
+    (E2Element, (1, 2, 3, 4), 5),            # gcd 1
+    (E2Element, (3, 6, 9, 12), 15),          # gcd 3
+])
+def test_reduced_stores_lowest_terms_at_any_gcd(cls, num, den):
+    g = cls._reduced(num, den)
+    common = math.gcd(den, *num)
+    assert g.num == tuple(n // common for n in num)
+    assert g.den == den // common
+    assert type(g.num) is tuple and all(type(n) is int for n in g.num)
+    # at gcd 1 the fields are the arguments as given
+    if common == 1:
+        assert g.num is num
+
+
 def test_h3_axioms_exact():
     residuals = axiom_suite("h3", samples=100, seed=20260809)
     assert sorted(residuals) == ["associativity", "closure", "identity",

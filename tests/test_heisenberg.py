@@ -24,7 +24,7 @@ from liegen.heisenberg import (
     raising_consistency_residual,
     shift_series,
     verify_hermite_identity,
-    weighted_overlap,
+    weighted_overlaps,
 )
 from liegen.numeric import Polynomial, X, Y
 
@@ -186,19 +186,20 @@ def test_anticommutator_eigenvalue_examples():
 def test_orthonormality_exact():
     assert verify_hermite_identity("orthonormality", 5) == 0
     psi5, norm5 = mixed_basis(5)
-    assert weighted_overlap(psi5, psi5) == math.factorial(5) * 2 ** 5
-    assert norm5 * weighted_overlap(psi5, psi5) == 1
+    assert weighted_overlaps(psi5, [psi5])[0] == math.factorial(5) * 2 ** 5
+    assert norm5 * weighted_overlaps(psi5, [psi5])[0] == 1
     psi1, _ = mixed_basis(1)
-    assert weighted_overlap(psi1, Polynomial.constant(1)) == 0  # odd integrand
+    # odd integrand
+    assert weighted_overlaps(psi1, [Polynomial.constant(1)])[0] == 0
     psi4, _ = mixed_basis(4)
     psi2, _ = mixed_basis(2)
-    assert weighted_overlap(psi4, psi2) == 0
+    assert weighted_overlaps(psi4, [psi2])[0] == 0
 
 
 def test_ground_state_normalization():
     # the bare Gaussian integrates to sqrt(pi): moment coefficient 1
     ground = Polynomial.constant(1)
-    assert weighted_overlap(ground, ground) == 1
+    assert weighted_overlaps(ground, [ground])[0] == 1
     _, norm = mixed_basis(0)
     assert norm == 1
 
@@ -237,7 +238,7 @@ def test_discrete_matrix_matches_the_differential_operators(op):
     for j, (psi_j, _) in enumerate(basis[:dim]):
         image = apply_ladder(op, psi_j)
         expected = {i: c for i, (psi_i, norm_i) in enumerate(basis)
-                    if (c := norm_i * weighted_overlap(psi_i, image))}
+                    if (c := norm_i * weighted_overlaps(psi_i, [image])[0])}
         assert banded.column(j) == expected
 
 

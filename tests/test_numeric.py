@@ -30,7 +30,7 @@ from liegen.numeric import (
     _series_product,
     _sum_of_products,
     series_exp,
-    weighted_overlap,
+    weighted_overlaps,
 )
 
 F = Fraction
@@ -689,6 +689,48 @@ def test_products_are_canonical_on_seeded_pairs():
     assert (X + 1) * (X - 1) == Polynomial(("x",), {(2,): 1, (0,): -1})
 
 
+SUBSETS = [(), ("x",), ("y",), ("z",), ("x", "y"), ("x", "z"), ("y", "z"),
+           CANONICAL_VARS]
+
+
+def test_one_term_product_is_the_sum_of_products():
+    # the one-term path shifts exponents; the general pass over the pair
+    # list is the oracle, down to the storage and its order
+    rng = random.Random(20261021)
+    monomials = [Polynomial.constant(F(-3, 4)), Polynomial.constant(2),
+                 X, Y / 6, F(-5, 9) * Z ** 2, F(7, 2) * X * Y ** 2 * Z ** 3]
+    monomials += [Polynomial._make({tuple(rng.randint(0, 3) for _ in range(3)):
+                                    rng.choice((-1, 1)) * rng.randint(1, 12)},
+                                   rng.randint(1, 12)) for _ in range(30)]
+    others = [_random_poly(rng, rng.choice(SUBSETS)) for _ in range(60)]
+    others += monomials + [Polynomial.zero(), 6 * X + 4, (X + Y + Z) ** 2 / 10]
+    for m in monomials:
+        for p in others:
+            for product, (a, b) in ((m * p, (m, p)), (p * m, (p, m))):
+                expected = _sum_of_products([(a, b)])
+                assert_canonical(product)
+                assert product._den == expected._den
+                assert list(product._nums.items()) == list(expected._nums.items())
+    # the gcd of d_p d_q and the numerators is still divided out
+    assert (X / 2) * Polynomial.constant(2) == X
+    assert (4 * X * Y) * (Z / 8) == X * Y * Z / 2
+
+
+def test_differentiate_matches_the_fraction_oracle_on_every_axis():
+    rng = random.Random(20261022)
+    polys = [_random_poly(rng, rng.choice(SUBSETS), max_deg=6)
+             for _ in range(200)]
+    polys += [Polynomial.zero(), Polynomial.constant(F(5, 3)),
+              (X / 2 + Y / 3 + Z / 5) ** 4, X ** 2 / 2]
+    for p in polys:
+        for var in CANONICAL_VARS:
+            assert_matches(p.differentiate(var),
+                           _fraction_differentiate(fraction_form(p), var))
+    assert (X ** 2 / 2).differentiate("x") == X      # the gcd divided out
+    with pytest.raises(ValueError, match="unknown variable"):
+        X.differentiate("t")
+
+
 @pytest.mark.parametrize("p", [X, Polynomial.constant(F(-5, 7)),
                                (X + Polynomial.variable("z")) ** 3,
                                Polynomial.zero()])
@@ -947,10 +989,11 @@ def test_series_exp_is_multiplicative(a1, a2, b1, b2):
 
 
 # -- the Gaussian pairing ------------------------------------------------------
-# weighted_overlap(x^k, 1) is the k-th moment of exp(-x^2) in units of sqrt(pi)
+# weighted_overlaps(x^k, [1])[0] is the k-th moment of exp(-x^2) in units of
+# sqrt(pi)
 
 def moment(k):
-    return weighted_overlap(X ** k, ONE)
+    return weighted_overlaps(X ** k, [ONE])[0]
 
 
 def test_moment_odd_vanishes():
@@ -990,7 +1033,8 @@ def test_overlap_is_the_moment_sum_of_the_product(p, q):
     # the bilinear pass equals integrating the built product p*q term by term
     expected = sum((c * moment(e[0] if e else 0)
                     for e, c in (p * q).terms.items()), F(0))
-    assert weighted_overlap(p, q) == expected == weighted_overlap(q, p)
+    assert (weighted_overlaps(p, [q])[0] == expected
+            == weighted_overlaps(q, [p])[0])
 
 
 def moment_by_double_factorial(k):
@@ -1020,7 +1064,7 @@ x_polys = st.dictionaries(
 def test_overlap_matches_the_direct_moment_sum(p, q):
     # mixed parities and the zero polynomial: the parity buckets pair only
     # terms whose moment can be nonzero, and lose none that is
-    assert weighted_overlap(p, q) == direct_overlap(p, q)
+    assert weighted_overlaps(p, [q])[0] == direct_overlap(p, q)
 
 
 @pytest.mark.parametrize("p, q", [
@@ -1028,12 +1072,56 @@ def test_overlap_matches_the_direct_moment_sum(p, q):
     (X ** 3 + X ** 2, X + 1), (1 + X + X ** 2, 1 - X + X ** 3),
     (Polynomial.zero(), Polynomial.zero())])
 def test_overlap_on_mixed_parity_and_zero(p, q):
-    assert weighted_overlap(p, q) == direct_overlap(p, q)
-    assert weighted_overlap(q, p) == direct_overlap(p, q)
+    assert weighted_overlaps(p, [q])[0] == direct_overlap(p, q)
+    assert weighted_overlaps(q, [p])[0] == direct_overlap(p, q)
 
 
 @pytest.mark.parametrize("p, q", [(Y, Y), (X * Y, X * Y), (Z, ONE),
                                   (ONE, X + Z), (X ** 2, X - Y + 1)])
 def test_overlap_rejects_a_term_in_y_or_z(p, q):
     with pytest.raises(ValueError, match="x only"):
-        weighted_overlap(p, q)
+        weighted_overlaps(p, [q])[0]
+
+
+def _random_x_poly(rng, max_deg=12):
+    """A polynomial in x with a denominator other than 1 most of the time,
+    both parities and, now and then, no term at all."""
+    terms = {(rng.randint(0, max_deg),): F(rng.randint(-20, 20),
+                                           rng.randint(1, 30))
+             for _ in range(rng.randint(0, 7))}
+    return Polynomial(("x",), terms)
+
+
+def test_overlaps_are_the_moment_sums_on_seeded_polynomials():
+    # one moment row of p against many q at once: each entry is the moment
+    # sum of the expanded product, whatever the other qs are
+    rng = random.Random(20261023)
+    for _ in range(150):
+        p = _random_x_poly(rng)
+        qs = [_random_x_poly(rng) for _ in range(rng.randint(0, 6))]
+        if rng.random() < 0.2:
+            qs.append(Polynomial.zero())
+        overlaps = weighted_overlaps(p, qs)
+        assert overlaps == [direct_overlap(p, q) for q in qs]
+        assert all(type(v) is Fraction for v in overlaps)
+        assert overlaps == [weighted_overlaps(p, [q])[0] for q in qs]
+
+
+def test_overlaps_edge_cases():
+    assert weighted_overlaps(X ** 3 - X / 2, []) == []
+    assert weighted_overlaps(Polynomial.zero(), [X, ONE, ZERO]) == [0, 0, 0]
+    assert weighted_overlaps(ONE, [ZERO]) == [0]
+    # a q of lower degree than the others reads only the start of the row
+    assert weighted_overlaps(X ** 4 / 3, [ONE, X ** 6, X ** 2 / 7]) == [
+        direct_overlap(X ** 4 / 3, q) for q in (ONE, X ** 6, X ** 2 / 7)]
+    # a generator of qs is read once
+    assert weighted_overlaps(X, (X ** k for k in range(4))) == [
+        0, F(1, 2), 0, F(3, 4)]
+
+
+@pytest.mark.parametrize("p, qs", [
+    (X, [ONE, Y]), (X, [X, X - Z, ONE]), (ONE, [X ** 2, X * Y ** 2]),
+    (Y, []), (X + Z, [ONE])])
+def test_overlaps_reject_a_term_in_y_or_z_in_any_polynomial(p, qs):
+    with pytest.raises(ValueError, match="x only"):
+        weighted_overlaps(p, qs)

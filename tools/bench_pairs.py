@@ -22,8 +22,20 @@ bytes of that checkout's ``src/liegen/*.py``.
 
 The workload's entry replaces any entry for the same workload in ``--out``;
 entries for other workloads are kept, so one file can cover several
-workloads.  The exit status is 1 when any run reports failed operations or
-does not finish, 0 otherwise.  Nothing is imported from either checkout.
+workloads.
+
+    python3 tools/bench_pairs.py --aa --parent DIR --workload W \
+        --seeds 2-9 --seconds 10 --out BENCH_N.json
+
+runs an A/A comparison instead: the parent against a temporary copy of
+itself (without ``.git``) in which every ``src/liegen/*.py`` gains one
+comment line and nothing else changes.  Neither side runs different code,
+so the entry, written under ``"aa"`` in ``--out``, measures how far the
+metrics drift on an edit of the source bytes alone, under the same rules as
+a real pair.  The copy is deleted afterwards.
+
+The exit status is 1 when any run reports failed operations or does not
+finish, 0 otherwise.  Nothing is imported from either checkout.
 """
 
 from __future__ import annotations
@@ -34,12 +46,16 @@ import json
 import os
 import pathlib
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 
 #: a run that takes this many times its --seconds (plus a minute) is hung
 TIMEOUT_FACTOR = 4
+#: the line an A/A copy appends to each of its src/liegen/*.py
+AA_COMMENT = "# A/A copy: this line is the only change\n"
 
 
 class RunError(RuntimeError):
@@ -140,6 +156,24 @@ def end_to_end(root: str) -> dict:
     return {m["name"]: m for m in spec["end_to_end"]}
 
 
+def aa_copy(parent: str) -> str:
+    """A copy of the checkout at ``parent``, without ``.git``, in a new
+    temporary directory, with :data:`AA_COMMENT` appended to each
+    ``src/liegen/*.py``; its root is returned."""
+    scratch = tempfile.mkdtemp(prefix="bench-aa-")
+    root = os.path.join(scratch, "checkout")
+    try:
+        shutil.copytree(parent, root, ignore=shutil.ignore_patterns(
+            ".git", "__pycache__", ".pytest_cache", ".hypothesis"))
+        for path in pathlib.Path(root, "src", "liegen").glob("*.py"):
+            with open(path, "a") as fh:
+                fh.write(AA_COMMENT)
+    except BaseException:
+        shutil.rmtree(scratch)
+        raise
+    return root
+
+
 def run_pairs(parent: str, change: str, workload: str, seeds: list[int],
               seconds: int, run=run_side) -> tuple[dict, list[str]]:
     """The workload's bench entry, and a message per failed run."""
@@ -190,7 +224,10 @@ def run_pairs(parent: str, change: str, workload: str, seeds: list[int],
 def main(argv=None, run=run_side) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="parent checkout root")
-    parser.add_argument("--change", required=True, help="changed checkout root")
+    sides = parser.add_mutually_exclusive_group(required=True)
+    sides.add_argument("--change", help="changed checkout root")
+    sides.add_argument("--aa", action="store_true",
+                       help="compare the parent with a comment-only copy")
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seeds", required=True, type=parse_seeds,
                         help="seed ranges, e.g. 2-11,12")
@@ -198,20 +235,26 @@ def main(argv=None, run=run_side) -> int:
     parser.add_argument("--out", required=True)
     args = parser.parse_args(argv)
 
-    entry, problems = run_pairs(args.parent, args.change, args.workload,
-                                args.seeds, args.seconds, run)
+    change = aa_copy(args.parent) if args.aa else args.change
+    try:
+        entry, problems = run_pairs(args.parent, change, args.workload,
+                                    args.seeds, args.seconds, run)
+    finally:
+        if args.aa:
+            shutil.rmtree(os.path.dirname(change))
     bench = {}
     if os.path.exists(args.out):
         with open(args.out) as fh:
             bench = json.load(fh)
     bench["host"] = {"cpus": os.cpu_count(), "machine": platform.machine(),
                      "python": platform.python_version()}
-    bench.setdefault("workloads", {})[args.workload] = entry
+    bench.setdefault("aa" if args.aa else "workloads", {})[args.workload] = entry
     with open(args.out, "w") as fh:
         json.dump(bench, fh, indent=1, sort_keys=True)
         fh.write("\n")
+    label = f"{args.workload} (A/A)" if args.aa else args.workload
     for name, m in entry["metrics"].items():
-        print(f"{args.workload} {name}: parent {m['parent']['median']:.6g} "
+        print(f"{label} {name}: parent {m['parent']['median']:.6g} "
               f"change {m['change']['median']:.6g} {m['unit']}, change wins "
               f"{m['change_wins']}/{len(m['pairs'])}, "
               f"gain rule {'met' if m['gain_rule_met'] else 'not met'}, "
