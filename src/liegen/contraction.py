@@ -16,7 +16,7 @@ import operator
 from fractions import Fraction
 from typing import Sequence
 
-from .euclidean import BESSEL, bessel_series
+from .euclidean import BESSEL, _through, bessel_series
 from .numeric import (CANONICAL_VARS, Polynomial, Scalar, X, Y, Z,
                       _add_lie, _as_fraction, _check_order, _over_lcm,
                       _scaled_powers, _worst)
@@ -358,9 +358,10 @@ def legendre_ode_residual(l: int, m: int, r: float) -> float:
 
 def bessel_operator_residual(m: int, degree: int) -> Polynomial:
     """r^2 J'' + r J' + (r^2 - m^2) J in Q[r], J = J_m through r^degree and
-    r^2 J through r^degree too: identically zero, as the coefficients of the
+    r^2 J, the same truncation of J cut back to r^degree (``_through``),
+    through r^degree too: identically zero, as the coefficients of the
     ascending series obey (p^2 - m^2) c_p + c_{p-2} = 0."""
     j = bessel_series(m, degree)
     jp = j.differentiate("x")
     return (X * X * jp.differentiate("x") + X * jp - m * m * j
-            + X * X * bessel_series(m, degree - 2))
+            + _through(X * X * j, degree))

@@ -289,6 +289,19 @@ def bessel_series(n: int, degree: int) -> Polynomial:
         nums, math.factorial(k) * math.factorial(n + k) << (n + 2 * k))
 
 
+def _through(p: Polynomial, degree: int) -> Polynomial:
+    """The terms of ``p`` whose power of x = r is at most ``degree``.
+
+    A relation between truncations of Bessel series is checked with every
+    series cut after the same number of terms, and a product with a power
+    of r cut back to ``degree`` with this: a factor of a truncation that
+    depends on where it is cut (as (-1)^k times the series of I_n) is then
+    common to both sides, and cannot cancel a sign of the relation.
+    """
+    return Polynomial._make(
+        {e: n for e, n in p._nums.items() if e[0] <= degree}, p._den)
+
+
 def find_j0_root() -> float:
     """Root of J_0 on the bracket [2, 3], by bisection to a width of 1e-13,
     using the same series it tests."""
@@ -326,15 +339,18 @@ def ladder_series_residuals(op: str, n: int, degree: int) -> list:
     e^{i (n+s) phi}.  Returns, times r and in Q[r] through the power
     ``degree``, that coefficient minus the one of column n of
     ``POLAR_OPS[op]`` at each order either has: all zero exactly when the
-    column is the operator's action."""
+    column is the operator's action.  Each J_m of the column is cut after
+    as many terms as J_n, j <= k = (degree - |n|) // 2, and r J_m back to
+    ``degree`` (:func:`_through`)."""
     if op not in ("raise", "lower"):
         raise ValueError("the series check applies to raise and lower")
     s = 1 if op == "raise" else -1
     j = bessel_series(n, degree)
     lhs = s * X * j.differentiate("x") - n * j
     image = POLAR_OPS[op].column(n)
-    return [(lhs if m == n + s else 0)
-            - image.get(m, 0) * X * bessel_series(m, degree - 1)
+    top = 2 * ((degree - abs(n)) // 2)
+    return [(lhs if m == n + s else 0) - image.get(m, 0)
+            * _through(X * bessel_series(m, abs(m) + top), degree)
             for m in image.keys() | {n + s}]
 
 

@@ -7,7 +7,9 @@ rotates by the rational points of the unit circle, which are dense in SO(2),
 so its axioms are checked exactly on a dense set.  The generators are the
 tangents of one-parameter curves through the identity, and a central
 difference of a curve's own matrices at a rational step gives each one
-exactly (:func:`tangent_residuals`).  No float enters the module.
+exactly (:func:`tangent_residuals`, which compares the difference with the
+scaled generator first and divides only on a mismatch).  No float enters
+the module.
 
 Both element types, ``H3Element`` and ``E2Element``, store integer
 numerators over one positive denominator in lowest terms, so equal elements
@@ -25,7 +27,10 @@ suites' exact records reject a residual with a float entry.
 
 The axiom suites draw their elements with ``rng.randrange(a, b + 1)``, the
 call ``randint(a, b)`` makes, so the stream of a seed is randint's, one
-lookup shorter per draw.
+lookup shorter per draw.  Both draws build their element through
+``_reduced``: an H3 draw is valid for any integers over a positive
+denominator, and an E(2) draw's Cayley rotation satisfies c^2 + s^2 = den^2
+by construction, so neither needs the public constructor's checks.
 """
 
 from __future__ import annotations
@@ -39,6 +44,8 @@ from .numeric import Matrix, Scalar, _as_fraction, _check_order, _worst
 
 #: the 3x3 identity matrix, exact
 IDENTITY = Matrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+#: the 3x3 zero matrix, in Fraction entries: a tangent's residual on a match
+_ZERO_MATRIX = Matrix([[Fraction(0)] * 3] * 3)
 
 
 def commutator(a: Matrix, b: Matrix) -> Matrix:
@@ -244,6 +251,10 @@ def tangent_residuals(group: str, h: Scalar) -> list:
     and the translations are affine in h, so w = 1 at every step.  The
     rotation's quotient is w = 2 / (1 + h^2) times its generator at every
     step, so dM/dh at 0 is twice the generator and dM/dtheta the generator.
+
+    Each curve first compares M(h) - M(-h) with 2h w generator: on a match
+    the residual is the zero matrix, and only a mismatch pays for the
+    quotient, as (M(h) - M(-h) - 2h w generator) / 2h.
     """
     h = _as_fraction(h)
     p, q = h.numerator, h.denominator
@@ -259,8 +270,14 @@ def tangent_residuals(group: str, h: Scalar) -> list:
                    E2_BASIS_ROT, 2 / (1 + h * h)))
     else:
         raise ValueError("group must be 'h3' or 'e2'")
-    return [(curve(p).to_matrix() - curve(-p).to_matrix()) * (1 / (2 * h))
-            - generator * weight for curve, generator, weight in curves]
+    inverse_step = 1 / (2 * h)      # ZeroDivisionError at h = 0
+    residuals = []
+    for curve, generator, weight in curves:
+        diff = curve(p).to_matrix() - curve(-p).to_matrix()
+        step = generator * (2 * h * weight)
+        residuals.append(_ZERO_MATRIX if diff == step
+                         else (diff - step) * inverse_step)
+    return residuals
 
 
 # ---------------------------------------------------------------------------
@@ -281,13 +298,16 @@ def _random_h3(rng: random.Random) -> H3Element:
 
 def _random_e2(rng: random.Random) -> E2Element:
     """x, y in [-5, 5] over m(q^2 + p^2), m <= 12, and Cayley's rotation of
-    t = p/q: u = ((q^2 - p^2) + 2pq*i)/(q^2 + p^2)."""
+    t = p/q: u = ((q^2 - p^2) + 2pq*i)/(q^2 + p^2), brought to lowest terms
+    by ``E2Element._reduced``."""
     draw = rng.randrange
     p, q, m = draw(-60, 61), draw(1, 13), draw(1, 13)
     den = m * (q * q + p * p)
-    return E2Element(draw(-5 * den, 5 * den + 1),
-                     draw(-5 * den, 5 * den + 1),
-                     m * (q * q - p * p), 2 * m * p * q, den)
+    # (q^2 - p^2)^2 + (2pq)^2 = (q^2 + p^2)^2 and den > 0: the element is
+    # valid, so it skips the public constructor's checks
+    return E2Element._reduced((draw(-5 * den, 5 * den + 1),
+                               draw(-5 * den, 5 * den + 1),
+                               m * (q * q - p * p), 2 * m * p * q), den)
 
 
 #: fewest pseudorandom elements an axiom suite draws

@@ -33,6 +33,15 @@ reduces to exact rational arithmetic.
 
 Exactness is enforced by construction: ``Polynomial`` rejects float
 coefficients, and the number-basis ladders are built from ints only.
+
+The hot builders work on the stored numerators, one pass and one
+normalization per result: the derivative ladder p' - xp, a step of the
+three-term recurrence, and a series sum_k p_k t^k / k! (t = y) assembled
+from y-free p_k, whose terms cannot meet.  A check compares before it
+builds a residual: the Hermite identities end in a difference of two
+equal polynomials, which costs no pass, and orthonormality compares each
+overlap with its expected value and builds a Fraction residual only for a
+mismatch.
 """
 
 from __future__ import annotations
@@ -48,7 +57,6 @@ from .numeric import (
     Y,
     _check_order,
     _series_product,
-    _sum_of_products,
     series_exp,
     weighted_overlaps,
 )
@@ -75,6 +83,10 @@ def apply_ladder(kind: str, p: Polynomial) -> Polynomial:
         raise:      (x - D)(p w) = (2xp - p') w
         position:   x (p w)      = (xp) w
         derivative: D(p w)       = (p' - xp) w
+
+    ``derivative`` is one pass over p's terms and one normalization: p'
+    lowers each exponent of x and xp raises it, so the two meet where the
+    exponents differ by two.
     """
     if kind == "lower":
         return p.differentiate("x")
@@ -83,7 +95,13 @@ def apply_ladder(kind: str, p: Polynomial) -> Polynomial:
     if kind == "position":
         return X * p
     if kind == "derivative":
-        return p.differentiate("x") - X * p
+        terms = p._nums.items()
+        nums = {(a - 1, b, c): n * a for (a, b, c), n in terms if a}
+        get = nums.get
+        for (a, b, c), n in terms:
+            key = (a + 1, b, c)
+            nums[key] = get(key, 0) - n
+        return Polynomial._make(nums, p._den)
     raise ValueError(f"unknown ladder operator {kind!r}")
 
 
@@ -104,15 +122,28 @@ def hermite_rodrigues(n: int) -> Polynomial:
     return _rodrigues_cache[n]
 
 
+def _recurrence_step(h: Polynomial, h_prev: Polynomial, k: int) -> Polynomial:
+    """2x h - 2k h_prev in one pass over the terms, over the lcm of the two
+    denominators, and one normalization."""
+    den = math.lcm(h._den, h_prev._den)
+    up, down = 2 * (den // h._den), 2 * k * (den // h_prev._den)
+    nums = {(a + 1, b, c): n * up for (a, b, c), n in h._nums.items()}
+    get = nums.get
+    for e, n in h_prev._nums.items():
+        nums[e] = get(e, 0) - n * down
+    return Polynomial._make(nums, den)
+
+
 def hermite_recurrence_sequence(max_n: int) -> Iterator[Polynomial]:
     """Independent oracle, H_0 .. H_max_n in one pass of the three-term
-    recurrence H_{n+1} = 2x H_n - 2n H_{n-1} from H_0 = 1 (and H_{-1} = 0).
-    Only the last two polynomials are held."""
+    recurrence H_{n+1} = 2x H_n - 2n H_{n-1} from H_0 = 1 (and H_{-1} = 0),
+    each step one :func:`_recurrence_step`.  Only the last two polynomials
+    are held."""
     _check_order(max_n, MIN_HERMITE_N, "max_n")
     h_prev, h = Polynomial.zero(), Polynomial.constant(1)
     yield h
     for k in range(max_n):
-        h_prev, h = h, 2 * X * h - 2 * k * h_prev
+        h_prev, h = h, _recurrence_step(h, h_prev, k)
         yield h
 
 
@@ -229,7 +260,14 @@ def verify_hermite_identity(which: str, n: int):
     both say the overlap is 0, for m == n both say it is 1 / norm_n).  The
     n + 1 overlaps are one call of :func:`weighted_overlaps`: H_n's moment
     row is built once and each H_m is one dot product with it, so the
-    record over n <= N does O(N^3) term products, not O(N^4).
+    record over n <= N does O(N^3) term products, not O(N^4).  Each
+    overlap is compared with delta_nm / norm_n first, and the residual is
+    built only for the first that differs.
+
+    ``ode_A2`` and ``recursion_A3`` put the terms with the lone x-factor
+    last, (h'' + 2n h) - 2x h' and (H_{n+1} + 2n H_{n-1}) - 2x H_n, so a
+    passing check ends in a difference of two equal polynomials, which
+    needs no pass over their terms.
 
     ``anticommutator`` is only the eigenvalue relation
     (1/2){lower, raise} psi_n = (2n + 1) psi_n on the n-th basis function;
@@ -239,13 +277,12 @@ def verify_hermite_identity(which: str, n: int):
     if which == "ode_A2":
         h = hermite_rodrigues(n)
         hp = h.differentiate("x")
-        return hp.differentiate("x") - 2 * X * hp + 2 * n * h
+        return (hp.differentiate("x") + 2 * n * h) - 2 * X * hp
     if which == "recursion_A3":
         if n == 0:
             return hermite_rodrigues(1) - 2 * X * hermite_rodrigues(0)
-        return (hermite_rodrigues(n + 1)
-                - 2 * X * hermite_rodrigues(n)
-                + 2 * n * hermite_rodrigues(n - 1))
+        return ((hermite_rodrigues(n + 1) + 2 * n * hermite_rodrigues(n - 1))
+                - 2 * X * hermite_rodrigues(n))
     if which == "diffrel_A4":
         h = hermite_rodrigues(n)
         lower_term = (2 * n * hermite_rodrigues(n - 1)
@@ -258,10 +295,11 @@ def verify_hermite_identity(which: str, n: int):
         fn, norm_n = mixed_basis(n)
         overlaps = weighted_overlaps(
             fn, [hermite_rodrigues(m) for m in range(n + 1)])
+        unit = 1 / norm_n     # overlap(psi_n, psi_n) on pass
         for m, overlap in enumerate(overlaps):
-            residual = norm_n * overlap - (1 if m == n else 0)
-            if residual:
-                return residual
+            delta = 1 if m == n else 0
+            if overlap != delta * unit:
+                return norm_n * overlap - delta
         return Fraction(0)
     raise ValueError(f"unknown identity {which!r}")
 
@@ -286,10 +324,16 @@ def raising_consistency_residual(n: int):
 # shift operator and generating-function checks (exact series in t = y)
 # ---------------------------------------------------------------------------
 
-def _tag(k: int) -> Polynomial:
-    """y^k / k!: the tag of term k of an exponential series in t = y, which
-    enters ``_sum_of_products`` as a factor of that term."""
-    return Polynomial._make({(0, k, 0): 1}, math.factorial(k))
+def _tagged_sum(coeffs: list) -> Polynomial:
+    """sum_k coeffs[k] t^k / k!, t = y, for polynomials free of y: term k's
+    keys all carry y^k, so no two terms meet, and the sum is one
+    comprehension over the lcm of the d_k k!."""
+    dens = [p._den * math.factorial(k) for k, p in enumerate(coeffs)]
+    den = math.lcm(*dens)
+    return Polynomial._make(
+        {(a, k, c): n * (den // d_k)
+         for k, (p, d_k) in enumerate(zip(coeffs, dens))
+         for (a, _, c), n in p._nums.items()}, den)
 
 
 def shift_series(order: int) -> Polynomial:
@@ -300,15 +344,14 @@ def shift_series(order: int) -> Polynomial:
     terms = [Polynomial.constant(1)]
     for _ in range(order):
         terms.append(-apply_ladder("derivative", terms[-1]))
-    return _sum_of_products([(_tag(k), c) for k, c in enumerate(terms)])
+    return _tagged_sum(terms)
 
 
 def _hermite_series(order: int) -> Polynomial:
     """sum H_k t^k / k!, H_k from :func:`hermite_rodrigues`, through t^order
     (t = y; ``_check_order`` down to :data:`MIN_SERIES_ORDER`)."""
     _check_order(order, MIN_SERIES_ORDER)
-    return _sum_of_products([(_tag(k), hermite_rodrigues(k))
-                             for k in range(order + 1)])
+    return _tagged_sum([hermite_rodrigues(k) for k in range(order + 1)])
 
 
 def disentangle_check(order: int) -> Polynomial:

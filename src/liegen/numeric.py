@@ -42,9 +42,10 @@ check of its shape.
 
 A series in t is a polynomial in y, truncated where a caller says: a
 product through t^order (``_series_product``) forms no pair of terms above
-it, and a coefficient of ``series_exp`` (the ODE recurrence
-a_n = (1/n) sum_j j s_j a_{n-j} over the nonzero s_j) is one
-``_sum_of_products``: one pass in ints, one normalization.
+it.  ``series_exp`` runs the ODE recurrence a_n = (1/n) sum_j j s_j a_{n-j}
+over the nonzero s_j with every a_n held as integers over one running
+denominator, n! d^n for s over d: each order is one pass in ints, with no
+lcm and no normalization, and the whole series is normalized once.
 ``weighted_overlaps``, the Gaussian pairing of one p with many q, builds
 p's row of Gaussian moments once, in ints, and reads each overlap off it as
 one dot product.
@@ -108,7 +109,11 @@ def _as_fraction(value) -> Fraction:
 def _as_complex(value) -> complex:
     """``value``, a number, as a complex.  ``TypeError`` for anything else,
     a str or a bool included, which ``complex`` would parse or read as 0
-    or 1 (numpy's bool is no ``numbers.Number``)."""
+    or 1 (numpy's bool is no ``numbers.Number``).  A float or a complex,
+    by its exact type, skips the checks."""
+    kind = type(value)
+    if kind is float or kind is complex:
+        return complex(value)
     if not isinstance(value, numbers.Number) or isinstance(value, bool):
         raise TypeError(f"expected a number, got {type(value).__name__}")
     return complex(value)
@@ -634,24 +639,48 @@ def series_exp(s: Polynomial, order: int) -> Polynomial:
 
     (Brent & Kung 1978; Knuth, TAOCP vol. 2, 4.7).  Only the nonzero s_j
     take part, so the cost is O(order * nonzero s_j) coefficient products
-    instead of O(order) full series products.  s is split by powers of y
-    once; each part keeps its t^j, so a_n comes out as a_n t^n.
+    instead of O(order) full series products.
+
+    Every a_n is held over one running denominator: with s_j = S_j / d,
+    d = ``s._den``, the numerators A_n = a_n n! d^n are integers, and
+
+        A_n = sum_j (j S_j) A_{n-j} (n-1)! / (n-j)! d^(j-1),
+
+    so each order is one pass in ints, with no lcm and no normalization.
+    s is split by powers of y once; each part keeps its t^j, so A_n comes
+    out as A_n t^n.  At the end every order is brought to order! d^order
+    and the sum is normalized once.
     """
     _check_order(order)
     parts: dict = {}
     for (a0, j, a2), n in s._nums.items():
         if not j:
             raise ValueError("series_exp requires a zero constant term")
-        parts.setdefault(j, {})[(a0, j, a2)] = j * n
-    weighted = [(j, Polynomial._make(nums, s._den))
-                for j, nums in sorted(parts.items())]
-    a = [Polynomial.constant(1)]
+        parts.setdefault(j, []).append(((a0, j, a2), j * n))
+    weighted = sorted(parts.items())
+    d = s._den
+    a = [{_CONSTANT: 1}]
     for n in range(1, order + 1):
-        a.append(_sum_of_products(
-            [(js_j, a[n - j]) for j, js_j in weighted if j <= n], n))
-    # the a_n t^n have no term in common: their sum is one dict over the lcm
-    coeffs, den = _over_lcm(a)
-    return Polynomial._make({e: m for c in coeffs for e, m in c}, den)
+        nums: dict = {}
+        get = nums.get
+        for j, part in weighted:
+            if j > n:
+                break
+            weight = math.perm(n - 1, j - 1) * d ** (j - 1)
+            prev = a[n - j].items()
+            for (b0, b1, b2), m in part:
+                m *= weight
+                for (c0, c1, c2), num in prev:
+                    key = (b0 + c0, b1 + c1, b2 + c2)
+                    nums[key] = get(key, 0) + m * num
+        a.append(nums)
+    # A_n t^n over n! d^n has no term in common with another order: scaled
+    # by order! d^order / (n! d^n), the sum is one dict
+    out, scale = {}, 1
+    for n in range(order, -1, -1):
+        out.update({e: m * scale for e, m in a[n].items()})
+        scale *= n * d
+    return Polynomial._make(out, math.factorial(order) * d ** order)
 
 
 def _sum_of_products(pairs: list, div: int = 1) -> Polynomial:

@@ -378,11 +378,50 @@ def test_e2_rotation_generator_entries():
                    if (i, j) not in ((0, 1), (1, 0)))
 
 
+def tangents_by_quotients(group, h):
+    """(M(h) - M(-h)) / 2h - w generator for each curve, every quotient and
+    difference built, with the generators ``groups`` binds at the call."""
+    if group == "h3":
+        gens = (groups.H3_BASIS_A, groups.H3_BASIS_B, groups.H3_BASIS_C)
+        return [quotient(lambda t, i=i: H3Element(
+                    *(t if j == i else 0 for j in range(3))), h) - gen
+                for i, gen in enumerate(gens)]
+    gens = (groups.E2_BASIS_X, groups.E2_BASIS_Y, groups.E2_BASIS_ROT)
+    return [quotient(lambda t, i=i: e2_curve(i, t), h)
+            - gen * (2 / (1 + h * h) if i == 3 else 1)
+            for i, gen in enumerate(gens, 1)]
+
+
+@pytest.mark.parametrize("group, names", [
+    ("h3", ("H3_BASIS_A", "H3_BASIS_B", "H3_BASIS_C")),
+    ("e2", ("E2_BASIS_X", "E2_BASIS_Y", "E2_BASIS_ROT"))])
+@pytest.mark.parametrize("change", [
+    lambda gen: gen * F(3, 2), lambda gen: gen + IDENTITY * F(-1, 5),
+    lambda gen: gen * 0], ids=["scaled", "shifted", "zero"])
+def test_tangents_on_wrong_generators_are_the_quotient_residuals(
+        monkeypatch, group, names, change):
+    # a mismatch pays for the quotient: the residual is the quotient's, in
+    # Fractions, and only the changed curve has one
+    for index, name in enumerate(names):
+        monkeypatch.setattr(groups, name, change(getattr(groups, name)))
+        for h in STEPS:
+            residuals = tangent_residuals(group, h)
+            assert residuals == tangents_by_quotients(group, h)
+            assert residuals[index] != ZERO
+            assert all(type(e) is F for row in residuals[index].rows
+                       for e in row)
+            assert [r == ZERO for r in residuals] == [
+                i != index for i in range(3)]
+        monkeypatch.undo()
+
+
 def test_tangent_residuals_reject_bad_input():
     with pytest.raises(ValueError):
         tangent_residuals("su2", F(1))
-    with pytest.raises(ZeroDivisionError):
-        tangent_residuals("h3", F(0))
+    # M(0) - M(-0) = 0 would match 0 * generator: the step is divided first
+    for group in ("h3", "e2"):
+        with pytest.raises(ZeroDivisionError):
+            tangent_residuals(group, F(0))
     with pytest.raises(TypeError, match="exact scalar"):
         tangent_residuals("e2", 0.5)
     # an int step stays exact: 1 / (2 h) is not a float

@@ -4,9 +4,13 @@ A function p(x) exp(-x^2/2) is passed to every operator as its polynomial
 part p, so the bare Gaussian is ``Polynomial.constant(1)``."""
 
 import math
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from liegen import heisenberg as hb
 from liegen.heisenberg import (
     LOWER,
     RAISE,
@@ -26,7 +30,28 @@ from liegen.heisenberg import (
     verify_hermite_identity,
     weighted_overlaps,
 )
-from liegen.numeric import Polynomial, X, Y
+from liegen.numeric import Polynomial, X, Y, Z, _sum_of_products
+
+
+@st.composite
+def polynomials(draw, variables=("x", "y", "z")):
+    """Up to six terms of degree <= 3 per variable, each coefficient over a
+    denominator up to 6."""
+    terms = {}
+    for _ in range(draw(st.integers(min_value=0, max_value=6))):
+        exps = tuple(draw(st.integers(min_value=0, max_value=3))
+                     for _ in variables)
+        terms[exps] = Fraction(draw(st.integers(min_value=-9, max_value=9)),
+                               draw(st.integers(min_value=1, max_value=6)))
+    return Polynomial(variables, terms)
+
+
+def assert_same_storage(p, q):
+    """Equal values in one canonical form: equal numerators and
+    denominator, no zero numerator, no common factor."""
+    assert (p._den, p._nums) == (q._den, q._nums)
+    assert p._den > 0 and 0 not in p._nums.values()
+    assert math.gcd(p._den, *p._nums.values()) == 1
 
 
 # -- ladder action -------------------------------------------------------------
@@ -119,6 +144,77 @@ def test_recurrence_sequence_is_one_pass_of_the_recurrence():
         next(hermite_recurrence_sequence(-1))
     with pytest.raises(ValueError):
         hermite_recurrence(-1)
+
+
+@given(h=polynomials(), h_prev=polynomials(),
+       k=st.integers(min_value=0, max_value=12))
+@settings(max_examples=60)
+def test_recurrence_step_is_the_two_products(h, h_prev, k):
+    # one pass over the lcm of the denominators, against the products
+    assert_same_storage(hb._recurrence_step(h, h_prev, k),
+                        2 * X * h - 2 * k * h_prev)
+
+
+@given(p=polynomials())
+@settings(max_examples=60)
+def test_derivative_ladder_is_p_prime_minus_x_p(p):
+    # in x, y and z: p' and xp meet where the powers of x differ by two
+    assert_same_storage(apply_ladder("derivative", p),
+                        p.differentiate("x") - X * p)
+
+
+def test_derivative_ladder_where_the_two_parts_cancel():
+    # p = x^2/2 + 1: p' = x and xp = x^3/2 + x, whose x parts cancel
+    assert_same_storage(apply_ladder("derivative", X ** 2 / 2 + 1),
+                        -X ** 3 / 2)
+    assert apply_ladder("derivative", Polynomial.zero()).is_zero
+
+
+@given(coeffs=st.lists(polynomials(("x", "z")), max_size=7))
+@settings(max_examples=60)
+def test_tagged_sum_is_the_sum_of_tag_products(coeffs):
+    # sum_k p_k y^k / k! built as products with one-term tags y^k / k!
+    tags = [Polynomial._make({(0, k, 0): 1}, math.factorial(k))
+            for k in range(len(coeffs))]
+    expected = (_sum_of_products(list(zip(tags, coeffs))) if coeffs
+                else Polynomial.zero())
+    assert_same_storage(hb._tagged_sum(coeffs), expected)
+
+
+def orthonormality_by_residuals(n, overlaps):
+    """The record's residual as the first nonzero norm_n * overlap - delta
+    over m <= n, every one of them built."""
+    _, norm_n = mixed_basis(n)
+    for m, overlap in enumerate(overlaps):
+        residual = norm_n * overlap - (1 if m == n else 0)
+        if residual:
+            return residual
+    return Fraction(0)
+
+
+@pytest.mark.parametrize("n", [0, 1, 4, 7])
+@pytest.mark.parametrize("shift", [Fraction(1, 3), Fraction(-5), "diagonal"])
+def test_orthonormality_on_perturbed_overlaps(monkeypatch, n, shift):
+    # each overlap in turn is moved off its value: the residual is the one
+    # the old per-overlap residual gives, whichever m it sits at
+    real = hb.weighted_overlaps
+    args = hermite_rodrigues(n), [hermite_rodrigues(m) for m in range(n + 1)]
+    for moved in range(n + 1):
+        def perturbed(p, qs, moved=moved):
+            out = real(p, qs)
+            if shift == "diagonal":
+                # a diagonal overlap read as 0, an off-diagonal one as 1
+                out[moved] = Fraction(0 if moved == n else 1)
+            else:
+                out[moved] += shift
+            return out
+        expected = orthonormality_by_residuals(n, perturbed(*args))
+        monkeypatch.setattr(hb, "weighted_overlaps", perturbed)
+        residual = verify_hermite_identity("orthonormality", n)
+        assert residual == expected != 0
+        assert type(residual) is Fraction
+    monkeypatch.setattr(hb, "weighted_overlaps", real)
+    assert verify_hermite_identity("orthonormality", n) == Fraction(0)
 
 
 @pytest.mark.parametrize("n", [True, False, 2.0], ids=["true", "false",

@@ -27,6 +27,7 @@ from liegen.numeric import (
     X,
     Y,
     Z,
+    _as_complex,
     _series_product,
     _sum_of_products,
     series_exp,
@@ -964,10 +965,12 @@ def test_series_exp_of_zero_is_one():
 
 
 def test_series_exp_rejects_constant_term():
-    # the t^0 term is every term free of y, constant in x and z or not
+    # the t^0 term is every term free of y, constant in x and z or not;
+    # s is read before any order is built, so order 0 raises too
     for s in (ONE + Y, X, X * Z + Y ** 2):
-        with pytest.raises(ValueError, match="constant term"):
-            series_exp(s, 4)
+        for order in (0, 4):
+            with pytest.raises(ValueError, match="constant term"):
+                series_exp(s, order)
 
 
 def test_series_exp_hermite_generating_coefficients():
@@ -986,6 +989,66 @@ def test_series_exp_is_multiplicative(a1, a2, b1, b2):
     b = b1 * Y + b2 * Y ** 2
     assert (_series_product(series_exp(a, order), series_exp(b, order), order)
             == series_exp(a + b, order))
+
+
+def series_exp_by_orders(s, order):
+    """exp(s) through t^order with every a_n normalized on its own: a_n =
+    (1/n) sum_j j s_j a_{n-j} as one ``_sum_of_products`` per order, over
+    the lcm of its products, and the a_n t^n summed at the end."""
+    parts = {}
+    for (a0, j, a2), n in s._nums.items():
+        if not j:
+            raise ValueError("series_exp requires a zero constant term")
+        parts.setdefault(j, {})[(a0, j, a2)] = j * n
+    weighted = [(j, Polynomial._make(nums, s._den))
+                for j, nums in sorted(parts.items())]
+    a = [ONE]
+    for n in range(1, order + 1):
+        a.append(_sum_of_products(
+            [(js_j, a[n - j]) for j, js_j in weighted if j <= n], n))
+    return sum(a, ZERO)
+
+
+@given(parts=st.lists(st.tuples(st.integers(min_value=1, max_value=5),
+                                 polynomials(max_deg=2, variables=("x", "z"))),
+                       max_size=4),
+       den=st.integers(min_value=1, max_value=12),
+       order=st.integers(min_value=0, max_value=10))
+@settings(max_examples=80, deadline=None)
+def test_series_exp_matches_the_order_by_order_recurrence(parts, den, order):
+    # several powers of y, x and z terms, a denominator d != 1 shared by s:
+    # the running denominator n! d^n gives the same canonical storage
+    s = sum((p * Y ** j for j, p in parts), ZERO) / den
+    e = series_exp(s, order)
+    expected = series_exp_by_orders(s, order)
+    assert (e._den, e._nums) == (expected._den, expected._nums)
+    assert_canonical(e)
+
+
+def test_series_exp_matches_the_order_by_order_recurrence_at_report_sizes():
+    for s, order in ((2 * X * Y - Y * Y, 64), (X * Y, 32),
+                     (Y * Y * F(-1, 2), 32), (F(3, 4) * Y - X * Z * Y ** 3, 20)):
+        e, expected = series_exp(s, order), series_exp_by_orders(s, order)
+        assert (e._den, e._nums) == (expected._den, expected._nums)
+
+
+@pytest.mark.parametrize("value", [2.5, -0.0, float("nan"), 1 + 2j, 7, F(1, 3)],
+                         ids=["float", "neg-zero", "nan", "complex", "int",
+                              "fraction"])
+def test_as_complex_takes_a_number(value):
+    # a float or a complex by exact type skips the checks; the others (and
+    # the str, bool and numpy bool that tests/test_euclidean.py sends the
+    # evaluator) take them
+    z = _as_complex(value)
+    assert type(z) is complex
+    assert repr(z) == repr(complex(value))
+
+
+def test_as_complex_checks_a_float_subclass():
+    numpy = pytest.importorskip("numpy")
+    assert _as_complex(numpy.float64(2.5)) == 2.5 + 0j
+    with pytest.raises(TypeError, match="expected a number"):
+        _as_complex(numpy.bool_(True))
 
 
 # -- the Gaussian pairing ------------------------------------------------------
